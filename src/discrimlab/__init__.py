@@ -12,8 +12,9 @@ drives batch runs.
 __version__ = "0.1.0"
 
 from .bigpowers import CertifyReport, PaddedWordSpec, build_padded, certify, threshold
-from .eocgroup import EocElement, EocGroup, load_group_spec, make_group
+from .eocgroup import EocElement, EocGroup, load_group_spec
 from .errors import (
+    AscentExhausted,
     BudgetExceeded,
     CertificationError,
     DiscrimError,
@@ -25,7 +26,6 @@ from .freewords import (
     CosetStrip,
     Word,
     ball,
-    ball_size_f2,
     coset_strip,
     parse_word,
     power_membership,
@@ -61,6 +61,7 @@ from .zdiscrim import (
 __all__ = [
     "__version__",
     "Alphabet",
+    "AscentExhausted",
     "BallSpec",
     "BudgetExceeded",
     "CertificationError",
@@ -81,7 +82,6 @@ __all__ = [
     "apply_theta",
     "ball",
     "ball_points",
-    "ball_size_f2",
     "build_padded",
     "certify",
     "complexity_curve",
@@ -92,7 +92,6 @@ __all__ = [
     "interval_half_width",
     "load_group_spec",
     "lower_bound_value",
-    "make_group",
     "minimal_complexity",
     "minimal_discriminating_p",
     "parse_word",

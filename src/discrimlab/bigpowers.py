@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import CertificationError
+from .errors import AscentExhausted, CertificationError
 from .freewords import CosetStrip, Word, coset_strip, power_membership
 
 DEFAULT_SWEEP_CAP = 6
@@ -135,38 +135,30 @@ class SymbolicBlockWord:
                 pieces.append((2 * j + 1, self.strips[j].middle.letters))
         return _annotated_reduce(pieces)
 
-    def blocks_survive(self, exponents: Sequence[int]) -> bool:
-        surviving = self.reduce_exponents(exponents)
-        return all(surviving[2 * j] >= 1 for j in range(len(exponents)))
-
-    def reduced_length(self, exponents: Sequence[int]) -> int:
-        surviving = self.reduce_exponents(exponents)
-        return sum(surviving.values())
-
 
 def _certified_block_magnitude(sym: SymbolicBlockWord, min_length: int = 1) -> int:
     """Smallest m such that for every sign pattern, the corner assignment
     (all block exponents of magnitude m) leaves every block with a surviving
     letter and the word with reduced length >= min_length."""
     nblocks = len(sym.offsets)
-    m = 1
-    while True:
-        ok = True
+    ceiling = 4 * (sum(len(s.middle) for s in sym.strips) + len(sym.u) + min_length + 4)
+    for m in range(1, ceiling + 1):
         for signs in itertools.product((1, -1), repeat=nblocks):
-            exps = [s * m for s in signs]
-            if not sym.blocks_survive(exps):
-                ok = False
+            exps = tuple(s * m for s in signs)
+            surviving = sym.reduce_exponents(exps)
+            if (
+                any(surviving[2 * j] < 1 for j in range(nblocks))
+                or sum(surviving.values()) < min_length
+            ):
                 break
-            if sym.reduced_length(exps) < min_length:
-                ok = False
-                break
-        if ok:
+        else:
             return m
-        m += 1
-        if m > 4 * (sum(len(s.middle) for s in sym.strips) + len(sym.u) + min_length + 4):
-            raise AssertionError(
-                "certificate search did not stabilize; threshold analysis is wrong"
-            )
+    raise AscentExhausted(
+        "certificate search did not stabilize: threshold analysis is wrong",
+        ceiling,
+        None,
+        exps,
+    )
 
 
 def threshold(spec: PaddedWordSpec) -> int:
@@ -176,21 +168,18 @@ def threshold(spec: PaddedWordSpec) -> int:
     strictly longer than |flank_left| + |flank_right|, so all four lemma
     words are nontrivial.
     """
+    flank_len = (len(spec.flank_left) if spec.flank_left else 0) + (
+        len(spec.flank_right) if spec.flank_right else 0
+    )
     if spec.k == 0:
         # w = u^r0: torsion-free, nontrivial for r0 != 0; flanks only need
         # |u^r0| > |fl| + |fr|, i.e. |r0| past a length margin
         margin = 0
-        flank_len = (len(spec.flank_left) if spec.flank_left else 0) + (
-            len(spec.flank_right) if spec.flank_right else 0
-        )
         _, core = spec.u.cyclic_decomposition()
         while margin * len(core) <= flank_len:
             margin += 1
         return max(0, margin - 1)
     sym = SymbolicBlockWord.from_spec(spec)
-    flank_len = (len(spec.flank_left) if spec.flank_left else 0) + (
-        len(spec.flank_right) if spec.flank_right else 0
-    )
     m = _certified_block_magnitude(sym, min_length=flank_len + 1)
     return max(m + abs(o) - 1 for o in sym.offsets)
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .bigpowers import PaddedWordSpec, certify, threshold
 from .eocgroup import EocGroup, load_group_spec
-from .errors import BudgetExceeded, CertificationError, DiscrimError
+from .errors import AscentExhausted, BudgetExceeded, CertificationError, DiscrimError
 from .freewords import Alphabet, parse_word
 from .retraction import (
     _apply_chain,
@@ -374,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (_Violation, CertificationError) as e:
+    except (_Violation, CertificationError, AscentExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VIOLATION
     except BudgetExceeded as e:

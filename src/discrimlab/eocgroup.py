@@ -16,7 +16,15 @@ Canonical form:
   * every base syllable is the minimal representative of its double
     coset with respect to the u's of its abelian neighbors, with the
     stripped u-powers folded into the neighbors' e-exponents (fixed
-    tie-break: minimal length, then smallest |s|, then |t|).
+    tie-break: minimal length, then smallest |s|, then |t|).  The strip
+    (``freewords._strip_search``) scans its (s, t) box row by row,
+    measuring each row by letter comparisons, and is memoized per group.
+
+A group is immutable, so it keeps what it computes: strips, u-power
+memberships, ball layers and, built lazily once, its subtower (the group
+with the top stage removed, see ``retraction.subtower``).  Retractions
+onto the subtower therefore share one set of caches across words, p
+values and stages.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -158,6 +166,7 @@ class EocGroup:
         self.stages: tuple[EocStage, ...] = tuple(validated)
         self._strip_cache: dict = {}
         self._membership_cache: dict = {}
+        self._subtower: Optional[EocGroup] = None
         # ball cache: layers[r] = list of elements of word length exactly r
         self._layers: list[list[EocElement]] = [[self.identity()]]
         self._lengths: dict[EocElement, int] = {self.identity(): 0}
@@ -329,9 +338,6 @@ class EocGroup:
 
     # -- word problem and ball enumeration ------------------------------------
 
-    def is_trivial(self, w: EocElement) -> bool:
-        return w.is_trivial()
-
     def _grow_layer(self, cap: int) -> None:
         gens = self.generator_tokens()
         frontier = self._layers[-1]
@@ -341,12 +347,15 @@ class EocGroup:
             for tok in gens:
                 cand = elem * self.element([tok])
                 if cand not in self._lengths:
+                    if len(self._lengths) >= cap:
+                        # keep the cache at whole layers so a later call can regrow
+                        for e in new:
+                            del self._lengths[e]
+                        raise BudgetExceeded(
+                            f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
+                        )
                     self._lengths[cand] = depth
                     new.append(cand)
-        if len(self._lengths) > cap:
-            raise BudgetExceeded(
-                f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
-            )
         self._layers.append(new)
 
     def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[EocElement]:
@@ -365,12 +374,6 @@ class EocGroup:
         while w not in self._lengths:
             self._grow_layer(cap)
         return self._lengths[w]
-
-
-def make_group(
-    alphabet: Alphabet, stages: Sequence[tuple[Word, int]]
-) -> EocGroup:
-    return EocGroup(alphabet, stages)
 
 
 def load_group_spec(text: str) -> EocGroup:

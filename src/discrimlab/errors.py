@@ -32,3 +32,20 @@ class GroupSpecError(DiscrimError, ValueError):
 
 class CertificationError(DiscrimError):
     """A certified bound was contradicted by a concrete counterexample."""
+
+
+class AscentExhausted(DiscrimError):
+    """An ascent ran past the ceiling its analysis says it stops below.
+
+    Carries the witness found at the ceiling: for a p ascent, the ball
+    radius R and a colliding pair (w, w') of distinct ball elements with
+    equal images; for the block-magnitude ascent of a big-powers
+    threshold, R is None and the witness is the corner exponent
+    assignment that still fails.
+    """
+
+    def __init__(self, message, ceiling, R, witness):
+        super().__init__(f"{message} (ceiling {ceiling}, R={R}, witness {witness!r})")
+        self.ceiling = ceiling
+        self.R = R
+        self.witness = witness

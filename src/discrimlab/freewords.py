@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, WordFormatError
@@ -220,28 +219,82 @@ class CosetStrip:
 def _strip_search(
     g: Word, u_left: Optional[Word], u_right: Optional[Word]
 ) -> tuple[int, Word, int]:
-    """Exhaustive double-coset minimization: g = uL^s * h * uR^t.
+    """Double-coset minimization g = uL^s * h * uR^t over a fixed (s, t) box.
 
     The box bound is sound: once |s| or |t| exceeds it, the surviving
     letters of the corresponding power block alone make h longer than g,
-    so no minimizer lies outside.  Ties go to smallest |s|, then |t|.
+    so no minimizer lies outside.  The least key (len(h), |s|, |t|, s, t)
+    wins: ties go to smallest |s|, then |t|.
+
+    The box is scanned row by row.  Row s builds x = uL^-s * g once, by
+    one product from its neighbouring row, and measures |x * uR^-t| for
+    every t by letter comparisons (:func:`_row_minimum`); only the
+    winning (s, t) builds h.
     """
     ulen = max(len(u_left) if u_left else 1, len(u_right) if u_right else 1)
     bound = 2 * len(g) + 2 * ulen + 4
-    s_range = range(-bound, bound + 1) if u_left is not None else range(0, 1)
-    t_range = range(-bound, bound + 1) if u_right is not None else range(0, 1)
-    best = None
-    best_key = None
-    for s in s_range:
-        left = (u_left ** (-s)) * g if u_left is not None else g
-        for t in t_range:
-            h = left * (u_right ** (-t)) if u_right is not None else left
-            key = (len(h), abs(s), abs(t), s, t)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (s, h, t)
-    assert best is not None
-    return best
+    # rows (s, uL^-s * g), each one product away from its neighbour
+    rows = [(0, g)]
+    if u_left is not None:
+        for sign, step in ((1, u_left.inverse()), (-1, u_left)):
+            x = g
+            for k in range(1, bound + 1):
+                x = step * x
+                rows.append((sign * k, x))
+    # a trivial uR leaves every t in a row at |x|, so t = 0 wins each row
+    right = None
+    if u_right:
+        z, v = u_right.cyclic_decomposition()
+        right = (z.letters, z.inverse().letters, v.inverse().letters, v.letters)
+    best_key = best_x = None
+    for s, x in rows:
+        n, t = _row_minimum(x, right, bound) if right else (len(x), 0)
+        key = (n, abs(s), abs(t), s, t)
+        if best_key is None or key < best_key:
+            best_key, best_x = key, x
+    s, t = best_key[3], best_key[4]
+    h = best_x * (u_right ** (-t)) if t else best_x
+    return s, h, t
+
+
+def _row_minimum(x: Word, right: tuple, bound: int) -> tuple[int, int]:
+    """Least (|x * uR^-t|, |t|, t) over |t| <= bound; returns (length, t).
+
+    `right` holds the letters of z, z^-1, v^-1 and v, where uR = z v z^-1
+    is split by :meth:`Word.cyclic_decomposition`.  With k = |t| and
+    sigma = sign(t), the word uR^-t = z (v^-sigma)^k z^-1 is reduced as
+    written, so |x * uR^-t| = |x| + 2|z| + k|v| - 2c, where c is the common
+    prefix of x^-1 and that word.  Let Q be the common prefix of x^-1 and
+    the infinite word z (v^-sigma)^inf.  While |z| + k|v| <= Q, c is
+    |z| + k|v| plus the common prefix of the rest of x^-1 with z^-1; once
+    |z| + k|v| > Q, c = Q and the length rises strictly with k, so the
+    scan of that sign stops there.
+    """
+    xs = x.letters
+    n = len(xs)
+    zl, zinv, vinv, v = right
+    lz = len(zl)
+    best = (n, 0, 0)
+    # letter i of x^-1 is -xs[~i]
+    for sigma, core in ((1, vinv), (-1, v)):
+        lv = len(core)
+        q = 0
+        while q < n and -xs[~q] == (zl[q] if q < lz else core[(q - lz) % lv]):
+            q += 1
+        for k in range(1, bound + 1):
+            m = lz + k * lv
+            if m > q:
+                c = q
+            else:
+                c = m
+                while c - m < lz and c < n and -xs[~c] == zinv[c - m]:
+                    c += 1
+            cand = (n + 2 * lz + k * lv - 2 * c, k, sigma * k)
+            if cand < best:
+                best = cand
+            if m > q:
+                break
+    return best[0], best[2]
 
 
 def coset_strip(u: Word, g: Word) -> CosetStrip:
@@ -285,9 +338,3 @@ def ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[W
         out.extend(Word._raw(alphabet, w) for w in new)
         frontier = new
     return out
-
-
-@lru_cache(maxsize=None)
-def ball_size_f2(radius: int) -> int:
-    """Closed form 2*3^R - 1 for the rank-2 ball; used as a test oracle."""
-    return 2 * 3**radius - 1

@@ -13,11 +13,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .eocgroup import AbelianSyllable, BaseSyllable, EocElement, EocGroup
+from .errors import AscentExhausted
 from .freewords import Word
 from .zdiscrim import lower_bound_value, theta
 
@@ -55,10 +56,19 @@ class ThetaSpec:
 
 
 def subtower(group: EocGroup) -> EocGroup:
-    """The group with the top extension stage removed."""
+    """The group with the top extension stage removed.
+
+    Built on first use and kept by `group`, so every retraction of `group`
+    (any word, any R and p) lands in the same subtower object and reuses
+    its strip, membership and ball caches.
+    """
     if not group.stages:
         raise ValueError("group has no stage to remove")
-    return EocGroup(group.alphabet, [(s.u, s.rank) for s in group.stages[:-1]])
+    if group._subtower is None:
+        group._subtower = EocGroup(
+            group.alphabet, [(s.u, s.rank) for s in group.stages[:-1]]
+        )
+    return group._subtower
 
 
 def t_image(spec: ThetaSpec, i: int) -> Word:
@@ -101,16 +111,23 @@ def hom_complexity(spec: ThetaSpec) -> int:
     return max(1, longest)
 
 
+def _first_collision(
+    ball: Sequence[EocElement], image: Callable[[EocElement], object]
+) -> Optional[tuple[EocElement, EocElement]]:
+    """The first pair of ball elements, in ball order, with equal images."""
+    seen: dict = {}
+    for w in ball:
+        img = image(w)
+        if img in seen:
+            return seen[img], w
+        seen[img] = w
+    return None
+
+
 def _images_injective(
     spec: ThetaSpec, ball: Sequence[EocElement], target: EocGroup
 ) -> bool:
-    seen = set()
-    for w in ball:
-        img = apply_theta(spec, w, target)
-        if img in seen:
-            return False
-        seen.add(img)
-    return True
+    return _first_collision(ball, lambda w: apply_theta(spec, w, target)) is None
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:
@@ -140,8 +157,12 @@ def minimal_discriminating_p(
     for p in range(1, ceiling + 1):
         if _images_injective(ThetaSpec(group, R, p), ball, target):
             return p
-    raise AssertionError(
-        f"no injective p up to ceiling {ceiling}: ascent analysis is wrong"
+    spec = ThetaSpec(group, R, ceiling)
+    raise AscentExhausted(
+        "no injective p up to the ceiling: ascent analysis is wrong",
+        ceiling,
+        R,
+        _first_collision(ball, lambda w: apply_theta(spec, w, target)),
     )
 
 
@@ -228,12 +249,11 @@ def _apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
         target = spec.target
         w = apply_theta(spec, w, target)
         g = target
-    assert len(w.syllables) <= 1
     if not w.syllables:
         return group.alphabet.identity()
-    syl = w.syllables[0]
-    assert isinstance(syl, BaseSyllable)
-    return syl.word
+    if len(w.syllables) > 1 or not isinstance(w.syllables[0], BaseSyllable):
+        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
+    return w.syllables[0].word
 
 
 def compose_chain(
@@ -249,27 +269,21 @@ def compose_chain(
         raise ValueError("group has no stages to retract")
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
-    chosen = None
     for p in range(1, ceiling + 1):
-        seen = set()
-        ok = True
-        for w in ball:
-            img = _apply_chain(group, R, p, w)
-            if img in seen:
-                ok = False
-                break
-            seen.add(img)
-        if ok:
-            chosen = p
+        collision = _first_collision(ball, lambda w: _apply_chain(group, R, p, w))
+        if collision is None:
             break
-    if chosen is None:
-        raise AssertionError(
-            f"no injective uniform p up to ceiling {ceiling}: ascent analysis is wrong"
+    else:
+        raise AscentExhausted(
+            "no injective uniform p up to the ceiling: ascent analysis is wrong",
+            ceiling,
+            R,
+            collision,
         )
     stage_complexities = []
     g = group
     while g.stages:
-        stage_complexities.append(hom_complexity(ThetaSpec(g, R, chosen)))
+        stage_complexities.append(hom_complexity(ThetaSpec(g, R, p)))
         g = subtower(g)
     bound_product = 1
     for c in stage_complexities:
@@ -278,11 +292,11 @@ def compose_chain(
     composite_max = 1
     for tok in group.generator_tokens():
         w = group.element([tok])
-        img = _apply_chain(group, R, chosen, w)
+        img = _apply_chain(group, R, p, w)
         sub.append((w.tokens() or "<id>", len(img), bound_product))
         composite_max = max(composite_max, len(img))
     return ChainResult(
-        p=chosen,
+        p=p,
         R=R,
         complexity=composite_max,
         stage_complexities=stage_complexities,

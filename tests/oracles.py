@@ -1,0 +1,48 @@
+"""Brute-force reference implementations that the library's closed forms replace.
+
+They are meant to be slow and obviously right, and share no code path
+with what they check beyond word products and powers.
+"""
+
+from functools import lru_cache
+from typing import Optional
+
+from discrimlab.freewords import Word
+
+
+def brute_strip_search(
+    g: Word, u_left: Optional[Word], u_right: Optional[Word]
+) -> tuple[int, Word, int]:
+    """Exhaustive double-coset minimization: g = uL^s * h * uR^t.
+
+    Measures h = (uL^-s * g) * uR^-t for every (s, t) in the box that
+    ``freewords._strip_search`` scans and keeps the least key
+    (len(h), |s|, |t|, s, t).  Both factors are reduced words, so |h| is
+    their total length less twice the letters that cancel at the junction.
+    """
+    ulen = max(len(u_left) if u_left else 1, len(u_right) if u_right else 1)
+    bound = 2 * len(g) + 2 * ulen + 4
+    s_range = range(-bound, bound + 1) if u_left is not None else range(0, 1)
+    t_range = range(-bound, bound + 1) if u_right is not None else range(0, 1)
+    rights = [(t, (u_right ** (-t)).letters if u_right is not None else ()) for t in t_range]
+    best_key = None
+    for s in s_range:
+        a = ((u_left ** (-s)) * g if u_left is not None else g).letters
+        for t, b in rights:
+            j = 0
+            while j < len(a) and j < len(b) and a[-1 - j] == -b[j]:
+                j += 1
+            key = (len(a) + len(b) - 2 * j, abs(s), abs(t), s, t)
+            if best_key is None or key < best_key:
+                best_key = key
+    s, t = best_key[3], best_key[4]
+    h = (u_left ** (-s)) * g if u_left is not None else g
+    h = h * (u_right ** (-t)) if u_right is not None else h
+    assert len(h) == best_key[0]
+    return s, h, t
+
+
+@lru_cache(maxsize=None)
+def ball_size_f2(radius: int) -> int:
+    """Closed form 2*3^R - 1 for the rank-2 ball."""
+    return 2 * 3**radius - 1

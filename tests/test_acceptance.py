@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from discrimlab.bigpowers import PaddedWordSpec, certify, threshold
-from discrimlab.eocgroup import make_group
+from discrimlab.eocgroup import EocGroup
 from discrimlab.freewords import Alphabet, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
@@ -138,7 +138,7 @@ def test_4_bigpowers_soundness():
 
 def test_5_word_problem_crossvalidation():
     t0 = time.perf_counter()
-    G = make_group(A, [(a, 1)])
+    G = EocGroup(A, [(a, 1)])
     R = 5
     p = minimal_discriminating_p(G, R)
     spec = ThetaSpec(G, R, p)
@@ -168,7 +168,7 @@ def test_6_retraction_curve():
     details = []
     curves = {}
     for n in (1, 2):
-        G = make_group(A, [(a, n)])
+        G = EocGroup(A, [(a, n)])
         curve = complexity_curve(G, range(5)).records
         curves[n] = curve
         ceiling = _p_ceiling(G, 4)
@@ -193,7 +193,7 @@ def test_6_retraction_curve():
         ok = False
         details.append(f"p_min(R=1) = {curves[1][1].p_min}, expected 2")
     # the p = 1 failure witness
-    G = make_group(A, [(a, 1)])
+    G = EocGroup(A, [(a, 1)])
     w = G.element("G1 t1.1")
     if not apply_theta(ThetaSpec(G, 1, 1), w).is_trivial() or w.is_trivial():
         ok = False
@@ -204,7 +204,7 @@ def test_6_retraction_curve():
 
 def test_7_composition():
     t0 = time.perf_counter()
-    tower = make_group(A, [(a, 1), (b, 1)])
+    tower = EocGroup(A, [(a, 1), (b, 1)])
     chain = compose_chain(tower, 2)
     images = [_apply_chain(tower, 2, chain.p, w) for w in tower.ball(2)]
     injective = len(set(images)) == len(images)
@@ -223,7 +223,7 @@ def test_8_asymptotics_reported_not_asserted():
     t0 = time.perf_counter()
     slopes = {}
     for n in (1, 2):
-        G = make_group(A, [(a, n)])
+        G = EocGroup(A, [(a, n)])
         slopes[n] = complexity_curve(G, range(1, 5)).loglog_slope
     elapsed = time.perf_counter() - t0
     # asymptotic classes are out of reach at these radii by design; the

@@ -4,12 +4,14 @@ import pytest
 
 from discrimlab.bigpowers import (
     PaddedWordSpec,
+    SymbolicBlockWord,
+    _certified_block_magnitude,
     build_padded,
     certify,
     threshold,
 )
-from discrimlab.errors import CertificationError
-from discrimlab.freewords import Alphabet, parse_word
+from discrimlab.errors import AscentExhausted, CertificationError
+from discrimlab.freewords import Alphabet, CosetStrip, parse_word
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -93,6 +95,20 @@ class TestThreshold:
         core = spec_of("g1", "g2")
         for r in [(N + 1, N + 1), (-(N + 1), N + 1), (N + 1, -(N + 1))]:
             assert len(build_padded(core, r)) > 2
+
+    def test_block_ascent_reports_corner_at_ceiling(self):
+        # a middle inside <u> breaks the strip precondition: at the corner
+        # (m, -m) the second block eats the middle and all but one letter
+        # of the first, whatever m is
+        sym = SymbolicBlockWord(a, (CosetStrip(0, a, 0),), (0, 0))
+        with pytest.raises(AscentExhausted) as exc:
+            _certified_block_magnitude(sym)
+        err = exc.value
+        assert err.R is None
+        m = err.ceiling
+        assert err.witness in ((m, -m), (-m, m))
+        surviving = sym.reduce_exponents(err.witness)
+        assert min(surviving[0], surviving[2]) == 0
 
     def test_length_growth_beyond_threshold(self):
         s = spec_of("g1 g2", "G2 g1")

@@ -85,6 +85,14 @@ class TestCurve:
         complexities = [int(r.split(",")[2]) for r in rows]
         assert complexities == sorted(complexities)
 
+    def test_ascent_past_ceiling_exits_1(self, capsys, monkeypatch, g1_spec):
+        monkeypatch.setattr("discrimlab.retraction._p_ceiling", lambda group, R: 1)
+        code = main(["curve", "--spec", g1_spec, "--rmax", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: no injective p up to the ceiling")
+        assert "Traceback" not in err
+
     def test_tower_emits_composite(self, capsys, tower_spec):
         code, out = run(capsys, "curve", "--spec", tower_spec, "--rmax", "2")
         assert code == 0

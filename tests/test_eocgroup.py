@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from discrimlab.eocgroup import load_group_spec, make_group
+from discrimlab.eocgroup import EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, parse_word
 
@@ -15,32 +15,32 @@ a, b = A.generators()
 @pytest.fixture(scope="module")
 def G():
     """Single extension along u = a, rank 1."""
-    return make_group(A, [(a, 1)])
+    return EocGroup(A, [(a, 1)])
 
 
 @pytest.fixture(scope="module")
 def tower():
     """Two stages (a, 1), (b, 1)."""
-    return make_group(A, [(a, 1), (b, 1)])
+    return EocGroup(A, [(a, 1), (b, 1)])
 
 
 class TestValidation:
     def test_proper_power_u_rejected(self):
         with pytest.raises(GroupSpecError):
-            make_group(A, [(a**2, 1)])
+            EocGroup(A, [(a**2, 1)])
 
     def test_trivial_u_rejected(self):
         with pytest.raises(GroupSpecError):
-            make_group(A, [(A.identity(), 1)])
+            EocGroup(A, [(A.identity(), 1)])
 
     def test_commensurable_stages_rejected(self):
         with pytest.raises(GroupSpecError) as exc:
-            make_group(A, [(a, 1), (a.inverse(), 2)])
+            EocGroup(A, [(a, 1), (a.inverse(), 2)])
         assert exc.value.stage == 1
 
     def test_zero_rank_rejected(self):
         with pytest.raises(GroupSpecError):
-            make_group(A, [(a, 0)])
+            EocGroup(A, [(a, 0)])
 
     def test_spec_document_roundtrip(self):
         doc = {"free_rank": 2, "stages": [{"u": "g1 g2", "rank": 2}]}
@@ -122,9 +122,20 @@ class TestBall:
         assert G.word_length(G.element("g2 t1.1 G2")) == 3
 
     def test_cap(self):
-        g = make_group(A, [(a, 1)])
+        g = EocGroup(A, [(a, 1)])
         with pytest.raises(BudgetExceeded):
             g.ball(8, cap=50)
+
+    def test_cap_mid_layer_leaves_group_usable(self):
+        # the radius-1 and radius-2 balls have 7 and 33 elements, so cap 5
+        # trips inside layer 1 and cap 10 inside layer 2
+        g = EocGroup(A, [(a, 1)])
+        with pytest.raises(BudgetExceeded):
+            g.ball(3, cap=5)
+        with pytest.raises(BudgetExceeded):
+            g.ball(3, cap=10)
+        assert len(g.ball(3)) == 143
+        assert g.word_length(g.element("g2 t1.1 G2")) == 3
 
 
 class TestTokens:

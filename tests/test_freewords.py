@@ -5,12 +5,13 @@ from discrimlab.freewords import (
     Alphabet,
     Word,
     ball,
-    ball_size_f2,
     coset_strip,
     parse_word,
     power_membership,
 )
 from discrimlab.errors import BudgetExceeded, WordFormatError
+
+from oracles import ball_size_f2
 
 A = Alphabet(2)
 a, b = A.generators()

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from discrimlab.eocgroup import make_group
+from discrimlab import retraction
+from discrimlab.eocgroup import EocGroup
+from discrimlab.errors import AscentExhausted
 from discrimlab.freewords import Alphabet
 from discrimlab.retraction import (
     ThetaSpec,
+    _apply_chain,
     apply_theta,
     complexity_curve,
     complexity_record,
@@ -23,17 +26,17 @@ a, b = A.generators()
 
 @pytest.fixture(scope="module")
 def G1():
-    return make_group(A, [(a, 1)])
+    return EocGroup(A, [(a, 1)])
 
 
 @pytest.fixture(scope="module")
 def G2():
-    return make_group(A, [(a, 2)])
+    return EocGroup(A, [(a, 2)])
 
 
 @pytest.fixture(scope="module")
 def tower():
-    return make_group(A, [(a, 1), (b, 1)])
+    return EocGroup(A, [(a, 1), (b, 1)])
 
 
 class TestImages:
@@ -135,6 +138,54 @@ class TestCurve:
         assert curve.loglog_slope is not None
 
 
+class TestSubtower:
+    def test_built_once_and_kept(self):
+        tower = EocGroup(A, [(a, 1), (b, 1)])
+        sub = subtower(tower)
+        assert subtower(tower) is sub
+        assert ThetaSpec(tower, 2, 5).target is sub
+        assert [(s.u, s.rank) for s in sub.stages] == [(a, 1)]
+
+    def test_chain_builds_no_group_once_subtowers_exist(self, monkeypatch):
+        tower = EocGroup(A, [(a, 1), (b, 1)])
+        chain = compose_chain(tower, 2)
+        built = []
+        init = EocGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(EocGroup, "__init__", counting_init)
+        for p in (1, chain.p):
+            for w in tower.ball(2):
+                _apply_chain(tower, 2, p, w)
+        assert built == []
+
+
+class TestAscentCeiling:
+    def test_minimal_p_reports_collision_at_ceiling(self, G1, monkeypatch):
+        monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
+        with pytest.raises(AscentExhausted) as exc:
+            minimal_discriminating_p(G1, 2)
+        err = exc.value
+        assert (err.ceiling, err.R) == (1, 2)
+        w, w2 = err.witness
+        assert w != w2
+        spec = ThetaSpec(G1, 2, 1)
+        assert apply_theta(spec, w) == apply_theta(spec, w2)
+
+    def test_compose_chain_reports_collision_at_ceiling(self, tower, monkeypatch):
+        monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
+        with pytest.raises(AscentExhausted) as exc:
+            compose_chain(tower, 2)
+        err = exc.value
+        assert (err.ceiling, err.R) == (1, 2)
+        w, w2 = err.witness
+        assert w != w2
+        assert _apply_chain(tower, 2, 1, w) == _apply_chain(tower, 2, 1, w2)
+
+
 class TestComposeChain:
     def test_single_stage_matches_minimal_p(self, G1):
         chain = compose_chain(G1, 2)
@@ -143,8 +194,6 @@ class TestComposeChain:
     def test_two_stage_discriminates(self, tower):
         chain = compose_chain(tower, 2)
         # injectivity re-verified independently
-        from discrimlab.retraction import _apply_chain
-
         images = [_apply_chain(tower, 2, chain.p, w) for w in tower.ball(2)]
         assert len(set(images)) == len(images)
 
@@ -157,8 +206,6 @@ class TestComposeChain:
             assert img_len <= prod == bound
 
     def test_composite_fixes_base(self, tower):
-        from discrimlab.retraction import _apply_chain
-
         chain = compose_chain(tower, 1)
         for text in ("g1", "g2", "g1 g2 G1"):
             w = tower.element(text)

@@ -1,0 +1,102 @@
+"""The row-scan double-coset strip against the brute-force box scan.
+
+Both scan the same (s, t) box with the same key, so they must agree
+exactly, offsets included.  The exhaustive tests run the brute force once
+per orbit of u under relabeling the generators (a signed permutation of
+g1, g2) and compare every relabeled input with the relabeled answer.  A
+relabeling preserves word length, products and powers and leaves s and t
+alone, so the brute force commutes with it; every u (with two words:
+every u1, each with one partner u2) and every g is therefore checked
+against the brute force, at an eighth of its cost.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from discrimlab.freewords import Alphabet, Word, _strip_search
+
+from oracles import brute_strip_search
+
+A = Alphabet(2)
+
+RELABELINGS = [
+    {1: s1 * p1, -1: -s1 * p1, 2: s2 * p2, -2: -s2 * p2}
+    for p1, p2 in ((1, 2), (2, 1))
+    for s1 in (1, -1)
+    for s2 in (1, -1)
+]
+SWAP = {1: 2, -1: -2, 2: 1, -2: -1}
+
+
+def relabel(phi, w):
+    return None if w is None else Word(A, [phi[x] for x in w.letters])
+
+
+def reduced_words(max_len):
+    out, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [
+            w + (x,) for w in frontier for x in (1, -1, 2, -2) if not (w and w[-1] == -x)
+        ]
+        out += frontier
+    return [Word(A, w) for w in out]
+
+
+G5 = reduced_words(5)
+U3 = [u for u in reduced_words(3) if u and not u.is_proper_power()]
+
+
+def orbit_representatives(words):
+    reps, seen = [], set()
+    for w in words:
+        if w not in seen:
+            reps.append(w)
+            seen.update(relabel(phi, w) for phi in RELABELINGS)
+    assert seen == set(words)
+    return reps
+
+
+U3_REPS = orbit_representatives(U3)
+
+# (u_left, u_right) from two amalgamating words
+PATTERNS = {
+    "u,u": lambda u1, u2: (u1, u1),
+    "u,None": lambda u1, u2: (u1, None),
+    "None,u": lambda u1, u2: (None, u1),
+    "u1,u2": lambda u1, u2: (u1, u2),
+}
+
+
+def test_inputs_cover_the_stated_sets():
+    assert len(G5) == 1 + 4 + 12 + 36 + 108 + 324
+    assert len(U3) == 4 + 8 + 32
+    assert len(U3_REPS) == 6
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_exhaustive_against_brute_force(pattern):
+    for u in U3_REPS:
+        # u2 is the g1 <-> g2 swap of u, which is never a power of u
+        u_left, u_right = PATTERNS[pattern](u, relabel(SWAP, u))
+        for g in G5:
+            s, h, t = brute_strip_search(g, u_left, u_right)
+            for phi in RELABELINGS:
+                got = _strip_search(
+                    relabel(phi, g), relabel(phi, u_left), relabel(phi, u_right)
+                )
+                assert got == (s, relabel(phi, h), t), (g, u_left, u_right, phi)
+
+
+non_power = (
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=4)
+    .map(lambda ls: Word(A, ls))
+    .filter(lambda u: u and not u.is_proper_power())
+)
+words10 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(lambda ls: Word(A, ls))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words10, non_power, non_power, st.sampled_from(sorted(PATTERNS)))
+def test_random_against_brute_force(g, u1, u2, pattern):
+    u_left, u_right = PATTERNS[pattern](u1, u2)
+    assert _strip_search(g, u_left, u_right) == brute_strip_search(g, u_left, u_right)
