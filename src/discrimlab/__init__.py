@@ -35,6 +35,7 @@ from .retraction import (
     ComplexityRecord,
     CurveResult,
     ThetaSpec,
+    apply_chain,
     apply_theta,
     complexity_curve,
     complexity_record,
@@ -79,6 +80,7 @@ __all__ = [
     "Word",
     "WordFormatError",
     "ZnHom",
+    "apply_chain",
     "apply_theta",
     "ball",
     "ball_points",

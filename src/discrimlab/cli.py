@@ -30,16 +30,22 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .bigpowers import PaddedWordSpec, certify, threshold
-from .eocgroup import EocGroup, load_group_spec
+from .eocgroup import DEFAULT_BALL_CAP, EocGroup, load_group_spec
 from .errors import AscentExhausted, BudgetExceeded, CertificationError, DiscrimError
 from .freewords import Alphabet, parse_word
 from .retraction import (
-    _apply_chain,
+    apply_chain,
     complexity_curve,
     compose_chain,
     minimal_discriminating_p,
 )
-from .zdiscrim import BallSpec, minimal_complexity, lower_bound_value, theta
+from .zdiscrim import (
+    DEFAULT_ENUM_BUDGET,
+    BallSpec,
+    lower_bound_value,
+    minimal_complexity,
+    theta,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -282,7 +288,7 @@ def _cmd_crosscheck(args) -> int:
         disagreement = None
         for toks in _raw_words(gens, args.r):
             w = group.element(toks)
-            img = _apply_chain(group, args.r, p, w)
+            img = apply_chain(group, args.r, p, w)
             if w.is_trivial() == img.is_identity():
                 agreements += 1
             else:
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmin", type=int, default=0)
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--shape", choices=("l1", "box"), default="l1")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     common_out(p)
     p.set_defaults(func=_cmd_zn)
 
@@ -337,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--rmin", type=int, default=0)
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("ball", help="ball sizes of a group")
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_ball)
 
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=500_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
     p.add_argument(
         "--force-p",
         type=int,

@@ -20,11 +20,21 @@ Canonical form:
     (``freewords._strip_search``) scans its (s, t) box row by row,
     measuring each row by letter comparisons, and is memoized per group.
 
+Products normalize only the changed tail.  For a canonical a, pushing a's
+syllables onto an empty stack changes nothing, so a * b starts the stack
+at a's syllables and pushes only b's; the pushes leave some prefix of
+length k untouched.  The strip pass then starts at index k-1, the last
+syllable whose right neighbour may have changed.  That is exact because
+the strip is idempotent on a canonical middle: h already has minimal
+length in its double coset, so (len h, 0, 0, 0, 0) is the least key and
+``_strip(h, ls, rs)`` returns (0, h, 0) for every syllable before k-1.
+
 A group is immutable, so it keeps what it computes: strips, u-power
 memberships, ball layers and, built lazily once, its subtower (the group
-with the top stage removed, see ``retraction.subtower``).  Retractions
-onto the subtower therefore share one set of caches across words, p
-values and stages.
+with the top stage removed, see ``retraction.subtower``) and its top-stage
+retractions by (R, p) (``retraction._theta_spec``).  Retractions onto the
+subtower therefore share one set of caches across words, p values and
+stages.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -38,12 +48,19 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, GroupSpecError, WordFormatError
-from .freewords import Alphabet, Word, parse_word, power_membership, _strip_search
+from .freewords import (
+    Alphabet,
+    Word,
+    _strip_search,
+    conjugate,
+    parse_letter,
+    parse_word,
+    power_membership,
+)
 
 DEFAULT_BALL_CAP = 500_000
 
 _T_TOKEN_RE = re.compile(r"([tT])([0-9]+)\.([0-9]+)$")
-_G_TOKEN_RE = re.compile(r"([gG])([0-9]+)$")
 
 # token model: base letters are signed ints as in freewords; t-letters are
 # triples ('t', stage_index0, signed generator index)
@@ -66,6 +83,10 @@ class AbelianSyllable:
     stage: int  # 0-based
     u_exp: int
     t_exps: tuple[int, ...]  # never all zero in normal position
+
+    def __hash__(self) -> int:
+        # doubled exponents: hash(-1) == hash(-2) would merge u^-1 with u^-2
+        return hash((self.stage, 2 * self.u_exp, *[2 * v for v in self.t_exps]))
 
 
 Syllable = Union[BaseSyllable, AbelianSyllable]
@@ -97,7 +118,7 @@ class EocElement:
     def __mul__(self, other: "EocElement") -> "EocElement":
         if self.group is not other.group:
             raise ValueError("elements of different groups")
-        return self.group._from_syllables(self.syllables + other.syllables)
+        return self.group._from_syllables(other.syllables, self.syllables)
 
     def inverse(self) -> "EocElement":
         inv: list[Syllable] = []
@@ -156,10 +177,12 @@ class EocGroup:
             if rank < 1:
                 raise GroupSpecError("extension rank must be >= 1", stage=j)
             validated.append(EocStage(u, rank))
+        # for u's that are not proper powers, commensurable means conjugate
+        # to the other u or to its inverse
         for j in range(len(validated)):
             for i in range(j):
                 ui, uj = validated[i].u, validated[j].u
-                if ui == uj or ui == uj.inverse():
+                if conjugate(ui, uj) or conjugate(ui, uj.inverse()):
                     raise GroupSpecError(
                         f"u commensurable with stage {i}'s u", stage=j
                     )
@@ -167,6 +190,10 @@ class EocGroup:
         self._strip_cache: dict = {}
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
+        self._theta_specs: dict = {}
+        self._generator_syllables = [
+            (self._token_syllable(tok),) for tok in self.generator_tokens()
+        ]
         # ball cache: layers[r] = list of elements of word length exactly r
         self._layers: list[list[EocElement]] = [[self.identity()]]
         self._lengths: dict[EocElement, int] = {self.identity(): 0}
@@ -191,18 +218,10 @@ class EocGroup:
         pos = 0
         for chunk in text.split():
             pos = text.index(chunk, pos)
-            m = _G_TOKEN_RE.match(chunk)
-            if m:
-                idx = int(m.group(2))
-                if not 1 <= idx <= self.alphabet.rank:
-                    raise WordFormatError(
-                        f"generator index {idx} out of range", pos
-                    )
-                tokens.append(idx if m.group(1) == "g" else -idx)
+            m = _T_TOKEN_RE.match(chunk)
+            if not m:
+                tokens.append(parse_letter(self.alphabet, chunk, pos))
             else:
-                m = _T_TOKEN_RE.match(chunk)
-                if not m:
-                    raise WordFormatError(f"malformed token {chunk!r}", pos)
                 stage = int(m.group(2)) - 1
                 idx = int(m.group(3))
                 if not 0 <= stage < len(self.stages):
@@ -219,16 +238,15 @@ class EocGroup:
         """Normalize a raw token sequence (or serialized string) to canonical form."""
         if isinstance(tokens, str):
             tokens = self.parse_tokens(tokens)
-        syllables: list[Syllable] = []
-        for tok in tokens:
-            if isinstance(tok, int):
-                syllables.append(BaseSyllable(Word(self.alphabet, (tok,))))
-            else:
-                _, stage, idx = tok
-                v = [0] * self.stages[stage].rank
-                v[abs(idx) - 1] = 1 if idx > 0 else -1
-                syllables.append(AbelianSyllable(stage, 0, tuple(v)))
-        return self._from_syllables(tuple(syllables))
+        return self._from_syllables(tuple(map(self._token_syllable, tokens)))
+
+    def _token_syllable(self, tok: Token) -> Syllable:
+        if isinstance(tok, int):
+            return BaseSyllable(Word(self.alphabet, (tok,)))
+        _, stage, idx = tok
+        v = [0] * self.stages[stage].rank
+        v[abs(idx) - 1] = 1 if idx > 0 else -1
+        return AbelianSyllable(stage, 0, tuple(v))
 
     def base_element(self, w: Word) -> EocElement:
         return self._from_syllables((BaseSyllable(w),))
@@ -243,7 +261,7 @@ class EocGroup:
     # -- normalization --------------------------------------------------------
 
     def _power_of(self, stage: int, g: Word) -> Optional[int]:
-        key = (stage, g.letters)
+        key = (stage, g)
         if key not in self._membership_cache:
             self._membership_cache[key] = power_membership(self.stages[stage].u, g)
         return self._membership_cache[key]
@@ -251,25 +269,28 @@ class EocGroup:
     def _strip(
         self, g: Word, left_stage: Optional[int], right_stage: Optional[int]
     ) -> tuple[int, Word, int]:
-        key = (g.letters, left_stage, right_stage)
+        key = (g, left_stage, right_stage)
         if key not in self._strip_cache:
             u_left = self.stages[left_stage].u if left_stage is not None else None
             u_right = self.stages[right_stage].u if right_stage is not None else None
             self._strip_cache[key] = _strip_search(g, u_left, u_right)
         return self._strip_cache[key]
 
-    def _push(self, stack: list[Syllable], syl: Syllable) -> None:
-        """Push one syllable, merging with the stack top until stable."""
+    def _push(self, stack: list[Syllable], syl: Syllable) -> int:
+        """Push one syllable, merging with the stack top until stable.
+
+        Returns the length of the stack prefix the push left untouched.
+        """
         while True:
             if isinstance(syl, BaseSyllable) and syl.word.is_identity():
-                return
+                return len(stack)
             if isinstance(syl, AbelianSyllable) and not any(syl.t_exps):
                 # degenerate: pure u-power, route to the base side
                 syl = BaseSyllable(self.stages[syl.stage].u ** syl.u_exp)
                 continue
             if not stack:
                 stack.append(syl)
-                return
+                return len(stack) - 1
             top = stack[-1]
             if isinstance(top, BaseSyllable) and isinstance(syl, BaseSyllable):
                 stack.pop()
@@ -285,7 +306,7 @@ class EocGroup:
                     )
                     continue
                 stack.append(syl)
-                return
+                return len(stack) - 1
             if isinstance(top, AbelianSyllable) and isinstance(syl, BaseSyllable):
                 k = self._power_of(top.stage, syl.word)
                 if k is not None:
@@ -293,7 +314,7 @@ class EocGroup:
                     syl = AbelianSyllable(top.stage, top.u_exp + k, top.t_exps)
                     continue
                 stack.append(syl)
-                return
+                return len(stack) - 1
             # top is base, syl is abelian: absorb top into syl if it is a u-power
             k = self._power_of(syl.stage, top.word)
             if k is not None:
@@ -301,16 +322,24 @@ class EocGroup:
                 syl = AbelianSyllable(syl.stage, syl.u_exp + k, syl.t_exps)
                 continue
             stack.append(syl)
-            return
+            return len(stack) - 1
 
-    def _from_syllables(self, raw: tuple[Syllable, ...]) -> EocElement:
+    def _from_syllables(
+        self, raw: tuple[Syllable, ...], head: tuple[Syllable, ...] = ()
+    ) -> EocElement:
+        """Normal form of the canonical syllables `head` followed by `raw`.
+
+        With ``head=()`` this normalizes `raw` from scratch; otherwise only
+        the tail that `raw` changes is normalized (see the module docstring).
+        """
         # structural pass: alternation, pinches, u-power absorption
-        stack: list[Syllable] = []
+        out: list[Syllable] = list(head)
+        kept = len(out)
         for syl in raw:
-            self._push(stack, syl)
-        # canonical pass: strip base syllables against their abelian neighbors
-        out: list[Syllable] = list(stack)
-        i = 0
+            kept = min(kept, self._push(out, syl))
+        # canonical pass: strip base syllables against their abelian neighbors,
+        # from the last syllable whose right neighbour may have changed
+        i = max(kept - 1, 0)
         while i < len(out):
             syl = out[i]
             if not isinstance(syl, BaseSyllable):
@@ -339,13 +368,12 @@ class EocGroup:
     # -- word problem and ball enumeration ------------------------------------
 
     def _grow_layer(self, cap: int) -> None:
-        gens = self.generator_tokens()
         frontier = self._layers[-1]
         depth = len(self._layers)
         new: list[EocElement] = []
         for elem in frontier:
-            for tok in gens:
-                cand = elem * self.element([tok])
+            for gen in self._generator_syllables:
+                cand = self._from_syllables(gen, elem.syllables)
                 if cand not in self._lengths:
                     if len(self._lengths) >= cap:
                         # keep the cache at whole layers so a later call can regrow

@@ -48,6 +48,20 @@ class Alphabet:
         return [Word(self, (i,)) for i in range(1, self.rank + 1)]
 
 
+def join_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Reduced product of two reduced letter tuples.
+
+    Both sides are already reduced, so only the junction can cancel.
+    """
+    i = len(a)
+    j = 0
+    n = len(b)
+    while i > 0 and j < n and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
     stack: list[int] = []
     for x in letters:
@@ -59,7 +73,14 @@ def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 class Word:
-    """A freely reduced word; the canonical representative of its group element."""
+    """A freely reduced word; the canonical representative of its group element.
+
+    The hash is computed on the first ``hash()`` and kept, so the many
+    intermediate words of a product chain that are never hashed do not pay
+    for it.  It hashes the doubled letters: CPython's ``hash(-1)`` equals
+    ``hash(-2)``, so hashing the letters themselves would give every pair of
+    words that differ only by ``G1`` against ``G2`` the same hash.
+    """
 
     __slots__ = ("alphabet", "letters", "_hash")
 
@@ -70,7 +91,7 @@ class Word:
                 raise ValueError(f"letter {x} outside alphabet of rank {alphabet.rank}")
         self.alphabet = alphabet
         self.letters = _reduce_letters(letters)
-        self._hash = hash(self.letters)
+        self._hash = None
 
     @classmethod
     def _raw(cls, alphabet: Alphabet, reduced: tuple[int, ...]) -> "Word":
@@ -78,7 +99,7 @@ class Word:
         w = object.__new__(cls)
         w.alphabet = alphabet
         w.letters = reduced
-        w._hash = hash(reduced)
+        w._hash = None
         return w
 
     def __len__(self) -> int:
@@ -90,24 +111,20 @@ class Word:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Word)
-            and self.alphabet == other.alphabet
             and self.letters == other.letters
+            and (self.alphabet is other.alphabet or self.alphabet == other.alphabet)
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(tuple([2 * x for x in self.letters]))
+        return h
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise ValueError("cannot multiply words over different alphabets")
-        a, b = self.letters, other.letters
-        # cancel at the junction only; both sides are already reduced
-        i = len(a)
-        j = 0
-        while i > 0 and j < len(b) and a[i - 1] == -b[j]:
-            i -= 1
-            j += 1
-        return Word._raw(self.alphabet, a[:i] + b[j:])
+        return Word._raw(self.alphabet, join_letters(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         return Word._raw(self.alphabet, tuple(-x for x in reversed(self.letters)))
@@ -169,23 +186,41 @@ class Word:
         return f"Word({self.tokens()!r})" if self.letters else "Word('')"
 
 
+def parse_letter(alphabet: Alphabet, token: str, position: int) -> int:
+    """The signed letter of one ``g<i>``/``G<i>`` token found at `position`."""
+    m = _TOKEN_RE.match(token)
+    if not m:
+        raise WordFormatError(f"malformed token {token!r}", position)
+    idx = int(m.group(2))
+    if not 1 <= idx <= alphabet.rank:
+        raise WordFormatError(
+            f"generator index {idx} out of range 1..{alphabet.rank}", position
+        )
+    return idx if m.group(1) == "g" else -idx
+
+
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the ``g<i>``/``G<i>`` token format, rejecting malformed tokens."""
     letters = []
     pos = 0
     for chunk in text.split():
         pos = text.index(chunk, pos)
-        m = _TOKEN_RE.match(chunk)
-        if not m:
-            raise WordFormatError(f"malformed token {chunk!r}", pos)
-        idx = int(m.group(2))
-        if not 1 <= idx <= alphabet.rank:
-            raise WordFormatError(
-                f"generator index {idx} out of range 1..{alphabet.rank}", pos
-            )
-        letters.append(idx if m.group(1) == "g" else -idx)
+        letters.append(parse_letter(alphabet, chunk, pos))
         pos += len(chunk)
     return Word(alphabet, letters)
+
+
+def conjugate(x: Word, y: Word) -> bool:
+    """Whether x and y are conjugate in the free group.
+
+    Two words are conjugate iff their cyclically reduced cores are cyclic
+    rotations of each other.
+    """
+    cx = x.cyclic_decomposition()[1].letters
+    cy = y.cyclic_decomposition()[1].letters
+    return len(cx) == len(cy) and any(
+        cx == cy[k:] + cy[:k] for k in range(max(len(cy), 1))
+    )
 
 
 def power_membership(u: Word, g: Word) -> Optional[int]:

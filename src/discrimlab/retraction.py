@@ -10,6 +10,7 @@ generator-image complexity, and complexity curves in R.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,12 +18,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eocgroup import AbelianSyllable, BaseSyllable, EocElement, EocGroup
+from .eocgroup import DEFAULT_BALL_CAP, BaseSyllable, EocElement, EocGroup
 from .errors import AscentExhausted
-from .freewords import Word
-from .zdiscrim import lower_bound_value, theta
-
-DEFAULT_BALL_CAP = 500_000
+from .freewords import Word, join_letters
+from .zdiscrim import lower_bound_value, scaled_theta
 
 
 @dataclass(frozen=True)
@@ -32,6 +31,11 @@ class ThetaSpec:
     group: EocGroup
     R: int
     p: int
+    # what apply_theta needs that depends on (group, R, p) only: the
+    # u-exponent coefficients p * theta of the t_i, and the letters of z,
+    # z^-1, v and v^-1 for the top-stage u = z v z^-1 split by
+    # Word.cyclic_decomposition, so that u^e = z (v^sign(e))^|e| z^-1
+    _image_data: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.group.stages:
@@ -40,6 +44,14 @@ class ThetaSpec:
             raise ValueError("R must be nonnegative")
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        stage = self.group.stages[-1]
+        z, v = stage.u.cyclic_decomposition()
+        coefficients = scaled_theta(stage.rank, self.R, self.p).coefficients
+        object.__setattr__(
+            self,
+            "_image_data",
+            (coefficients, z.letters, z.inverse().letters, v.letters, v.inverse().letters),
+        )
 
     @property
     def stage(self) -> int:
@@ -71,6 +83,14 @@ def subtower(group: EocGroup) -> EocGroup:
     return group._subtower
 
 
+def _theta_spec(group: EocGroup, R: int, p: int) -> ThetaSpec:
+    """The top-stage retraction of `group` at (R, p), built once and kept by `group`."""
+    spec = group._theta_specs.get((R, p))
+    if spec is None:
+        spec = group._theta_specs[(R, p)] = ThetaSpec(group, R, p)
+    return spec
+
+
 def t_image(spec: ThetaSpec, i: int) -> Word:
     """Image u^(p * (2R+1)^(i-1)) of the i-th top-stage generator, as a base word."""
     stage = spec.group.stages[spec.stage]
@@ -80,23 +100,36 @@ def t_image(spec: ThetaSpec, i: int) -> Word:
 
 
 def apply_theta(spec: ThetaSpec, w: EocElement, target: Optional[EocGroup] = None) -> EocElement:
-    """Push an element through the retraction, landing in the subtower group."""
+    """Push an element through the retraction, landing in the subtower group.
+
+    Each run of base material (base syllables and the u-power images of
+    top-stage syllables) is reduced into one base syllable first, so the
+    subtower normalizes one syllable per run; lower-stage syllables pass
+    through unchanged.
+    """
     if w.group is not spec.group:
         raise ValueError("element does not belong to the retracted group")
     if target is None:
         target = spec.target
-    stage = spec.stage
-    u = spec.group.stages[stage].u
-    th = theta(spec.group.stages[stage].rank, spec.R)
+    top = spec.stage
+    coefficients, z, zinv, v, vinv = spec._image_data
+    alphabet = spec.group.alphabet
     syllables = []
+    run: tuple[int, ...] = ()
     for syl in w.syllables:
         if isinstance(syl, BaseSyllable):
-            syllables.append(BaseSyllable(syl.word))
-        elif syl.stage == stage:
-            e = syl.u_exp + spec.p * th(syl.t_exps)
-            syllables.append(BaseSyllable(u**e))
+            run = join_letters(run, syl.word.letters)
+        elif syl.stage == top:
+            e = syl.u_exp + sum(map(operator.mul, coefficients, syl.t_exps))
+            if e:
+                run = join_letters(run, z + (v if e > 0 else vinv) * abs(e) + zinv)
         else:
-            syllables.append(AbelianSyllable(syl.stage, syl.u_exp, syl.t_exps))
+            if run:
+                syllables.append(BaseSyllable(Word._raw(alphabet, run)))
+                run = ()
+            syllables.append(syl)
+    if run:
+        syllables.append(BaseSyllable(Word._raw(alphabet, run)))
     return target._from_syllables(tuple(syllables))
 
 
@@ -241,11 +274,11 @@ class ChainResult:
     submultiplicative: list[tuple[str, int, int]] = field(default_factory=list)
 
 
-def _apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
+def apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
     """Compose the top-stage retractions all the way down to the free base."""
     g = group
     while g.stages:
-        spec = ThetaSpec(g, R, p)
+        spec = _theta_spec(g, R, p)
         target = spec.target
         w = apply_theta(spec, w, target)
         g = target
@@ -254,6 +287,10 @@ def _apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
     if len(w.syllables) > 1 or not isinstance(w.syllables[0], BaseSyllable):
         raise RuntimeError(f"retraction chain left the free base group: {w!r}")
     return w.syllables[0].word
+
+
+# the name perfbench/tracer.py wraps to time the chain layer
+_apply_chain = apply_chain
 
 
 def compose_chain(
@@ -270,7 +307,7 @@ def compose_chain(
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
     for p in range(1, ceiling + 1):
-        collision = _first_collision(ball, lambda w: _apply_chain(group, R, p, w))
+        collision = _first_collision(ball, lambda w: apply_chain(group, R, p, w))
         if collision is None:
             break
     else:
@@ -292,7 +329,7 @@ def compose_chain(
     composite_max = 1
     for tok in group.generator_tokens():
         w = group.element([tok])
-        img = _apply_chain(group, R, p, w)
+        img = apply_chain(group, R, p, w)
         sub.append((w.tokens() or "<id>", len(img), bound_product))
         composite_max = max(composite_max, len(img))
     return ChainResult(

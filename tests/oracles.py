@@ -7,7 +7,10 @@ with what they check beyond word products and powers.
 from functools import lru_cache
 from typing import Optional
 
+from discrimlab.eocgroup import AbelianSyllable, BaseSyllable, EocElement, EocGroup
 from discrimlab.freewords import Word
+from discrimlab.retraction import ThetaSpec
+from discrimlab.zdiscrim import theta
 
 
 def brute_strip_search(
@@ -40,6 +43,27 @@ def brute_strip_search(
     h = h * (u_right ** (-t)) if u_right is not None else h
     assert len(h) == best_key[0]
     return s, h, t
+
+
+def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -> EocElement:
+    """The retraction of `spec` applied one syllable at a time.
+
+    Every top-stage syllable u^e t^v becomes the base syllable
+    u^(e + p * theta(v)), built by ``Word.__pow__``; the subtower then
+    normalizes the whole syllable sequence from scratch.
+    """
+    top = len(spec.group.stages) - 1
+    u = spec.group.stages[top].u
+    th = theta(spec.group.stages[top].rank, spec.R)
+    syllables = []
+    for syl in w.syllables:
+        if isinstance(syl, BaseSyllable):
+            syllables.append(BaseSyllable(syl.word))
+        elif syl.stage == top:
+            syllables.append(BaseSyllable(u ** (syl.u_exp + spec.p * th(syl.t_exps))))
+        else:
+            syllables.append(AbelianSyllable(syl.stage, syl.u_exp, syl.t_exps))
+    return target._from_syllables(tuple(syllables))
 
 
 @lru_cache(maxsize=None)

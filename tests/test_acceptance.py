@@ -13,7 +13,7 @@ from discrimlab.eocgroup import EocGroup
 from discrimlab.freewords import Alphabet, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
-    _apply_chain,
+    apply_chain,
     _p_ceiling,
     apply_theta,
     complexity_curve,
@@ -206,7 +206,7 @@ def test_7_composition():
     t0 = time.perf_counter()
     tower = EocGroup(A, [(a, 1), (b, 1)])
     chain = compose_chain(tower, 2)
-    images = [_apply_chain(tower, 2, chain.p, w) for w in tower.ball(2)]
+    images = [apply_chain(tower, 2, chain.p, w) for w in tower.ball(2)]
     injective = len(set(images)) == len(images)
     bound = 1
     for c in chain.stage_complexities:

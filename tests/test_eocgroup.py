@@ -3,10 +3,11 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from discrimlab.eocgroup import EocGroup, load_group_spec
+from discrimlab.eocgroup import AbelianSyllable, BaseSyllable, EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
-from discrimlab.freewords import Alphabet, parse_word
+from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -37,6 +38,19 @@ class TestValidation:
         with pytest.raises(GroupSpecError) as exc:
             EocGroup(A, [(a, 1), (a.inverse(), 2)])
         assert exc.value.stage == 1
+
+    def test_conjugate_stages_rejected(self):
+        # accepting u2 = b a b^-1 next to u1 = a gave two normal forms of one
+        # element: t1.1 g1 G2 t2.1 and t1.1 G2 t2.1 g2 g1 G2, whose quotient
+        # normalized to the identity
+        witness = {"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2 g1 G2", "rank": 1}]}
+        with pytest.raises(GroupSpecError) as exc:
+            load_group_spec(json.dumps(witness))
+        assert exc.value.stage == 1
+        for u1, u2 in (("g1", "g2 G1 G2"), ("g1 g2", "g2 g1"), ("g1 g2", "G1 G2")):
+            with pytest.raises(GroupSpecError):
+                EocGroup(A, [(parse_word(A, u1), 1), (parse_word(A, u2), 1)])
+        EocGroup(A, [(a * b, 1), (a * b.inverse(), 1)])
 
     def test_zero_rank_rejected(self):
         with pytest.raises(GroupSpecError):
@@ -105,7 +119,9 @@ class TestWordProblem:
 
 class TestBall:
     def test_layer_sizes_single_stage(self, G):
-        assert [len(G.ball(r)) for r in range(4)] == [1, 7, 33, 143]
+        assert [len(G.ball(r)) for r in range(6)] == [1, 7, 33, 143, 609, 2583]
+        G2 = EocGroup(A, [(a, 2)])
+        assert [len(G2.ball(r)) for r in range(6)] == [1, 9, 53, 285, 1513, 8017]
 
     def test_layer_sizes_tower(self, tower):
         assert [len(tower.ball(r)) for r in range(3)] == [1, 9, 57]
@@ -156,6 +172,12 @@ class TestTokens:
         with pytest.raises(WordFormatError):
             G.parse_tokens("t1")
 
+    def test_base_token_errors_carry_position(self, G):
+        for text in ("g1 t1.1 g3", "g1 t1.1 x2"):
+            with pytest.raises(WordFormatError) as exc:
+                G.parse_tokens(text)
+            assert exc.value.position == 8
+
     def test_base_element(self, G):
         w = parse_word(A, "g1 g2 G1")
         assert G.base_element(w).tokens() == "g1 g2 G1"
@@ -164,3 +186,59 @@ class TestTokens:
         # u^2 with zero t-part is base material
         e = G.abelian_element(0, 2, (0,))
         assert e == G.element("g1 g1")
+
+
+class TestHashes:
+    def test_ball_hashes_distinct(self, G):
+        # G1 and G2 letters, and u-exponents -1 and -2, hash apart
+        B = G.ball(5)
+        assert len({hash(x) for x in B}) == len(B)
+
+    def test_abelian_syllable_separates_minus_one_and_minus_two(self):
+        assert hash(AbelianSyllable(0, -1, (1,))) != hash(AbelianSyllable(0, -2, (1,)))
+        assert hash(AbelianSyllable(0, 1, (-1,))) != hash(AbelianSyllable(0, 1, (-2,)))
+
+
+@st.composite
+def groups(draw):
+    """Free rank 2-3, 1-2 pairwise non-conjugate stages, |u| 1-3, t-rank 1-2."""
+    alphabet = Alphabet(draw(st.integers(2, 3)))
+    letter = st.sampled_from(
+        [i for i in range(1, alphabet.rank + 1)] + [-i for i in range(1, alphabet.rank + 1)]
+    )
+    stages = []
+    for _ in range(draw(st.integers(1, 2))):
+        u = Word(alphabet, draw(st.lists(letter, min_size=1, max_size=3)))
+        assume(u and not u.is_proper_power())
+        assume(not any(conjugate(u, v) or conjugate(u, v.inverse()) for v, _ in stages))
+        stages.append((u, draw(st.integers(1, 2))))
+    return EocGroup(alphabet, stages)
+
+
+@st.composite
+def group_and_elements(draw):
+    group = draw(groups())
+    tokens = st.lists(st.sampled_from(group.generator_tokens()), max_size=8)
+    return group, group.element(draw(tokens)), group.element(draw(tokens))
+
+
+class TestTailProducts:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(group_and_elements())
+    def test_product_equals_full_renormalization(self, case):
+        G, x, y = case
+        assert x * y == G._from_syllables(x.syllables + y.syllables)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(group_and_elements())
+    def test_strip_idempotent_on_canonical_syllables(self, case):
+        G, x, y = case
+        syls = (x * y).syllables
+        for i, syl in enumerate(syls):
+            if not isinstance(syl, BaseSyllable):
+                continue
+            left = syls[i - 1] if i > 0 else None
+            right = syls[i + 1] if i + 1 < len(syls) else None
+            ls = left.stage if isinstance(left, AbelianSyllable) else None
+            rs = right.stage if isinstance(right, AbelianSyllable) else None
+            assert G._strip(syl.word, ls, rs) == (0, syl.word, 0)

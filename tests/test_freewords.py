@@ -5,6 +5,7 @@ from discrimlab.freewords import (
     Alphabet,
     Word,
     ball,
+    conjugate,
     coset_strip,
     parse_word,
     power_membership,
@@ -157,6 +158,37 @@ class TestBall:
         A3 = Alphabet(3)
         # |B_R| = 1 + 6 * (5^R - 1) / 4 for rank 3
         assert len(ball(A3, 2)) == 1 + 6 + 30
+
+
+class TestHashing:
+    def test_g1_and_g2_inverses_hash_apart(self):
+        assert hash(W(-1)) != hash(W(-2))
+        assert hash(W(-1, -2, -1)) != hash(W(-2, -1, -1))
+
+    def test_ball_hashes_distinct(self):
+        B = ball(A, 7)
+        assert len({hash(w) for w in B}) == len(B)
+
+    @given(letters)
+    def test_equal_words_hash_equal(self, xs):
+        assert hash(W(*xs)) == hash(Word._raw(A, W(*xs).letters))
+
+
+class TestConjugacy:
+    def test_rotations_and_conjugates(self):
+        assert conjugate(a * b, b * a)
+        assert conjugate(a, b * a * b.inverse())
+        assert conjugate(A.identity(), A.identity())
+
+    def test_non_conjugates(self):
+        assert not conjugate(a, a.inverse())
+        assert not conjugate(a * b, a * b.inverse())
+        assert not conjugate(a, a * a)
+
+    @given(letters, letters)
+    def test_conjugating_by_any_word(self, xs, ys):
+        x, y = W(*xs), W(*ys)
+        assert conjugate(x, y * x * y.inverse())
 
 
 class TestParsing:
