@@ -8,7 +8,15 @@ minimal discriminating complexity; a one-equation Siegel bound gives the
 matching polynomial lower bound (R-n)^(n-1) / n^n.
 
 All arithmetic is exact (python ints and Fractions); numpy is used only
-to speed up exhaustive kernel searches over small integer boxes.
+to speed up exhaustive kernel searches over small integer boxes.  Those
+searches run over coefficient vectors in max-norm shells.  Each shell is
+built directly in numpy in lex order, so the cube [-m, m]^n is never
+walked.  The complexity search tests the candidates of a shell one block
+at a time against one antipodal half of the punctured ball, and stops at
+the first block with a discriminating candidate.  A block has
+SCAN_BLOCK_CELLS // |half ball| candidates (at least one), so the image
+matrix it builds never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64
+cells, whatever the shell size.
 """
 
 from __future__ import annotations
@@ -21,9 +29,12 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import AscentExhausted, BudgetExceeded
 
 DEFAULT_ENUM_BUDGET = 2_000_000
+
+# cells of one (half ball) x (candidates) image block: 8 MB of int64
+SCAN_BLOCK_CELLS = 1 << 20
 
 IntVector = tuple[int, ...]
 
@@ -118,60 +129,105 @@ def verify_bijection(n: int, R: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     return len(seen) == 2 * half + 1
 
 
-def _shell_vectors(n: int, m: int) -> np.ndarray:
-    """Vectors with max-norm exactly m, lex order, first nonzero entry positive."""
-    rows = []
-    for v in itertools.product(range(-m, m + 1), repeat=n):
-        if max(abs(c) for c in v) != m:
-            continue
-        lead = next((c for c in v if c != 0), 0)
-        if lead < 0:
-            continue
-        rows.append(v)
-    return np.array(rows, dtype=np.int64)
+def _cube(k: int, m: int) -> np.ndarray:
+    """All of [-m, m]^k as rows, in lex order."""
+    return np.indices((2 * m + 1,) * k, dtype=np.int64).reshape(k, -1).T - m
+
+
+def _build_shell(n: int, m: int) -> np.ndarray:
+    # lex order puts the rows with lead 0 (the (n-1)-shell) first, then
+    # leads a = 1..m; below lead a < m the tail must reach max-norm m,
+    # below lead m any row of the cube [-m, m]^(n-1) will do.  The
+    # (n-1)-shell is rebuilt, not cached: a search at n never asks for it.
+    if n == 1:
+        return np.array([[m]], dtype=np.int64)
+    cube = _cube(n - 1, m)
+    sphere = cube[np.abs(cube).max(axis=1) == m]
+    tails = [_build_shell(n - 1, m)] + [sphere] * (m - 1) + [cube]
+    sizes = [len(t) for t in tails]
+    shell = np.empty((sum(sizes), n), dtype=np.int64)
+    shell[:, 0] = np.repeat(np.arange(m + 1), sizes)
+    np.concatenate(tails, out=shell[:, 1:])
+    return shell
+
+
+def _shell_size(n: int, m: int) -> int:
+    """Rows of the shell (n, m), m >= 1: ((2m+1)^n - (2m-1)^n) / 2."""
+    return ((2 * m + 1) ** n - (2 * m - 1) ** n) // 2
 
 
 @lru_cache(maxsize=64)
 def _shell_vectors_cached(n: int, m: int) -> np.ndarray:
-    return _shell_vectors(n, m)
+    """Vectors with max-norm exactly m >= 1, lex order, first nonzero entry positive.
+
+    The array is read-only: it is shared by every caller through the cache.
+    """
+    shell = _build_shell(n, m)
+    shell.flags.writeable = False
+    return shell
+
+
+def _half_ball(n: int, spec: BallSpec) -> np.ndarray:
+    """The punctured ball's points with positive first nonzero entry, as rows.
+
+    In the lex-ordered box the rows after the center are exactly those
+    points, and the rows before it are their negatives.
+    """
+    box = _cube(n, spec.radius)
+    half = box[len(box) // 2 + 1 :]
+    if spec.shape == "l1":
+        half = half[np.abs(half).sum(axis=1) <= spec.radius]
+    return half
 
 
 def minimal_complexity(
     n: int, spec: BallSpec, budget: int = DEFAULT_ENUM_BUDGET
 ) -> tuple[int, ZnHom]:
-    """Least complexity of a hom whose kernel misses the punctured ball, by brute force.
+    """Least complexity of a hom whose kernel misses the punctured ball, by exhaustive search.
 
     Searches coefficient vectors in increasing max-norm shells up to the
     theta(n, R) ceiling, lex order within a shell, skipping sign-mirrored
-    duplicates (negative leading coefficient).  The theta complexity is a
-    valid search ceiling, so the scan always terminates with a witness.
+    duplicates (negative leading coefficient); the kernel is symmetric
+    under negation, so one antipodal half of the punctured ball is
+    tested.  Each shell is built directly in lex order and scanned in
+    blocks of SCAN_BLOCK_CELLS // |half ball| candidates (at least one):
+    the search stops at the first block holding a discriminating
+    candidate and returns the lex-first one, so the image matrix never
+    exceeds max(SCAN_BLOCK_CELLS, |half ball|) cells.  ``budget`` caps the
+    candidates of the whole shells searched; a shell that would pass it
+    raises BudgetExceeded before it is built.  The theta complexity is a
+    valid search ceiling; if the search passes it anyway, AscentExhausted
+    carries theta's coefficients and a half-ball point theta sends to 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return 1, ZnHom((1,))
-    pts = [v for v in ball_points(n, spec) if any(v)]
-    if not pts:
+    half = _half_ball(n, spec)
+    if len(half) == 0:
         return 1, ZnHom((1,) + (0,) * (n - 1))
-    # kernel is symmetric under negation: keep one of each antipodal pair
-    half = [v for v in pts if next(c for c in v if c != 0) > 0]
-    pts_arr = np.array(half, dtype=np.int64)
-    ceiling = theta(n, spec.radius).complexity
+    block = max(1, SCAN_BLOCK_CELLS // len(half))
+    th = theta(n, spec.radius)
+    ceiling = th.complexity
     searched = 0
     for m in range(1, ceiling + 1):
-        shell = _shell_vectors_cached(n, m)
-        searched += len(shell)
+        searched += _shell_size(n, m)
         if searched > budget:
             raise BudgetExceeded(f"coefficient search exceeded budget {budget}")
-        if len(shell) == 0:
-            continue
-        images = pts_arr @ shell.T  # (points, candidates)
-        ok = ~np.any(images == 0, axis=0)
-        idx = np.flatnonzero(ok)
-        if idx.size:
-            witness = tuple(int(c) for c in shell[idx[0]])
-            return m, ZnHom(witness)
-    raise AssertionError("theta ceiling violated: no discriminating hom found")
+        shell = _shell_vectors_cached(n, m)
+        for start in range(0, len(shell), block):
+            candidates = shell[start : start + block]
+            ok = np.flatnonzero(np.all(half @ candidates.T != 0, axis=0))
+            if ok.size:
+                return m, ZnHom(tuple(int(c) for c in candidates[ok[0]]))
+    # theta (or its negative) lies in a scanned shell, so it kills a point
+    killed = half[half @ np.array(th.coefficients, dtype=np.int64) == 0]
+    raise AscentExhausted(
+        "theta ceiling violated: no discriminating hom found",
+        ceiling,
+        spec.radius,
+        (th.coefficients, tuple(int(c) for c in killed[0])),
+    )
 
 
 def _integer_root_floor(x: int, k: int) -> int:
@@ -214,14 +270,12 @@ def siegel_small_kernel(a: Sequence[int], B: int) -> IntVector:
     a_arr = np.array(a, dtype=np.int64)
     for m in range(1, bound + 1):
         shell = _shell_vectors_cached(n, m)
-        if len(shell) == 0:
-            continue
         dots = shell @ a_arr
         idx = np.flatnonzero(dots == 0)
         if idx.size:
             return tuple(int(c) for c in shell[idx[0]])
-    raise AssertionError(
-        f"Siegel bound violated: no kernel vector of height <= {bound} for {a}"
+    raise AscentExhausted(
+        f"Siegel bound violated: no kernel vector of height <= {bound}", bound, None, a
     )
 
 

@@ -1,16 +1,21 @@
 """Brute-force reference implementations that the library's closed forms replace.
 
 They are meant to be slow and obviously right, and share no code path
-with what they check beyond word products and powers.
+with what they check beyond word products and powers, and the Z^n ball
+points and theta map.
 """
 
+import itertools
 from functools import lru_cache
 from typing import Optional
 
+import numpy as np
+
 from discrimlab.eocgroup import AbelianSyllable, BaseSyllable, EocElement, EocGroup
+from discrimlab.errors import BudgetExceeded
 from discrimlab.freewords import Word
 from discrimlab.retraction import ThetaSpec
-from discrimlab.zdiscrim import theta
+from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, ball_points, theta
 
 
 def brute_strip_search(
@@ -70,3 +75,48 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -
 def ball_size_f2(radius: int) -> int:
     """Closed form 2*3^R - 1 for the rank-2 ball."""
     return 2 * 3**radius - 1
+
+
+@lru_cache(maxsize=None)
+def brute_shell_vectors(n: int, m: int) -> np.ndarray:
+    """Vectors with max-norm exactly m, lex order, first nonzero entry positive.
+
+    Walks the whole cube [-m, m]^n and keeps the rows that qualify; the
+    walk is cached, since the oracle scans revisit the same shells.
+    """
+    rows = []
+    for v in itertools.product(range(-m, m + 1), repeat=n):
+        if max(abs(c) for c in v) != m:
+            continue
+        lead = next((c for c in v if c != 0), 0)
+        if lead < 0:
+            continue
+        rows.append(v)
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
+
+
+def brute_minimal_complexity(
+    n: int, spec: BallSpec, budget: int = DEFAULT_ENUM_BUDGET
+) -> tuple[int, ZnHom]:
+    """Unblocked scan: every candidate of each brute-force shell against the ball at once.
+
+    The first shell with a discriminating candidate gives (m, the
+    lex-first such candidate); ``budget`` caps the candidates of the
+    whole shells scanned, as in ``zdiscrim.minimal_complexity``.
+    """
+    if n == 1:
+        return 1, ZnHom((1,))
+    pts = [v for v in ball_points(n, spec) if any(v)]
+    if not pts:
+        return 1, ZnHom((1,) + (0,) * (n - 1))
+    half = np.array([v for v in pts if next(c for c in v if c != 0) > 0], dtype=np.int64)
+    searched = 0
+    for m in range(1, theta(n, spec.radius).complexity + 1):
+        shell = brute_shell_vectors(n, m)
+        searched += len(shell)
+        if searched > budget:
+            raise BudgetExceeded(f"coefficient search exceeded budget {budget}")
+        ok = np.flatnonzero(~np.any(half @ shell.T == 0, axis=0))
+        if ok.size:
+            return m, ZnHom(tuple(int(c) for c in shell[ok[0]]))
+    raise AssertionError("theta ceiling violated: no discriminating hom found")

@@ -1,9 +1,13 @@
 import json
+import pathlib
 import re
 
 import pytest
 
 from discrimlab.cli import main
+from discrimlab.zdiscrim import ZnHom
+
+ZN_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "zn.json"
 
 G1_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}]}'
 TOWER_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2", "rank": 1}]}'
@@ -43,6 +47,29 @@ class TestZn:
         for row in rows[1:]:
             n, R, lbn, lbd, exact, upper, _ = row.split(",")
             assert int(lbn) / int(lbd) <= int(exact) <= int(upper)
+
+    @pytest.mark.parametrize(
+        "label, argv",
+        [
+            ("zn-n4-r4", ["zn", "--n", "4", "--rmax", "4"]),
+            ("zn-n3-r8", ["zn", "--n", "3", "--rmax", "8"]),
+        ],
+    )
+    def test_rows_match_frozen_reference(self, capsys, label, argv):
+        code, out = run(capsys, *argv)
+        assert code == 0
+        lines = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
+        wall = lines[0].index("wall_ms")
+        rows = [l[:wall] + l[wall + 1 :] for l in lines]
+        assert rows == json.loads(ZN_REFERENCE.read_text())[label]
+
+    def test_theta_ceiling_violation_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("discrimlab.zdiscrim.theta", lambda n, R: ZnHom((1,) * n))
+        code = main(["zn", "--n", "2", "--rmin", "2", "--rmax", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: theta ceiling violated")
+        assert "Traceback" not in err
 
     def test_n1_constant(self, capsys):
         code, out = run(capsys, "zn", "--n", "1", "--rmax", "5")

@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from discrimlab import zdiscrim
 from discrimlab.zdiscrim import (
     BallSpec,
+    ZnHom,
+    _shell_size,
+    _shell_vectors_cached,
     ball_points,
     interval_half_width,
     lower_bound_value,
@@ -16,7 +22,8 @@ from discrimlab.zdiscrim import (
     theta,
     verify_bijection,
 )
-from discrimlab.errors import BudgetExceeded
+from discrimlab.errors import AscentExhausted, BudgetExceeded
+from oracles import brute_minimal_complexity, brute_shell_vectors
 
 
 class TestTheta:
@@ -65,7 +72,88 @@ class TestTheta:
             verify_bijection(6, 10, budget=1000)
 
 
+class TestShells:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_matches_brute_force_in_order(self, n):
+        # every m whose cube [-m, m]^n has at most 10^5 points, up to m = 40:
+        # the brute force walks the whole cube of each m
+        m = 1
+        while (2 * m + 1) ** n <= 10**5 and m <= 40:
+            shell = _shell_vectors_cached(n, m)
+            assert np.array_equal(shell, brute_shell_vectors(n, m)), m
+            assert len(shell) == _shell_size(n, m)
+            m += 1
+
+    def test_cached_shell_is_read_only(self):
+        shell = _shell_vectors_cached(3, 2)
+        with pytest.raises(ValueError):
+            shell[0, 0] = 7
+        assert _shell_vectors_cached(3, 2)[0, 0] == 0
+
+
+# (n, R, budget) per shape.  At n = 4 the box searches for R >= 2 run past
+# any budget near the default; 30,000 is one the brute force reaches cheaply.
+_ORACLE_CASES = (
+    [(2, R, zdiscrim.DEFAULT_ENUM_BUDGET) for R in range(7)]
+    + [(3, R, zdiscrim.DEFAULT_ENUM_BUDGET) for R in range(7)]
+    + [(4, R, 30_000) for R in range(4)]
+)
+
+
+def _outcome(search, n, spec, budget):
+    try:
+        return search(n, spec, budget)
+    except BudgetExceeded:
+        return "budget exceeded"
+
+
+@lru_cache(maxsize=None)
+def _oracle_outcome(n, shape, R, budget):
+    return _outcome(brute_minimal_complexity, n, BallSpec(shape, R), budget)
+
+
 class TestMinimalComplexity:
+    @pytest.mark.parametrize("block_cells", [None, 1, 7])
+    @pytest.mark.parametrize("shape", ["l1", "box"])
+    def test_matches_unblocked_oracle(self, shape, block_cells, monkeypatch):
+        if block_cells is not None:
+            monkeypatch.setattr(zdiscrim, "SCAN_BLOCK_CELLS", block_cells)
+        for n, R, budget in _ORACLE_CASES:
+            expect = _oracle_outcome(n, shape, R, budget)
+            # blocks this small cost one numpy call per candidate: leave out
+            # the two box searches that scan over 50,000 candidates
+            if block_cells is not None and isinstance(expect, tuple):
+                if ((2 * expect[0] + 1) ** n - 1) // 2 > 50_000:
+                    continue
+            got = _outcome(minimal_complexity, n, BallSpec(shape, R), budget)
+            assert got == expect, (n, R)
+
+    def test_budget_checked_before_the_shell_is_built(self, monkeypatch):
+        # n = 2 shells hold 4m candidates: 4, 12, 24 cumulative
+        built = []
+
+        def spy(n, m):
+            built.append(m)
+            return _shell_vectors_cached(n, m)
+
+        monkeypatch.setattr(zdiscrim, "_shell_vectors_cached", spy)
+        for budget, expect in [(11, [1]), (23, [1, 2])]:
+            built.clear()
+            with pytest.raises(BudgetExceeded):
+                minimal_complexity(2, BallSpec("l1", 6), budget=budget)
+            assert built == expect
+        built.clear()
+        assert minimal_complexity(2, BallSpec("l1", 6), budget=40)[0] == 4
+        assert built == [1, 2, 3, 4]
+
+    def test_theta_ceiling_violation_is_typed(self, monkeypatch):
+        monkeypatch.setattr(zdiscrim, "theta", lambda n, R: ZnHom((1,) * n))
+        with pytest.raises(AscentExhausted) as exc:
+            minimal_complexity(2, BallSpec("l1", 2))
+        err = exc.value
+        assert (err.ceiling, err.R) == (1, 2)
+        assert err.witness == ((1, 1), (1, -1))
+
     def test_frozen_small_values(self):
         m, h = minimal_complexity(2, BallSpec("l1", 1))
         assert m == 1
@@ -137,6 +225,14 @@ class TestSiegel:
     def test_rejects_zero_row(self):
         with pytest.raises(ValueError):
             siegel_small_kernel((0, 0), 5)
+
+    def test_bound_violation_is_typed(self, monkeypatch):
+        # the kernel of (1, 3) is spanned by (3, -1), of height 3
+        monkeypatch.setattr(zdiscrim, "siegel_bound", lambda n, B: 1)
+        with pytest.raises(AscentExhausted) as exc:
+            siegel_small_kernel((1, 3), 3)
+        err = exc.value
+        assert (err.ceiling, err.R, err.witness) == (1, None, (1, 3))
 
     def test_rejects_oversized_entries(self):
         with pytest.raises(ValueError):
