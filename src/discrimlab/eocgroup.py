@@ -36,6 +36,13 @@ retractions by (R, p) (``retraction._theta_spec``).  Retractions onto the
 subtower therefore share one set of caches across words, p values and
 stages.
 
+The ball keeps its BFS tree: every element is first built as
+parent * generator, and two flat integer arrays record, per ball index,
+the parent's ball index and the generator's index in
+``generator_tokens()`` order.  They grow and roll back with the layers,
+so a homomorphism can be evaluated on the whole ball with one product
+per element (``retraction._first_collision``).
+
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
 """
@@ -44,6 +51,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -197,6 +205,10 @@ class EocGroup:
         # ball cache: layers[r] = list of elements of word length exactly r
         self._layers: list[list[EocElement]] = [[self.identity()]]
         self._lengths: dict[EocElement, int] = {self.identity(): 0}
+        # the ball's BFS tree, by ball index: element k was first built as
+        # ball[_tree_parents[k]] * generator _tree_gens[k]; -1 for the identity
+        self._tree_parents = array("i", [-1])
+        self._tree_gens = array("i", [-1])
 
     # -- construction helpers -------------------------------------------------
 
@@ -212,6 +224,10 @@ class EocGroup:
             toks.extend(("t", j, i) for i in range(1, stage.rank + 1))
             toks.extend(("t", j, -i) for i in range(1, stage.rank + 1))
         return toks
+
+    def generators(self) -> list[EocElement]:
+        """The generators as elements, in ``generator_tokens()`` order."""
+        return [EocElement(self, gen) for gen in self._generator_syllables]
 
     def parse_tokens(self, text: str) -> list[Token]:
         tokens: list[Token] = []
@@ -371,19 +387,25 @@ class EocGroup:
         frontier = self._layers[-1]
         depth = len(self._layers)
         new: list[EocElement] = []
-        for elem in frontier:
-            for gen in self._generator_syllables:
+        parents, gens = self._tree_parents, self._tree_gens
+        first = len(self._lengths) - len(frontier)
+        for parent, elem in enumerate(frontier, start=first):
+            for g, gen in enumerate(self._generator_syllables):
                 cand = self._from_syllables(gen, elem.syllables)
                 if cand not in self._lengths:
                     if len(self._lengths) >= cap:
                         # keep the cache at whole layers so a later call can regrow
                         for e in new:
                             del self._lengths[e]
+                        del parents[len(self._lengths):]
+                        del gens[len(self._lengths):]
                         raise BudgetExceeded(
                             f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
                         )
                     self._lengths[cand] = depth
                     new.append(cand)
+                    parents.append(parent)
+                    gens.append(g)
         self._layers.append(new)
 
     def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[EocElement]:

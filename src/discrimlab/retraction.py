@@ -6,6 +6,21 @@ it acts as u^e t^v -> u^(e + p * theta(v)) with theta the base-(2R+1)
 map, so for p large enough it is injective on any fixed finite ball of
 G'.  This module computes the least such p exactly, the resulting
 generator-image complexity, and complexity curves in R.
+
+Injectivity on the ball is checked along the ball's BFS tree, which the
+group keeps: every ball element was first built as parent * generator,
+and a retraction is a homomorphism, so the image of an element is the
+image of its parent times the image of its generator.  Only the
+generators go through ``apply_theta``; every other element costs one
+product.  The walk visits the elements in ball order, so the first
+colliding pair is the one a scan of the elements' own images finds.
+
+When the target is the free base (a single-stage retraction, and every
+composite down a tower) the images are kept as bare letter tuples with
+every letter doubled.  Equal tuples still mean equal words, but
+CPython's hash(-1) == hash(-2) would give every pair of images that
+differ only by G1 against G2 the same hash, which is why ``Word`` hashes
+doubled letters too.
 """
 
 from __future__ import annotations
@@ -145,22 +160,61 @@ def hom_complexity(spec: ThetaSpec) -> int:
 
 
 def _first_collision(
-    ball: Sequence[EocElement], image: Callable[[EocElement], object]
+    ball: Sequence[EocElement],
+    generator_images: Sequence,
+    identity,
+    mul: Callable,
 ) -> Optional[tuple[EocElement, EocElement]]:
-    """The first pair of ball elements, in ball order, with equal images."""
-    seen: dict = {}
-    for w in ball:
-        img = image(w)
-        if img in seen:
-            return seen[img], w
-        seen[img] = w
+    """The first pair of ball elements, in ball order, with equal images.
+
+    The images are those of the homomorphism sending the i-th generator
+    (``generator_tokens()`` order) to ``generator_images[i]``, with
+    product ``mul``; each is built from its BFS parent's image.
+    """
+    group = ball[0].group
+    parents, gens = group._tree_parents, group._tree_gens
+    images = [identity]
+    seen = {identity: 0}
+    for k in range(1, len(ball)):
+        img = mul(images[parents[k]], generator_images[gens[k]])
+        first = seen.setdefault(img, k)
+        if first != k:
+            return ball[first], ball[k]
+        images.append(img)
     return None
+
+
+def _doubled(w: Word) -> tuple[int, ...]:
+    """Letters of `w` doubled, the free-base image key (see the module docstring)."""
+    return tuple([2 * x for x in w.letters])
+
+
+def _base_word(w: EocElement) -> Word:
+    """The base word of an element of a group with no stages."""
+    if not w.syllables:
+        return w.group.alphabet.identity()
+    if len(w.syllables) > 1 or not isinstance(w.syllables[0], BaseSyllable):
+        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
+    return w.syllables[0].word
+
+
+def _theta_collision(
+    spec: ThetaSpec, ball: Sequence[EocElement], target: EocGroup
+) -> Optional[tuple[EocElement, EocElement]]:
+    """The first pair of ball elements, in ball order, that `spec` merges."""
+    images = [apply_theta(spec, g, target) for g in spec.group.generators()]
+    if target.stages:
+        return _first_collision(ball, images, target.identity(), operator.mul)
+    return _first_collision(
+        ball, [_doubled(_base_word(img)) for img in images], (), join_letters
+    )
 
 
 def _images_injective(
     spec: ThetaSpec, ball: Sequence[EocElement], target: EocGroup
 ) -> bool:
-    return _first_collision(ball, lambda w: apply_theta(spec, w, target)) is None
+    # called once per p tried; perfbench/tracer.py counts the calls
+    return _theta_collision(spec, ball, target) is None
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:
@@ -190,12 +244,11 @@ def minimal_discriminating_p(
     for p in range(1, ceiling + 1):
         if _images_injective(ThetaSpec(group, R, p), ball, target):
             return p
-    spec = ThetaSpec(group, R, ceiling)
     raise AscentExhausted(
         "no injective p up to the ceiling: ascent analysis is wrong",
         ceiling,
         R,
-        _first_collision(ball, lambda w: apply_theta(spec, w, target)),
+        _theta_collision(ThetaSpec(group, R, ceiling), ball, target),
     )
 
 
@@ -282,15 +335,19 @@ def apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
         target = spec.target
         w = apply_theta(spec, w, target)
         g = target
-    if not w.syllables:
-        return group.alphabet.identity()
-    if len(w.syllables) > 1 or not isinstance(w.syllables[0], BaseSyllable):
-        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
-    return w.syllables[0].word
+    return _base_word(w)
 
 
 # the name perfbench/tracer.py wraps to time the chain layer
 _apply_chain = apply_chain
+
+
+def _chain_collision(
+    group: EocGroup, R: int, p: int, ball: Sequence[EocElement]
+) -> Optional[tuple[EocElement, EocElement]]:
+    """The first pair of ball elements, in ball order, that the composite at uniform p merges."""
+    images = [_doubled(apply_chain(group, R, p, g)) for g in group.generators()]
+    return _first_collision(ball, images, (), join_letters)
 
 
 def compose_chain(
@@ -307,7 +364,7 @@ def compose_chain(
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
     for p in range(1, ceiling + 1):
-        collision = _first_collision(ball, lambda w: apply_chain(group, R, p, w))
+        collision = _chain_collision(group, R, p, ball)
         if collision is None:
             break
     else:
@@ -327,8 +384,7 @@ def compose_chain(
         bound_product *= c
     sub = []
     composite_max = 1
-    for tok in group.generator_tokens():
-        w = group.element([tok])
+    for w in group.generators():
         img = apply_chain(group, R, p, w)
         sub.append((w.tokens() or "<id>", len(img), bound_product))
         composite_max = max(composite_max, len(img))

@@ -7,7 +7,7 @@ points and theta map.
 
 import itertools
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -69,6 +69,23 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -
         else:
             syllables.append(AbelianSyllable(syl.stage, syl.u_exp, syl.t_exps))
     return target._from_syllables(tuple(syllables))
+
+
+def brute_first_collision(
+    ball: Sequence[EocElement], image: Callable[[EocElement], object]
+) -> Optional[tuple[EocElement, EocElement]]:
+    """The first pair of ball elements, in ball order, with equal images.
+
+    Computes ``image`` of every element on its own, e.g. ``apply_theta``
+    of each whole element, where the library walks the ball's BFS tree.
+    """
+    seen: dict = {}
+    for w in ball:
+        img = image(w)
+        if img in seen:
+            return seen[img], w
+        seen[img] = w
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,11 @@ import pytest
 from discrimlab.cli import main
 from discrimlab.zdiscrim import ZnHom
 
-ZN_REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "zn.json"
+REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+ZN_REFERENCE = REFERENCE / "zn.json"
 
 G1_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}]}'
+G1_RANK2_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 2}]}'
 TOWER_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2", "rank": 1}]}'
 
 
@@ -85,6 +87,33 @@ class TestZn:
         meta = json.loads(lines[0])["meta"]
         assert meta["command"] == "zn" and meta["version"]
         assert all(json.loads(l)["exact_min"] >= 1 for l in lines[1:])
+
+
+# the commands of the curve-single and tower benchmark workloads
+GROUP_REFERENCE_COMMANDS = [
+    ("curve-single", "curve-g1-rank1-r7", G1_SPEC, ["curve", "--rmax", "7"]),
+    ("curve-single", "curve-g1-rank2-r5", G1_RANK2_SPEC, ["curve", "--rmax", "5"]),
+    ("tower", "curve-tower-r4", TOWER_SPEC, ["curve", "--rmax", "4"]),
+    ("tower", "crosscheck-tower-r4", TOWER_SPEC, ["crosscheck", "--r", "4", "--seed", "1"]),
+]
+
+
+class TestGroupReferenceRows:
+    @pytest.mark.parametrize(
+        "workload, label, spec, argv",
+        GROUP_REFERENCE_COMMANDS,
+        ids=[label for _, label, _, _ in GROUP_REFERENCE_COMMANDS],
+    )
+    def test_rows_match_frozen_reference(self, capsys, tmp_path, workload, label, spec, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, out = run(capsys, *argv, "--spec", str(path))
+        assert code == 0
+        lines = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
+        if "wall_ms" in lines[0]:
+            wall = lines[0].index("wall_ms")
+            lines = [l[:wall] + l[wall + 1 :] for l in lines]
+        assert lines == json.loads((REFERENCE / f"{workload}.json").read_text())[label]
 
 
 class TestBigpowers:

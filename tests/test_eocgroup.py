@@ -242,3 +242,33 @@ class TestTailProducts:
             ls = left.stage if isinstance(left, AbelianSyllable) else None
             rs = right.stage if isinstance(right, AbelianSyllable) else None
             assert G._strip(syl.word, ls, rs) == (0, syl.word, 0)
+
+
+def assert_ball_tree(group, radius):
+    """Every ball element is its recorded BFS parent times its recorded generator."""
+    ball = group.ball(radius)
+    gens = group.generators()
+    assert len(group._tree_parents) == len(group._tree_gens) == len(group._lengths)
+    assert (group._tree_parents[0], group._tree_gens[0]) == (-1, -1)
+    for k in range(1, len(ball)):
+        parent = group._tree_parents[k]
+        assert group._lengths[ball[parent]] == group._lengths[ball[k]] - 1
+        assert ball[k] == ball[parent] * gens[group._tree_gens[k]]
+
+
+class TestBallTree:
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(groups(), st.integers(0, 3))
+    def test_element_is_parent_times_generator(self, G, radius):
+        assert_ball_tree(G, radius)
+
+    def test_generators_follow_token_order(self, tower):
+        assert tower.generators() == [tower.element([tok]) for tok in tower.generator_tokens()]
+
+    def test_tree_rolls_back_with_the_layers(self):
+        g = EocGroup(A, [(a, 1)])
+        with pytest.raises(BudgetExceeded):
+            g.ball(3, cap=5)
+        assert len(g._tree_parents) == len(g._tree_gens) == len(g._lengths) == 1
+        assert len(g.ball(3)) == 143
+        assert_ball_tree(g, 3)

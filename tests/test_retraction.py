@@ -6,7 +6,7 @@ import pytest
 from discrimlab import retraction
 from discrimlab.eocgroup import EocGroup
 from discrimlab.errors import AscentExhausted
-from discrimlab.freewords import Alphabet
+from discrimlab.freewords import Alphabet, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
     apply_chain,
@@ -20,7 +20,7 @@ from discrimlab.retraction import (
 )
 from discrimlab.zdiscrim import lower_bound_value, theta
 
-from oracles import per_syllable_apply_theta
+from oracles import brute_first_collision, per_syllable_apply_theta
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -225,3 +225,64 @@ class TestComposeChain:
         for text in ("g1", "g2", "g1 g2 G1"):
             w = tower.element(text)
             assert apply_chain(tower, 1, chain.p, w).tokens() == text
+
+
+# (free rank, stages as (u, rank), largest R checked); u = g1 g2 has no
+# injective p up to the ceiling at R = 3 (its normal form is not canonical)
+WALK_SPECS = {
+    "g1-rank1": (2, [("g1", 1)], 4),
+    "g1-rank2": (2, [("g1", 2)], 3),
+    "tower": (2, [("g1", 1), ("g2", 1)], 3),
+    "rank3": (3, [("g1 g3 G1", 1), ("g2", 1)], 2),
+    "g1g2": (2, [("g1 g2", 1)], 3),
+}
+
+
+def _walk_group(label):
+    rank, stages, rmax = WALK_SPECS[label]
+    alphabet = Alphabet(rank)
+    return EocGroup(alphabet, [(parse_word(alphabet, u), n) for u, n in stages]), rmax
+
+
+def _ascent_top(ascent, group, R):
+    """(last p the ascent tries, whether it succeeds there)."""
+    try:
+        return ascent(group, R), True
+    except AscentExhausted as e:
+        return e.ceiling, False
+
+
+class TestTreeWalk:
+    """The BFS-tree walk against the per-element scan it replaced."""
+
+    @pytest.mark.parametrize("label", sorted(WALK_SPECS))
+    def test_theta_walk_matches_per_element_scan(self, label):
+        group, rmax = _walk_group(label)
+        target = subtower(group)
+        for R in range(1, rmax + 1):
+            ball = group.ball(R)
+            top, found = _ascent_top(minimal_discriminating_p, group, R)
+            for p in range(1, top + 1):
+                spec = ThetaSpec(group, R, p)
+                expected = brute_first_collision(ball, lambda w: apply_theta(spec, w, target))
+                assert (expected is None) == (found and p == top)
+                assert retraction._theta_collision(spec, ball, target) == expected
+                assert retraction._images_injective(spec, ball, target) == (expected is None)
+
+    @pytest.mark.parametrize("label", sorted(WALK_SPECS))
+    def test_chain_walk_matches_per_element_scan(self, label):
+        group, rmax = _walk_group(label)
+        for R in range(1, rmax + 1):
+            ball = group.ball(R)
+            top, found = _ascent_top(lambda g, r: compose_chain(g, r).p, group, R)
+            for p in range(1, top + 1):
+                expected = brute_first_collision(ball, lambda w: apply_chain(group, R, p, w))
+                assert (expected is None) == (found and p == top)
+                assert retraction._chain_collision(group, R, p, ball) == expected
+
+    def test_noncanonical_u_witness_kept(self):
+        group, _ = _walk_group("g1g2")
+        for ascent in (minimal_discriminating_p, compose_chain):
+            with pytest.raises(AscentExhausted) as exc:
+                ascent(group, 3)
+            assert [w.tokens() for w in exc.value.witness] == ["g2 t1.1 G2", "G1 t1.1 g1"]
