@@ -173,12 +173,10 @@ def threshold(spec: PaddedWordSpec) -> int:
     )
     if spec.k == 0:
         # w = u^r0: torsion-free, nontrivial for r0 != 0; flanks only need
-        # |u^r0| > |fl| + |fr|, i.e. |r0| past a length margin
-        margin = 0
+        # |u^r0| > |fl| + |fr|, and |u^r0| >= |r0| * |core| exceeds that
+        # once |r0| > (|fl| + |fr|) // |core|
         _, core = spec.u.cyclic_decomposition()
-        while margin * len(core) <= flank_len:
-            margin += 1
-        return max(0, margin - 1)
+        return flank_len // len(core)
     sym = SymbolicBlockWord.from_spec(spec)
     m = _certified_block_magnitude(sym, min_length=flank_len + 1)
     return max(m + abs(o) - 1 for o in sym.offsets)

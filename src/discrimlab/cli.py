@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .bigpowers import PaddedWordSpec, certify, threshold
+from .bigpowers import DEFAULT_SWEEP_CAP, PaddedWordSpec, certify, threshold
 from .eocgroup import DEFAULT_BALL_CAP, EocGroup, load_group_spec
 from .errors import AscentExhausted, BudgetExceeded, CertificationError, DiscrimError
 from .freewords import Alphabet, parse_word
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flank-right")
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweep-cap", type=int, default=6)
+    p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_bigpowers)
 

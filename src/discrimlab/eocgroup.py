@@ -7,7 +7,8 @@ form, which decides the word problem: two words represent the same
 element iff they normalize to the same syllable sequence.
 
 Syllables:
-  * base syllable: a reduced word of the free base group;
+  * base syllable: a reduced word of the free base group, stored as the
+    ``Word`` itself;
   * abelian syllable of stage j: u_j^e * t_1^(v_1) ... t_n^(v_n) with
     v != 0 (a pure u-power is base material and is never stored here).
 
@@ -82,11 +83,6 @@ class EocStage:
 
 
 @dataclass(frozen=True)
-class BaseSyllable:
-    word: Word
-
-
-@dataclass(frozen=True)
 class AbelianSyllable:
     stage: int  # 0-based
     u_exp: int
@@ -97,7 +93,8 @@ class AbelianSyllable:
         return hash((self.stage, 2 * self.u_exp, *[2 * v for v in self.t_exps]))
 
 
-Syllable = Union[BaseSyllable, AbelianSyllable]
+# a base syllable is stored as its reduced Word itself
+Syllable = Union[Word, AbelianSyllable]
 
 
 class EocElement:
@@ -131,8 +128,8 @@ class EocElement:
     def inverse(self) -> "EocElement":
         inv: list[Syllable] = []
         for syl in reversed(self.syllables):
-            if isinstance(syl, BaseSyllable):
-                inv.append(BaseSyllable(syl.word.inverse()))
+            if isinstance(syl, Word):
+                inv.append(syl.inverse())
             else:
                 inv.append(
                     AbelianSyllable(
@@ -144,9 +141,8 @@ class EocElement:
     def tokens(self) -> str:
         parts = []
         for syl in self.syllables:
-            if isinstance(syl, BaseSyllable):
-                if syl.word.letters:
-                    parts.append(syl.word.tokens())
+            if isinstance(syl, Word):
+                parts.append(syl.tokens())
             else:
                 u = self.group.stages[syl.stage].u
                 if syl.u_exp:
@@ -258,14 +254,14 @@ class EocGroup:
 
     def _token_syllable(self, tok: Token) -> Syllable:
         if isinstance(tok, int):
-            return BaseSyllable(Word(self.alphabet, (tok,)))
+            return Word(self.alphabet, (tok,))
         _, stage, idx = tok
         v = [0] * self.stages[stage].rank
         v[abs(idx) - 1] = 1 if idx > 0 else -1
         return AbelianSyllable(stage, 0, tuple(v))
 
     def base_element(self, w: Word) -> EocElement:
-        return self._from_syllables((BaseSyllable(w),))
+        return self._from_syllables((w,))
 
     def abelian_element(self, stage: int, u_exp: int, t_exps: Sequence[int]) -> EocElement:
         if len(t_exps) != self.stages[stage].rank:
@@ -298,44 +294,42 @@ class EocGroup:
         Returns the length of the stack prefix the push left untouched.
         """
         while True:
-            if isinstance(syl, BaseSyllable) and syl.word.is_identity():
-                return len(stack)
-            if isinstance(syl, AbelianSyllable) and not any(syl.t_exps):
+            base = isinstance(syl, Word)
+            if base:
+                if syl.is_identity():
+                    return len(stack)
+            elif not any(syl.t_exps):
                 # degenerate: pure u-power, route to the base side
-                syl = BaseSyllable(self.stages[syl.stage].u ** syl.u_exp)
+                syl = self.stages[syl.stage].u ** syl.u_exp
                 continue
             if not stack:
                 stack.append(syl)
                 return len(stack) - 1
             top = stack[-1]
-            if isinstance(top, BaseSyllable) and isinstance(syl, BaseSyllable):
-                stack.pop()
-                syl = BaseSyllable(top.word * syl.word)
-                continue
-            if isinstance(top, AbelianSyllable) and isinstance(syl, AbelianSyllable):
-                if top.stage == syl.stage:
+            if isinstance(top, Word):
+                if base:
                     stack.pop()
-                    syl = AbelianSyllable(
-                        top.stage,
-                        top.u_exp + syl.u_exp,
-                        tuple(a + b for a, b in zip(top.t_exps, syl.t_exps)),
-                    )
+                    syl = top * syl
                     continue
-                stack.append(syl)
-                return len(stack) - 1
-            if isinstance(top, AbelianSyllable) and isinstance(syl, BaseSyllable):
-                k = self._power_of(top.stage, syl.word)
+                # top is base, syl is abelian: absorb top into syl if it is a u-power
+                k = self._power_of(syl.stage, top)
+                if k is not None:
+                    stack.pop()
+                    syl = AbelianSyllable(syl.stage, syl.u_exp + k, syl.t_exps)
+                    continue
+            elif base:
+                k = self._power_of(top.stage, syl)
                 if k is not None:
                     stack.pop()
                     syl = AbelianSyllable(top.stage, top.u_exp + k, top.t_exps)
                     continue
-                stack.append(syl)
-                return len(stack) - 1
-            # top is base, syl is abelian: absorb top into syl if it is a u-power
-            k = self._power_of(syl.stage, top.word)
-            if k is not None:
+            elif top.stage == syl.stage:
                 stack.pop()
-                syl = AbelianSyllable(syl.stage, syl.u_exp + k, syl.t_exps)
+                syl = AbelianSyllable(
+                    top.stage,
+                    top.u_exp + syl.u_exp,
+                    tuple(a + b for a, b in zip(top.t_exps, syl.t_exps)),
+                )
                 continue
             stack.append(syl)
             return len(stack) - 1
@@ -358,26 +352,28 @@ class EocGroup:
         i = max(kept - 1, 0)
         while i < len(out):
             syl = out[i]
-            if not isinstance(syl, BaseSyllable):
+            if not isinstance(syl, Word):
                 i += 1
                 continue
-            left = out[i - 1] if i > 0 else None
-            right = out[i + 1] if i + 1 < len(out) else None
-            ls = left.stage if isinstance(left, AbelianSyllable) else None
-            rs = right.stage if isinstance(right, AbelianSyllable) else None
+            # alternation: both neighbours of a base syllable are abelian
+            ls = out[i - 1].stage if i > 0 else None
+            rs = out[i + 1].stage if i + 1 < len(out) else None
             if ls is None and rs is None:
                 i += 1
                 continue
-            s, h, t = self._strip(syl.word, ls, rs)
-            if s and ls is not None:
+            s, h, t = self._strip(syl, ls, rs)
+            # a missing neighbour has no u to strip, so its exponent is 0
+            if s:
+                left = out[i - 1]
                 out[i - 1] = AbelianSyllable(ls, left.u_exp + s, left.t_exps)
-            if t and rs is not None:
+            if t:
+                right = out[i + 1]
                 out[i + 1] = AbelianSyllable(rs, right.u_exp + t, right.t_exps)
             if h.is_identity():
                 # only possible between abelian neighbors of distinct stages
                 del out[i]
             else:
-                out[i] = BaseSyllable(h)
+                out[i] = h
                 i += 1
         return EocElement(self, tuple(out))
 

@@ -224,21 +224,25 @@ def conjugate(x: Word, y: Word) -> bool:
 
 
 def power_membership(u: Word, g: Word) -> Optional[int]:
-    """Return k with u**k == g, or None if g is not a power of u."""
+    """Return k with u**k == g, or None if g is not a power of u.
+
+    With u = z v z^-1 split by :meth:`Word.cyclic_decomposition`, u**k is
+    z (v^sign(k))^|k| z^-1 reduced as written, so |g| fixes |k| and the
+    letters of g decide the sign.
+    """
     if u.is_identity():
         raise ValueError("u must be nontrivial")
     if g.is_identity():
         return 0
-    _, core = u.cyclic_decomposition()
-    bound = -(-len(g) // len(core)) + len(u)
-    for k in range(1, bound + 1):
-        p = u**k
-        if len(p) > len(g) + 2 * len(u):
-            break
-        if p == g:
-            return k
-        if p.inverse() == g:
-            return -k
+    z, v = u.cyclic_decomposition()
+    k, rest = divmod(len(g) - 2 * len(z), len(v))
+    if k < 1 or rest:
+        return None
+    zl, zinv = z.letters, z.inverse().letters
+    if g.letters == zl + v.letters * k + zinv:
+        return k
+    if g.letters == zl + v.inverse().letters * k + zinv:
+        return -k
     return None
 
 

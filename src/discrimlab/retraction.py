@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eocgroup import DEFAULT_BALL_CAP, BaseSyllable, EocElement, EocGroup
+from .eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup
 from .errors import AscentExhausted
 from .freewords import Word, join_letters
 from .zdiscrim import lower_bound_value, scaled_theta
@@ -132,19 +132,19 @@ def apply_theta(spec: ThetaSpec, w: EocElement, target: Optional[EocGroup] = Non
     syllables = []
     run: tuple[int, ...] = ()
     for syl in w.syllables:
-        if isinstance(syl, BaseSyllable):
-            run = join_letters(run, syl.word.letters)
+        if isinstance(syl, Word):
+            run = join_letters(run, syl.letters)
         elif syl.stage == top:
             e = syl.u_exp + sum(map(operator.mul, coefficients, syl.t_exps))
             if e:
                 run = join_letters(run, z + (v if e > 0 else vinv) * abs(e) + zinv)
         else:
             if run:
-                syllables.append(BaseSyllable(Word._raw(alphabet, run)))
+                syllables.append(Word._raw(alphabet, run))
                 run = ()
             syllables.append(syl)
     if run:
-        syllables.append(BaseSyllable(Word._raw(alphabet, run)))
+        syllables.append(Word._raw(alphabet, run))
     return target._from_syllables(tuple(syllables))
 
 
@@ -193,9 +193,9 @@ def _base_word(w: EocElement) -> Word:
     """The base word of an element of a group with no stages."""
     if not w.syllables:
         return w.group.alphabet.identity()
-    if len(w.syllables) > 1 or not isinstance(w.syllables[0], BaseSyllable):
+    if len(w.syllables) > 1 or not isinstance(w.syllables[0], Word):
         raise RuntimeError(f"retraction chain left the free base group: {w!r}")
-    return w.syllables[0].word
+    return w.syllables[0]
 
 
 def _theta_collision(

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from discrimlab.eocgroup import AbelianSyllable, BaseSyllable, EocElement, EocGroup
+from discrimlab.eocgroup import AbelianSyllable, EocElement, EocGroup
 from discrimlab.errors import BudgetExceeded
 from discrimlab.freewords import Word
 from discrimlab.retraction import ThetaSpec
@@ -50,6 +50,29 @@ def brute_strip_search(
     return s, h, t
 
 
+def brute_power_membership(u: Word, g: Word) -> Optional[int]:
+    """Return k with u**k == g, or None, by building u**k and u**-k for k = 1, 2, ...
+
+    The scan stops once u**k is longer than |g| + 2|u|, and in any case
+    after ceil(|g| / |v|) + |u| steps, with v the cyclically reduced core of u.
+    """
+    if u.is_identity():
+        raise ValueError("u must be nontrivial")
+    if g.is_identity():
+        return 0
+    _, core = u.cyclic_decomposition()
+    bound = -(-len(g) // len(core)) + len(u)
+    for k in range(1, bound + 1):
+        p = u**k
+        if len(p) > len(g) + 2 * len(u):
+            break
+        if p == g:
+            return k
+        if p.inverse() == g:
+            return -k
+    return None
+
+
 def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -> EocElement:
     """The retraction of `spec` applied one syllable at a time.
 
@@ -62,10 +85,10 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -
     th = theta(spec.group.stages[top].rank, spec.R)
     syllables = []
     for syl in w.syllables:
-        if isinstance(syl, BaseSyllable):
-            syllables.append(BaseSyllable(syl.word))
+        if isinstance(syl, Word):
+            syllables.append(syl)
         elif syl.stage == top:
-            syllables.append(BaseSyllable(u ** (syl.u_exp + spec.p * th(syl.t_exps))))
+            syllables.append(u ** (syl.u_exp + spec.p * th(syl.t_exps)))
         else:
             syllables.append(AbelianSyllable(syl.stage, syl.u_exp, syl.t_exps))
     return target._from_syllables(tuple(syllables))

@@ -88,6 +88,29 @@ class TestThreshold:
         for r0 in (-2, -1, 1, 2):
             assert not build_padded(s, (r0,)).is_identity()
 
+    def test_no_g_flank_margin(self):
+        # N = (|fl| + |fr|) // |core of u|, the values of the former step-by-step
+        # margin loop, and |u^r| outweighs the flanks for every N < |r| <= N + 3
+        expected = {
+            "g1": [0, 1, 2, 3, 4, 5, 6],
+            "g1 g2": [0, 0, 1, 1, 2, 2, 3],
+            "g2 g1 G2": [0, 1, 2, 3, 4, 5, 6],
+        }
+        for u_text, thresholds in expected.items():
+            u = parse_word(A, u_text)
+            for flank_len, want in enumerate(thresholds):
+                left, right = flank_len - flank_len // 2, flank_len // 2
+                s = PaddedWordSpec(
+                    u,
+                    (),
+                    flank_left=b**left if left else None,
+                    flank_right=b**right if right else None,
+                )
+                N = threshold(s)
+                assert N == want, (u_text, flank_len)
+                for r in range(N + 1, N + 4):
+                    assert len(u**r) > flank_len and len(u**-r) > flank_len
+
     def test_flank_margin(self):
         s = spec_of("g1", "g2", flank_left="G1 g2")
         N = threshold(s)

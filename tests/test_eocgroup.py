@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from discrimlab.eocgroup import AbelianSyllable, BaseSyllable, EocGroup, load_group_spec
+from discrimlab.eocgroup import AbelianSyllable, EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
@@ -235,13 +235,30 @@ class TestTailProducts:
         G, x, y = case
         syls = (x * y).syllables
         for i, syl in enumerate(syls):
-            if not isinstance(syl, BaseSyllable):
+            if not isinstance(syl, Word):
                 continue
             left = syls[i - 1] if i > 0 else None
             right = syls[i + 1] if i + 1 < len(syls) else None
             ls = left.stage if isinstance(left, AbelianSyllable) else None
             rs = right.stage if isinstance(right, AbelianSyllable) else None
-            assert G._strip(syl.word, ls, rs) == (0, syl.word, 0)
+            assert G._strip(syl, ls, rs) == (0, syl, 0)
+
+
+class TestNormalFormStructure:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(group_and_elements())
+    def test_product_syllables_alternate(self, case):
+        G, x, y = case
+        syls = (x * y).syllables
+        for syl in syls:
+            if isinstance(syl, Word):
+                assert not syl.is_identity()
+            else:
+                assert any(syl.t_exps)
+        for left, right in zip(syls, syls[1:]):
+            assert not (isinstance(left, Word) and isinstance(right, Word))
+            if isinstance(left, AbelianSyllable) and isinstance(right, AbelianSyllable):
+                assert left.stage != right.stage
 
 
 def assert_ball_tree(group, radius):

@@ -12,7 +12,7 @@ from discrimlab.freewords import (
 )
 from discrimlab.errors import BudgetExceeded, WordFormatError
 
-from oracles import ball_size_f2
+from oracles import ball_size_f2, brute_power_membership
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -109,6 +109,14 @@ class TestPowerMembership:
     def test_conjugated_u(self):
         u = b * a * b.inverse()
         assert power_membership(u, u**5) == 5
+
+    def test_closed_form_matches_brute_force(self):
+        # every nontrivial u with |u| <= 3 (proper powers included) against
+        # every g with |g| <= 7 over F2
+        words = ball(A, 7)
+        for u in ball(A, 3)[1:]:
+            for g in words:
+                assert power_membership(u, g) == brute_power_membership(u, g), (u, g)
 
 
 class TestCosetStrip:
