@@ -69,23 +69,6 @@ def build_padded(spec: PaddedWordSpec, r: Sequence[int]) -> Word:
     return w
 
 
-def _core_padded_words(
-    spec: PaddedWordSpec, r: Sequence[int], core: Optional[PaddedWordSpec] = None
-) -> list[Word]:
-    """The four lemma words: w, left*w, w*right, left*w*right (dedup by flank presence)."""
-    if core is None:
-        core = PaddedWordSpec(spec.u, spec.gs)
-    w = build_padded(core, r)
-    out = [w]
-    if spec.flank_left is not None:
-        out.append(spec.flank_left * w)
-    if spec.flank_right is not None:
-        out.append(w * spec.flank_right)
-    if spec.flank_left is not None and spec.flank_right is not None:
-        out.append(spec.flank_left * w * spec.flank_right)
-    return out
-
-
 def _annotated_reduce(blocks: list[tuple[int, tuple[int, ...]]]) -> dict[int, int]:
     """Freely reduce a concatenation of (factor_id, letters) pieces.
 
@@ -173,10 +156,10 @@ def threshold(spec: PaddedWordSpec) -> int:
     )
     if spec.k == 0:
         # w = u^r0: torsion-free, nontrivial for r0 != 0; flanks only need
-        # |u^r0| > |fl| + |fr|, and |u^r0| >= |r0| * |core| exceeds that
-        # once |r0| > (|fl| + |fr|) // |core|
-        _, core = spec.u.cyclic_decomposition()
-        return flank_len // len(core)
+        # |u^r0| > |fl| + |fr|, and |u^r0| = 2|z| + |r0| * |v| for
+        # u = z v z^-1 exceeds that once |r0| > (|fl| + |fr| - 2|z|) // |v|
+        z, v = spec.u.cyclic_decomposition()
+        return max(0, (flank_len - 2 * len(z)) // len(v))
     sym = SymbolicBlockWord.from_spec(spec)
     m = _certified_block_magnitude(sym, min_length=flank_len + 1)
     return max(m + abs(o) - 1 for o in sym.offsets)
@@ -245,19 +228,24 @@ def certify(
     )
     rng = random.Random(seed)
     k = spec.k
-    core = spec if (spec.flank_left is None and spec.flank_right is None) else PaddedWordSpec(spec.u, spec.gs)
+    # build_padded gives W = fl w fr for the core word w, and a lemma word
+    # fl^a w fr^b (a, b in {0, 1}) is trivial exactly when W = fl^(1-a) fr^(1-b);
+    # an absent flank is 1, so at most four words W are forbidden
+    one = spec.u.alphabet.identity()
+    lefts, rights = (spec.flank_left or one, one), (spec.flank_right or one, one)
+    forbidden = tuple({(x * y).letters for x in lefts for y in rights})
     for _ in range(samples):
         r = tuple(
             rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
         )
-        if any(w.is_identity() for w in _core_padded_words(spec, r, core)):
+        if build_padded(spec, r).letters in forbidden:
             raise CertificationError(
                 f"trivializing tuple {r} above threshold {N}: threshold is unsound"
             )
         report.sampled_ok += 1
     bound = min(N + 2, sweep_cap)
     for r in itertools.product(range(-bound, bound + 1), repeat=k + 1):
-        if any(w.is_identity() for w in _core_padded_words(spec, r, core)):
+        if build_padded(spec, r).letters in forbidden:
             report.trivializing.append(r)
             if min(abs(x) for x in r) > N:
                 raise CertificationError(

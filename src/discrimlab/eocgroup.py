@@ -58,6 +58,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, GroupSpecError, WordFormatError
 from .freewords import (
+    DEFAULT_BALL_CAP,
     Alphabet,
     Word,
     _strip_search,
@@ -66,8 +67,6 @@ from .freewords import (
     parse_word,
     power_membership,
 )
-
-DEFAULT_BALL_CAP = 500_000
 
 _T_TOKEN_RE = re.compile(r"([tT])([0-9]+)\.([0-9]+)$")
 

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, WordFormatError
 
-DEFAULT_BALL_CAP = 2_000_000
+# shared by the free balls here and the extension-of-centralizer balls in eocgroup
+DEFAULT_BALL_CAP = 500_000
 
 _TOKEN_RE = re.compile(r"([gG])([0-9]+)$")
 
@@ -354,7 +355,8 @@ def ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[W
     """All reduced words of length <= radius, in BFS layer order.
 
     Reduced words are canonical in a free group, so BFS with the literal
-    tuples as dedup keys enumerates each element exactly once.
+    tuples as dedup keys enumerates each element exactly once.  The cap is
+    checked before each new word is stored, so it bounds memory too.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -369,11 +371,11 @@ def ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[W
             last = w[-1] if w else 0
             for x in letters:
                 if x != -last:
+                    if len(out) + len(new) >= cap:
+                        raise BudgetExceeded(
+                            f"ball of radius {radius} exceeds cap of {cap} elements"
+                        )
                     new.append(w + (x,))
-        if len(out) + len(new) > cap:
-            raise BudgetExceeded(
-                f"ball of radius {radius} exceeds cap of {cap} elements"
-            )
         out.extend(Word._raw(alphabet, w) for w in new)
         frontier = new
     return out

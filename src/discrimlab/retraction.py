@@ -7,6 +7,11 @@ map, so for p large enough it is injective on any fixed finite ball of
 G'.  This module computes the least such p exactly, the resulting
 generator-image complexity, and complexity curves in R.
 
+One ascent, p = 1 .. ``_p_ceiling`` on one ball, serves both the top
+stage (``minimal_discriminating_p``) and the uniform p of the composite
+down a tower (``compose_chain``).  Its generator images come from one
+walk down the top k stages (k = 1, or all) through ``_theta_spec``.
+
 Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
 and a retraction is a homomorphism, so the image of an element is the
@@ -25,6 +30,7 @@ doubled letters too.
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass, field
@@ -198,23 +204,34 @@ def _base_word(w: EocElement) -> Word:
     return w.syllables[0]
 
 
-def _theta_collision(
-    spec: ThetaSpec, ball: Sequence[EocElement], target: EocGroup
+def _retract(group: EocGroup, R: int, p: int, w: EocElement, k: int) -> EocElement:
+    """The image of `w` under the top `k` stage retractions at uniform p.
+
+    k = 1 is the top-stage retraction, k = len(group.stages) the composite.
+    """
+    for _ in range(k):
+        spec = _theta_spec(group, R, p)
+        group = spec.target
+        w = apply_theta(spec, w, group)
+    return w
+
+
+def _collision(
+    group: EocGroup, R: int, p: int, ball: Sequence[EocElement], k: int
 ) -> Optional[tuple[EocElement, EocElement]]:
-    """The first pair of ball elements, in ball order, that `spec` merges."""
-    images = [apply_theta(spec, g, target) for g in spec.group.generators()]
+    """The first pair of ball elements, in ball order, that the top `k` retractions at p merge."""
+    images = [_retract(group, R, p, g, k) for g in group.generators()]
+    target = images[0].group
     if target.stages:
         return _first_collision(ball, images, target.identity(), operator.mul)
-    return _first_collision(
-        ball, [_doubled(_base_word(img)) for img in images], (), join_letters
-    )
+    return _first_collision(ball, [_doubled(_base_word(w)) for w in images], (), join_letters)
 
 
 def _images_injective(
-    spec: ThetaSpec, ball: Sequence[EocElement], target: EocGroup
-) -> bool:
-    # called once per p tried; perfbench/tracer.py counts the calls
-    return _theta_collision(spec, ball, target) is None
+    group: EocGroup, R: int, p: int, ball: Sequence[EocElement]
+) -> Optional[tuple[EocElement, EocElement]]:
+    """The top-stage collision at p; called once per p tried, which perfbench/tracer.py counts."""
+    return _collision(group, R, p, ball, 1)
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:
@@ -229,6 +246,25 @@ def _p_ceiling(group: EocGroup, R: int) -> int:
     return 4 * R + 4 * ulen + 10
 
 
+def _least_injective_p(group: EocGroup, R: int, cap: int, collision: Callable) -> int:
+    """Least p up to ``_p_ceiling`` with ``collision(p, ball)`` None on the radius-R ball.
+
+    Past the ceiling, raises ``AscentExhausted`` with the collision found
+    at the ceiling as its witness.
+    """
+    if not group.stages:
+        raise ValueError("group has no stages to retract")
+    ball = group.ball(R, cap=cap)
+    ceiling = _p_ceiling(group, R)
+    for p in range(1, ceiling + 1):
+        witness = collision(p, ball)
+        if witness is None:
+            return p
+    raise AscentExhausted(
+        "no injective p up to the ceiling: ascent analysis is wrong", ceiling, R, witness
+    )
+
+
 def minimal_discriminating_p(
     group: EocGroup, R: int, cap: int = DEFAULT_BALL_CAP
 ) -> int:
@@ -238,18 +274,7 @@ def minimal_discriminating_p(
     translating: a collision pair (w, w') gives the nontrivial w * w'^-1
     with trivial image, and conversely.
     """
-    ball = group.ball(R, cap=cap)
-    target = subtower(group)
-    ceiling = _p_ceiling(group, R)
-    for p in range(1, ceiling + 1):
-        if _images_injective(ThetaSpec(group, R, p), ball, target):
-            return p
-    raise AscentExhausted(
-        "no injective p up to the ceiling: ascent analysis is wrong",
-        ceiling,
-        R,
-        _theta_collision(ThetaSpec(group, R, ceiling), ball, target),
-    )
+    return _least_injective_p(group, R, cap, lambda p, ball: _images_injective(group, R, p, ball))
 
 
 @dataclass(frozen=True)
@@ -275,7 +300,7 @@ def complexity_record(
 ) -> ComplexityRecord:
     start = time.perf_counter()
     p = minimal_discriminating_p(group, R, cap=cap)
-    spec = ThetaSpec(group, R, p)
+    spec = _theta_spec(group, R, p)
     stage = group.stages[-1]
     n = stage.rank
     # the free abelian subgroup <u, t_1..t_n> has rank n+1, which drives
@@ -329,25 +354,11 @@ class ChainResult:
 
 def apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
     """Compose the top-stage retractions all the way down to the free base."""
-    g = group
-    while g.stages:
-        spec = _theta_spec(g, R, p)
-        target = spec.target
-        w = apply_theta(spec, w, target)
-        g = target
-    return _base_word(w)
+    return _base_word(_retract(group, R, p, w, len(group.stages)))
 
 
 # the name perfbench/tracer.py wraps to time the chain layer
 _apply_chain = apply_chain
-
-
-def _chain_collision(
-    group: EocGroup, R: int, p: int, ball: Sequence[EocElement]
-) -> Optional[tuple[EocElement, EocElement]]:
-    """The first pair of ball elements, in ball order, that the composite at uniform p merges."""
-    images = [_doubled(apply_chain(group, R, p, g)) for g in group.generators()]
-    return _first_collision(ball, images, (), join_letters)
 
 
 def compose_chain(
@@ -359,29 +370,15 @@ def compose_chain(
     product of the per-stage complexity bounds: composition can only
     multiply complexities, never exceed their product.
     """
-    if not group.stages:
-        raise ValueError("group has no stages to retract")
-    ball = group.ball(R, cap=cap)
-    ceiling = _p_ceiling(group, R)
-    for p in range(1, ceiling + 1):
-        collision = _chain_collision(group, R, p, ball)
-        if collision is None:
-            break
-    else:
-        raise AscentExhausted(
-            "no injective uniform p up to the ceiling: ascent analysis is wrong",
-            ceiling,
-            R,
-            collision,
-        )
+    k = len(group.stages)
+    p = _least_injective_p(group, R, cap, lambda p, ball: _collision(group, R, p, ball, k))
     stage_complexities = []
     g = group
     while g.stages:
-        stage_complexities.append(hom_complexity(ThetaSpec(g, R, p)))
-        g = subtower(g)
-    bound_product = 1
-    for c in stage_complexities:
-        bound_product *= c
+        spec = _theta_spec(g, R, p)
+        stage_complexities.append(hom_complexity(spec))
+        g = spec.target
+    bound_product = math.prod(stage_complexities)
     sub = []
     composite_max = 1
     for w in group.generators():

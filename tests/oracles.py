@@ -6,6 +6,7 @@ points and theta map.
 """
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
@@ -115,6 +116,30 @@ def brute_first_collision(
 def ball_size_f2(radius: int) -> int:
     """Closed form 2*3^R - 1 for the rank-2 ball."""
     return 2 * 3**radius - 1
+
+
+def raag_ball_size(clique_poly: Sequence[int], radius: int) -> int:
+    """Ball size of a right-angled Artin group, in closed form from its clique polynomial.
+
+    For C(t) = sum_k c_k t^k, with c_k the number of k-cliques of the
+    commutation graph (c_0 = 1), the sphere growth series is
+    1 / C(-2x / (1 + x)) (Chiswell, *The growth series of a graph
+    product*, 1994).  With d = deg C that is (1 + x)^d / P(x) for the
+    integer polynomial P(x) = sum_k c_k (-2x)^k (1 + x)^(d - k), and P(0) = 1,
+    so the series is expanded by exact long division; the ball size is
+    the sum of its first R + 1 coefficients.
+    """
+    d = len(clique_poly) - 1
+    P = [0] * (d + 1)
+    for k, c in enumerate(clique_poly):
+        for i in range(d - k + 1):
+            P[k + i] += c * (-2) ** k * math.comb(d - k, i)
+    assert P[0] == 1
+    spheres: list[int] = []
+    for n in range(radius + 1):
+        numerator = math.comb(d, n) if n <= d else 0
+        spheres.append(numerator - sum(P[j] * spheres[n - j] for j in range(1, min(n, d) + 1)))
+    return sum(spheres)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,7 @@
 """Threshold certification, including the fixed regression corpus."""
 
+import itertools
+
 import pytest
 
 from discrimlab.bigpowers import (
@@ -89,12 +91,13 @@ class TestThreshold:
             assert not build_padded(s, (r0,)).is_identity()
 
     def test_no_g_flank_margin(self):
-        # N = (|fl| + |fr|) // |core of u|, the values of the former step-by-step
-        # margin loop, and |u^r| outweighs the flanks for every N < |r| <= N + 3
+        # N = max(0, (|fl| + |fr| - 2|z|) // |v|) for u = z v z^-1: |u^r| outweighs
+        # the flanks for every N < |r| <= N + 3, and N is least, so N = 0 or
+        # |u^N| does not outweigh them
         expected = {
             "g1": [0, 1, 2, 3, 4, 5, 6],
             "g1 g2": [0, 0, 1, 1, 2, 2, 3],
-            "g2 g1 G2": [0, 1, 2, 3, 4, 5, 6],
+            "g2 g1 G2": [0, 0, 0, 1, 2, 3, 4],
         }
         for u_text, thresholds in expected.items():
             u = parse_word(A, u_text)
@@ -110,6 +113,7 @@ class TestThreshold:
                 assert N == want, (u_text, flank_len)
                 for r in range(N + 1, N + 4):
                     assert len(u**r) > flank_len and len(u**-r) > flank_len
+                assert N == 0 or len(u**N) <= flank_len
 
     def test_flank_margin(self):
         s = spec_of("g1", "g2", flank_left="G1 g2")
@@ -173,6 +177,26 @@ class TestCertify:
         # the computed threshold covers the collapse point
         assert threshold(s) >= 2
         assert certify(s, threshold(s), samples=200, seed=0).passed
+
+    def test_flanked_sweep_matches_lemma_words(self):
+        # certify tests one padded word per tuple; here the four lemma words
+        # w, fl w, w fr, fl w fr are built as products of the core word
+        one = A.identity()
+        for s in (
+            spec_of("g1", "g2", flank_left="G1 G1 G2 G1 G1"),
+            spec_of("g1", "g2", flank_left="G2 G2 G1 G1", flank_right="G1 G1 g2"),
+        ):
+            N = threshold(s)
+            report = certify(s, N, samples=20, seed=3)
+            core = PaddedWordSpec(s.u, s.gs)
+            fl, fr = s.flank_left or one, s.flank_right or one
+            bound = min(N + 2, report.sweep_cap)
+            expected = []
+            for r in itertools.product(range(-bound, bound + 1), repeat=s.k + 1):
+                w = build_padded(core, r)
+                if any(x.is_identity() for x in (w, fl * w, w * fr, fl * w * fr)):
+                    expected.append(r)
+            assert expected and report.trivializing == expected
 
     def test_report_text(self):
         s = spec_of("g1", "g2")

@@ -9,6 +9,8 @@ from discrimlab.eocgroup import AbelianSyllable, EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
+from oracles import raag_ball_size
+
 A = Alphabet(2)
 a, b = A.generators()
 
@@ -125,6 +127,18 @@ class TestBall:
 
     def test_layer_sizes_tower(self, tower):
         assert [len(tower.ball(r)) for r in range(3)] == [1, 9, 57]
+
+    def test_raag_sizes_match_growth_series(self):
+        # single-letter u's give right-angled Artin groups; the clique
+        # polynomial counts the cliques of the generators' commutation graph
+        for stages, clique_poly, rmax in (
+            ([(a, 1)], (1, 3, 1), 7),
+            ([(a, 2)], (1, 4, 3, 1), 5),
+            ([(a, 1), (b, 1)], (1, 4, 2), 4),
+        ):
+            group = EocGroup(A, stages)
+            sizes = [len(group.ball(R)) for R in range(rmax + 1)]
+            assert sizes == [raag_ball_size(clique_poly, R) for R in range(rmax + 1)]
 
     def test_ball_distinct(self, G):
         B = G.ball(3)

@@ -162,6 +162,15 @@ class TestBall:
         with pytest.raises(BudgetExceeded):
             ball(A, 10, cap=100)
 
+    def test_cap_boundary(self):
+        # the cap is checked before each word is stored: a cap of exactly
+        # the ball size succeeds, one less raises
+        for R in range(1, 5):
+            size = 2 * 3**R - 1
+            assert len(ball(A, R, cap=size)) == size
+            with pytest.raises(BudgetExceeded):
+                ball(A, R, cap=size - 1)
+
     def test_rank_three(self):
         A3 = Alphabet(3)
         # |B_R| = 1 + 6 * (5^R - 1) / 4 for rank 3

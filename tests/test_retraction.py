@@ -266,8 +266,8 @@ class TestTreeWalk:
                 spec = ThetaSpec(group, R, p)
                 expected = brute_first_collision(ball, lambda w: apply_theta(spec, w, target))
                 assert (expected is None) == (found and p == top)
-                assert retraction._theta_collision(spec, ball, target) == expected
-                assert retraction._images_injective(spec, ball, target) == (expected is None)
+                assert retraction._collision(group, R, p, ball, 1) == expected
+                assert retraction._images_injective(group, R, p, ball) == expected
 
     @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_chain_walk_matches_per_element_scan(self, label):
@@ -278,7 +278,7 @@ class TestTreeWalk:
             for p in range(1, top + 1):
                 expected = brute_first_collision(ball, lambda w: apply_chain(group, R, p, w))
                 assert (expected is None) == (found and p == top)
-                assert retraction._chain_collision(group, R, p, ball) == expected
+                assert retraction._collision(group, R, p, ball, len(group.stages)) == expected
 
     def test_noncanonical_u_witness_kept(self):
         group, _ = _walk_group("g1g2")
