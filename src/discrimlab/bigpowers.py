@@ -24,10 +24,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import AscentExhausted, CertificationError
-from .freewords import CosetStrip, Word, coset_strip, power_membership
+from .freewords import CosetStrip, Word, coset_strip, join_letters, power_membership
 
 DEFAULT_SWEEP_CAP = 6
 
@@ -56,17 +56,31 @@ class PaddedWordSpec:
         return len(self.gs)
 
 
-def build_padded(spec: PaddedWordSpec, r: Sequence[int]) -> Word:
-    """Free reduction of (flanks) u^r0 g_1 u^r1 ... g_k u^rk."""
+def build_padded(
+    spec: PaddedWordSpec,
+    r: Sequence[int],
+    powers: Optional[Mapping[int, tuple[int, ...]]] = None,
+) -> Word:
+    """Free reduction of (flanks) u^r0 g_1 u^r1 ... g_k u^rk.
+
+    ``powers`` maps each exponent of r to the letters of u^e; a caller that
+    builds many words over one spec passes one table, so each power is built
+    once.  Without it the powers of r are built here.
+    """
     if len(r) != spec.k + 1:
         raise ValueError(f"need {spec.k + 1} exponents, got {len(r)}")
-    w = spec.flank_left if spec.flank_left is not None else spec.u.alphabet.identity()
-    for i, g in enumerate(spec.gs):
-        w = w * spec.u ** r[i] * g
-    w = w * spec.u ** r[spec.k]
-    if spec.flank_right is not None:
-        w = w * spec.flank_right
-    return w
+    if powers is None:
+        powers = {e: (spec.u**e).letters for e in r}
+    w = spec.flank_left.letters if spec.flank_left is not None else ()
+    for e, tail in zip(r, _tails(spec)):
+        w = join_letters(join_letters(w, powers[e]), tail)
+    return Word._raw(spec.u.alphabet, w)
+
+
+def _tails(spec: PaddedWordSpec) -> list[tuple[int, ...]]:
+    """Letters of the factor after each u^r_j: g_(j+1), and the right flank after u^r_k."""
+    fr = spec.flank_right.letters if spec.flank_right is not None else ()
+    return [g.letters for g in spec.gs] + [fr]
 
 
 def _annotated_reduce(blocks: list[tuple[int, tuple[int, ...]]]) -> dict[int, int]:
@@ -208,6 +222,25 @@ def _spec_echo(spec: PaddedWordSpec) -> str:
     return " ".join(parts)
 
 
+def _sweep_words(
+    start: tuple[int, ...],
+    tails: Sequence[tuple[int, ...]],
+    powers: Sequence[tuple[int, tuple[int, ...]]],
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(e, letters of start u^e_1 tail_1 ... u^e_m tail_m) for every e in powers^m.
+
+    The exponent tuples come out in ``itertools.product`` order.
+    """
+    words = [((), start)]
+    for tail in tails:
+        words = [
+            (r + (e,), join_letters(join_letters(w, p), tail))
+            for r, w in words
+            for e, p in powers
+        ]
+    return words
+
+
 def certify(
     spec: PaddedWordSpec,
     N: int,
@@ -217,8 +250,24 @@ def certify(
 ) -> CertifyReport:
     """Probe the threshold: seeded random r above N, plus an exhaustive sweep.
 
-    Raises CertificationError on any counterexample above N (a threshold bug).
+    The sweep decides every r in the box |r_i| <= min(N + 2, sweep_cap) by
+    meeting in the middle.  With h = ceil((k + 1) / 2), the padded word is
+    L R with L = fl u^r0 g_1 ... u^r(h-1) g_h and R = u^rh g_(h+1) ... u^rk fr
+    (for k = 0, L = fl u^r0 fr and R = 1).  Reduced letter tuples are
+    canonical, so L R equals a forbidden word F exactly when L = F R^-1:
+    each right tuple is indexed under F R^-1 for every F, and each left
+    tuple is then decided by one lookup.  No tuple of the box is skipped,
+    and ``report.trivializing`` lists the hits in ``itertools.product``
+    order.  The samples are built whole by ``build_padded``, and both read
+    one table of u-powers.
+
+    Raises CertificationError on any counterexample above N (a threshold
+    bug), and ValueError for a negative ``samples`` or ``sweep_cap``.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
+    if sweep_cap < 0:
+        raise ValueError(f"sweep_cap must be >= 0, got {sweep_cap}")
     report = CertifyReport(
         spec_echo=_spec_echo(spec),
         threshold=N,
@@ -234,18 +283,33 @@ def certify(
     one = spec.u.alphabet.identity()
     lefts, rights = (spec.flank_left or one, one), (spec.flank_right or one, one)
     forbidden = tuple({(x * y).letters for x in lefts for y in rights})
+    fl = lefts[0].letters
+    tails = _tails(spec)
+    bound = min(N + 2, sweep_cap)
+    exponents = set(range(-bound, bound + 1))
+    if samples:
+        exponents.update(s * e for e in range(N + 1, N + 11) for s in (1, -1))
+    powers = {e: (spec.u**e).letters for e in exponents}
     for _ in range(samples):
         r = tuple(
             rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
         )
-        if build_padded(spec, r).letters in forbidden:
+        if build_padded(spec, r, powers).letters in forbidden:
             raise CertificationError(
                 f"trivializing tuple {r} above threshold {N}: threshold is unsound"
             )
         report.sampled_ok += 1
-    bound = min(N + 2, sweep_cap)
-    for r in itertools.product(range(-bound, bound + 1), repeat=k + 1):
-        if build_padded(spec, r).letters in forbidden:
+    box = [(e, powers[e]) for e in range(-bound, bound + 1)]
+    h = (k + 2) // 2
+    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for right, w in _sweep_words((), tails[h:], box):
+        w_inv = tuple(-x for x in reversed(w))
+        # one F per key for a given right tuple, so each list stays sorted
+        for f in forbidden:
+            index.setdefault(join_letters(f, w_inv), []).append(right)
+    for left, w in _sweep_words(fl, tails[:h], box):
+        for right in index.get(w, ()):
+            r = left + right
             report.trivializing.append(r)
             if min(abs(x) for x in r) > N:
                 raise CertificationError(

@@ -145,7 +145,17 @@ def _cmd_bigpowers(args) -> int:
     N = threshold(spec)
     report = certify(spec, N, samples=args.samples, seed=args.seed, sweep_cap=args.sweep_cap)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    meta = _base_meta(args, u=args.u, k=len(gs))
+    meta = _base_meta(
+        args,
+        free_rank=args.free_rank,
+        u=args.u,
+        k=len(gs),
+        g=args.g,
+        flank_left=args.flank_left,
+        flank_right=args.flank_right,
+        samples=args.samples,
+        sweep_cap=args.sweep_cap,
+    )
     rows = [
         (
             N,

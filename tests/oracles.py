@@ -7,13 +7,20 @@ points and theta map.
 
 import itertools
 import math
+import random
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from discrimlab.bigpowers import (
+    DEFAULT_SWEEP_CAP,
+    CertifyReport,
+    PaddedWordSpec,
+    _spec_echo,
+)
 from discrimlab.eocgroup import AbelianSyllable, EocElement, EocGroup
-from discrimlab.errors import BudgetExceeded
+from discrimlab.errors import BudgetExceeded, CertificationError
 from discrimlab.freewords import Word
 from discrimlab.retraction import ThetaSpec
 from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, ball_points, theta
@@ -72,6 +79,62 @@ def brute_power_membership(u: Word, g: Word) -> Optional[int]:
         if p.inverse() == g:
             return -k
     return None
+
+
+def product_padded(spec: PaddedWordSpec, r: Sequence[int]) -> Word:
+    """(flanks) u^r0 g_1 u^r1 ... g_k u^rk as a chain of ``Word`` products."""
+    w = spec.flank_left if spec.flank_left is not None else spec.u.alphabet.identity()
+    for i, g in enumerate(spec.gs):
+        w = w * spec.u ** r[i] * g
+    w = w * spec.u ** r[spec.k]
+    if spec.flank_right is not None:
+        w = w * spec.flank_right
+    return w
+
+
+def brute_certify(
+    spec: PaddedWordSpec,
+    N: int,
+    samples: int = 1000,
+    seed: int = 0,
+    sweep_cap: int = DEFAULT_SWEEP_CAP,
+) -> CertifyReport:
+    """``bigpowers.certify`` with every padded word built by ``product_padded``.
+
+    Draws the same seeded samples, then tests each tuple of the box
+    |r_i| <= min(N + 2, sweep_cap) on its own, in ``itertools.product``
+    order, against the (at most four) forbidden words.
+    """
+    report = CertifyReport(
+        spec_echo=_spec_echo(spec),
+        threshold=N,
+        sweep_cap=sweep_cap,
+        samples=samples,
+        seed=seed,
+    )
+    rng = random.Random(seed)
+    k = spec.k
+    one = spec.u.alphabet.identity()
+    lefts, rights = (spec.flank_left or one, one), (spec.flank_right or one, one)
+    forbidden = tuple({(x * y).letters for x in lefts for y in rights})
+    for _ in range(samples):
+        r = tuple(
+            rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
+        )
+        if product_padded(spec, r).letters in forbidden:
+            raise CertificationError(
+                f"trivializing tuple {r} above threshold {N}: threshold is unsound"
+            )
+        report.sampled_ok += 1
+    bound = min(N + 2, sweep_cap)
+    for r in itertools.product(range(-bound, bound + 1), repeat=k + 1):
+        if product_padded(spec, r).letters in forbidden:
+            report.trivializing.append(r)
+            if min(abs(x) for x in r) > N:
+                raise CertificationError(
+                    f"trivializing tuple {r} above threshold {N}: threshold is unsound"
+                )
+    return report
 
 
 def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -> EocElement:

@@ -1,6 +1,7 @@
 """Threshold certification, including the fixed regression corpus."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,8 @@ from discrimlab.bigpowers import (
     threshold,
 )
 from discrimlab.errors import AscentExhausted, CertificationError
-from discrimlab.freewords import Alphabet, CosetStrip, parse_word
+from discrimlab.freewords import Alphabet, CosetStrip, Word, parse_word
+from oracles import brute_certify, product_padded
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -50,6 +52,13 @@ CORPUS = [
     ("g1 g2", ("G2 G1 G2",)),
     ("g2 G1", ("g1 g2",)),
     ("g1", ("G2", "g2", "G2")),
+]
+
+# k = 3 specs whose sweeps run over long u-powers
+K3 = [
+    ("g1", ("g1 g1 g1 g2 G1 G1", "g2 g2", "G2")),
+    ("g1", ("g1 g1 g1 g1 g2 G1 G1 G1", "g2 g1 g2", "G2 G2")),
+    ("g1 g2", ("g1 g2 g1 g2 g1", "G1", "g1 g1")),
 ]
 
 
@@ -202,3 +211,85 @@ class TestCertify:
         s = spec_of("g1", "g2")
         text = certify(s, 0, samples=10, seed=1).as_text()
         assert "threshold: 0" in text and "verdict: pass" in text
+
+
+def _outcome(fn, spec, N, **kw):
+    """(trivializing, sampled_ok) of a certify run, or its CertificationError text."""
+    try:
+        report = fn(spec, N, **kw)
+    except CertificationError as e:
+        return str(e)
+    return report.trivializing, report.sampled_ok
+
+
+def _random_word(rng, max_len):
+    return Word(A, [rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(1, max_len))])
+
+
+def _random_spec(rng):
+    """A valid spec with k = 0..3; some flanks cancel a small padded word,
+    so that thresholds below theirs have trivializing tuples above them."""
+    while True:
+        k = rng.randint(0, 3)
+        u = _random_word(rng, 4)
+        if not u or u.is_proper_power():
+            continue
+        gs = tuple(_random_word(rng, 4) for _ in range(k))
+        fl = _random_word(rng, 4) if rng.random() < 0.5 else None
+        fr = _random_word(rng, 4) if rng.random() < 0.5 else None
+        try:
+            if rng.random() < 0.4:
+                r = [rng.randint(-3, 3) for _ in range(k + 1)]
+                inverse = build_padded(PaddedWordSpec(u, gs), r).inverse()
+                fl, fr = (inverse, None) if rng.random() < 0.5 else (None, inverse)
+            return PaddedWordSpec(u, gs, fl or None, fr or None)
+        except ValueError:
+            continue
+
+
+class TestCertifyMatchesBrute:
+    """The split sweep against the per-tuple sweep of tests/oracles.py."""
+
+    def test_build_padded_matches_products(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            s = _random_spec(rng)
+            r = tuple(rng.randint(-5, 5) for _ in range(s.k + 1))
+            powers = {e: (s.u**e).letters for e in range(-5, 6)}
+            expected = product_padded(s, r)
+            assert build_padded(s, r) == expected
+            assert build_padded(s, r, powers) == expected
+
+    def test_corpus_and_k3_specs(self):
+        kw = dict(samples=30, seed=11)
+        for u_text, g_texts in CORPUS + K3:
+            s = spec_of(u_text, *g_texts)
+            N = threshold(s)
+            for n in (N, N - 1, 0):
+                assert _outcome(certify, s, n, **kw) == _outcome(brute_certify, s, n, **kw), (
+                    u_text,
+                    g_texts,
+                    n,
+                )
+
+    def test_random_flanked_specs(self):
+        rng = random.Random(2026)
+        seen_k, seen_caps, seen_flanks = set(), set(), set()
+        raised = hits = 0
+        for i in range(150):
+            s = _random_spec(rng)
+            cap = rng.randint(0, 4)
+            N = threshold(s)
+            seen_k.add(s.k)
+            seen_caps.add(cap)
+            seen_flanks.add((s.flank_left is not None, s.flank_right is not None))
+            for n in (N, N - 1, 0):
+                kw = dict(samples=20, seed=i, sweep_cap=cap)
+                got = _outcome(certify, s, n, **kw)
+                assert got == _outcome(brute_certify, s, n, **kw), (s, n, cap)
+                raised += isinstance(got, str)
+                hits += not isinstance(got, str) and bool(got[0])
+        assert seen_k == {0, 1, 2, 3} and seen_caps == set(range(5))
+        assert seen_flanks == {(False, False), (True, False), (False, True), (True, True)}
+        # both the reported tuples and the raise site were compared
+        assert raised > 0 and hits > 0

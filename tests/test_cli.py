@@ -131,6 +131,40 @@ class TestBigpowers:
         code, _ = run(capsys, "bigpowers", "--u", "g1", "--g", "g1 g1")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--samples", "--sweep-cap"])
+    def test_negative_count_exits_2(self, capsys, flag):
+        code, out = run(capsys, "bigpowers", "--u", "g1", "--g", "g2", flag, "-1")
+        assert code == 2
+        assert out == ""
+
+    def test_meta_reproduces_row(self, capsys):
+        argv = [
+            "bigpowers", "--u", "g1 g2", "--g", "G2 g1", "--g", "g2",
+            "--flank-left", "g2 g2", "--samples", "40", "--seed", "9", "--sweep-cap", "3",
+            "--format", "jsonl",
+        ]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        meta, row = (json.loads(l) for l in out.splitlines())
+        meta = meta["meta"]
+        assert meta["g"] == ["G2 g1", "g2"]
+        assert meta["flank_left"] == "g2 g2" and meta["flank_right"] is None
+        assert (meta["samples"], meta["sweep_cap"], meta["seed"]) == (40, 3, 9)
+        # the metadata alone rebuilds the command, and it gives the same row
+        rebuilt = ["bigpowers", "--free-rank", str(meta["free_rank"]), "--u", meta["u"]]
+        for g in meta["g"]:
+            rebuilt += ["--g", g]
+        for flag in ("flank_left", "flank_right"):
+            if meta[flag] is not None:
+                rebuilt += ["--" + flag.replace("_", "-"), meta[flag]]
+        for flag in ("samples", "seed", "sweep_cap"):
+            rebuilt += ["--" + flag.replace("_", "-"), str(meta[flag])]
+        code, out = run(capsys, *rebuilt, "--format", "jsonl")
+        assert code == 0
+        again = json.loads(out.splitlines()[1])
+        row.pop("wall_ms"), again.pop("wall_ms")
+        assert again == row
+
 
 class TestCurve:
     def test_single_stage(self, capsys, g1_spec):
