@@ -23,7 +23,6 @@ from .errors import (
 )
 from .freewords import (
     Alphabet,
-    CosetStrip,
     Word,
     ball,
     coset_strip,
@@ -69,7 +68,6 @@ __all__ = [
     "CertifyReport",
     "ChainResult",
     "ComplexityRecord",
-    "CosetStrip",
     "CurveResult",
     "DiscrimError",
     "EocElement",

@@ -2,21 +2,23 @@
 
 The threshold computation is an exact free-group replacement for the
 non-constructive relative-hyperbolicity constants: each g_i is stripped
-to its double-coset form u^s_i h_i u^t_i, the s/t offsets are folded into
-the symbolic exponents, and the remaining question is how much of each
-symbolic u-power block the junctions with the h_i can consume.
+to its double-coset triple (s_i, h_i, t_i), g_i = u^s_i h_i u^t_i, the
+s/t exponents are folded into per-block offsets, and the remaining
+question is how much of each u-power block of u^e_0 h_1 u^e_1 ... h_k u^e_k
+the junctions with the h_i can consume.
 
-Certification rests on a mismatch argument.  Reduce the word at a corner
+Certification rests on a mismatch argument.  Reduce that word at a corner
 exponent assignment (all blocks at magnitude m, one of the finitely many
-sign patterns), tracking which original factor each surviving letter came
-from.  If every u-power block retains at least one letter, then every
-cancellation chain stopped at a genuine letter mismatch.  Growing any
-block exponent inserts letters in the block's interior without changing
-either periodic end, so the same mismatches persist and the word stays
-nontrivial for every assignment dominating the corner.  (The h_i may be
-fully consumed; the blocks may not.)  Runaway block-against-block
-annihilation through a consumed h_i is impossible: it would force h_i
-into <u>, which the strip precondition excludes.
+sign patterns) on one stack whose letters are tagged with their block
+(``_corner_holds``).  If every u-power block retains at least one
+letter, then every cancellation chain stopped at a genuine letter
+mismatch.  Growing any block exponent inserts letters in the block's
+interior without changing either periodic end, so the same mismatches
+persist and the word stays nontrivial for every assignment dominating
+the corner.  (The h_i may be fully consumed; the blocks may not.)
+Runaway block-against-block annihilation through a consumed h_i is
+impossible: it would force h_i into <u>, which the strip precondition
+excludes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .errors import AscentExhausted, CertificationError
-from .freewords import CosetStrip, Word, coset_strip, join_letters, power_membership
+from .freewords import Word, coset_strip, join_letters, power_membership
 
 DEFAULT_SWEEP_CAP = 6
 
@@ -83,70 +85,36 @@ def _tails(spec: PaddedWordSpec) -> list[tuple[int, ...]]:
     return [g.letters for g in spec.gs] + [fr]
 
 
-def _annotated_reduce(blocks: list[tuple[int, tuple[int, ...]]]) -> dict[int, int]:
-    """Freely reduce a concatenation of (factor_id, letters) pieces.
-
-    Returns surviving letter count per factor id.
-    """
-    stack: list[tuple[int, int]] = []  # (letter, factor_id)
-    for fid, letters in blocks:
-        for x in letters:
-            if stack and stack[-1][0] == -x:
-                stack.pop()
-            else:
-                stack.append((x, fid))
-    surviving: dict[int, int] = {fid: 0 for fid, _ in blocks}
-    for _, fid in stack:
-        surviving[fid] += 1
-    return surviving
-
-
-@dataclass(frozen=True)
-class SymbolicBlockWord:
-    """Stripped form of a padded word: h_i pieces and per-block exponent offsets."""
-
-    u: Word
-    strips: tuple[CosetStrip, ...]
-    offsets: tuple[int, ...]  # offset_j added to r_j after folding s/t exponents
-
-    @classmethod
-    def from_spec(cls, spec: PaddedWordSpec) -> "SymbolicBlockWord":
-        strips = tuple(coset_strip(spec.u, g) for g in spec.gs)
-        k = spec.k
-        offsets = []
-        for j in range(k + 1):
-            o = 0
-            if j > 0:
-                o += strips[j - 1].right_exp
-            if j < k:
-                o += strips[j].left_exp
-            offsets.append(o)
-        return cls(spec.u, strips, tuple(offsets))
-
-    def reduce_exponents(self, exponents: Sequence[int]) -> dict[int, int]:
-        """Annotated reduction at given block exponents; factor ids: block j -> 2j, h_i -> 2i+1."""
-        pieces: list[tuple[int, tuple[int, ...]]] = []
-        for j, e in enumerate(exponents):
-            pieces.append((2 * j, (self.u**e).letters))
-            if j < len(self.strips):
-                pieces.append((2 * j + 1, self.strips[j].middle.letters))
-        return _annotated_reduce(pieces)
+def _corner_holds(
+    u: Word, middles: Sequence[Word], exps: Sequence[int], min_length: int
+) -> bool:
+    """Whether u^e_0 h_1 u^e_1 ... h_k u^e_k, freely reduced, keeps a letter of
+    every u-block and has at least ``min_length`` letters."""
+    # (letter, index j of its block u^e_j; -1 for a letter of a middle)
+    tagged: list[tuple[int, int]] = []
+    for j, e in enumerate(exps):
+        tagged += [(x, j) for x in (u**e).letters]
+        if j < len(middles):
+            tagged += [(x, -1) for x in middles[j].letters]
+    stack: list[tuple[int, int]] = []
+    for x, tag in tagged:
+        if stack and stack[-1][0] == -x:
+            stack.pop()
+        else:
+            stack.append((x, tag))
+    kept = {tag for _, tag in stack}
+    return len(stack) >= min_length and all(j in kept for j in range(len(exps)))
 
 
-def _certified_block_magnitude(sym: SymbolicBlockWord, min_length: int = 1) -> int:
+def _certified_block_magnitude(u: Word, middles: Sequence[Word], min_length: int) -> int:
     """Smallest m such that for every sign pattern, the corner assignment
-    (all block exponents of magnitude m) leaves every block with a surviving
-    letter and the word with reduced length >= min_length."""
-    nblocks = len(sym.offsets)
-    ceiling = 4 * (sum(len(s.middle) for s in sym.strips) + len(sym.u) + min_length + 4)
+    (all block exponents of magnitude m) satisfies :func:`_corner_holds`."""
+    nblocks = len(middles) + 1
+    ceiling = 4 * (sum(len(h) for h in middles) + len(u) + min_length + 4)
     for m in range(1, ceiling + 1):
         for signs in itertools.product((1, -1), repeat=nblocks):
             exps = tuple(s * m for s in signs)
-            surviving = sym.reduce_exponents(exps)
-            if (
-                any(surviving[2 * j] < 1 for j in range(nblocks))
-                or sum(surviving.values()) < min_length
-            ):
+            if not _corner_holds(u, middles, exps, min_length):
                 break
         else:
             return m
@@ -161,9 +129,12 @@ def _certified_block_magnitude(sym: SymbolicBlockWord, min_length: int = 1) -> i
 def threshold(spec: PaddedWordSpec) -> int:
     """Certified N: every r with all |r_i| > N gives nontrivial padded words.
 
-    With flanks present the reduced core word is additionally forced to be
-    strictly longer than |flank_left| + |flank_right|, so all four lemma
-    words are nontrivial.
+    Each g_j is stripped to u^s_j h_j u^t_j (``coset_strip``; a proper
+    power u is rejected there), s_j folds into offset j and t_j into
+    offset j+1, and N = m + max|offset| - 1 for the certified block
+    magnitude m of u^e_0 h_1 ... h_k u^e_k.  With flanks present the
+    reduced core word is additionally forced to be strictly longer than
+    |flank_left| + |flank_right|, so all four lemma words are nontrivial.
     """
     flank_len = (len(spec.flank_left) if spec.flank_left else 0) + (
         len(spec.flank_right) if spec.flank_right else 0
@@ -174,9 +145,15 @@ def threshold(spec: PaddedWordSpec) -> int:
         # u = z v z^-1 exceeds that once |r0| > (|fl| + |fr| - 2|z|) // |v|
         z, v = spec.u.cyclic_decomposition()
         return max(0, (flank_len - 2 * len(z)) // len(v))
-    sym = SymbolicBlockWord.from_spec(spec)
-    m = _certified_block_magnitude(sym, min_length=flank_len + 1)
-    return max(m + abs(o) - 1 for o in sym.offsets)
+    middles = []
+    offsets = [0] * (spec.k + 1)
+    for j, g in enumerate(spec.gs):
+        s, h, t = coset_strip(spec.u, g)
+        middles.append(h)
+        offsets[j] += s
+        offsets[j + 1] += t
+    m = _certified_block_magnitude(spec.u, middles, flank_len + 1)
+    return max(m + abs(o) - 1 for o in offsets)
 
 
 @dataclass

@@ -90,9 +90,9 @@ def _emit(args, meta: dict, header: Sequence[str], rows: list[Sequence]) -> None
 
 
 def _base_meta(args, **extra) -> dict:
-    meta = {"tool": "discrimlab", "version": __version__, "command": args.command}
-    if getattr(args, "seed", None) is not None:
-        meta["seed"] = args.seed
+    """Tool, version and every parsed option, so the record rebuilds its command."""
+    meta = {"tool": "discrimlab", "version": __version__}
+    meta.update((k, v) for k, v in vars(args).items() if k not in ("func", "out", "format"))
     meta.update(extra)
     return meta
 
@@ -106,11 +106,10 @@ def _load_group(path: str) -> EocGroup:
 
 
 def _cmd_zn(args) -> int:
-    spec_shape = args.shape
     rows = []
     for R in range(args.rmin, args.rmax + 1):
         t0 = time.perf_counter()
-        exact, witness = minimal_complexity(args.n, BallSpec(spec_shape, R), budget=args.budget)
+        exact, witness = minimal_complexity(args.n, BallSpec(args.shape, R), budget=args.budget)
         upper = theta(args.n, R).complexity
         lb = lower_bound_value(args.n, R) if args.n >= 2 else Fraction(0, 1)
         wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -121,10 +120,9 @@ def _cmd_zn(args) -> int:
         rows.append(
             (args.n, R, lb.numerator, lb.denominator, exact, upper, f"{wall_ms:.3f}")
         )
-    meta = _base_meta(args, n=args.n, shape=spec_shape, rmin=args.rmin, rmax=args.rmax)
     _emit(
         args,
-        meta,
+        _base_meta(args),
         ["n", "R", "lower_bound_num", "lower_bound_den", "exact_min", "theta_upper", "wall_ms"],
         rows,
     )
@@ -145,17 +143,7 @@ def _cmd_bigpowers(args) -> int:
     N = threshold(spec)
     report = certify(spec, N, samples=args.samples, seed=args.seed, sweep_cap=args.sweep_cap)
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    meta = _base_meta(
-        args,
-        free_rank=args.free_rank,
-        u=args.u,
-        k=len(gs),
-        g=args.g,
-        flank_left=args.flank_left,
-        flank_right=args.flank_right,
-        samples=args.samples,
-        sweep_cap=args.sweep_cap,
-    )
+    meta = _base_meta(args, k=len(gs))
     rows = [
         (
             N,
@@ -195,7 +183,7 @@ def _cmd_curve(args) -> int:
             )
         )
     slope = "" if result.loglog_slope is None else f"{result.loglog_slope:.4f}"
-    meta = _base_meta(args, spec=args.spec, loglog_slope=slope)
+    meta = _base_meta(args, loglog_slope=slope)
     if len(group.stages) > 1:
         chain = compose_chain(group, args.rmax, cap=args.cap)
         bound = 1
@@ -223,8 +211,7 @@ def _cmd_ball(args) -> int:
         size = len(group.ball(R, cap=args.cap))
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rows.append((R, size, f"{wall_ms:.3f}"))
-    meta = _base_meta(args, spec=args.spec)
-    _emit(args, meta, ["R", "ball_size", "wall_ms"], rows)
+    _emit(args, _base_meta(args), ["R", "ball_size", "wall_ms"], rows)
     return EXIT_OK
 
 
@@ -311,12 +298,19 @@ def _cmd_crosscheck(args) -> int:
                 f"triviality verdicts disagree at p={p} on raw word {list(disagreement)!r}"
             )
 
-    meta = _base_meta(args, spec=args.spec, r=args.r)
-    _emit(args, meta, ["check", "result"], [list(c) for c in checks])
+    _emit(args, _base_meta(args), ["check", "result"], [list(c) for c in checks])
     return EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type of a count or radius: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zn", help="minimal discriminating complexity for Z^n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rmin", type=int, default=0)
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--rmin", type=_nonnegative, default=0)
+    p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--shape", choices=("l1", "box"), default="l1")
     p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
     common_out(p)
@@ -343,31 +337,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", action="append", required=True, help="interleaving word (repeatable)")
     p.add_argument("--flank-left")
     p.add_argument("--flank-right")
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_nonnegative, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweep-cap", type=int, default=DEFAULT_SWEEP_CAP)
+    p.add_argument("--sweep-cap", type=_nonnegative, default=DEFAULT_SWEEP_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_bigpowers)
 
     p = sub.add_parser("curve", help="retraction complexity curve")
     p.add_argument("--spec", required=True, help="group spec JSON file")
-    p.add_argument("--rmin", type=int, default=0)
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--rmin", type=_nonnegative, default=0)
+    p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("ball", help="ball sizes of a group")
     p.add_argument("--spec", required=True, help="group spec JSON file")
-    p.add_argument("--rmax", type=int, required=True)
+    p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_ball)
 
     p = sub.add_parser("crosscheck", help="independent consistency checks")
     p.add_argument("--spec", required=True, help="group spec JSON file")
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--r", type=_nonnegative, default=1)
+    p.add_argument("--samples", type=_nonnegative, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
     p.add_argument(
@@ -385,6 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if "rmin" in vars(args) and args.rmin > args.rmax:
+            parser.error(f"--rmin {args.rmin} exceeds --rmax {args.rmax}")
     except SystemExit as e:
         # argparse exits 2 on bad input and 0 on --help; pass both through
         return e.code if isinstance(e.code, int) else EXIT_INPUT

@@ -247,15 +247,6 @@ def power_membership(u: Word, g: Word) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class CosetStrip:
-    """Decomposition g = u^left_exp * middle * u^right_exp with minimal middle."""
-
-    left_exp: int
-    middle: Word
-    right_exp: int
-
-
 def _strip_search(
     g: Word, u_left: Optional[Word], u_right: Optional[Word]
 ) -> tuple[int, Word, int]:
@@ -337,8 +328,8 @@ def _row_minimum(x: Word, right: tuple, bound: int) -> tuple[int, int]:
     return best[0], best[2]
 
 
-def coset_strip(u: Word, g: Word) -> CosetStrip:
-    """Shortest representative of the double coset <u> g <u>.
+def coset_strip(u: Word, g: Word) -> tuple[int, Word, int]:
+    """(s, h, t) with g = u^s * h * u^t and h a shortest element of <u> g <u>.
 
     Requires u not a proper power and g outside <u>; pure powers of u
     belong to the abelian side of the amalgam and are rejected here.
@@ -347,8 +338,7 @@ def coset_strip(u: Word, g: Word) -> CosetStrip:
         raise ValueError("u must be nontrivial and not a proper power")
     if power_membership(u, g) is not None:
         raise ValueError("g lies in <u>; no double-coset strip exists")
-    s, h, t = _strip_search(g, u, u)
-    return CosetStrip(s, h, t)
+    return _strip_search(g, u, u)
 
 
 def ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:

@@ -120,7 +120,7 @@ def t_image(spec: ThetaSpec, i: int) -> Word:
     return stage.u ** spec.exponent(i)
 
 
-def apply_theta(spec: ThetaSpec, w: EocElement, target: Optional[EocGroup] = None) -> EocElement:
+def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """Push an element through the retraction, landing in the subtower group.
 
     Each run of base material (base syllables and the u-power images of
@@ -130,8 +130,6 @@ def apply_theta(spec: ThetaSpec, w: EocElement, target: Optional[EocGroup] = Non
     """
     if w.group is not spec.group:
         raise ValueError("element does not belong to the retracted group")
-    if target is None:
-        target = spec.target
     top = spec.stage
     coefficients, z, zinv, v, vinv = spec._image_data
     alphabet = spec.group.alphabet
@@ -151,7 +149,7 @@ def apply_theta(spec: ThetaSpec, w: EocElement, target: Optional[EocGroup] = Non
             syllables.append(syl)
     if run:
         syllables.append(Word._raw(alphabet, run))
-    return target._from_syllables(tuple(syllables))
+    return spec.target._from_syllables(tuple(syllables))
 
 
 def hom_complexity(spec: ThetaSpec) -> int:
@@ -210,9 +208,8 @@ def _retract(group: EocGroup, R: int, p: int, w: EocElement, k: int) -> EocEleme
     k = 1 is the top-stage retraction, k = len(group.stages) the composite.
     """
     for _ in range(k):
-        spec = _theta_spec(group, R, p)
-        group = spec.target
-        w = apply_theta(spec, w, group)
+        w = apply_theta(_theta_spec(group, R, p), w)
+        group = w.group
     return w
 
 

@@ -19,7 +19,7 @@ from discrimlab.bigpowers import (
     PaddedWordSpec,
     _spec_echo,
 )
-from discrimlab.eocgroup import AbelianSyllable, EocElement, EocGroup
+from discrimlab.eocgroup import AbelianSyllable, EocElement
 from discrimlab.errors import BudgetExceeded, CertificationError
 from discrimlab.freewords import Word
 from discrimlab.retraction import ThetaSpec
@@ -137,7 +137,7 @@ def brute_certify(
     return report
 
 
-def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -> EocElement:
+def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """The retraction of `spec` applied one syllable at a time.
 
     Every top-stage syllable u^e t^v becomes the base syllable
@@ -155,7 +155,7 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement, target: EocGroup) -
             syllables.append(u ** (syl.u_exp + spec.p * th(syl.t_exps)))
         else:
             syllables.append(AbelianSyllable(syl.stage, syl.u_exp, syl.t_exps))
-    return target._from_syllables(tuple(syllables))
+    return spec.target._from_syllables(tuple(syllables))
 
 
 def brute_first_collision(

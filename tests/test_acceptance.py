@@ -142,14 +142,13 @@ def test_5_word_problem_crossvalidation():
     R = 5
     p = minimal_discriminating_p(G, R)
     spec = ThetaSpec(G, R, p)
-    target = spec.target
     gens = G.generator_tokens()
     disagreements = 0
     checked = 0
     for length in range(R + 1):
         for toks in itertools.product(gens, repeat=length):
             w = G.element(toks)
-            img = apply_theta(spec, w, target)
+            img = apply_theta(spec, w)
             if w.is_trivial() != img.is_trivial():
                 disagreements += 1
             checked += 1

@@ -1,14 +1,26 @@
+import importlib.util
 import json
 import pathlib
 import re
 
 import pytest
 
-from discrimlab.cli import main
+from discrimlab.cli import build_parser, main
 from discrimlab.zdiscrim import ZnHom
 
-REFERENCE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = PERFBENCH / "reference"
 ZN_REFERENCE = REFERENCE / "zn.json"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
 
 G1_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}]}'
 G1_RANK2_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 2}]}'
@@ -39,6 +51,46 @@ def strip_wall(text):
     return re.sub(r"[\d.]+\s*$", "", text, flags=re.M)
 
 
+def data_rows(out):
+    """CSV data rows, header included, without ``#`` lines and the wall_ms column."""
+    lines = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
+    if "wall_ms" in lines[0]:
+        wall = lines[0].index("wall_ms")
+        lines = [l[:wall] + l[wall + 1 :] for l in lines]
+    return lines
+
+
+# metadata keys that are not parsed options
+DERIVED_META = {
+    "tool", "version", "command", "k", "loglog_slope",
+    "composite_p", "composite_complexity", "composite_bound",
+}
+
+
+def assert_meta_reproduces_row(capsys, argv):
+    """The jsonl metadata of `argv` echoes every parsed option, and the
+    command rebuilt from it alone gives the same rows."""
+    code, out = run(capsys, *argv, "--format", "jsonl")
+    assert code == 0
+    meta, *rows = (json.loads(l) for l in out.splitlines())
+    meta = meta["meta"]
+    rebuilt = [meta["command"]]
+    for key, value in meta.items():
+        if key in DERIVED_META or value is None:
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            rebuilt += ["--" + key.replace("_", "-"), str(v)]
+    parsed, again_parsed = (vars(build_parser().parse_args(a)) for a in (argv, rebuilt))
+    assert again_parsed == parsed
+    code, out = run(capsys, *rebuilt, "--format", "jsonl")
+    assert code == 0
+    again = [json.loads(l) for l in out.splitlines()[1:]]
+    for row in rows + again:
+        row.pop("wall_ms", None)
+    assert again == rows
+    return meta
+
+
 class TestZn:
     def test_rows_and_sandwich(self, capsys):
         code, out = run(capsys, "zn", "--n", "2", "--rmax", "6")
@@ -60,10 +112,7 @@ class TestZn:
     def test_rows_match_frozen_reference(self, capsys, label, argv):
         code, out = run(capsys, *argv)
         assert code == 0
-        lines = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
-        wall = lines[0].index("wall_ms")
-        rows = [l[:wall] + l[wall + 1 :] for l in lines]
-        assert rows == json.loads(ZN_REFERENCE.read_text())[label]
+        assert data_rows(out) == json.loads(ZN_REFERENCE.read_text())[label]
 
     def test_theta_ceiling_violation_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("discrimlab.zdiscrim.theta", lambda n, R: ZnHom((1,) * n))
@@ -88,6 +137,16 @@ class TestZn:
         assert meta["command"] == "zn" and meta["version"]
         assert all(json.loads(l)["exact_min"] >= 1 for l in lines[1:])
 
+    def test_meta_reproduces_row(self, capsys):
+        argv = ["zn", "--n", "2", "--rmin", "1", "--rmax", "3", "--shape", "box", "--budget", "5000"]
+        meta = assert_meta_reproduces_row(capsys, argv)
+        assert (meta["rmin"], meta["rmax"], meta["shape"], meta["budget"]) == (1, 3, "box", 5000)
+
+    def test_rmin_above_rmax_exits_2(self, capsys):
+        code, out = run(capsys, "zn", "--n", "2", "--rmin", "4", "--rmax", "2")
+        assert code == 2
+        assert out == ""
+
 
 # the commands of the curve-single and tower benchmark workloads
 GROUP_REFERENCE_COMMANDS = [
@@ -109,11 +168,25 @@ class TestGroupReferenceRows:
         path.write_text(spec)
         code, out = run(capsys, *argv, "--spec", str(path))
         assert code == 0
-        lines = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")]
-        if "wall_ms" in lines[0]:
-            wall = lines[0].index("wall_ms")
-            lines = [l[:wall] + l[wall + 1 :] for l in lines]
-        assert lines == json.loads((REFERENCE / f"{workload}.json").read_text())[label]
+        assert data_rows(out) == json.loads((REFERENCE / f"{workload}.json").read_text())[label]
+
+
+BIGPOWERS_LABELS = [label for label, _ in WORKLOADS.WORKLOADS["bigpowers"]["commands"]]
+
+
+class TestBigpowersReferenceRows:
+    """The 22-spec corpus and the three k = 3 specs of the bigpowers benchmark workload."""
+
+    def test_all_rows_pinned(self):
+        assert len(BIGPOWERS_LABELS) == 25
+        assert set(BIGPOWERS_LABELS) == json.loads((REFERENCE / "bigpowers.json").read_text()).keys()
+
+    @pytest.mark.parametrize("label", BIGPOWERS_LABELS)
+    def test_rows_match_frozen_reference(self, capsys, tmp_path, label):
+        argv = dict(WORKLOADS.materialize("bigpowers", 0, str(tmp_path)))[label]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert data_rows(out) == json.loads((REFERENCE / "bigpowers.json").read_text())[label]
 
 
 class TestBigpowers:
@@ -141,29 +214,11 @@ class TestBigpowers:
         argv = [
             "bigpowers", "--u", "g1 g2", "--g", "G2 g1", "--g", "g2",
             "--flank-left", "g2 g2", "--samples", "40", "--seed", "9", "--sweep-cap", "3",
-            "--format", "jsonl",
         ]
-        code, out = run(capsys, *argv)
-        assert code == 0
-        meta, row = (json.loads(l) for l in out.splitlines())
-        meta = meta["meta"]
-        assert meta["g"] == ["G2 g1", "g2"]
+        meta = assert_meta_reproduces_row(capsys, argv)
+        assert meta["g"] == ["G2 g1", "g2"] and meta["k"] == 2
         assert meta["flank_left"] == "g2 g2" and meta["flank_right"] is None
         assert (meta["samples"], meta["sweep_cap"], meta["seed"]) == (40, 3, 9)
-        # the metadata alone rebuilds the command, and it gives the same row
-        rebuilt = ["bigpowers", "--free-rank", str(meta["free_rank"]), "--u", meta["u"]]
-        for g in meta["g"]:
-            rebuilt += ["--g", g]
-        for flag in ("flank_left", "flank_right"):
-            if meta[flag] is not None:
-                rebuilt += ["--" + flag.replace("_", "-"), meta[flag]]
-        for flag in ("samples", "seed", "sweep_cap"):
-            rebuilt += ["--" + flag.replace("_", "-"), str(meta[flag])]
-        code, out = run(capsys, *rebuilt, "--format", "jsonl")
-        assert code == 0
-        again = json.loads(out.splitlines()[1])
-        row.pop("wall_ms"), again.pop("wall_ms")
-        assert again == row
 
 
 class TestCurve:
@@ -192,6 +247,17 @@ class TestCurve:
         code, _ = run(capsys, "curve", "--spec", str(tmp_path / "nope.json"), "--rmax", "1")
         assert code == 2
 
+    def test_meta_reproduces_row(self, capsys, tower_spec):
+        argv = ["curve", "--spec", tower_spec, "--rmin", "1", "--rmax", "2", "--cap", "100000"]
+        meta = assert_meta_reproduces_row(capsys, argv)
+        assert (meta["rmin"], meta["rmax"], meta["cap"]) == (1, 2, 100000)
+        assert "composite_complexity" in meta
+
+    def test_rmin_above_rmax_exits_2(self, capsys, g1_spec):
+        code, out = run(capsys, "curve", "--spec", g1_spec, "--rmin", "3", "--rmax", "2")
+        assert code == 2
+        assert out == ""
+
 
 class TestBall:
     def test_sizes(self, capsys, g1_spec):
@@ -208,6 +274,17 @@ class TestBall:
         code, _ = run(capsys, "ball", "--spec", g1_spec, "--rmax", "8", "--cap", "50")
         assert code == 3
 
+    def test_meta_reproduces_row(self, capsys, g1_spec):
+        meta = assert_meta_reproduces_row(
+            capsys, ["ball", "--spec", g1_spec, "--rmax", "3", "--cap", "1000"]
+        )
+        assert (meta["rmax"], meta["cap"]) == (3, 1000)
+
+    def test_negative_rmax_exits_2(self, capsys, g1_spec):
+        code, out = run(capsys, "ball", "--spec", g1_spec, "--rmax", "-2")
+        assert code == 2
+        assert out == ""
+
 
 class TestCrosscheck:
     def test_agreement(self, capsys, g1_spec):
@@ -220,6 +297,19 @@ class TestCrosscheck:
             capsys, "crosscheck", "--spec", g1_spec, "--r", "2", "--force-p", "1"
         )
         assert code == 1
+
+    def test_meta_reproduces_row(self, capsys, g1_spec):
+        argv = [
+            "crosscheck", "--spec", g1_spec, "--r", "2", "--samples", "7", "--seed", "4",
+            "--cap", "10000", "--force-p", "5",
+        ]
+        meta = assert_meta_reproduces_row(capsys, argv)
+        assert (meta["samples"], meta["cap"], meta["force_p"]) == (7, 10000, 5)
+
+    def test_negative_samples_exits_2(self, capsys, g1_spec):
+        code, out = run(capsys, "crosscheck", "--spec", g1_spec, "--samples", "-3")
+        assert code == 2
+        assert out == ""
 
 
 class TestOutput:

@@ -63,16 +63,13 @@ class TestImages:
                     continue
                 w = G2.abelian_element(0, e, v)
                 expected = target.base_element(a ** (e + 5 * th(v)))
-                assert apply_theta(spec, w, target) == expected
+                assert apply_theta(spec, w) == expected
 
     def test_homomorphism_on_ball(self, G1):
         spec = ThetaSpec(G1, 2, 4)
-        target = spec.target
         B = G1.ball(2)[:20]
         for x, y in itertools.product(B, B):
-            assert apply_theta(spec, x * y, target) == apply_theta(
-                spec, x, target
-            ) * apply_theta(spec, y, target)
+            assert apply_theta(spec, x * y) == apply_theta(spec, x) * apply_theta(spec, y)
 
     def test_retraction_fixes_t_free_elements(self, G1):
         spec = ThetaSpec(G1, 3, 2)
@@ -85,13 +82,10 @@ class TestImages:
         groups = (G1, G2, EocGroup(A, [(a * b * a.inverse() * a.inverse(), 1)]), tower)
         for group in groups:
             ball = group.ball(4)
-            target = subtower(group)
             for p in (1, 2, 5, 9):
                 spec = ThetaSpec(group, 4, p)
                 for w in ball:
-                    assert apply_theta(spec, w, target) == per_syllable_apply_theta(
-                        spec, w, target
-                    )
+                    assert apply_theta(spec, w) == per_syllable_apply_theta(spec, w)
 
 
 class TestMinimalP:
@@ -110,17 +104,15 @@ class TestMinimalP:
         for R in (1, 2, 3):
             p = minimal_discriminating_p(G1, R)
             ball = G1.ball(R)
-            target = subtower(G1)
-            below = {apply_theta(ThetaSpec(G1, R, p - 1), w, target) for w in ball}
+            below = {apply_theta(ThetaSpec(G1, R, p - 1), w) for w in ball}
             assert len(below) < len(ball)
 
     def test_triviality_oracle_agreement(self, G1):
         R = 3
         p = minimal_discriminating_p(G1, R)
         spec = ThetaSpec(G1, R, p)
-        target = spec.target
         for w in G1.ball(R):
-            assert w.is_trivial() == apply_theta(spec, w, target).is_trivial()
+            assert w.is_trivial() == apply_theta(spec, w).is_trivial()
 
 
 class TestCurve:
@@ -258,13 +250,12 @@ class TestTreeWalk:
     @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_theta_walk_matches_per_element_scan(self, label):
         group, rmax = _walk_group(label)
-        target = subtower(group)
         for R in range(1, rmax + 1):
             ball = group.ball(R)
             top, found = _ascent_top(minimal_discriminating_p, group, R)
             for p in range(1, top + 1):
                 spec = ThetaSpec(group, R, p)
-                expected = brute_first_collision(ball, lambda w: apply_theta(spec, w, target))
+                expected = brute_first_collision(ball, lambda w: apply_theta(spec, w))
                 assert (expected is None) == (found and p == top)
                 assert retraction._collision(group, R, p, ball, 1) == expected
                 assert retraction._images_injective(group, R, p, ball) == expected
