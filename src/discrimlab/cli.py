@@ -306,7 +306,7 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _nonnegative(text: str) -> int:
-    """argparse type of a count or radius: an int >= 0."""
+    """argparse type of a count, radius, cap or budget: an int >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmin", type=_nonnegative, default=0)
     p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--shape", choices=("l1", "box"), default="l1")
-    p.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=_nonnegative, default=DEFAULT_ENUM_BUDGET)
     common_out(p)
     p.set_defaults(func=_cmd_zn)
 
@@ -347,14 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--rmin", type=_nonnegative, default=0)
     p.add_argument("--rmax", type=_nonnegative, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=DEFAULT_BALL_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("ball", help="ball sizes of a group")
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--rmax", type=_nonnegative, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=DEFAULT_BALL_CAP)
     common_out(p)
     p.set_defaults(func=_cmd_ball)
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_nonnegative, default=1)
     p.add_argument("--samples", type=_nonnegative, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_BALL_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=DEFAULT_BALL_CAP)
     p.add_argument(
         "--force-p",
         type=int,

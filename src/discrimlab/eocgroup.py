@@ -6,11 +6,19 @@ non-commensurable.  Elements are kept in a canonical alternating syllable
 form, which decides the word problem: two words represent the same
 element iff they normalize to the same syllable sequence.
 
-Syllables:
-  * base syllable: a reduced word of the free base group, stored as the
-    ``Word`` itself;
+Syllables are plain tuples of even or odd integers, so hashing and
+comparing elements are tuple operations done in C:
+  * base syllable: a reduced word of the free base group, stored as its
+    letters doubled, e.g. ``g1 G2`` as ``(2, -4)``;
   * abelian syllable of stage j: u_j^e * t_1^(v_1) ... t_n^(v_n) with
-    v != 0 (a pure u-power is base material and is never stored here).
+    v != 0, stored as ``(2j+1, 2e, 2v_1, ..., 2v_n)`` (a pure u-power is
+    base material and is never stored here).
+The first entry of an abelian syllable is odd and every entry of a base
+syllable is even, so ``syl[0] & 1`` tells the two kinds apart.  Doubling
+keeps CPython's ``hash(-1) == hash(-2)`` from giving ``G1`` and ``G2``,
+or u^-1 and u^-2, the same hash.  Words enter and leave this form only
+at the element API (tokens, ``base_element``, ``abelian_element``) and
+on strip and u-power cache misses.
 
 Canonical form:
   * adjacent syllables are unmergeable (alternation);
@@ -51,6 +59,7 @@ and ``T<stage>.<i>`` tokens, stages and indices 1-based.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from array import array
 from dataclasses import dataclass
@@ -63,6 +72,7 @@ from .freewords import (
     Word,
     _strip_search,
     conjugate,
+    join_letters,
     parse_letter,
     parse_word,
     power_membership,
@@ -81,30 +91,14 @@ class EocStage:
     rank: int
 
 
-@dataclass(frozen=True)
-class AbelianSyllable:
-    stage: int  # 0-based
-    u_exp: int
-    t_exps: tuple[int, ...]  # never all zero in normal position
-
-    def __hash__(self) -> int:
-        # doubled exponents: hash(-1) == hash(-2) would merge u^-1 with u^-2
-        return hash((self.stage, 2 * self.u_exp, *[2 * v for v in self.t_exps]))
-
-
-# a base syllable is stored as its reduced Word itself
-Syllable = Union[Word, AbelianSyllable]
-
-
 class EocElement:
     """An element of an extension-of-centralizer group in canonical form."""
 
-    __slots__ = ("group", "syllables", "_hash")
+    __slots__ = ("group", "syllables")
 
-    def __init__(self, group: "EocGroup", syllables: tuple[Syllable, ...]):
+    def __init__(self, group: "EocGroup", syllables: tuple[tuple[int, ...], ...]):
         self.group = group
         self.syllables = syllables
-        self._hash = hash(syllables)
 
     def is_trivial(self) -> bool:
         return not self.syllables
@@ -117,7 +111,7 @@ class EocElement:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.syllables)
 
     def __mul__(self, other: "EocElement") -> "EocElement":
         if self.group is not other.group:
@@ -125,32 +119,26 @@ class EocElement:
         return self.group._from_syllables(other.syllables, self.syllables)
 
     def inverse(self) -> "EocElement":
-        inv: list[Syllable] = []
+        inv = []
         for syl in reversed(self.syllables):
-            if isinstance(syl, Word):
-                inv.append(syl.inverse())
+            if syl[0] & 1:
+                inv.append((syl[0], *[-x for x in syl[1:]]))
             else:
-                inv.append(
-                    AbelianSyllable(
-                        syl.stage, -syl.u_exp, tuple(-v for v in syl.t_exps)
-                    )
-                )
+                inv.append(tuple([-x for x in reversed(syl)]))
         return self.group._from_syllables(tuple(inv))
 
     def tokens(self) -> str:
         parts = []
         for syl in self.syllables:
-            if isinstance(syl, Word):
-                parts.append(syl.tokens())
-            else:
-                u = self.group.stages[syl.stage].u
-                if syl.u_exp:
-                    parts.append((u ** syl.u_exp).tokens())
-                for i, v in enumerate(syl.t_exps, start=1):
-                    if v > 0:
-                        parts.extend([f"t{syl.stage + 1}.{i}"] * v)
-                    elif v < 0:
-                        parts.extend([f"T{syl.stage + 1}.{i}"] * (-v))
+            if not syl[0] & 1:
+                parts.append(" ".join(f"g{x >> 1}" if x > 0 else f"G{-x >> 1}" for x in syl))
+                continue
+            stage = syl[0] >> 1
+            if syl[1]:
+                parts.append((self.group.stages[stage].u ** (syl[1] >> 1)).tokens())
+            for i, v in enumerate(syl[2:], start=1):
+                token = f"t{stage + 1}.{i}" if v > 0 else f"T{stage + 1}.{i}"
+                parts.extend([token] * (abs(v) >> 1))
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -194,12 +182,21 @@ class EocGroup:
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
         self._theta_specs: dict = {}
+        # per stage, the doubled letters of z, v, v^-1, z^-1 for u = z v z^-1,
+        # so that u^e = z (v^sign(e))^|e| z^-1 reduced as written
+        self._u_parts = []
+        for stage in self.stages:
+            z, v = stage.u.cyclic_decomposition()
+            self._u_parts.append(
+                tuple(_base_syllable(w) for w in (z, v, v.inverse(), z.inverse()))
+            )
         self._generator_syllables = [
             (self._token_syllable(tok),) for tok in self.generator_tokens()
         ]
-        # ball cache: layers[r] = list of elements of word length exactly r
+        # ball cache: layers[r] = list of elements of word length exactly r,
+        # and the length of every element so far, keyed by its syllables
         self._layers: list[list[EocElement]] = [[self.identity()]]
-        self._lengths: dict[EocElement, int] = {self.identity(): 0}
+        self._lengths: dict[tuple, int] = {(): 0}
         # the ball's BFS tree, by ball index: element k was first built as
         # ball[_tree_parents[k]] * generator _tree_gens[k]; -1 for the identity
         self._tree_parents = array("i", [-1])
@@ -251,90 +248,99 @@ class EocGroup:
             tokens = self.parse_tokens(tokens)
         return self._from_syllables(tuple(map(self._token_syllable, tokens)))
 
-    def _token_syllable(self, tok: Token) -> Syllable:
+    def _token_syllable(self, tok: Token) -> tuple[int, ...]:
         if isinstance(tok, int):
-            return Word(self.alphabet, (tok,))
+            return (2 * tok,)
         _, stage, idx = tok
         v = [0] * self.stages[stage].rank
-        v[abs(idx) - 1] = 1 if idx > 0 else -1
-        return AbelianSyllable(stage, 0, tuple(v))
+        v[abs(idx) - 1] = 2 if idx > 0 else -2
+        return (2 * stage + 1, 0, *v)
 
     def base_element(self, w: Word) -> EocElement:
-        return self._from_syllables((w,))
+        return self._from_syllables((_base_syllable(w),))
 
     def abelian_element(self, stage: int, u_exp: int, t_exps: Sequence[int]) -> EocElement:
         if len(t_exps) != self.stages[stage].rank:
             raise ValueError("t-exponent vector has wrong length")
+        if not any(t_exps):
+            # a pure u-power is base material
+            return self.base_element(self.stages[stage].u ** u_exp)
         return self._from_syllables(
-            (AbelianSyllable(stage, u_exp, tuple(t_exps)),)
+            ((2 * stage + 1, 2 * u_exp, *[2 * v for v in t_exps]),)
         )
 
     # -- normalization --------------------------------------------------------
 
-    def _power_of(self, stage: int, g: Word) -> Optional[int]:
+    def _power_of(self, stage: int, g: tuple[int, ...]) -> Optional[int]:
+        """k with u_stage^k == g for the base syllable g, or None."""
         key = (stage, g)
-        if key not in self._membership_cache:
-            self._membership_cache[key] = power_membership(self.stages[stage].u, g)
-        return self._membership_cache[key]
+        try:
+            return self._membership_cache[key]
+        except KeyError:
+            k = self._membership_cache[key] = power_membership(
+                self.stages[stage].u, _syllable_word(self.alphabet, g)
+            )
+            return k
 
     def _strip(
-        self, g: Word, left_stage: Optional[int], right_stage: Optional[int]
-    ) -> tuple[int, Word, int]:
+        self, g: tuple[int, ...], left_stage: Optional[int], right_stage: Optional[int]
+    ) -> tuple[int, tuple[int, ...], int]:
+        """(s, h, t) with g = uL^s * h * uR^t, h the canonical base syllable."""
         key = (g, left_stage, right_stage)
-        if key not in self._strip_cache:
+        try:
+            return self._strip_cache[key]
+        except KeyError:
             u_left = self.stages[left_stage].u if left_stage is not None else None
             u_right = self.stages[right_stage].u if right_stage is not None else None
-            self._strip_cache[key] = _strip_search(g, u_left, u_right)
-        return self._strip_cache[key]
+            s, h, t = _strip_search(_syllable_word(self.alphabet, g), u_left, u_right)
+            result = self._strip_cache[key] = (s, _base_syllable(h), t)
+            return result
 
-    def _push(self, stack: list[Syllable], syl: Syllable) -> int:
+    def _push(self, stack: list[tuple[int, ...]], syl: tuple[int, ...]) -> int:
         """Push one syllable, merging with the stack top until stable.
 
         Returns the length of the stack prefix the push left untouched.
         """
         while True:
-            base = isinstance(syl, Word)
-            if base:
-                if syl.is_identity():
-                    return len(stack)
-            elif not any(syl.t_exps):
-                # degenerate: pure u-power, route to the base side
-                syl = self.stages[syl.stage].u ** syl.u_exp
-                continue
+            if not syl:
+                return len(stack)
             if not stack:
                 stack.append(syl)
-                return len(stack) - 1
+                return 0
             top = stack[-1]
-            if isinstance(top, Word):
-                if base:
+            if top[0] & 1:
+                if syl[0] & 1:
+                    if top[0] != syl[0]:
+                        break
                     stack.pop()
-                    syl = top * syl
+                    syl = (top[0], *map(operator.add, top[1:], syl[1:]))
+                    if not any(syl[2:]):
+                        # the t-part cancelled: a pure u-power is base material
+                        z, v, vinv, zinv = self._u_parts[syl[0] >> 1]
+                        e = syl[1] >> 1
+                        syl = z + (v if e > 0 else vinv) * abs(e) + zinv if e else ()
                     continue
-                # top is base, syl is abelian: absorb top into syl if it is a u-power
-                k = self._power_of(syl.stage, top)
-                if k is not None:
-                    stack.pop()
-                    syl = AbelianSyllable(syl.stage, syl.u_exp + k, syl.t_exps)
-                    continue
-            elif base:
-                k = self._power_of(top.stage, syl)
-                if k is not None:
-                    stack.pop()
-                    syl = AbelianSyllable(top.stage, top.u_exp + k, top.t_exps)
-                    continue
-            elif top.stage == syl.stage:
+                # top is abelian, syl is base: absorb syl into top if it is a u-power
+                k = self._power_of(top[0] >> 1, syl)
+                if k is None:
+                    break
                 stack.pop()
-                syl = AbelianSyllable(
-                    top.stage,
-                    top.u_exp + syl.u_exp,
-                    tuple(a + b for a, b in zip(top.t_exps, syl.t_exps)),
-                )
-                continue
-            stack.append(syl)
-            return len(stack) - 1
+                syl = (top[0], top[1] + 2 * k, *top[2:])
+            elif syl[0] & 1:
+                # top is base, syl is abelian: absorb top into syl if it is a u-power
+                k = self._power_of(syl[0] >> 1, top)
+                if k is None:
+                    break
+                stack.pop()
+                syl = (syl[0], syl[1] + 2 * k, *syl[2:])
+            else:
+                stack.pop()
+                syl = join_letters(top, syl)
+        stack.append(syl)
+        return len(stack) - 1
 
     def _from_syllables(
-        self, raw: tuple[Syllable, ...], head: tuple[Syllable, ...] = ()
+        self, raw: tuple[tuple[int, ...], ...], head: tuple[tuple[int, ...], ...] = ()
     ) -> EocElement:
         """Normal form of the canonical syllables `head` followed by `raw`.
 
@@ -342,38 +348,44 @@ class EocGroup:
         the tail that `raw` changes is normalized (see the module docstring).
         """
         # structural pass: alternation, pinches, u-power absorption
-        out: list[Syllable] = list(head)
+        out = list(head)
         kept = len(out)
         for syl in raw:
-            kept = min(kept, self._push(out, syl))
+            k = self._push(out, syl)
+            if k < kept:
+                kept = k
         # canonical pass: strip base syllables against their abelian neighbors,
         # from the last syllable whose right neighbour may have changed
-        i = max(kept - 1, 0)
-        while i < len(out):
+        n = len(out)
+        i = kept - 1 if kept else 0
+        while i < n:
             syl = out[i]
-            if not isinstance(syl, Word):
+            if syl[0] & 1:
                 i += 1
                 continue
             # alternation: both neighbours of a base syllable are abelian
-            ls = out[i - 1].stage if i > 0 else None
-            rs = out[i + 1].stage if i + 1 < len(out) else None
-            if ls is None and rs is None:
+            left = out[i - 1] if i else None
+            right = out[i + 1] if i + 1 < n else None
+            if left is None and right is None:
                 i += 1
                 continue
-            s, h, t = self._strip(syl, ls, rs)
+            s, h, t = self._strip(
+                syl,
+                left[0] >> 1 if left else None,
+                right[0] >> 1 if right else None,
+            )
             # a missing neighbour has no u to strip, so its exponent is 0
             if s:
-                left = out[i - 1]
-                out[i - 1] = AbelianSyllable(ls, left.u_exp + s, left.t_exps)
+                out[i - 1] = (left[0], left[1] + 2 * s, *left[2:])
             if t:
-                right = out[i + 1]
-                out[i + 1] = AbelianSyllable(rs, right.u_exp + t, right.t_exps)
-            if h.is_identity():
-                # only possible between abelian neighbors of distinct stages
-                del out[i]
-            else:
+                out[i + 1] = (right[0], right[1] + 2 * t, *right[2:])
+            if h:
                 out[i] = h
                 i += 1
+            else:
+                # only possible between abelian neighbors of distinct stages
+                del out[i]
+                n -= 1
         return EocElement(self, tuple(out))
 
     # -- word problem and ball enumeration ------------------------------------
@@ -382,22 +394,27 @@ class EocGroup:
         frontier = self._layers[-1]
         depth = len(self._layers)
         new: list[EocElement] = []
+        lengths = self._lengths
         parents, gens = self._tree_parents, self._tree_gens
-        first = len(self._lengths) - len(frontier)
+        normalize = self._from_syllables
+        generators = list(enumerate(self._generator_syllables))
+        first = len(lengths) - len(frontier)
         for parent, elem in enumerate(frontier, start=first):
-            for g, gen in enumerate(self._generator_syllables):
-                cand = self._from_syllables(gen, elem.syllables)
-                if cand not in self._lengths:
-                    if len(self._lengths) >= cap:
+            head = elem.syllables
+            for g, gen in generators:
+                cand = normalize(gen, head)
+                key = cand.syllables
+                if key not in lengths:
+                    if len(lengths) >= cap:
                         # keep the cache at whole layers so a later call can regrow
                         for e in new:
-                            del self._lengths[e]
-                        del parents[len(self._lengths):]
-                        del gens[len(self._lengths):]
+                            del lengths[e.syllables]
+                        del parents[len(lengths):]
+                        del gens[len(lengths):]
                         raise BudgetExceeded(
                             f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
                         )
-                    self._lengths[cand] = depth
+                    lengths[key] = depth
                     new.append(cand)
                     parents.append(parent)
                     gens.append(g)
@@ -416,9 +433,21 @@ class EocGroup:
 
     def word_length(self, w: EocElement, cap: int = DEFAULT_BALL_CAP) -> int:
         """Exact minimal token count over all representatives, via BFS from 1."""
-        while w not in self._lengths:
+        if w.group is not self:
+            raise ValueError("element of a different group")
+        while w.syllables not in self._lengths:
             self._grow_layer(cap)
-        return self._lengths[w]
+        return self._lengths[w.syllables]
+
+
+def _base_syllable(w: Word) -> tuple[int, ...]:
+    """The base syllable of a reduced word: its letters doubled."""
+    return tuple([2 * x for x in w.letters])
+
+
+def _syllable_word(alphabet: Alphabet, syl: tuple[int, ...]) -> Word:
+    """The reduced word of a base syllable: its entries halved."""
+    return Word._raw(alphabet, tuple([x >> 1 for x in syl]))
 
 
 def load_group_spec(text: str) -> EocGroup:

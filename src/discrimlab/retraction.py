@@ -21,11 +21,11 @@ product.  The walk visits the elements in ball order, so the first
 colliding pair is the one a scan of the elements' own images finds.
 
 When the target is the free base (a single-stage retraction, and every
-composite down a tower) the images are kept as bare letter tuples with
-every letter doubled.  Equal tuples still mean equal words, but
-CPython's hash(-1) == hash(-2) would give every pair of images that
-differ only by G1 against G2 the same hash, which is why ``Word`` hashes
-doubled letters too.
+composite down a tower) the images are kept as bare base syllables:
+letter tuples with every letter doubled, as ``eocgroup`` stores them.
+Equal tuples still mean equal words, and the doubling keeps CPython's
+hash(-1) == hash(-2) from giving every pair of images that differ only
+by G1 against G2 the same hash.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup
+from .eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup, _syllable_word
 from .errors import AscentExhausted
 from .freewords import Word, join_letters
 from .zdiscrim import lower_bound_value, scaled_theta
@@ -53,8 +53,8 @@ class ThetaSpec:
     R: int
     p: int
     # what apply_theta needs that depends on (group, R, p) only: the
-    # u-exponent coefficients p * theta of the t_i, and the letters of z,
-    # z^-1, v and v^-1 for the top-stage u = z v z^-1 split by
+    # u-exponent coefficients p * theta of the t_i, and the doubled letters
+    # of z, z^-1, v and v^-1 for the top-stage u = z v z^-1 split by
     # Word.cyclic_decomposition, so that u^e = z (v^sign(e))^|e| z^-1
     _image_data: tuple = field(init=False, repr=False, compare=False)
 
@@ -66,13 +66,9 @@ class ThetaSpec:
         if self.p < 1:
             raise ValueError("p must be >= 1")
         stage = self.group.stages[-1]
-        z, v = stage.u.cyclic_decomposition()
+        z, v, vinv, zinv = self.group._u_parts[-1]
         coefficients = scaled_theta(stage.rank, self.R, self.p).coefficients
-        object.__setattr__(
-            self,
-            "_image_data",
-            (coefficients, z.letters, z.inverse().letters, v.letters, v.inverse().letters),
-        )
+        object.__setattr__(self, "_image_data", (coefficients, z, zinv, v, vinv))
 
     @property
     def stage(self) -> int:
@@ -130,25 +126,26 @@ def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """
     if w.group is not spec.group:
         raise ValueError("element does not belong to the retracted group")
-    top = spec.stage
+    top = 2 * spec.stage + 1
     coefficients, z, zinv, v, vinv = spec._image_data
-    alphabet = spec.group.alphabet
     syllables = []
     run: tuple[int, ...] = ()
     for syl in w.syllables:
-        if isinstance(syl, Word):
-            run = join_letters(run, syl.letters)
-        elif syl.stage == top:
-            e = syl.u_exp + sum(map(operator.mul, coefficients, syl.t_exps))
+        tag = syl[0]
+        if tag == top:
+            # doubled exponent: 2e + p * theta(2v) = 2 (e + p * theta(v))
+            e = syl[1] + sum(map(operator.mul, coefficients, syl[2:]))
             if e:
-                run = join_letters(run, z + (v if e > 0 else vinv) * abs(e) + zinv)
-        else:
+                run = join_letters(run, z + (v if e > 0 else vinv) * (abs(e) >> 1) + zinv)
+        elif tag & 1:
             if run:
-                syllables.append(Word._raw(alphabet, run))
+                syllables.append(run)
                 run = ()
             syllables.append(syl)
+        else:
+            run = join_letters(run, syl)
     if run:
-        syllables.append(Word._raw(alphabet, run))
+        syllables.append(run)
     return spec.target._from_syllables(tuple(syllables))
 
 
@@ -188,18 +185,18 @@ def _first_collision(
     return None
 
 
-def _doubled(w: Word) -> tuple[int, ...]:
-    """Letters of `w` doubled, the free-base image key (see the module docstring)."""
-    return tuple([2 * x for x in w.letters])
+def _base_letters(w: EocElement) -> tuple[int, ...]:
+    """The base syllable (doubled letters) of an element of a group with no stages."""
+    if not w.syllables:
+        return ()
+    if len(w.syllables) > 1 or w.syllables[0][0] & 1:
+        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
+    return w.syllables[0]
 
 
 def _base_word(w: EocElement) -> Word:
     """The base word of an element of a group with no stages."""
-    if not w.syllables:
-        return w.group.alphabet.identity()
-    if len(w.syllables) > 1 or not isinstance(w.syllables[0], Word):
-        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
-    return w.syllables[0]
+    return _syllable_word(w.group.alphabet, _base_letters(w))
 
 
 def _retract(group: EocGroup, R: int, p: int, w: EocElement, k: int) -> EocElement:
@@ -221,7 +218,7 @@ def _collision(
     target = images[0].group
     if target.stages:
         return _first_collision(ball, images, target.identity(), operator.mul)
-    return _first_collision(ball, [_doubled(_base_word(w)) for w in images], (), join_letters)
+    return _first_collision(ball, [_base_letters(w) for w in images], (), join_letters)
 
 
 def _images_injective(

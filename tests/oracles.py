@@ -19,7 +19,7 @@ from discrimlab.bigpowers import (
     PaddedWordSpec,
     _spec_echo,
 )
-from discrimlab.eocgroup import AbelianSyllable, EocElement
+from discrimlab.eocgroup import EocElement
 from discrimlab.errors import BudgetExceeded, CertificationError
 from discrimlab.freewords import Word
 from discrimlab.retraction import ThetaSpec
@@ -140,21 +140,21 @@ def brute_certify(
 def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """The retraction of `spec` applied one syllable at a time.
 
-    Every top-stage syllable u^e t^v becomes the base syllable
-    u^(e + p * theta(v)), built by ``Word.__pow__``; the subtower then
-    normalizes the whole syllable sequence from scratch.
+    Every top-stage syllable u^e t^v, stored as (2 * stage + 1, 2e, 2v...),
+    becomes the base syllable of u^(e + p * theta(v)), built by
+    ``Word.__pow__`` and doubled; the subtower then normalizes the whole
+    syllable sequence from scratch.
     """
     top = len(spec.group.stages) - 1
     u = spec.group.stages[top].u
     th = theta(spec.group.stages[top].rank, spec.R)
     syllables = []
     for syl in w.syllables:
-        if isinstance(syl, Word):
-            syllables.append(syl)
-        elif syl.stage == top:
-            syllables.append(u ** (syl.u_exp + spec.p * th(syl.t_exps)))
+        if syl[0] % 2 == 1 and syl[0] // 2 == top:
+            e = syl[1] // 2 + spec.p * th(tuple(x // 2 for x in syl[2:]))
+            syllables.append(tuple(2 * x for x in (u**e).letters))
         else:
-            syllables.append(AbelianSyllable(syl.stage, syl.u_exp, syl.t_exps))
+            syllables.append(syl)
     return spec.target._from_syllables(tuple(syllables))
 
 

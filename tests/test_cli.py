@@ -147,6 +147,11 @@ class TestZn:
         assert code == 2
         assert out == ""
 
+    def test_negative_budget_exits_2(self, capsys):
+        code, out = run(capsys, "zn", "--n", "2", "--rmax", "2", "--budget", "-1")
+        assert code == 2
+        assert out == ""
+
 
 # the commands of the curve-single and tower benchmark workloads
 GROUP_REFERENCE_COMMANDS = [
@@ -258,6 +263,11 @@ class TestCurve:
         assert code == 2
         assert out == ""
 
+    def test_negative_cap_exits_2(self, capsys, g1_spec):
+        code, out = run(capsys, "curve", "--spec", g1_spec, "--rmax", "2", "--cap", "-5")
+        assert code == 2
+        assert out == ""
+
 
 class TestBall:
     def test_sizes(self, capsys, g1_spec):
@@ -285,6 +295,13 @@ class TestBall:
         assert code == 2
         assert out == ""
 
+    def test_negative_cap_exits_2_and_zero_cap_exits_3(self, capsys, g1_spec):
+        code, out = run(capsys, "ball", "--spec", g1_spec, "--rmax", "2", "--cap", "-5")
+        assert code == 2
+        assert out == ""
+        code, _ = run(capsys, "ball", "--spec", g1_spec, "--rmax", "2", "--cap", "0")
+        assert code == 3
+
 
 class TestCrosscheck:
     def test_agreement(self, capsys, g1_spec):
@@ -308,6 +325,11 @@ class TestCrosscheck:
 
     def test_negative_samples_exits_2(self, capsys, g1_spec):
         code, out = run(capsys, "crosscheck", "--spec", g1_spec, "--samples", "-3")
+        assert code == 2
+        assert out == ""
+
+    def test_negative_cap_exits_2(self, capsys, g1_spec):
+        code, out = run(capsys, "crosscheck", "--spec", g1_spec, "--r", "2", "--cap", "-5")
         assert code == 2
         assert out == ""
 

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import json
 import random
@@ -5,7 +7,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from discrimlab.eocgroup import AbelianSyllable, EocGroup, load_group_spec
+from discrimlab.eocgroup import EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
@@ -203,14 +205,43 @@ class TestTokens:
 
 
 class TestHashes:
-    def test_ball_hashes_distinct(self, G):
+    def test_ball_hashes_distinct(self):
         # G1 and G2 letters, and u-exponents -1 and -2, hash apart
-        B = G.ball(5)
+        B = EocGroup(A, [(a, 1)]).ball(7)
+        assert len(B) == 46_367
         assert len({hash(x) for x in B}) == len(B)
 
-    def test_abelian_syllable_separates_minus_one_and_minus_two(self):
-        assert hash(AbelianSyllable(0, -1, (1,))) != hash(AbelianSyllable(0, -2, (1,)))
-        assert hash(AbelianSyllable(0, 1, (-1,))) != hash(AbelianSyllable(0, 1, (-2,)))
+    def test_minus_one_and_minus_two_hash_apart(self, G):
+        pairs = (
+            ("G1 t1.1", "G1 G1 t1.1"),  # u^-1 t against u^-2 t
+            ("g1 T1.1", "g1 T1.1 T1.1"),  # t^-1 against t^-2
+            ("G1", "G2"),
+        )
+        for x, y in pairs:
+            assert hash(G.element(x)) != hash(G.element(y))
+
+
+class TestBallOrder:
+    # sha256 of the ball's tokens in ball order and of its BFS tree arrays,
+    # frozen from the normal form that stored syllables as objects; the
+    # first-collision witnesses of the p ascent depend on this order
+    @pytest.mark.parametrize(
+        "stages, radius, size, digest",
+        [
+            ([(a, 1)], 5, 2583, "71d763a4bf3d4a40653b7d032e37232c60c738f388a551cc5d8685f2af3b13c9"),
+            ([(a, 2)], 4, 1513, "2f7e1834a68e5986756ba5808a4ea07f5da89465b3a4ed3fed9de0da1a97f956"),
+            ([(a, 1), (b, 1)], 4, 1969, "80c2fa49b13d8d2ff65ae50a401d9083f47734c5610da2ea237268126cae354e"),
+        ],
+    )
+    def test_bfs_order_frozen(self, stages, radius, size, digest):
+        group = EocGroup(A, stages)
+        ball = group.ball(radius)
+        h = hashlib.sha256()
+        h.update("\n".join(e.tokens() for e in ball).encode())
+        h.update(b"\n" + ",".join(map(str, group._tree_parents)).encode())
+        h.update(b"\n" + ",".join(map(str, group._tree_gens)).encode())
+        assert len(ball) == size
+        assert h.hexdigest() == digest
 
 
 @st.composite
@@ -236,6 +267,11 @@ def group_and_elements(draw):
     return group, group.element(draw(tokens)), group.element(draw(tokens))
 
 
+def is_abelian(syl):
+    """Abelian syllables (2 * stage + 1, 2e, 2v...) lead with an odd entry."""
+    return syl[0] % 2 == 1
+
+
 class TestTailProducts:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(group_and_elements())
@@ -249,12 +285,12 @@ class TestTailProducts:
         G, x, y = case
         syls = (x * y).syllables
         for i, syl in enumerate(syls):
-            if not isinstance(syl, Word):
+            if is_abelian(syl):
                 continue
             left = syls[i - 1] if i > 0 else None
             right = syls[i + 1] if i + 1 < len(syls) else None
-            ls = left.stage if isinstance(left, AbelianSyllable) else None
-            rs = right.stage if isinstance(right, AbelianSyllable) else None
+            ls = left[0] // 2 if left else None
+            rs = right[0] // 2 if right else None
             assert G._strip(syl, ls, rs) == (0, syl, 0)
 
 
@@ -265,14 +301,88 @@ class TestNormalFormStructure:
         G, x, y = case
         syls = (x * y).syllables
         for syl in syls:
-            if isinstance(syl, Word):
-                assert not syl.is_identity()
+            assert all(type(v) is int for v in syl)
+            if is_abelian(syl):
+                stage = syl[0] // 2
+                assert 0 <= stage < len(G.stages)
+                assert len(syl) == 2 + G.stages[stage].rank
+                assert all(v % 2 == 0 for v in syl[1:])
+                assert any(syl[2:])
             else:
-                assert any(syl.t_exps)
+                # doubled letters of a nonempty reduced word
+                assert syl and all(v % 2 == 0 and 0 < abs(v) <= 2 * G.alphabet.rank for v in syl)
+                assert Word(G.alphabet, [v // 2 for v in syl]).letters == tuple(v // 2 for v in syl)
         for left, right in zip(syls, syls[1:]):
-            assert not (isinstance(left, Word) and isinstance(right, Word))
-            if isinstance(left, AbelianSyllable) and isinstance(right, AbelianSyllable):
-                assert left.stage != right.stage
+            assert is_abelian(left) or is_abelian(right)
+            if is_abelian(left) and is_abelian(right):
+                assert left[0] != right[0]
+
+
+# (free rank, [(u letter, t-rank), ...]): single-letter u's only, see TestGroupLaws
+CANONICAL_SPECS = (
+    (2, [(1, 1)]),
+    (2, [(1, 2)]),
+    (2, [(-2, 1)]),
+    (2, [(1, 1), (2, 1)]),
+    (2, [(2, 2), (-1, 1)]),
+    (3, [(3, 1)]),
+    (3, [(1, 1), (-3, 2)]),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_group(index):
+    """One group per spec, kept so that its ball grows once across examples."""
+    rank, stages = CANONICAL_SPECS[index]
+    alphabet = Alphabet(rank)
+    return EocGroup(alphabet, [(Word(alphabet, (x,)), n) for x, n in stages])
+
+
+@st.composite
+def canonical_words(draw, count, max_tokens):
+    group = canonical_group(draw(st.integers(0, len(CANONICAL_SPECS) - 1)))
+    tokens = st.lists(st.sampled_from(group.generator_tokens()), max_size=max_tokens)
+    return group, [draw(tokens) for _ in range(count)]
+
+
+class TestGroupLaws:
+    """Group laws of the normal form on specs whose u's are single letters.
+
+    Only these specs are drawn: for a multi-letter u the strip's tie-break
+    depends on the input word, so the normal form is not yet canonical
+    (ROADMAP open item 1) and these laws can fail there.
+    """
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(canonical_words(2, 8))
+    def test_element_of_concatenation_is_product(self, case):
+        G, (x, y) = case
+        assert G.element(x + y) == G.element(x) * G.element(y)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(canonical_words(3, 6))
+    def test_associative(self, case):
+        G, words = case
+        x, y, z = map(G.element, words)
+        assert (x * y) * z == x * (y * z)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(canonical_words(2, 8))
+    def test_inverse_of_product(self, case):
+        G, words = case
+        x, y = map(G.element, words)
+        assert (x * y).inverse() == y.inverse() * x.inverse()
+        assert (x * x.inverse()).is_trivial()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(canonical_words(1, 4))
+    def test_word_length_of_inverse(self, case):
+        G, (x,) = case
+        w = G.element(x)
+        # every radius-4 ball here has at most 11,825 elements, so the cap
+        # turns an element missing from the ball into a failure, not a long search
+        cap = 12_000
+        assert G.word_length(w, cap) == G.word_length(w.inverse(), cap) <= len(x)
 
 
 def assert_ball_tree(group, radius):
@@ -283,7 +393,7 @@ def assert_ball_tree(group, radius):
     assert (group._tree_parents[0], group._tree_gens[0]) == (-1, -1)
     for k in range(1, len(ball)):
         parent = group._tree_parents[k]
-        assert group._lengths[ball[parent]] == group._lengths[ball[k]] - 1
+        assert group.word_length(ball[parent]) == group.word_length(ball[k]) - 1
         assert ball[k] == ball[parent] * gens[group._tree_gens[k]]
 
 
