@@ -24,7 +24,6 @@ from .errors import (
 from .freewords import (
     Alphabet,
     Word,
-    ball,
     coset_strip,
     parse_word,
     power_membership,
@@ -42,20 +41,16 @@ from .retraction import (
     hom_complexity,
     minimal_discriminating_p,
     subtower,
-    t_image,
 )
 from .zdiscrim import (
     BallSpec,
     ZnHom,
-    ball_points,
-    interval_half_width,
     lower_bound_value,
     minimal_complexity,
     scaled_theta,
     siegel_bound,
     siegel_small_kernel,
     theta,
-    verify_bijection,
 )
 
 __all__ = [
@@ -80,8 +75,6 @@ __all__ = [
     "ZnHom",
     "apply_chain",
     "apply_theta",
-    "ball",
-    "ball_points",
     "build_padded",
     "certify",
     "complexity_curve",
@@ -89,7 +82,6 @@ __all__ = [
     "compose_chain",
     "coset_strip",
     "hom_complexity",
-    "interval_half_width",
     "load_group_spec",
     "lower_bound_value",
     "minimal_complexity",
@@ -100,8 +92,6 @@ __all__ = [
     "siegel_bound",
     "siegel_small_kernel",
     "subtower",
-    "t_image",
     "theta",
     "threshold",
-    "verify_bijection",
 ]

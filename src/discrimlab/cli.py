@@ -186,13 +186,10 @@ def _cmd_curve(args) -> int:
     meta = _base_meta(args, loglog_slope=slope)
     if len(group.stages) > 1:
         chain = compose_chain(group, args.rmax, cap=args.cap)
-        bound = 1
-        for c in chain.stage_complexities:
-            bound *= c
         meta["composite_p"] = chain.p
         meta["composite_complexity"] = chain.complexity
-        meta["composite_bound"] = bound
-        if any(l > b for _, l, b in chain.submultiplicative):
+        meta["composite_bound"] = chain.bound
+        if any(l > chain.bound for _, l in chain.submultiplicative):
             raise _Violation("composite image exceeds product of stage complexities")
     _emit(
         args,

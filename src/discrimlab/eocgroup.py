@@ -14,7 +14,10 @@ comparing elements are tuple operations done in C:
     v != 0, stored as ``(2j+1, 2e, 2v_1, ..., 2v_n)`` (a pure u-power is
     base material and is never stored here).
 The first entry of an abelian syllable is odd and every entry of a base
-syllable is even, so ``syl[0] & 1`` tells the two kinds apart.  Doubling
+syllable is even, so ``syl[0] & 1`` tells the two kinds apart.  One
+method, ``_u_power``, builds the base syllable of a power of a stage's u:
+for the normal form when a t-part cancels, for ``tokens``, and for
+``retraction.apply_theta`` when it maps t-letters to u-powers.  Doubling
 keeps CPython's ``hash(-1) == hash(-2)`` from giving ``G1`` and ``G2``,
 or u^-1 and u^-2, the same hash.  Words enter and leave this form only
 at the element API (tokens, ``base_element``, ``abelian_element``) and
@@ -67,7 +70,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BudgetExceeded, GroupSpecError, WordFormatError
 from .freewords import (
-    DEFAULT_BALL_CAP,
     Alphabet,
     Word,
     _strip_search,
@@ -77,6 +79,8 @@ from .freewords import (
     parse_word,
     power_membership,
 )
+
+DEFAULT_BALL_CAP = 500_000
 
 _T_TOKEN_RE = re.compile(r"([tT])([0-9]+)\.([0-9]+)$")
 
@@ -130,15 +134,15 @@ class EocElement:
     def tokens(self) -> str:
         parts = []
         for syl in self.syllables:
-            if not syl[0] & 1:
-                parts.append(" ".join(f"g{x >> 1}" if x > 0 else f"G{-x >> 1}" for x in syl))
-                continue
+            abelian = syl[0] & 1
             stage = syl[0] >> 1
-            if syl[1]:
-                parts.append((self.group.stages[stage].u ** (syl[1] >> 1)).tokens())
-            for i, v in enumerate(syl[2:], start=1):
-                token = f"t{stage + 1}.{i}" if v > 0 else f"T{stage + 1}.{i}"
-                parts.extend([token] * (abs(v) >> 1))
+            # an abelian syllable u^e t^v prints as the letters of u^e, then its t's
+            letters = self.group._u_power(stage, syl[1] >> 1) if abelian else syl
+            parts.extend(f"g{x >> 1}" if x > 0 else f"G{-x >> 1}" for x in letters)
+            if abelian:
+                for i, v in enumerate(syl[2:], start=1):
+                    token = f"t{stage + 1}.{i}" if v > 0 else f"T{stage + 1}.{i}"
+                    parts.extend([token] * (abs(v) >> 1))
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -182,8 +186,8 @@ class EocGroup:
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
         self._theta_specs: dict = {}
-        # per stage, the doubled letters of z, v, v^-1, z^-1 for u = z v z^-1,
-        # so that u^e = z (v^sign(e))^|e| z^-1 reduced as written
+        # per stage, the doubled letters of z, v, v^-1, z^-1 for u = z v z^-1;
+        # read only by _u_power
         self._u_parts = []
         for stage in self.stages:
             z, v = stage.u.cyclic_decomposition()
@@ -264,12 +268,23 @@ class EocGroup:
             raise ValueError("t-exponent vector has wrong length")
         if not any(t_exps):
             # a pure u-power is base material
-            return self.base_element(self.stages[stage].u ** u_exp)
+            return self._from_syllables((self._u_power(stage, u_exp),))
         return self._from_syllables(
             ((2 * stage + 1, 2 * u_exp, *[2 * v for v in t_exps]),)
         )
 
     # -- normalization --------------------------------------------------------
+
+    def _u_power(self, stage: int, e: int) -> tuple[int, ...]:
+        """The base syllable of u_stage^e.
+
+        With u = z v z^-1 split by :meth:`Word.cyclic_decomposition`,
+        u^e = z (v^sign(e))^|e| z^-1 is reduced as written.
+        """
+        if not e:
+            return ()
+        z, v, vinv, zinv = self._u_parts[stage]
+        return z + (v if e > 0 else vinv) * abs(e) + zinv
 
     def _power_of(self, stage: int, g: tuple[int, ...]) -> Optional[int]:
         """k with u_stage^k == g for the base syllable g, or None."""
@@ -316,9 +331,7 @@ class EocGroup:
                     syl = (top[0], *map(operator.add, top[1:], syl[1:]))
                     if not any(syl[2:]):
                         # the t-part cancelled: a pure u-power is base material
-                        z, v, vinv, zinv = self._u_parts[syl[0] >> 1]
-                        e = syl[1] >> 1
-                        syl = z + (v if e > 0 else vinv) * abs(e) + zinv if e else ()
+                        syl = self._u_power(syl[0] >> 1, syl[1] >> 1)
                     continue
                 # top is abelian, syl is base: absorb syl into top if it is a u-power
                 k = self._power_of(top[0] >> 1, syl)

@@ -15,10 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import BudgetExceeded, WordFormatError
-
-# shared by the free balls here and the extension-of-centralizer balls in eocgroup
-DEFAULT_BALL_CAP = 500_000
+from .errors import WordFormatError
 
 _TOKEN_RE = re.compile(r"([gG])([0-9]+)$")
 
@@ -167,15 +164,12 @@ class Word:
         z, v = self.cyclic_decomposition()
         core = v.letters
         m = len(core)
-        for d in range(1, m + 1):
-            if m % d:
-                continue
-            if core[:d] * (m // d) == core:
-                root_core = core[:d]
+        for d in range(1, m):
+            if m % d == 0 and core[:d] * (m // d) == core:
                 zl = z.letters
                 zinv = tuple(-x for x in reversed(zl))
-                return Word._raw(self.alphabet, zl + root_core + zinv), m // d
-        raise AssertionError("unreachable: every word is a power of itself")
+                return Word._raw(self.alphabet, zl + core[:d] + zinv), m // d
+        return self, 1
 
     def is_proper_power(self) -> bool:
         return bool(self.letters) and self.root()[1] > 1
@@ -340,32 +334,3 @@ def coset_strip(u: Word, g: Word) -> tuple[int, Word, int]:
         raise ValueError("g lies in <u>; no double-coset strip exists")
     return _strip_search(g, u, u)
 
-
-def ball(alphabet: Alphabet, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[Word]:
-    """All reduced words of length <= radius, in BFS layer order.
-
-    Reduced words are canonical in a free group, so BFS with the literal
-    tuples as dedup keys enumerates each element exactly once.  The cap is
-    checked before each new word is stored, so it bounds memory too.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    out = [alphabet.identity()]
-    frontier = [()]
-    letters = [i for i in range(1, alphabet.rank + 1)] + [
-        -i for i in range(1, alphabet.rank + 1)
-    ]
-    for _ in range(radius):
-        new: list[tuple[int, ...]] = []
-        for w in frontier:
-            last = w[-1] if w else 0
-            for x in letters:
-                if x != -last:
-                    if len(out) + len(new) >= cap:
-                        raise BudgetExceeded(
-                            f"ball of radius {radius} exceeds cap of {cap} elements"
-                        )
-                    new.append(w + (x,))
-        out.extend(Word._raw(alphabet, w) for w in new)
-        frontier = new
-    return out

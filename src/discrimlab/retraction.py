@@ -52,11 +52,8 @@ class ThetaSpec:
     group: EocGroup
     R: int
     p: int
-    # what apply_theta needs that depends on (group, R, p) only: the
-    # u-exponent coefficients p * theta of the t_i, and the doubled letters
-    # of z, z^-1, v and v^-1 for the top-stage u = z v z^-1 split by
-    # Word.cyclic_decomposition, so that u^e = z (v^sign(e))^|e| z^-1
-    _image_data: tuple = field(init=False, repr=False, compare=False)
+    # the u-exponents p * (2R+1)^(i-1) of the images of the top-stage t_i
+    coefficients: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.group.stages:
@@ -65,10 +62,9 @@ class ThetaSpec:
             raise ValueError("R must be nonnegative")
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        stage = self.group.stages[-1]
-        z, v, vinv, zinv = self.group._u_parts[-1]
-        coefficients = scaled_theta(stage.rank, self.R, self.p).coefficients
-        object.__setattr__(self, "_image_data", (coefficients, z, zinv, v, vinv))
+        rank = self.group.stages[-1].rank
+        coefficients = scaled_theta(rank, self.R, self.p).coefficients
+        object.__setattr__(self, "coefficients", coefficients)
 
     @property
     def stage(self) -> int:
@@ -77,11 +73,6 @@ class ThetaSpec:
     @property
     def target(self) -> EocGroup:
         return subtower(self.group)
-
-    def exponent(self, i: int) -> int:
-        """Exponent of u in the image of t_i (1-based)."""
-        base = 2 * self.R + 1
-        return self.p * base ** (i - 1)
 
 
 def subtower(group: EocGroup) -> EocGroup:
@@ -108,14 +99,6 @@ def _theta_spec(group: EocGroup, R: int, p: int) -> ThetaSpec:
     return spec
 
 
-def t_image(spec: ThetaSpec, i: int) -> Word:
-    """Image u^(p * (2R+1)^(i-1)) of the i-th top-stage generator, as a base word."""
-    stage = spec.group.stages[spec.stage]
-    if not 1 <= i <= stage.rank:
-        raise ValueError(f"t-index {i} out of range 1..{stage.rank}")
-    return stage.u ** spec.exponent(i)
-
-
 def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """Push an element through the retraction, landing in the subtower group.
 
@@ -126,8 +109,10 @@ def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """
     if w.group is not spec.group:
         raise ValueError("element does not belong to the retracted group")
-    top = 2 * spec.stage + 1
-    coefficients, z, zinv, v, vinv = spec._image_data
+    stage = spec.stage
+    top = 2 * stage + 1
+    coefficients = spec.coefficients
+    u_power = spec.group._u_power
     syllables = []
     run: tuple[int, ...] = ()
     for syl in w.syllables:
@@ -136,7 +121,7 @@ def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
             # doubled exponent: 2e + p * theta(2v) = 2 (e + p * theta(v))
             e = syl[1] + sum(map(operator.mul, coefficients, syl[2:]))
             if e:
-                run = join_letters(run, z + (v if e > 0 else vinv) * (abs(e) >> 1) + zinv)
+                run = join_letters(run, u_power(stage, e >> 1))
         elif tag & 1:
             if run:
                 syllables.append(run)
@@ -153,11 +138,12 @@ def hom_complexity(spec: ThetaSpec) -> int:
     """Max image word length over the generators of the retracted group.
 
     Base and lower-stage generators are fixed (length 1); the top-stage
-    t_i map to u-powers whose base-word length is maximal at i = n.
+    t_i map to u^k with k = p * (2R+1)^(i-1), longest at i = n.  With
+    u = z v z^-1 split by :meth:`Word.cyclic_decomposition`, u^k is
+    z v^k z^-1 reduced as written, so |u^k| = 2|z| + k|v|.
     """
-    stage = spec.group.stages[spec.stage]
-    longest = len(t_image(spec, stage.rank))
-    return max(1, longest)
+    z, v = spec.group.stages[spec.stage].u.cyclic_decomposition()
+    return max(1, 2 * len(z) + spec.coefficients[-1] * len(v))
 
 
 def _first_collision(
@@ -275,15 +261,12 @@ def minimal_discriminating_p(
 class ComplexityRecord:
     """One point of a complexity curve: minimal p at radius R and derived data.
 
-    ``complexity`` is the exact max generator-image length; ``upper_model``
-    is the closed form |u| * p_min * (2R+1)^(n-1), which coincides with it
-    whenever u is cyclically reduced.
+    ``complexity`` is the exact max generator-image length.
     """
 
     R: int
     p_min: int
     complexity: int
-    upper_model: int
     lower_bound: Fraction
     ball_size: int
     wall_ms: float
@@ -294,9 +277,7 @@ def complexity_record(
 ) -> ComplexityRecord:
     start = time.perf_counter()
     p = minimal_discriminating_p(group, R, cap=cap)
-    spec = _theta_spec(group, R, p)
-    stage = group.stages[-1]
-    n = stage.rank
+    n = group.stages[-1].rank
     # the free abelian subgroup <u, t_1..t_n> has rank n+1, which drives
     # the polynomial lower bound for discriminating the ball
     lb = lower_bound_value(n + 1, R)
@@ -305,8 +286,7 @@ def complexity_record(
     return ComplexityRecord(
         R=R,
         p_min=p,
-        complexity=hom_complexity(spec),
-        upper_model=max(1, len(stage.u) * p * (2 * R + 1) ** (n - 1)),
+        complexity=hom_complexity(_theta_spec(group, R, p)),
         lower_bound=lb,
         ball_size=ball_size,
         wall_ms=wall_ms,
@@ -342,8 +322,10 @@ class ChainResult:
     R: int
     complexity: int
     stage_complexities: list[int]
-    # per-generator (token text, composite image length, product of stage bounds)
-    submultiplicative: list[tuple[str, int, int]] = field(default_factory=list)
+    # product of stage_complexities, which no composite image length exceeds
+    bound: int
+    # per generator: (token text, composite image length)
+    submultiplicative: list[tuple[str, int]] = field(default_factory=list)
 
 
 def apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
@@ -372,17 +354,17 @@ def compose_chain(
         spec = _theta_spec(g, R, p)
         stage_complexities.append(hom_complexity(spec))
         g = spec.target
-    bound_product = math.prod(stage_complexities)
     sub = []
     composite_max = 1
     for w in group.generators():
         img = apply_chain(group, R, p, w)
-        sub.append((w.tokens() or "<id>", len(img), bound_product))
+        sub.append((w.tokens() or "<id>", len(img)))
         composite_max = max(composite_max, len(img))
     return ChainResult(
         p=p,
         R=R,
         complexity=composite_max,
         stage_complexities=stage_complexities,
+        bound=math.prod(stage_complexities),
         submultiplicative=sub,
     )

@@ -2,8 +2,8 @@
 
 The base-(2R+1) map theta(n, R) sends (t_1, ..., t_n) to
 sum (2R+1)^(i-1) t_i and is a bijection from the box [-R, R]^n onto the
-centered interval of the same cardinality, so it discriminates the
-punctured box.  Its complexity (2R+1)^(n-1) is an upper bound for the
+centered interval of the same cardinality (the t_i are the digits of the
+balanced base-(2R+1) expansion), so it discriminates the punctured box.  Its complexity (2R+1)^(n-1) is an upper bound for the
 minimal discriminating complexity; a one-equation Siegel bound gives the
 matching polynomial lower bound (R-n)^(n-1) / n^n.
 
@@ -21,11 +21,10 @@ cells, whatever the shell size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -55,7 +54,9 @@ class ZnHom:
         return max(abs(c) for c in self.coefficients)
 
     def __call__(self, v: Sequence[int]) -> int:
-        return apply(self, v)
+        if len(v) != self.n:
+            raise ValueError(f"dimension mismatch: hom is {self.n}-dim, vector is {len(v)}-dim")
+        return sum(c * t for c, t in zip(self.coefficients, v))
 
 
 @dataclass(frozen=True)
@@ -87,46 +88,6 @@ def theta(n: int, R: int) -> ZnHom:
 
 def scaled_theta(n: int, R: int, p: int) -> ZnHom:
     return ZnHom(tuple(p * c for c in theta(n, R).coefficients))
-
-
-def apply(h: ZnHom, v: Sequence[int]) -> int:
-    if len(v) != h.n:
-        raise ValueError(f"dimension mismatch: hom is {h.n}-dim, vector is {len(v)}-dim")
-    return sum(c * t for c, t in zip(h.coefficients, v))
-
-
-def interval_half_width(n: int, R: int) -> int:
-    """Half-width ((2R+1)^n - 1) / 2 of theta's image interval; always exact."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return ((2 * R + 1) ** n - 1) // 2
-
-
-def box_points(n: int, R: int) -> Iterator[IntVector]:
-    return itertools.product(range(-R, R + 1), repeat=n)
-
-
-def ball_points(n: int, spec: BallSpec) -> list[IntVector]:
-    R = spec.radius
-    if spec.shape == "box":
-        return list(box_points(n, R))
-    return [v for v in box_points(n, R) if sum(abs(t) for t in v) <= R]
-
-
-def verify_bijection(n: int, R: int, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
-    """Exhaustively check theta(n,R) maps [-R,R]^n one-to-one onto its interval."""
-    count = (2 * R + 1) ** n
-    if count > budget:
-        raise BudgetExceeded(f"(2R+1)^n = {count} exceeds budget {budget}")
-    h = theta(n, R)
-    half = interval_half_width(n, R)
-    seen = set()
-    for v in box_points(n, R):
-        img = apply(h, v)
-        if abs(img) > half or img in seen:
-            return False
-        seen.add(img)
-    return len(seen) == 2 * half + 1
 
 
 def _cube(k: int, m: int) -> np.ndarray:

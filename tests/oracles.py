@@ -1,8 +1,9 @@
 """Brute-force reference implementations that the library's closed forms replace.
 
 They are meant to be slow and obviously right, and share no code path
-with what they check beyond word products and powers, and the Z^n ball
-points and theta map.
+with what they check beyond word products and powers and the theta map.
+The test inputs come from here as well: the free-word enumerator and its
+relabelings, and the Z^n box and ball points.
 """
 
 import itertools
@@ -21,9 +22,80 @@ from discrimlab.bigpowers import (
 )
 from discrimlab.eocgroup import EocElement
 from discrimlab.errors import BudgetExceeded, CertificationError
-from discrimlab.freewords import Word
+from discrimlab.freewords import Alphabet, Word
 from discrimlab.retraction import ThetaSpec
-from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, ball_points, theta
+from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, theta
+
+IntVector = tuple[int, ...]
+
+
+def free_words(alphabet: Alphabet, radius: int) -> list[Word]:
+    """All reduced words of length <= radius, in BFS layer order.
+
+    Each layer extends the previous one by every letter, g1..gk then
+    G1..Gk, that does not cancel the last letter.
+    """
+    letters = [*range(1, alphabet.rank + 1), *range(-1, -alphabet.rank - 1, -1)]
+    out, frontier = [()], [()]
+    for _ in range(radius):
+        frontier = [w + (x,) for w in frontier for x in letters if not (w and w[-1] == -x)]
+        out += frontier
+    return [Word(alphabet, w) for w in out]
+
+
+# the 8 automorphisms of F2 that permute g1, g2 and flip their signs
+F2_RELABELINGS = [
+    {1: s1 * p1, -1: -s1 * p1, 2: s2 * p2, -2: -s2 * p2}
+    for p1, p2 in ((1, 2), (2, 1))
+    for s1 in (1, -1)
+    for s2 in (1, -1)
+]
+
+
+def relabel(phi: dict, w: Optional[Word]) -> Optional[Word]:
+    """The image of w under a relabeling of the generators; None stays None."""
+    return None if w is None else Word(w.alphabet, [phi[x] for x in w.letters])
+
+
+def orbit_representatives(words: Sequence[Word]) -> list[Word]:
+    """The first word of each orbit under ``F2_RELABELINGS``; the orbits must exhaust `words`."""
+    reps, seen = [], set()
+    for w in words:
+        if w not in seen:
+            reps.append(w)
+            seen.update(relabel(phi, w) for phi in F2_RELABELINGS)
+    assert seen == set(words)
+    return reps
+
+
+def box_points(n: int, R: int) -> list[IntVector]:
+    """All of [-R, R]^n, in lex order."""
+    return list(itertools.product(range(-R, R + 1), repeat=n))
+
+
+def ball_points(n: int, spec: BallSpec) -> list[IntVector]:
+    points = box_points(n, spec.radius)
+    if spec.shape == "box":
+        return points
+    return [v for v in points if sum(abs(t) for t in v) <= spec.radius]
+
+
+def interval_half_width(n: int, R: int) -> int:
+    """Half-width ((2R+1)^n - 1) / 2 of theta's image interval; always exact."""
+    return ((2 * R + 1) ** n - 1) // 2
+
+
+def verify_bijection(n: int, R: int) -> bool:
+    """Whether theta(n, R) maps [-R, R]^n one-to-one onto its interval, point by point."""
+    h = theta(n, R)
+    half = interval_half_width(n, R)
+    seen = set()
+    for v in box_points(n, R):
+        img = h(v)
+        if abs(img) > half or img in seen:
+            return False
+        seen.add(img)
+    return len(seen) == 2 * half + 1
 
 
 def brute_strip_search(

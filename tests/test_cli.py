@@ -25,6 +25,9 @@ WORKLOADS = _load_workloads()
 G1_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}]}'
 G1_RANK2_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 2}]}'
 TOWER_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2", "rank": 1}]}'
+CONJUGATE_TOWER_SPEC = (
+    '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g1 g2 G1", "rank": 1}]}'
+)
 
 
 @pytest.fixture
@@ -247,6 +250,26 @@ class TestCurve:
         code, out = run(capsys, "curve", "--spec", tower_spec, "--rmax", "2")
         assert code == 0
         assert "composite_complexity" in out and "composite_bound" in out
+
+    @pytest.mark.parametrize(
+        "stages, rmax, expected",
+        [
+            (TOWER_SPEC, 1, (2, 2, 4)),
+            (TOWER_SPEC, 2, (4, 4, 16)),
+            (TOWER_SPEC, 3, (6, 6, 36)),
+            # a top-stage u that is not cyclically reduced: |u^4| = 2 + 4
+            (CONJUGATE_TOWER_SPEC, 2, (4, 6, 24)),
+        ],
+        ids=["tower-r1", "tower-r2", "tower-r3", "conjugate-top-r2"],
+    )
+    def test_tower_composite_values(self, capsys, tmp_path, stages, rmax, expected):
+        spec = tmp_path / "spec.json"
+        spec.write_text(stages)
+        code, out = run(capsys, "curve", "--spec", str(spec), "--rmax", str(rmax), "--format", "jsonl")
+        assert code == 0
+        meta = json.loads(out.splitlines()[0])["meta"]
+        got = (meta["composite_p"], meta["composite_complexity"], meta["composite_bound"])
+        assert got == expected
 
     def test_missing_spec_exits_2(self, capsys, tmp_path):
         code, _ = run(capsys, "curve", "--spec", str(tmp_path / "nope.json"), "--rmax", "1")

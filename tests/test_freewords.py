@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from discrimlab.eocgroup import EocGroup
 from discrimlab.freewords import (
     Alphabet,
     Word,
-    ball,
     conjugate,
     coset_strip,
     parse_word,
@@ -12,7 +12,14 @@ from discrimlab.freewords import (
 )
 from discrimlab.errors import BudgetExceeded, WordFormatError
 
-from oracles import ball_size_f2, brute_power_membership
+from oracles import (
+    F2_RELABELINGS,
+    ball_size_f2,
+    brute_power_membership,
+    free_words,
+    orbit_representatives,
+    relabel,
+)
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -112,11 +119,26 @@ class TestPowerMembership:
 
     def test_closed_form_matches_brute_force(self):
         # every nontrivial u with |u| <= 3 (proper powers included) against
-        # every g with |g| <= 7 over F2
-        words = ball(A, 7)
-        for u in ball(A, 3)[1:]:
-            for g in words:
-                assert power_membership(u, g) == brute_power_membership(u, g), (u, g)
+        # every g with |g| <= 7 over F2.  A relabeling phi of the generators
+        # is an automorphism, so u^k == g iff phi(u)^k == phi(g): the brute
+        # force runs once per orbit of u, and each u' = phi(u) of the orbit
+        # is checked against every phi(g), which runs over all g.
+        words = free_words(A, 7)
+        relabeled = [[relabel(phi, g) for g in words] for phi in F2_RELABELINGS]
+        us = free_words(A, 3)[1:]
+        pairs = set()
+        for u in orbit_representatives(us):
+            expected = [brute_power_membership(u, g) for g in words]
+            done = set()
+            for phi, gs in zip(F2_RELABELINGS, relabeled):
+                u2 = relabel(phi, u)
+                if u2 in done:
+                    continue
+                done.add(u2)
+                for g2, k in zip(gs, expected):
+                    assert power_membership(u2, g2) == k, (u2, g2)
+                pairs.update((u2, g2) for g2 in gs)
+        assert len(pairs) == len(us) * len(words) == 52 * 4373
 
 
 class TestCosetStrip:
@@ -148,32 +170,35 @@ class TestCosetStrip:
 
 
 class TestBall:
+    """The free ball: the ball of an extension-of-centralizers group with no stages."""
+
     def test_sizes_match_closed_form(self):
         for R in range(5):
-            assert len(ball(A, R)) == ball_size_f2(R) == 2 * 3**R - 1
+            assert len(EocGroup(A, []).ball(R)) == ball_size_f2(R) == 2 * 3**R - 1
 
     def test_elements_distinct_and_within_radius(self):
-        B = ball(A, 3)
+        B = EocGroup(A, []).ball(3)
         assert len(set(B)) == len(B)
-        assert all(len(w) <= 3 for w in B)
+        assert all(len(parse_word(A, w.tokens())) <= 3 for w in B)
+        assert {parse_word(A, w.tokens()) for w in B} == set(free_words(A, 3))
 
     def test_cap(self):
         with pytest.raises(BudgetExceeded):
-            ball(A, 10, cap=100)
+            EocGroup(A, []).ball(10, cap=100)
 
     def test_cap_boundary(self):
-        # the cap is checked before each word is stored: a cap of exactly
+        # the cap is checked before each element is stored: a cap of exactly
         # the ball size succeeds, one less raises
         for R in range(1, 5):
             size = 2 * 3**R - 1
-            assert len(ball(A, R, cap=size)) == size
+            assert len(EocGroup(A, []).ball(R, cap=size)) == size
             with pytest.raises(BudgetExceeded):
-                ball(A, R, cap=size - 1)
+                EocGroup(A, []).ball(R, cap=size - 1)
 
     def test_rank_three(self):
         A3 = Alphabet(3)
         # |B_R| = 1 + 6 * (5^R - 1) / 4 for rank 3
-        assert len(ball(A3, 2)) == 1 + 6 + 30
+        assert len(EocGroup(A3, []).ball(2)) == 1 + 6 + 30
 
 
 class TestHashing:
@@ -182,7 +207,7 @@ class TestHashing:
         assert hash(W(-1, -2, -1)) != hash(W(-2, -1, -1))
 
     def test_ball_hashes_distinct(self):
-        B = ball(A, 7)
+        B = free_words(A, 7)
         assert len({hash(w) for w in B}) == len(B)
 
     @given(letters)

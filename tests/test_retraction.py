@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from discrimlab import retraction
 from discrimlab.eocgroup import EocGroup
 from discrimlab.errors import AscentExhausted
-from discrimlab.freewords import Alphabet, parse_word
+from discrimlab.freewords import Alphabet, Word, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
     apply_chain,
@@ -14,9 +15,9 @@ from discrimlab.retraction import (
     complexity_curve,
     complexity_record,
     compose_chain,
+    hom_complexity,
     minimal_discriminating_p,
     subtower,
-    t_image,
 )
 from discrimlab.zdiscrim import lower_bound_value, theta
 
@@ -43,8 +44,10 @@ def tower():
 
 class TestImages:
     def test_t_image_exponents(self, G1, G2):
-        assert t_image(ThetaSpec(G1, 2, 7), 1) == a**7
-        assert t_image(ThetaSpec(G2, 2, 7), 2) == a**35
+        spec = ThetaSpec(G1, 2, 7)
+        assert apply_theta(spec, G1.element("t1.1")) == spec.target.base_element(a**7)
+        spec = ThetaSpec(G2, 2, 7)
+        assert apply_theta(spec, G2.element("t1.2")) == spec.target.base_element(a**35)
 
     def test_base_words_fixed(self, G1):
         spec = ThetaSpec(G1, 1, 3)
@@ -88,6 +91,34 @@ class TestImages:
                     assert apply_theta(spec, w) == per_syllable_apply_theta(spec, w)
 
 
+# u words by shape: not cyclically reduced (conjugates of g1 and of g2),
+# then cyclically reduced
+COMPLEXITY_US = ["g2 g1 G2", "g1 g2 G1", "g1", "g1 g2"]
+
+
+class TestHomComplexity:
+    @pytest.mark.parametrize("u_text", COMPLEXITY_US)
+    def test_closed_form_matches_built_power(self, u_text):
+        # |u^k| for the longest t-image, k = p * (2R+1)^(n-1), by building u^k
+        A3 = Alphabet(3)
+        u = parse_word(A3, u_text)
+        for n in (1, 2, 3):
+            group = EocGroup(A3, [(u, n)])
+            for R in range(5):
+                for p in range(1, 6):
+                    k = p * (2 * R + 1) ** (n - 1)
+                    assert hom_complexity(ThetaSpec(group, R, p)) == len(u**k)
+
+    def test_builds_no_power(self, monkeypatch):
+        spec = ThetaSpec(EocGroup(A, [(b * a * b.inverse(), 2)]), 4, 5)
+
+        def no_power(self, n):
+            raise AssertionError("hom_complexity built a power of u")
+
+        monkeypatch.setattr(Word, "__pow__", no_power)
+        assert hom_complexity(spec) == 2 + 5 * 9
+
+
 class TestMinimalP:
     def test_frozen_values(self, G1):
         assert minimal_discriminating_p(G1, 0) == 1
@@ -119,7 +150,7 @@ class TestCurve:
     def test_record_fields(self, G1):
         rec = complexity_record(G1, 2)
         assert rec.p_min == 4
-        assert rec.complexity == rec.upper_model == 4  # |u| = 1
+        assert rec.complexity == 4  # |u| = 1, p_min = 4
         assert rec.lower_bound == lower_bound_value(2, 2)
         assert rec.ball_size == 33
 
@@ -206,11 +237,10 @@ class TestComposeChain:
 
     def test_submultiplicativity_exact(self, tower):
         chain = compose_chain(tower, 2)
-        bound = 1
-        for c in chain.stage_complexities:
-            bound *= c
-        for tok_text, img_len, prod in chain.submultiplicative:
-            assert img_len <= prod == bound
+        assert chain.bound == math.prod(chain.stage_complexities)
+        assert len(chain.submultiplicative) == len(tower.generators())
+        for tok_text, img_len in chain.submultiplicative:
+            assert img_len <= chain.bound
 
     def test_composite_fixes_base(self, tower):
         chain = compose_chain(tower, 1)

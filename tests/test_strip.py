@@ -15,47 +15,20 @@ from hypothesis import given, settings, strategies as st
 
 from discrimlab.freewords import Alphabet, Word, _strip_search
 
-from oracles import brute_strip_search
+from oracles import (
+    F2_RELABELINGS,
+    brute_strip_search,
+    free_words,
+    orbit_representatives,
+    relabel,
+)
 
 A = Alphabet(2)
 
-RELABELINGS = [
-    {1: s1 * p1, -1: -s1 * p1, 2: s2 * p2, -2: -s2 * p2}
-    for p1, p2 in ((1, 2), (2, 1))
-    for s1 in (1, -1)
-    for s2 in (1, -1)
-]
 SWAP = {1: 2, -1: -2, 2: 1, -2: -1}
 
-
-def relabel(phi, w):
-    return None if w is None else Word(A, [phi[x] for x in w.letters])
-
-
-def reduced_words(max_len):
-    out, frontier = [()], [()]
-    for _ in range(max_len):
-        frontier = [
-            w + (x,) for w in frontier for x in (1, -1, 2, -2) if not (w and w[-1] == -x)
-        ]
-        out += frontier
-    return [Word(A, w) for w in out]
-
-
-G5 = reduced_words(5)
-U3 = [u for u in reduced_words(3) if u and not u.is_proper_power()]
-
-
-def orbit_representatives(words):
-    reps, seen = [], set()
-    for w in words:
-        if w not in seen:
-            reps.append(w)
-            seen.update(relabel(phi, w) for phi in RELABELINGS)
-    assert seen == set(words)
-    return reps
-
-
+G5 = free_words(A, 5)
+U3 = [u for u in free_words(A, 3) if u and not u.is_proper_power()]
 U3_REPS = orbit_representatives(U3)
 
 # (u_left, u_right) from two amalgamating words
@@ -80,7 +53,7 @@ def test_exhaustive_against_brute_force(pattern):
         u_left, u_right = PATTERNS[pattern](u, relabel(SWAP, u))
         for g in G5:
             s, h, t = brute_strip_search(g, u_left, u_right)
-            for phi in RELABELINGS:
+            for phi in F2_RELABELINGS:
                 got = _strip_search(
                     relabel(phi, g), relabel(phi, u_left), relabel(phi, u_right)
                 )

@@ -12,18 +12,21 @@ from discrimlab.zdiscrim import (
     ZnHom,
     _shell_size,
     _shell_vectors_cached,
-    ball_points,
-    interval_half_width,
     lower_bound_value,
     minimal_complexity,
     scaled_theta,
     siegel_bound,
     siegel_small_kernel,
     theta,
-    verify_bijection,
 )
 from discrimlab.errors import AscentExhausted, BudgetExceeded
-from oracles import brute_minimal_complexity, brute_shell_vectors
+from oracles import (
+    ball_points,
+    brute_minimal_complexity,
+    brute_shell_vectors,
+    interval_half_width,
+    verify_bijection,
+)
 
 
 class TestTheta:
@@ -67,9 +70,9 @@ class TestTheta:
         h = theta(3, R)
         assert h([x + y for x, y in zip(v, w)]) == h(v) + h(w)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            verify_bijection(6, 10, budget=1000)
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            theta(3, 1)((1, 1))
 
 
 class TestShells:
