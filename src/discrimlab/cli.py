@@ -34,7 +34,9 @@ from .eocgroup import DEFAULT_BALL_CAP, EocGroup, load_group_spec
 from .errors import AscentExhausted, BudgetExceeded, CertificationError, DiscrimError
 from .freewords import Alphabet, parse_word
 from .retraction import (
+    ThetaSpec,
     apply_chain,
+    apply_theta,
     complexity_curve,
     compose_chain,
     minimal_discriminating_p,
@@ -165,12 +167,23 @@ def _cmd_curve(args) -> int:
         raise DiscrimError("group spec has no extension stage; nothing to retract")
     result = complexity_curve(group, range(args.rmin, args.rmax + 1), cap=args.cap)
     rows = []
+    certificates = []
     for rec in result.records:
         if not (rec.lower_bound <= rec.complexity):
             raise _Violation(
                 f"lower bound exceeds achieved complexity at R={rec.R}: "
                 f"{rec.lower_bound} > {rec.complexity}"
             )
+        if rec.certificate is not None:
+            # the pair must be distinct and merged at p_min - 1
+            w, w2 = rec.certificate
+            spec = ThetaSpec(group, rec.R, rec.p_min - 1)
+            if w == w2 or apply_theta(spec, w) != apply_theta(spec, w2):
+                raise _Violation(
+                    f"p_min certificate at R={rec.R} does not collide at p={rec.p_min - 1}: "
+                    f"{w.tokens()!r}, {w2.tokens()!r}"
+                )
+            certificates.append({"R": rec.R, "p": rec.p_min - 1, "pair": [w.tokens(), w2.tokens()]})
         rows.append(
             (
                 rec.R,
@@ -183,7 +196,7 @@ def _cmd_curve(args) -> int:
             )
         )
     slope = "" if result.loglog_slope is None else f"{result.loglog_slope:.4f}"
-    meta = _base_meta(args, loglog_slope=slope)
+    meta = _base_meta(args, loglog_slope=slope, p_min_certificates=certificates)
     if len(group.stages) > 1:
         chain = compose_chain(group, args.rmax, cap=args.cap)
         meta["composite_p"] = chain.p

@@ -7,18 +7,27 @@ map, so for p large enough it is injective on any fixed finite ball of
 G'.  This module computes the least such p exactly, the resulting
 generator-image complexity, and complexity curves in R.
 
-One ascent, p = 1 .. ``_p_ceiling`` on one ball, serves both the top
-stage (``minimal_discriminating_p``) and the uniform p of the composite
-down a tower (``compose_chain``).  Its generator images come from one
-walk down the top k stages (k = 1, or all) through ``_theta_spec``.
+One ascent on one ball serves both the top stage
+(``minimal_discriminating_p``) and the uniform p of the composite down a
+tower (``compose_chain``).  It starts at a proven floor: below it, a
+closed-form pair of ball elements, t u^-j against u^k conjugated to the
+cyclic core of u, collides, so no ball walk is needed to rule those p
+out.  From the floor it tries p = floor, floor + 1, .. up to
+``_p_ceiling``.  Its generator images come from one walk down the top k
+stages (k = 1, or all) through ``_theta_spec``.  The pair that rules out
+p_min - 1 (closed form, or the walk's collision there) is kept as a
+certificate that p_min is least.
 
 Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
 and a retraction is a homomorphism, so the image of an element is the
 image of its parent times the image of its generator.  Only the
 generators go through ``apply_theta``; every other element costs one
-product.  The walk visits the elements in ball order, so the first
-colliding pair is the one a scan of the elements' own images finds.
+product.  The tree is walked depth first, holding only the images on
+the current path and its waiting siblings, and each element leaves one
+int64 fingerprint (``hash`` of its image).  Equal fingerprints are then
+settled exactly by rebuilding both images from the root, and the pair
+reported is the one a ball-order scan of the images finds first.
 
 When the target is the free base (a single-stage retraction, and every
 composite down a tower) the images are kept as bare base syllables:
@@ -33,6 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import time
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -146,6 +156,25 @@ def hom_complexity(spec: ThetaSpec) -> int:
     return max(1, 2 * len(z) + spec.coefficients[-1] * len(v))
 
 
+def _child_starts(group: EocGroup, n: int) -> array:
+    """Where the BFS-tree children of each of the first `n` ball elements start.
+
+    ``_tree_parents`` is non-decreasing in ball order, so the children of
+    element k inside the first n are the indices ``starts[k]`` up to
+    ``starts[k + 1] - 1``.  Built once per ball length and kept by `group`.
+    """
+    starts = group._tree_children.get(n)
+    if starts is None:
+        parents = np.frombuffer(group._tree_parents, dtype=np.intc, count=n)
+        found = np.searchsorted(parents[1:], np.arange(n + 1, dtype=np.intc)) + 1
+        starts = group._tree_children[n] = array("q", found.astype(np.int64).tobytes())
+    return starts
+
+
+# the fingerprint of an image; distinct fingerprints mean distinct images
+_fingerprint = hash
+
+
 def _first_collision(
     ball: Sequence[EocElement],
     generator_images: Sequence,
@@ -157,18 +186,61 @@ def _first_collision(
     The images are those of the homomorphism sending the i-th generator
     (``generator_tokens()`` order) to ``generator_images[i]``, with
     product ``mul``; each is built from its BFS parent's image.
+
+    The BFS tree is walked depth first, so only the images on the current
+    path, and the siblings waiting on it, are alive at once; each element
+    leaves only the int64 ``_fingerprint`` of its image.  Elements with
+    distinct fingerprints have distinct images.  Each run of equal
+    fingerprints is settled exactly: the images are rebuilt from the root
+    (at most R products each) and compared.  The pair returned is the one
+    a scan of the images in ball order stops at: the least later index k
+    whose image occurred before, and the first index j with that image.
     """
     group = ball[0].group
+    n = len(ball)
     parents, gens = group._tree_parents, group._tree_gens
-    images = [identity]
-    seen = {identity: 0}
-    for k in range(1, len(ball)):
-        img = mul(images[parents[k]], generator_images[gens[k]])
-        first = seen.setdefault(img, k)
-        if first != k:
-            return ball[first], ball[k]
-        images.append(img)
-    return None
+    starts = _child_starts(group, n)
+    fingerprint = _fingerprint
+    prints = array("q", bytes(8 * n))
+    prints[0] = fingerprint(identity)
+    waiting = [(0, identity)]
+    while waiting:
+        k, img = waiting.pop()
+        for c in range(starts[k], starts[k + 1]):
+            child = mul(img, generator_images[gens[c]])
+            prints[c] = fingerprint(child)
+            if starts[c] != starts[c + 1]:
+                waiting.append((c, child))
+
+    def image(k: int):
+        path = []
+        while k:
+            path.append(gens[k])
+            k = parents[k]
+        img = identity
+        for g in reversed(path):
+            img = mul(img, generator_images[g])
+        return img
+
+    values = np.frombuffer(prints, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # the runs of equal fingerprints, each in ball order
+    runs: dict[int, list[int]] = {}
+    for i in np.flatnonzero(ordered[1:] == ordered[:-1]).tolist():
+        runs.setdefault(int(ordered[i]), [int(order[i])]).append(int(order[i + 1]))
+    best = None
+    for run in sorted(runs.values(), key=operator.itemgetter(1)):
+        if best is not None and run[1] >= best[1]:
+            break
+        seen: dict = {}
+        for k in run:
+            j = seen.setdefault(image(k), k)
+            if j != k:
+                if best is None or k < best[1]:
+                    best = (j, k)
+                break
+    return None if best is None else (ball[best[0]], ball[best[1]])
 
 
 def _base_letters(w: EocElement) -> tuple[int, ...]:
@@ -226,22 +298,90 @@ def _p_ceiling(group: EocGroup, R: int) -> int:
     return 4 * R + 4 * ulen + 10
 
 
-def _least_injective_p(group: EocGroup, R: int, cap: int, collision: Callable) -> int:
+def _floor_family(group: EocGroup, R: int, k: int) -> Optional[tuple[int, int, int]]:
+    """(stage, j_max, m_max) of the closed-form pairs that rule out the most p.
+
+    Over the top `k` stages s, with u_s = z v z^-1 split by
+    :meth:`Word.cyclic_decomposition`, the pair (z^-1 t_{s,1} z v^-j, v^m)
+    lies in the radius-R ball for 0 <= j <= j_max = (R - 1 - 2|z|) // |v|
+    and 0 <= m <= m_max = R // |v|; ties go to the higher stage.  None when
+    R < 2|z| + 1 on every stage, so that no such pair fits.
+    """
+    best = None
+    top = len(group.stages) - 1
+    for s in range(top, top - k, -1):
+        z, v = group.stages[s].u.cyclic_decomposition()
+        if R > 2 * len(z):
+            family = (s, (R - 1 - 2 * len(z)) // len(v), R // len(v))
+            if best is None or family[1] + family[2] > best[1] + best[2]:
+                best = family
+    return best
+
+
+def _floor_pair(
+    group: EocGroup, family: tuple[int, int, int], p: int
+) -> tuple[EocElement, EocElement]:
+    """The pair (z^-1 t z v^-j, v^m) of `family` with j + m = p, m as large as fits.
+
+    Needs 1 <= p <= j_max + m_max; the retractions of ``_least_injective_p``
+    at p merge the two.
+    """
+    s, _, m_max = family
+    z, v = group.stages[s].u.cyclic_decomposition()
+    m = min(m_max, p)
+    w = group.element([*z.inverse().letters, ("t", s, 1), *z.letters, *(v ** (m - p)).letters])
+    return w, group.base_element(v**m)
+
+
+def _least_injective_p(
+    group: EocGroup, R: int, cap: int, k: int, collision: Callable
+) -> tuple[int, Optional[tuple[EocElement, EocElement]]]:
     """Least p up to ``_p_ceiling`` with ``collision(p, ball)`` None on the radius-R ball.
 
-    Past the ceiling, raises ``AscentExhausted`` with the collision found
-    at the ceiling as its witness.
+    ``collision`` tests the composite of the top `k` stage retractions.
+    Returns p with a certificate that p - 1 fails: a pair of distinct
+    ball elements that the retractions at p - 1 merge (None when p = 1).
+    Past the ceiling, raises ``AscentExhausted`` with the collision at
+    the ceiling as its witness.
+
+    The ascent starts at a floor below which every p fails.  Take a stage
+    s among the top k, with u_s = z v z^-1 (v cyclically reduced) and
+    t = t_{s,1}.  The retractions fix the base and send t to u_s^p (its
+    coefficient is p * (2R+1)^0), so z^-1 t z v^-j maps to
+    z^-1 u_s^p z v^-j = v^(p-j), which is the image of v^m whenever
+    j + m = p.  The two elements are distinct: their t-exponent sums are
+    1 and 0.  Both lie in the ball when the words as written fit,
+    2|z| + 1 + j|v| <= R and m|v| <= R.  So every p <= j_max + m_max
+    (``_floor_family``) fails, and the first p tried is one more than the
+    largest such bound over the top k stages.  The unconjugated pair
+    (t u^-j, u^m), of lengths 1 + 2|z| + j|v| (j >= 1) and 2|z| + m|v|
+    (m >= 1), never rules out more: its m ranges only up to
+    (R - 2|z|) // |v|.
     """
     if not group.stages:
         raise ValueError("group has no stages to retract")
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
-    for p in range(1, ceiling + 1):
-        witness = collision(p, ball)
-        if witness is None:
-            return p
+    family = _floor_family(group, R, k)
+    floor = 1 if family is None else 1 + family[1] + family[2]
+    last_failing = min(floor - 1, ceiling)
+    witness = _floor_pair(group, family, last_failing) if last_failing >= 1 else None
+    for p in range(floor, ceiling + 1):
+        found = collision(p, ball)
+        if found is None:
+            return p, witness
+        witness = found
     raise AscentExhausted(
         "no injective p up to the ceiling: ascent analysis is wrong", ceiling, R, witness
+    )
+
+
+def _top_stage_ascent(
+    group: EocGroup, R: int, cap: int
+) -> tuple[int, Optional[tuple[EocElement, EocElement]]]:
+    """The top-stage p_min at radius R, with the pair that rules out p_min - 1."""
+    return _least_injective_p(
+        group, R, cap, 1, lambda p, ball: _images_injective(group, R, p, ball)
     )
 
 
@@ -254,7 +394,7 @@ def minimal_discriminating_p(
     translating: a collision pair (w, w') gives the nontrivial w * w'^-1
     with trivial image, and conversely.
     """
-    return _least_injective_p(group, R, cap, lambda p, ball: _images_injective(group, R, p, ball))
+    return _top_stage_ascent(group, R, cap)[0]
 
 
 @dataclass(frozen=True)
@@ -262,6 +402,9 @@ class ComplexityRecord:
     """One point of a complexity curve: minimal p at radius R and derived data.
 
     ``complexity`` is the exact max generator-image length.
+    ``certificate`` is a pair of distinct radius-R ball elements that the
+    retraction at p_min - 1 merges, which shows p_min is least; None when
+    p_min = 1.
     """
 
     R: int
@@ -270,13 +413,14 @@ class ComplexityRecord:
     lower_bound: Fraction
     ball_size: int
     wall_ms: float
+    certificate: Optional[tuple[EocElement, EocElement]] = None
 
 
 def complexity_record(
     group: EocGroup, R: int, cap: int = DEFAULT_BALL_CAP
 ) -> ComplexityRecord:
     start = time.perf_counter()
-    p = minimal_discriminating_p(group, R, cap=cap)
+    p, certificate = _top_stage_ascent(group, R, cap)
     n = group.stages[-1].rank
     # the free abelian subgroup <u, t_1..t_n> has rank n+1, which drives
     # the polynomial lower bound for discriminating the ball
@@ -290,6 +434,7 @@ def complexity_record(
         lower_bound=lb,
         ball_size=ball_size,
         wall_ms=wall_ms,
+        certificate=certificate,
     )
 
 
@@ -347,7 +492,7 @@ def compose_chain(
     multiply complexities, never exceed their product.
     """
     k = len(group.stages)
-    p = _least_injective_p(group, R, cap, lambda p, ball: _collision(group, R, p, ball, k))
+    p, _ = _least_injective_p(group, R, cap, k, lambda p, ball: _collision(group, R, p, ball, k))
     stage_complexities = []
     g = group
     while g.stages:

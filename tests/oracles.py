@@ -281,18 +281,21 @@ def raag_ball_size(clique_poly: Sequence[int], radius: int) -> int:
 def brute_shell_vectors(n: int, m: int) -> np.ndarray:
     """Vectors with max-norm exactly m, lex order, first nonzero entry positive.
 
-    Walks the whole cube [-m, m]^n and keeps the rows that qualify; the
-    walk is cached, since the oracle scans revisit the same shells.
+    Builds shell m alone: each of its vectors once, from the first
+    coordinate i with |c_i| = m, every coordinate before i in (-m, m) and
+    every one after it in [-m, m].  Then keeps the rows that qualify and
+    sorts them.  Cached, since the oracle scans revisit the same shells.
     """
+    inner, full = range(-m + 1, m), range(-m, m + 1)
     rows = []
-    for v in itertools.product(range(-m, m + 1), repeat=n):
-        if max(abs(c) for c in v) != m:
-            continue
-        lead = next((c for c in v if c != 0), 0)
-        if lead < 0:
-            continue
-        rows.append(v)
-    return np.array(rows, dtype=np.int64).reshape(-1, n)
+    for i in range(n):
+        for c in sorted({m, -m}):
+            for head in itertools.product(inner, repeat=i):
+                for tail in itertools.product(full, repeat=n - 1 - i):
+                    v = head + (c,) + tail
+                    if next((x for x in v if x != 0), 0) >= 0:
+                        rows.append(v)
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, n)
 
 
 def brute_minimal_complexity(

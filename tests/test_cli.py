@@ -66,7 +66,7 @@ def data_rows(out):
 # metadata keys that are not parsed options
 DERIVED_META = {
     "tool", "version", "command", "k", "loglog_slope",
-    "composite_p", "composite_complexity", "composite_bound",
+    "composite_p", "composite_complexity", "composite_bound", "p_min_certificates",
 }
 
 
@@ -245,6 +245,26 @@ class TestCurve:
         assert code == 1
         assert err.startswith("error: no injective p up to the ceiling")
         assert "Traceback" not in err
+
+    def test_certificates_in_metadata(self, capsys, g1_spec):
+        code, out = run(capsys, "curve", "--spec", g1_spec, "--rmax", "3", "--format", "jsonl")
+        assert code == 0
+        meta = json.loads(out.splitlines()[0])["meta"]
+        assert meta["p_min_certificates"] == [
+            {"R": 1, "p": 1, "pair": ["t1.1", "g1"]},
+            {"R": 2, "p": 3, "pair": ["G1 t1.1", "g1 g1"]},
+            {"R": 3, "p": 5, "pair": ["G1 G1 t1.1", "g1 g1 g1"]},
+        ]
+
+    def test_certificate_that_does_not_collide_exits_1(self, capsys, monkeypatch, g1_spec):
+        def distinct_images(group, family, p):
+            return group.element("t1.1"), group.identity()
+
+        monkeypatch.setattr("discrimlab.retraction._floor_pair", distinct_images)
+        code = main(["curve", "--spec", g1_spec, "--rmax", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: p_min certificate at R=1 does not collide at p=1")
 
     def test_tower_emits_composite(self, capsys, tower_spec):
         code, out = run(capsys, "curve", "--spec", tower_spec, "--rmax", "2")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -260,8 +261,8 @@ WALK_SPECS = {
 }
 
 
-def _walk_group(label):
-    rank, stages, rmax = WALK_SPECS[label]
+def _walk_group(label, specs=WALK_SPECS):
+    rank, stages, rmax = specs[label]
     alphabet = Alphabet(rank)
     return EocGroup(alphabet, [(parse_word(alphabet, u), n) for u, n in stages]), rmax
 
@@ -307,3 +308,126 @@ class TestTreeWalk:
             with pytest.raises(AscentExhausted) as exc:
                 ascent(group, 3)
             assert [w.tokens() for w in exc.value.witness] == ["g2 t1.1 G2", "G1 t1.1 g1"]
+
+
+# (free rank, stages as (u, rank), largest R checked) for the floor
+FLOOR_SPECS = {
+    "g1": (2, [("g1", 1)], 5),
+    "g1g2G1": (2, [("g1 g2 G1", 1)], 5),
+    "g1g1g2": (2, [("g1 g1 g2", 1)], 5),
+    "g2g1G2": (2, [("g2 g1 G2", 1)], 5),
+    "tower": (2, [("g1", 1), ("g2", 1)], 4),
+    "tower-g2g2g1": (2, [("g1", 1), ("g2 g2 g1", 1)], 4),
+}
+
+
+def _floor(group, R, k):
+    family = retraction._floor_family(group, R, k)
+    return family, 1 if family is None else 1 + family[1] + family[2]
+
+
+def _walk_p_min(group, R, k):
+    """Least injective p by walking every p from 1, with no floor."""
+    ball = group.ball(R)
+    for p in range(1, retraction._p_ceiling(group, R) + 1):
+        if retraction._collision(group, R, p, ball, k) is None:
+            return p
+    raise AssertionError(f"no injective p up to the ceiling at R={R}")
+
+
+class TestFloor:
+    """The closed-form pairs the p ascent starts above."""
+
+    @pytest.mark.parametrize("label", sorted(FLOOR_SPECS))
+    def test_pairs_below_floor_collide_in_ball(self, label):
+        group, rmax = _walk_group(label, FLOOR_SPECS)
+        for k in sorted({1, len(group.stages)}):
+            for R in range(rmax + 1):
+                family, floor = _floor(group, R, k)
+                for p in range(1, floor):
+                    w, w2 = retraction._floor_pair(group, family, p)
+                    assert group.word_length(w) <= R and group.word_length(w2) <= R
+                    assert w != w2
+                    if k == 1:
+                        spec = ThetaSpec(group, R, p)
+                        assert apply_theta(spec, w) == apply_theta(spec, w2)
+                    else:
+                        assert apply_chain(group, R, p, w) == apply_chain(group, R, p, w2)
+
+    @pytest.mark.parametrize("label", sorted(FLOOR_SPECS))
+    def test_floor_not_above_walk_p_min(self, label):
+        group, rmax = _walk_group(label, FLOOR_SPECS)
+        for k in sorted({1, len(group.stages)}):
+            for R in range(rmax + 1):
+                assert _floor(group, R, k)[1] <= _walk_p_min(group, R, k), (k, R)
+
+    def test_floor_is_p_min_for_single_letter_u(self):
+        group = EocGroup(A, [(a, 1)])
+        for R in range(8):
+            floor = _floor(group, R, 1)[1]
+            assert floor == max(1, 2 * R)
+            assert minimal_discriminating_p(group, R) == floor
+
+    def test_conjugated_family_beats_unconjugated(self):
+        # u = g1 g2 G1: (t u^-j, u^m) fits no m >= 1 at R = 3, since
+        # |u| = 3, but (G1 t g1 g2^-j, g2^m) fits m <= 3
+        group, _ = _walk_group("g1g2G1", FLOOR_SPECS)
+        assert _floor(group, 3, 1) == ((0, 0, 3), 4)
+        assert [w.tokens() for w in retraction._floor_pair(group, (0, 0, 3), 3)] == [
+            "G1 t1.1 g1",
+            "g2 g2 g2",
+        ]
+
+    def test_certificate_rules_out_p_below_p_min(self):
+        # g1 g1 g2 at R = 5: the floor is 3 but p_min is 4, so the
+        # certificate is the walk's collision at p = 3
+        group, rmax = _walk_group("g1g1g2", FLOOR_SPECS)
+        for R in range(rmax + 1):
+            rec = complexity_record(group, R)
+            family, floor = _floor(group, R, 1)
+            if rec.p_min == 1:
+                assert rec.certificate is None
+            elif rec.p_min == floor:
+                assert rec.certificate == retraction._floor_pair(group, family, floor - 1)
+            else:
+                spec = ThetaSpec(group, R, rec.p_min - 1)
+                expected = brute_first_collision(group.ball(R), lambda w: apply_theta(spec, w))
+                assert rec.certificate == expected
+        assert (rec.p_min, floor) == (4, 3)
+
+
+class TestFingerprints:
+    """Equal fingerprints are settled exactly, and the ball-order pair is kept."""
+
+    # one run of every element, and four runs that mix distinct images
+    @pytest.mark.parametrize(
+        "fingerprint", [lambda image: 0, lambda image: hash(image) & 3], ids=["constant", "mod4"]
+    )
+    @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
+    def test_coarse_fingerprint_matches_per_element_scan(self, label, fingerprint, monkeypatch):
+        monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
+        group, rmax = _walk_group(label)
+        for k in sorted({1, len(group.stages)}):
+            for R in range(1, rmax + 1):
+                ball = group.ball(R)
+                for p in range(1, _walk_p_min(group, R, k) + 1):
+                    if k == 1:
+                        spec = ThetaSpec(group, R, p)
+                        image = lambda w: apply_theta(spec, w)
+                    else:
+                        image = lambda w: apply_chain(group, R, p, w)
+                    expected = brute_first_collision(ball, image)
+                    assert retraction._collision(group, R, p, ball, k) == expected
+
+    def test_walk_memory_bounded(self):
+        # the R = 7 ball has 46,367 elements; holding all their images
+        # took 16.6 MB
+        group = EocGroup(A, [(a, 1)])
+        ball = group.ball(7)
+        tracemalloc.start()
+        try:
+            assert retraction._collision(group, 7, 14, ball, 1) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000

@@ -78,8 +78,7 @@ class TestTheta:
 class TestShells:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_brute_force_in_order(self, n):
-        # every m whose cube [-m, m]^n has at most 10^5 points, up to m = 40:
-        # the brute force walks the whole cube of each m
+        # every m whose cube [-m, m]^n has at most 10^5 points, up to m = 40
         m = 1
         while (2 * m + 1) ** n <= 10**5 and m <= 40:
             shell = _shell_vectors_cached(n, m)
