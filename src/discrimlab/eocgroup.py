@@ -205,9 +205,6 @@ class EocGroup:
         # ball[_tree_parents[k]] * generator _tree_gens[k]; -1 for the identity
         self._tree_parents = array("i", [-1])
         self._tree_gens = array("i", [-1])
-        # per ball length n, where each element's children start in that tree
-        # (see retraction._child_starts)
-        self._tree_children: dict[int, array] = {}
 
     # -- construction helpers -------------------------------------------------
 

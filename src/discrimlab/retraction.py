@@ -14,20 +14,24 @@ closed-form pair of ball elements, t u^-j against u^k conjugated to the
 cyclic core of u, collides, so no ball walk is needed to rule those p
 out.  From the floor it tries p = floor, floor + 1, .. up to
 ``_p_ceiling``.  Its generator images come from one walk down the top k
-stages (k = 1, or all) through ``_theta_spec``.  The pair that rules out
-p_min - 1 (closed form, or the walk's collision there) is kept as a
-certificate that p_min is least.
+stages (k = 1, or all) through ``_theta_spec``.  ``complexity_record``
+adds a certificate that p_min is least: a pair that the retraction at
+p_min - 1 merges, in closed form below the floor, else the walk's
+collision there.
 
 Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
 and a retraction is a homomorphism, so the image of an element is the
 image of its parent times the image of its generator.  Only the
 generators go through ``apply_theta``; every other element costs one
-product.  The tree is walked depth first, holding only the images on
-the current path and its waiting siblings, and each element leaves one
-int64 fingerprint (``hash`` of its image).  Equal fingerprints are then
-settled exactly by rebuilding both images from the root, and the pair
-reported is the one a ball-order scan of the images finds first.
+product.  The first ``_SCAN_HEAD`` elements are scanned in ball order
+and the scan stops at the first repeated image, so a p whose collision
+lies early is ruled out early.  Past them the tree is walked depth
+first, holding only the images on the current path and its waiting
+siblings, and each element leaves one int64 fingerprint (``hash`` of its
+image).  Equal fingerprints are then settled exactly by rebuilding both
+images from the root, and the pair reported is the one a ball-order
+scan of the images finds first.
 
 When the target is the free base (a single-stage retraction, and every
 composite down a tower) the images are kept as bare base syllables:
@@ -156,20 +160,9 @@ def hom_complexity(spec: ThetaSpec) -> int:
     return max(1, 2 * len(z) + spec.coefficients[-1] * len(v))
 
 
-def _child_starts(group: EocGroup, n: int) -> array:
-    """Where the BFS-tree children of each of the first `n` ball elements start.
-
-    ``_tree_parents`` is non-decreasing in ball order, so the children of
-    element k inside the first n are the indices ``starts[k]`` up to
-    ``starts[k + 1] - 1``.  Built once per ball length and kept by `group`.
-    """
-    starts = group._tree_children.get(n)
-    if starts is None:
-        parents = np.frombuffer(group._tree_parents, dtype=np.intc, count=n)
-        found = np.searchsorted(parents[1:], np.arange(n + 1, dtype=np.intc)) + 1
-        starts = group._tree_children[n] = array("q", found.astype(np.int64).tobytes())
-    return starts
-
+# ball elements scanned in ball order, their images all kept, before the
+# depth-first walk; it bounds the images alive at once beyond the current path
+_SCAN_HEAD = 4096
 
 # the fingerprint of an image; distinct fingerprints mean distinct images
 _fingerprint = hash
@@ -187,30 +180,58 @@ def _first_collision(
     (``generator_tokens()`` order) to ``generator_images[i]``, with
     product ``mul``; each is built from its BFS parent's image.
 
-    The BFS tree is walked depth first, so only the images on the current
-    path, and the siblings waiting on it, are alive at once; each element
-    leaves only the int64 ``_fingerprint`` of its image.  Elements with
+    The first ``_SCAN_HEAD`` elements are scanned in ball order, keeping
+    their images, and the scan stops at the first repeated image, so a
+    failing p whose first collision lies early costs only the scan up
+    to it.  Past that prefix the BFS tree is walked depth first from the
+    prefix's images, so only the images on the current path, and the
+    siblings waiting on it, are alive at once, and each element leaves
+    only the int64 ``_fingerprint`` of its image.  Elements with
     distinct fingerprints have distinct images.  Each run of equal
-    fingerprints is settled exactly: the images are rebuilt from the root
-    (at most R products each) and compared.  The pair returned is the one
-    a scan of the images in ball order stops at: the least later index k
+    fingerprints is then settled exactly: the images are rebuilt from
+    the root (at most R products each) and compared.  The pair returned
+    is the one the ball-order scan would stop at: the least later index k
     whose image occurred before, and the first index j with that image.
     """
     group = ball[0].group
     n = len(ball)
     parents, gens = group._tree_parents, group._tree_gens
-    starts = _child_starts(group, n)
+    head = min(n, _SCAN_HEAD)
+    images = [identity]
+    seen = {identity: 0}
+    for k in range(1, head):
+        img = mul(images[parents[k]], generator_images[gens[k]])
+        j = seen.setdefault(img, k)
+        if j != k:
+            return ball[j], ball[k]
+        images.append(img)
+    if head == n:
+        return None
+    del seen
+    # _tree_parents is non-decreasing, so the children of element k are
+    # the indices first[k] up to first[k + 1] - 1
+    tree = np.frombuffer(parents, dtype=np.intc, count=n)
+    first = np.searchsorted(tree[1:], np.arange(n + 1)) + 1
+    starts = array("q", first.astype(np.int64).tobytes())
     fingerprint = _fingerprint
-    prints = array("q", bytes(8 * n))
-    prints[0] = fingerprint(identity)
-    waiting = [(0, identity)]
+    prints = array("q", map(fingerprint, images))
+    prints.frombytes(bytes(8 * (n - head)))
+    # entries (first child, end, image), seeded with the prefix elements
+    # that have children past the prefix
+    past = np.maximum(first[:head], head)
+    seeds = np.flatnonzero(past < first[1 : head + 1])
+    waiting = [
+        (lo, hi, images[k])
+        for k, lo, hi in zip(seeds.tolist(), past[seeds].tolist(), first[seeds + 1].tolist())
+    ]
+    del images
     while waiting:
-        k, img = waiting.pop()
-        for c in range(starts[k], starts[k + 1]):
+        lo, hi, img = waiting.pop()
+        for c in range(lo, hi):
             child = mul(img, generator_images[gens[c]])
             prints[c] = fingerprint(child)
             if starts[c] != starts[c + 1]:
-                waiting.append((c, child))
+                waiting.append((starts[c], starts[c + 1], child))
 
     def image(k: int):
         path = []
@@ -233,7 +254,7 @@ def _first_collision(
     for run in sorted(runs.values(), key=operator.itemgetter(1)):
         if best is not None and run[1] >= best[1]:
             break
-        seen: dict = {}
+        seen = {}
         for k in run:
             j = seen.setdefault(image(k), k)
             if j != k:
@@ -333,16 +354,21 @@ def _floor_pair(
     return w, group.base_element(v**m)
 
 
+def _floor(family: Optional[tuple[int, int, int]]) -> int:
+    """The first p not ruled out by the closed-form pairs of `family`."""
+    return 1 if family is None else 1 + family[1] + family[2]
+
+
 def _least_injective_p(
     group: EocGroup, R: int, cap: int, k: int, collision: Callable
-) -> tuple[int, Optional[tuple[EocElement, EocElement]]]:
+) -> int:
     """Least p up to ``_p_ceiling`` with ``collision(p, ball)`` None on the radius-R ball.
 
     ``collision`` tests the composite of the top `k` stage retractions.
-    Returns p with a certificate that p - 1 fails: a pair of distinct
-    ball elements that the retractions at p - 1 merge (None when p = 1).
-    Past the ceiling, raises ``AscentExhausted`` with the collision at
-    the ceiling as its witness.
+    Past the ceiling, raises ``AscentExhausted`` with a pair the
+    retractions at the ceiling merge as its witness: the walk's
+    collision there, or the closed-form pair when the ceiling lies below
+    the floor.
 
     The ascent starts at a floor below which every p fails.  Take a stage
     s among the top k, with u_s = z v z^-1 (v cyclically reduced) and
@@ -363,25 +389,14 @@ def _least_injective_p(
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
     family = _floor_family(group, R, k)
-    floor = 1 if family is None else 1 + family[1] + family[2]
-    last_failing = min(floor - 1, ceiling)
-    witness = _floor_pair(group, family, last_failing) if last_failing >= 1 else None
-    for p in range(floor, ceiling + 1):
-        found = collision(p, ball)
-        if found is None:
-            return p, witness
-        witness = found
+    for p in range(_floor(family), ceiling + 1):
+        witness = collision(p, ball)
+        if witness is None:
+            return p
+    if ceiling < _floor(family):
+        witness = _floor_pair(group, family, ceiling)
     raise AscentExhausted(
         "no injective p up to the ceiling: ascent analysis is wrong", ceiling, R, witness
-    )
-
-
-def _top_stage_ascent(
-    group: EocGroup, R: int, cap: int
-) -> tuple[int, Optional[tuple[EocElement, EocElement]]]:
-    """The top-stage p_min at radius R, with the pair that rules out p_min - 1."""
-    return _least_injective_p(
-        group, R, cap, 1, lambda p, ball: _images_injective(group, R, p, ball)
     )
 
 
@@ -394,7 +409,25 @@ def minimal_discriminating_p(
     translating: a collision pair (w, w') gives the nontrivial w * w'^-1
     with trivial image, and conversely.
     """
-    return _top_stage_ascent(group, R, cap)[0]
+    return _least_injective_p(
+        group, R, cap, 1, lambda p, ball: _images_injective(group, R, p, ball)
+    )
+
+
+def _p_min_certificate(
+    group: EocGroup, R: int, p_min: int, ball: Sequence[EocElement]
+) -> Optional[tuple[EocElement, EocElement]]:
+    """A pair of distinct ball elements that the top-stage retraction at p_min - 1 merges.
+
+    The closed-form pair when p_min - 1 lies below the floor, else the
+    walk's collision at p_min - 1; None when p_min = 1.
+    """
+    if p_min == 1:
+        return None
+    family = _floor_family(group, R, 1)
+    if p_min - 1 < _floor(family):
+        return _floor_pair(group, family, p_min - 1)
+    return _collision(group, R, p_min - 1, ball, 1)
 
 
 @dataclass(frozen=True)
@@ -420,19 +453,20 @@ def complexity_record(
     group: EocGroup, R: int, cap: int = DEFAULT_BALL_CAP
 ) -> ComplexityRecord:
     start = time.perf_counter()
-    p, certificate = _top_stage_ascent(group, R, cap)
+    p = minimal_discriminating_p(group, R, cap=cap)
     n = group.stages[-1].rank
     # the free abelian subgroup <u, t_1..t_n> has rank n+1, which drives
     # the polynomial lower bound for discriminating the ball
     lb = lower_bound_value(n + 1, R)
-    ball_size = len(group.ball(R, cap=cap))
+    ball = group.ball(R, cap=cap)
+    certificate = _p_min_certificate(group, R, p, ball)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ComplexityRecord(
         R=R,
         p_min=p,
         complexity=hom_complexity(_theta_spec(group, R, p)),
         lower_bound=lb,
-        ball_size=ball_size,
+        ball_size=len(ball),
         wall_ms=wall_ms,
         certificate=certificate,
     )
@@ -492,7 +526,7 @@ def compose_chain(
     multiply complexities, never exceed their product.
     """
     k = len(group.stages)
-    p, _ = _least_injective_p(group, R, cap, k, lambda p, ball: _collision(group, R, p, ball, k))
+    p = _least_injective_p(group, R, cap, k, lambda p, ball: _collision(group, R, p, ball, k))
     stage_complexities = []
     g = group
     while g.stages:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from discrimlab import retraction
 from discrimlab.eocgroup import EocGroup
 from discrimlab.errors import AscentExhausted
-from discrimlab.freewords import Alphabet, Word, parse_word
+from discrimlab.freewords import Alphabet, Word, join_letters, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
     apply_chain,
@@ -397,15 +398,22 @@ class TestFloor:
 
 
 class TestFingerprints:
-    """Equal fingerprints are settled exactly, and the ball-order pair is kept."""
+    """Past the scanned prefix, equal fingerprints are settled exactly and the ball-order pair is kept."""
 
-    # one run of every element, and four runs that mix distinct images
+    # the prefix ends at the root, inside the first sphere, and inside the
+    # children of one element (the second sphere of g1-rank1 is 7..32);
+    # a constant fingerprint makes one run of every element past it, and
+    # mod 4 makes four runs that mix distinct images
+    @pytest.mark.parametrize("head", [1, 4, 10])
     @pytest.mark.parametrize(
-        "fingerprint", [lambda image: 0, lambda image: hash(image) & 3], ids=["constant", "mod4"]
+        "fingerprint",
+        [hash, lambda image: 0, lambda image: hash(image) & 3],
+        ids=["hash", "constant", "mod4"],
     )
     @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
-    def test_coarse_fingerprint_matches_per_element_scan(self, label, fingerprint, monkeypatch):
+    def test_walk_past_prefix_matches_per_element_scan(self, label, fingerprint, head, monkeypatch):
         monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
+        monkeypatch.setattr(retraction, "_SCAN_HEAD", head)
         group, rmax = _walk_group(label)
         for k in sorted({1, len(group.stages)}):
             for R in range(1, rmax + 1):
@@ -418,6 +426,42 @@ class TestFingerprints:
                         image = lambda w: apply_chain(group, R, p, w)
                     expected = brute_first_collision(ball, image)
                     assert retraction._collision(group, R, p, ball, k) == expected
+
+    @pytest.mark.parametrize("head", [1, 4, 10])
+    @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
+    def test_walk_fingerprints_every_element_once(self, label, head, monkeypatch):
+        group, R = _walk_group(label)
+        ball = group.ball(R)
+        for k in sorted({1, len(group.stages)}):
+            p = _walk_p_min(group, R, k)
+
+            def image(w):
+                # as the walk keeps them: bare letters once in the free base
+                img = retraction._retract(group, R, p, w, k)
+                return img if img.group.stages else retraction._base_letters(img)
+
+            seen = []
+            monkeypatch.setattr(retraction, "_fingerprint", lambda img: seen.append(img) or hash(img))
+            monkeypatch.setattr(retraction, "_SCAN_HEAD", head)
+            assert retraction._collision(group, R, p, ball, k) is None
+            assert Counter(seen) == Counter(map(image, ball))
+
+    def test_early_collision_stops_the_walk(self):
+        # at p = 1 the R = 7 ball's first collision lies at index 5, and
+        # the walk builds no image past it
+        group = EocGroup(A, [(a, 1)])
+        ball = group.ball(7)
+        images = [retraction._base_letters(retraction._retract(group, 7, 1, g, 1)) for g in group.generators()]
+        products = 0
+
+        def counting_join(x, y):
+            nonlocal products
+            products += 1
+            return join_letters(x, y)
+
+        pair = retraction._first_collision(ball, images, (), counting_join)
+        assert pair == brute_first_collision(ball, lambda w: apply_theta(ThetaSpec(group, 7, 1), w))
+        assert products == ball.index(pair[1]) == 5
 
     def test_walk_memory_bounded(self):
         # the R = 7 ball has 46,367 elements; holding all their images

@@ -43,3 +43,23 @@ def test_every_tracer_target_exists_and_is_restored():
     after = _bindings(tracer)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_curve_ascent_is_timed():
+    # retraction.ascent_s is the time spent in minimal_discriminating_p, so
+    # each curve point must reach its p ascent through that name
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install("discrimlab")
+        from discrimlab import retraction
+        from discrimlab.eocgroup import EocGroup
+        from discrimlab.freewords import Alphabet, parse_word
+
+        alphabet = Alphabet(2)
+        group = EocGroup(alphabet, [(parse_word(alphabet, "g1"), 1)])
+        retraction.complexity_curve(group, range(4))
+    finally:
+        t.uninstall()
+    assert t.self_times()["retraction.minimal_discriminating_p"]["calls"] == 4
+    assert t.layer_metrics()["retraction.ascent_s"][0] > 0
