@@ -30,7 +30,9 @@ Canonical form:
     stripped u-powers folded into the neighbors' e-exponents (fixed
     tie-break: minimal length, then smallest |s|, then |t|).  The strip
     (``freewords._strip_search``) scans its (s, t) box row by row,
-    measuring each row by letter comparisons, and is memoized per group.
+    measuring each row by letter comparisons and stopping each direction
+    of s at the first row that provably cannot win; it is memoized per
+    group.
 
 Products normalize only the changed tail.  For a canonical a, pushing a's
 syllables onto an empty stack changes nothing, so a * b starts the stack
@@ -40,6 +42,19 @@ syllable whose right neighbour may have changed.  That is exact because
 the strip is idempotent on a canonical middle: h already has minimal
 length in its double coset, so (len h, 0, 0, 0, 0) is the least key and
 ``_strip(h, ls, rs)`` returns (0, h, 0) for every syllable before k-1.
+
+The ball multiplies canonical elements by one generator at a time, and
+``_times_generator`` does that product by cases on the last syllable: a
+base letter joins a base tail, which is then stripped against its left
+neighbour (a u-power strips to nothing and folds into it), or is absorbed
+by or appended after an abelian tail; a t-letter merges into an abelian
+tail of its stage, or is appended after an abelian tail of another stage
+or after a base tail that its strip leaves in place.  The pinch of a
+cancelled t-part, and a base tail whose strip moves, go to
+``_from_syllables``.  Each case does only the steps of that normalization
+whose outcome is not known in advance, so the two agree syllable for
+syllable; a stripped base syllable is stored as the strip cache's tuple,
+which elements share, not as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, u-power
 memberships, ball layers and, built lazily once, its subtower (the group
@@ -133,16 +148,22 @@ class EocElement:
 
     def tokens(self) -> str:
         parts = []
+        # base letters not yet printed: a base syllable waits for the u^e of
+        # the abelian syllable after it, so that the two reduce freely
+        letters: tuple[int, ...] = ()
         for syl in self.syllables:
-            abelian = syl[0] & 1
-            stage = syl[0] >> 1
+            if not syl[0] & 1:
+                letters = syl
+                continue
             # an abelian syllable u^e t^v prints as the letters of u^e, then its t's
-            letters = self.group._u_power(stage, syl[1] >> 1) if abelian else syl
-            parts.extend(f"g{x >> 1}" if x > 0 else f"G{-x >> 1}" for x in letters)
-            if abelian:
-                for i, v in enumerate(syl[2:], start=1):
-                    token = f"t{stage + 1}.{i}" if v > 0 else f"T{stage + 1}.{i}"
-                    parts.extend([token] * (abs(v) >> 1))
+            stage = syl[0] >> 1
+            letters = join_letters(letters, self.group._u_power(stage, syl[1] >> 1))
+            parts.extend(_letter_tokens(letters))
+            letters = ()
+            for i, v in enumerate(syl[2:], start=1):
+                token = f"t{stage + 1}.{i}" if v > 0 else f"T{stage + 1}.{i}"
+                parts.extend([token] * (abs(v) >> 1))
+        parts.extend(_letter_tokens(letters))
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -401,6 +422,58 @@ class EocGroup:
                 n -= 1
         return EocElement(self, tuple(out))
 
+    def _times_generator(
+        self, head: tuple[tuple[int, ...], ...], g: int
+    ) -> tuple[tuple[int, ...], ...]:
+        """The syllables of head * generator g, for canonical syllables `head`.
+
+        Equal to ``_from_syllables(self._generator_syllables[g], head)``;
+        the cases below do only the steps of that normalization whose
+        outcome is not known in advance, and the rest go to it.
+        """
+        raw = self._generator_syllables[g]
+        gen = raw[0]
+        if not head:
+            return (gen,)
+        tail = head[-1]
+        if gen[0] & 1:
+            if tail[0] & 1:
+                if tail[0] != gen[0]:
+                    # abelian syllables of distinct stages do not merge
+                    return head + (gen,)
+                syl = (tail[0], tail[1], *map(operator.add, tail[2:], gen[2:]))
+                if any(syl[2:]):
+                    return head[:-1] + (syl,)
+            else:
+                # the base tail stays if its strip against the new right
+                # neighbour moves nothing; a u-power tail would move
+                left = head[-2][0] >> 1 if len(head) > 1 else None
+                s, _, t = self._strip(tail, left, gen[0] >> 1)
+                if not (s or t):
+                    return head + (gen,)
+            return self._from_syllables(raw, head).syllables
+        if tail[0] & 1:
+            k = self._power_of(tail[0] >> 1, gen)
+            if k:
+                return head[:-1] + ((tail[0], tail[1] + 2 * k, *tail[2:]),)
+            # one letter that is no u-power strips to itself: any |s| >= 1
+            # leaves a word at least as long
+            return head + (gen,)
+        # one letter joins a reduced word by cancelling its last letter or not
+        syl = tail[:-1] if tail[-1] == -gen[0] else tail + gen
+        if not syl:
+            return head[:-1]
+        if len(head) == 1:
+            return (syl,)
+        # strip the new tail against its left neighbour; a u-power strips to
+        # nothing and folds into the neighbour, as the push would absorb it
+        left = head[-2]
+        s, h, _ = self._strip(syl, left[0] >> 1, None)
+        if not s:
+            return head[:-1] + (h,)
+        left = (left[0], left[1] + 2 * s, *left[2:])
+        return head[:-2] + ((left, h) if h else (left,))
+
     # -- word problem and ball enumeration ------------------------------------
 
     def _grow_layer(self, cap: int) -> None:
@@ -409,14 +482,13 @@ class EocGroup:
         new: list[EocElement] = []
         lengths = self._lengths
         parents, gens = self._tree_parents, self._tree_gens
-        normalize = self._from_syllables
-        generators = list(enumerate(self._generator_syllables))
+        times = self._times_generator
+        generators = range(len(self._generator_syllables))
         first = len(lengths) - len(frontier)
         for parent, elem in enumerate(frontier, start=first):
             head = elem.syllables
-            for g, gen in generators:
-                cand = normalize(gen, head)
-                key = cand.syllables
+            for g in generators:
+                key = times(head, g)
                 if key not in lengths:
                     if len(lengths) >= cap:
                         # keep the cache at whole layers so a later call can regrow
@@ -428,7 +500,7 @@ class EocGroup:
                             f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
                         )
                     lengths[key] = depth
-                    new.append(cand)
+                    new.append(EocElement(self, key))
                     parents.append(parent)
                     gens.append(g)
         self._layers.append(new)
@@ -456,6 +528,11 @@ class EocGroup:
 def _base_syllable(w: Word) -> tuple[int, ...]:
     """The base syllable of a reduced word: its letters doubled."""
     return tuple([2 * x for x in w.letters])
+
+
+def _letter_tokens(syl: tuple[int, ...]) -> list[str]:
+    """The ``g<i>``/``G<i>`` tokens of doubled letters."""
+    return [f"g{x >> 1}" if x > 0 else f"G{-x >> 1}" for x in syl]
 
 
 def _syllable_word(alphabet: Alphabet, syl: tuple[int, ...]) -> Word:

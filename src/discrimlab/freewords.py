@@ -251,39 +251,58 @@ def _strip_search(
     so no minimizer lies outside.  The least key (len(h), |s|, |t|, s, t)
     wins: ties go to smallest |s|, then |t|.
 
-    The box is scanned row by row.  Row s builds x = uL^-s * g once, by
-    one product from its neighbouring row, and measures |x * uR^-t| for
-    every t by letter comparisons (:func:`_row_minimum`); only the
-    winning (s, t) builds h.
+    The box is scanned row by row.  Row s builds x = uL^-s * g by one
+    product from its neighbouring row, and measures |x * uR^-t| for every
+    t by letter comparisons (:func:`_row_minimum`); only the winning
+    (s, t) builds h.
+
+    Each direction sigma of s stops at the first row that provably cannot
+    be beaten by the rows after it.  Write uL = z v z^-1 with v cyclically
+    reduced, and let row s = sigma k (k >= 0), x = uL^(-sigma k) * g,
+    start with the letters z v^-sigma, so x = z v^-sigma y.  Then row k + j is
+    z (v^-sigma)^(j+1) y, reduced as written: x with j more copies of
+    v^-sigma after z, and the same last |y| = |x| - |z| - |v| letters.  The
+    letters that uR^-t cancels in x * uR^-t are the common prefix of x^-1
+    and uR^-t; :func:`_row_minimum` bounds that prefix for every t by its
+    reach.  If the reach is at most |y|, the cancellation lies inside y^-1
+    and ends at the same letter in every later row, whose first letter
+    after y^-1 is again the first letter of v^sigma.  So every later row
+    measures exactly j|v| more than this one for each t, and has a larger
+    |s|: its key is strictly larger, and its h strictly longer than the
+    minimum.  Otherwise the scan goes on, to the box bound at most.
     """
     ulen = max(len(u_left) if u_left else 1, len(u_right) if u_right else 1)
     bound = 2 * len(g) + 2 * ulen + 4
-    # rows (s, uL^-s * g), each one product away from its neighbour
-    rows = [(0, g)]
-    if u_left is not None:
-        for sign, step in ((1, u_left.inverse()), (-1, u_left)):
-            x = g
-            for k in range(1, bound + 1):
-                x = step * x
-                rows.append((sign * k, x))
-    # a trivial uR leaves every t in a row at |x|, so t = 0 wins each row
     right = None
     if u_right:
         z, v = u_right.cyclic_decomposition()
         right = (z.letters, z.inverse().letters, v.inverse().letters, v.letters)
-    best_key = best_x = None
-    for s, x in rows:
-        n, t = _row_minimum(x, right, bound) if right else (len(x), 0)
-        key = (n, abs(s), abs(t), s, t)
-        if best_key is None or key < best_key:
-            best_key, best_x = key, x
+    n, t, reach = _row_minimum(g, right, bound)
+    best_key, best_x = (n, 0, abs(t), 0, t), g
+    if u_left is not None:
+        z, v = u_left.cyclic_decomposition()
+        # rows (s, uL^-s * g), each one product from its neighbour, up to the
+        # first that starts with z v^-sigma and lies beyond the reach of uR
+        for sign, step, lead in (
+            (1, u_left.inverse(), z.letters + v.inverse().letters),
+            (-1, u_left, z.letters + v.letters),
+        ):
+            x, x_reach = g, reach
+            for k in range(1, bound + 1):
+                if x_reach <= len(x) - len(lead) and x.letters[: len(lead)] == lead:
+                    break
+                x = step * x
+                n, t, x_reach = _row_minimum(x, right, bound)
+                key = (n, k, abs(t), sign * k, t)
+                if key < best_key:
+                    best_key, best_x = key, x
     s, t = best_key[3], best_key[4]
     h = best_x * (u_right ** (-t)) if t else best_x
     return s, h, t
 
 
-def _row_minimum(x: Word, right: tuple, bound: int) -> tuple[int, int]:
-    """Least (|x * uR^-t|, |t|, t) over |t| <= bound; returns (length, t).
+def _row_minimum(x: Word, right: Optional[tuple], bound: int) -> tuple[int, int, int]:
+    """Least (|x * uR^-t|, |t|, t) over |t| <= bound; returns (length, t, reach).
 
     `right` holds the letters of z, z^-1, v^-1 and v, where uR = z v z^-1
     is split by :meth:`Word.cyclic_decomposition`.  With k = |t| and
@@ -294,18 +313,28 @@ def _row_minimum(x: Word, right: tuple, bound: int) -> tuple[int, int]:
     |z| + k|v| plus the common prefix of the rest of x^-1 with z^-1; once
     |z| + k|v| > Q, c = Q and the length rises strictly with k, so the
     scan of that sign stops there.
+
+    In both cases c <= Q + |z|, so the reach, the larger Q of the two
+    signs plus |z|, bounds the letters of x that any t cancels.  A trivial
+    uR (`right` None) leaves every t at |x|, so t = 0 wins and the reach
+    is 0.
     """
     xs = x.letters
     n = len(xs)
+    if right is None:
+        return n, 0, 0
     zl, zinv, vinv, v = right
     lz = len(zl)
     best = (n, 0, 0)
+    qmax = 0
     # letter i of x^-1 is -xs[~i]
     for sigma, core in ((1, vinv), (-1, v)):
         lv = len(core)
         q = 0
         while q < n and -xs[~q] == (zl[q] if q < lz else core[(q - lz) % lv]):
             q += 1
+        if q > qmax:
+            qmax = q
         for k in range(1, bound + 1):
             m = lz + k * lv
             if m > q:
@@ -319,7 +348,7 @@ def _row_minimum(x: Word, right: tuple, bound: int) -> tuple[int, int]:
                 best = cand
             if m > q:
                 break
-    return best[0], best[2]
+    return best[0], best[2], qmax + lz
 
 
 def coset_strip(u: Word, g: Word) -> tuple[int, Word, int]:

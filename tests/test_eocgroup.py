@@ -203,6 +203,20 @@ class TestTokens:
         e = G.abelian_element(0, 2, (0,))
         assert e == G.element("g1 g1")
 
+    def test_u_power_reduces_against_the_base_syllable_before(self):
+        # the syllables G1 . u^-1 t . g1 once printed as G1 g1 G2 G1 t1.1 g1
+        G = EocGroup(A, [(parse_word(A, "g1 g2 G1"), 1)])
+        w = G.element("G1 g1 G2 G1 t1.1 g1")
+        assert len(w.syllables) == 3
+        assert w.tokens() == "G2 G1 t1.1 g1"
+
+    def test_ball_prints_reduced_and_parses_back(self):
+        G = EocGroup(A, [(parse_word(A, "g1 g2 G1"), 1)])
+        for w in G.ball(4):
+            tokens = w.tokens().split()
+            assert not any(x.swapcase() == y for x, y in zip(tokens, tokens[1:])), tokens
+            assert G.element(w.tokens()) == w
+
 
 class TestHashes:
     def test_ball_hashes_distinct(self):
@@ -231,6 +245,10 @@ class TestBallOrder:
             ([(a, 1)], 5, 2583, "71d763a4bf3d4a40653b7d032e37232c60c738f388a551cc5d8685f2af3b13c9"),
             ([(a, 2)], 4, 1513, "2f7e1834a68e5986756ba5808a4ea07f5da89465b3a4ed3fed9de0da1a97f956"),
             ([(a, 1), (b, 1)], 4, 1969, "80c2fa49b13d8d2ff65ae50a401d9083f47734c5610da2ea237268126cae354e"),
+            # multi-letter u, frozen from the ball built by the generic
+            # normalizer before one-generator products had their own method
+            ([(a * a * b, 1)], 5, 4595, "412536b98ac2d220c110fe89d6693039f126b34705a4572c2a373dfeb108890a"),
+            ([(a * b * a.inverse(), 2)], 4, 2553, "619df37b75856a9d7401cec0c6a3b79f280bd9d41f98796bc4cf791f0d41a865"),
         ],
     )
     def test_bfs_order_frozen(self, stages, radius, size, digest):
@@ -383,6 +401,31 @@ class TestGroupLaws:
         # turns an element missing from the ball into a failure, not a long search
         cap = 12_000
         assert G.word_length(w, cap) == G.word_length(w.inverse(), cap) <= len(x)
+
+
+def assert_times_generator_is_generic(group, radius):
+    """The one-generator product equals the generic normalizer on the whole ball."""
+    for w in group.ball(radius):
+        for g, gen in enumerate(group._generator_syllables):
+            expected = group._from_syllables(gen, w.syllables).syllables
+            assert group._times_generator(w.syllables, g) == expected, (w, g)
+
+
+class TestTimesGenerator:
+    @pytest.mark.parametrize("u", ["g1", "g1 g1 g2", "g1 g2 G1", "g1 g2"])
+    def test_single_stage(self, u):
+        # u = g1 g2 is the non-canonical case of ROADMAP open item 1: the
+        # product still has to reproduce the generic normalizer's output
+        assert_times_generator_is_generic(EocGroup(A, [(parse_word(A, u), 1)]), 4)
+
+    @pytest.mark.parametrize("stages", [[(a, 1), (b, 1)], [(a, 1), (b, 1), (a * b, 1)]])
+    def test_towers(self, stages):
+        assert_times_generator_is_generic(EocGroup(A, stages), 4)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(groups(), st.integers(0, 3))
+    def test_random_groups(self, G, radius):
+        assert_times_generator_is_generic(G, radius)
 
 
 def assert_ball_tree(group, radius):

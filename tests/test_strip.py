@@ -13,7 +13,8 @@ against the brute force, at an eighth of its cost.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discrimlab.freewords import Alphabet, Word, _strip_search
+from discrimlab import freewords
+from discrimlab.freewords import Alphabet, Word, _strip_search, parse_word
 
 from oracles import (
     F2_RELABELINGS,
@@ -73,3 +74,51 @@ words10 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(lambda ls: 
 def test_random_against_brute_force(g, u1, u2, pattern):
     u_left, u_right = PATTERNS[pattern](u1, u2)
     assert _strip_search(g, u_left, u_right) == brute_strip_search(g, u_left, u_right)
+
+
+words14 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=14).map(lambda ls: Word(A, ls))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(words14, non_power, non_power, st.sampled_from(sorted(PATTERNS)))
+def test_long_words_against_brute_force(g, u1, u2, pattern):
+    # past 10 letters most rows of the box lie beyond the row where the
+    # scan stops, so these are the inputs where a wrong stop would show
+    u_left, u_right = PATTERNS[pattern](u1, u2)
+    assert _strip_search(g, u_left, u_right) == brute_strip_search(g, u_left, u_right)
+
+
+def measured_rows(monkeypatch, g, u):
+    """The rows x = u^-s * g, as words, that ``_strip_search(g, u, u)`` measures."""
+    rows = []
+    row_minimum = freewords._row_minimum
+
+    def spy(x, right, bound):
+        rows.append(x)
+        return row_minimum(x, right, bound)
+
+    monkeypatch.setattr(freewords, "_row_minimum", spy)
+    _strip_search(g, u, u)
+    return rows
+
+
+# (u, g, s): u = z v z^-1 and g = z v^k w with w a suffix of u^-1, so that
+# the row x = u^-s * g starts with z v^-1, yet some u^-t cancels more of x
+# than the letters after that z v^-1: the scan must go on past row s
+REACHED_ROWS = [
+    ("g1 g2 g1", "G2 G1", 1),
+    ("g1 g1 g2", "g1 g1 g2 G1", 2),
+    ("g1 g2 G1", "g1 g2 g2", 3),
+    ("g2 g1 g2 g1 G2", "g2 G1 G2", 1),
+]
+
+
+@pytest.mark.parametrize("u, g, s", REACHED_ROWS)
+def test_reach_into_the_u_block_keeps_scanning(monkeypatch, u, g, s):
+    u, g = parse_word(A, u), parse_word(A, g)
+    z, v = u.cyclic_decomposition()
+    lead = z.letters + v.inverse().letters
+    x = u ** -s * g
+    assert x.letters[: len(lead)] == lead
+    assert u ** -(s + 1) * g in measured_rows(monkeypatch, g, u)
+    assert _strip_search(g, u, u) == brute_strip_search(g, u, u)
