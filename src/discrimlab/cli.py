@@ -391,6 +391,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         if "rmin" in vars(args) and args.rmin > args.rmax:
             parser.error(f"--rmin {args.rmin} exceeds --rmax {args.rmax}")
+        if getattr(args, "force_p", None) is not None and args.force_p < 1:
+            parser.error(f"--force-p must be >= 1, got {args.force_p}")
     except SystemExit as e:
         # argparse exits 2 on bad input and 0 on --help; pass both through
         return e.code if isinstance(e.code, int) else EXIT_INPUT

@@ -14,14 +14,17 @@ comparing elements are tuple operations done in C:
     v != 0, stored as ``(2j+1, 2e, 2v_1, ..., 2v_n)`` (a pure u-power is
     base material and is never stored here).
 The first entry of an abelian syllable is odd and every entry of a base
-syllable is even, so ``syl[0] & 1`` tells the two kinds apart.  One
-method, ``_u_power``, builds the base syllable of a power of a stage's u:
-for the normal form when a t-part cancels, for ``tokens``, and for
-``retraction.apply_theta`` when it maps t-letters to u-powers.  Doubling
+syllable is even, so ``syl[0] & 1`` tells the two kinds apart.  Doubling
 keeps CPython's ``hash(-1) == hash(-2)`` from giving ``G1`` and ``G2``,
-or u^-1 and u^-2, the same hash.  Words enter and leave this form only
-at the element API (tokens, ``base_element``, ``abelian_element``) and
-on strip and u-power cache misses.
+or u^-1 and u^-2, the same hash.  The group keeps each stage's u as
+doubled letters too, and the ``freewords`` letter kernels work on either
+encoding: ``_u_power`` is ``freewords._power`` of that u (for the normal
+form when a t-part cancels, for ``tokens``, and for
+``retraction.apply_theta`` when it maps t-letters to u-powers), and a
+strip passes the doubled syllable and u's to ``freewords._strip_search``
+as they are.  Words enter and leave this form only at the element API
+(tokens, ``base_element``, ``abelian_element``) and on u-power
+membership misses.
 
 Canonical form:
   * adjacent syllables are unmergeable (alternation);
@@ -87,6 +90,7 @@ from .errors import BudgetExceeded, GroupSpecError, WordFormatError
 from .freewords import (
     Alphabet,
     Word,
+    _power,
     _strip_search,
     conjugate,
     join_letters,
@@ -207,14 +211,9 @@ class EocGroup:
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
         self._theta_specs: dict = {}
-        # per stage, the doubled letters of z, v, v^-1, z^-1 for u = z v z^-1;
-        # read only by _u_power
-        self._u_parts = []
-        for stage in self.stages:
-            z, v = stage.u.cyclic_decomposition()
-            self._u_parts.append(
-                tuple(_base_syllable(w) for w in (z, v, v.inverse(), z.inverse()))
-            )
+        # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
+        self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
+        self._u_letters[None] = None
         self._generator_syllables = [
             (self._token_syllable(tok),) for tok in self.generator_tokens()
         ]
@@ -297,15 +296,8 @@ class EocGroup:
     # -- normalization --------------------------------------------------------
 
     def _u_power(self, stage: int, e: int) -> tuple[int, ...]:
-        """The base syllable of u_stage^e.
-
-        With u = z v z^-1 split by :meth:`Word.cyclic_decomposition`,
-        u^e = z (v^sign(e))^|e| z^-1 is reduced as written.
-        """
-        if not e:
-            return ()
-        z, v, vinv, zinv = self._u_parts[stage]
-        return z + (v if e > 0 else vinv) * abs(e) + zinv
+        """The base syllable of u_stage^e (``freewords._power``)."""
+        return _power(self._u_letters[stage], e)
 
     def _power_of(self, stage: int, g: tuple[int, ...]) -> Optional[int]:
         """k with u_stage^k == g for the base syllable g, or None."""
@@ -326,10 +318,8 @@ class EocGroup:
         try:
             return self._strip_cache[key]
         except KeyError:
-            u_left = self.stages[left_stage].u if left_stage is not None else None
-            u_right = self.stages[right_stage].u if right_stage is not None else None
-            s, h, t = _strip_search(_syllable_word(self.alphabet, g), u_left, u_right)
-            result = self._strip_cache[key] = (s, _base_syllable(h), t)
+            u = self._u_letters
+            result = self._strip_cache[key] = _strip_search(g, u[left_stage], u[right_stage])
             return result
 
     def _push(self, stack: list[tuple[int, ...]], syl: tuple[int, ...]) -> int:
@@ -546,15 +536,16 @@ def load_group_spec(text: str) -> EocGroup:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GroupSpecError(f"spec is not valid JSON: {e}") from e
-    if not isinstance(doc, dict) or "free_rank" not in doc:
-        raise GroupSpecError("spec must be an object with a 'free_rank' field")
-    alphabet = Alphabet(int(doc["free_rank"]))
+    # an integer is a JSON int: type() rejects true and false, which are bools
+    if not isinstance(doc, dict) or type(doc.get("free_rank")) is not int:
+        raise GroupSpecError("spec must be an object with an integer 'free_rank' field")
+    entries = doc.get("stages", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise GroupSpecError("'stages' must be a list of objects")
+    alphabet = Alphabet(doc["free_rank"])
     stages = []
-    for j, entry in enumerate(doc.get("stages", [])):
-        try:
-            u = parse_word(alphabet, entry["u"])
-            rank = int(entry["rank"])
-        except (KeyError, TypeError) as e:
-            raise GroupSpecError(f"bad stage entry: {e}", stage=j) from e
-        stages.append((u, rank))
+    for j, entry in enumerate(entries):
+        if not isinstance(entry.get("u"), str) or type(entry.get("rank")) is not int:
+            raise GroupSpecError("a stage needs a string 'u' and an integer 'rank'", stage=j)
+        stages.append((parse_word(alphabet, entry["u"]), entry["rank"]))
     return EocGroup(alphabet, stages)

@@ -7,6 +7,14 @@ their letter tuples are equal.
 
 Serialization: space-separated tokens, ``g<i>`` for a generator and
 ``G<i>`` for its inverse, e.g. ``"g1 g2 G1"``.
+
+The kernels work on reduced letter tuples in any encoding closed under
+negation: the plain letters of a :class:`Word`, or the doubled letters of
+an ``eocgroup`` base syllable.  ``join_letters`` multiplies two of them.
+``_split`` is the one place that writes u = z v z^-1 with v cyclically
+reduced; u^e = z (v^sign(e))^|e| z^-1 is then reduced as written
+(``_power``).  Powers, roots, conjugacy, u-power membership and the
+double-coset strip (``_strip_search``) all take u apart through it.
 """
 
 from __future__ import annotations
@@ -58,6 +66,28 @@ def join_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         i -= 1
         j += 1
     return a[:i] + b[j:]
+
+
+def _split(letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(z, v, v^-1, z^-1) for reduced letters u = z v z^-1, v cyclically reduced."""
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    v = letters[lo:hi]
+    return letters[:lo], v, tuple([-x for x in reversed(v)]), letters[hi:]
+
+
+def _power(letters: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The letters of u^e for reduced letters u: z (v^sign(e))^|e| z^-1.
+
+    v is cyclically reduced and the junctions with z were reduced in u,
+    so the product is reduced as written.
+    """
+    if not e:
+        return ()
+    z, v, vinv, zinv = _split(letters)
+    return z + (v if e > 0 else vinv) * abs(e) + zinv
 
 
 def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -128,30 +158,15 @@ class Word:
         return Word._raw(self.alphabet, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word._raw(self.alphabet, ())
-        z, v = self.cyclic_decomposition()
-        core = v.letters if n > 0 else tuple(-x for x in reversed(v.letters))
-        zl = z.letters
-        zinv = tuple(-x for x in reversed(zl))
-        # z * v^n * z^-1 is reduced as written: v is cyclically reduced and
-        # the junctions with z were reduced in the original word
-        return Word._raw(self.alphabet, zl + core * abs(n) + zinv)
+        return Word._raw(self.alphabet, _power(self.letters, n))
 
     def is_identity(self) -> bool:
         return not self.letters
 
     def cyclic_decomposition(self) -> tuple["Word", "Word"]:
         """Split as conjugator z and cyclically reduced core v with self = z v z^-1."""
-        letters = self.letters
-        lo, hi = 0, len(letters)
-        while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-            lo += 1
-            hi -= 1
-        return (
-            Word._raw(self.alphabet, letters[:lo]),
-            Word._raw(self.alphabet, letters[lo:hi]),
-        )
+        z, v, _, _ = _split(self.letters)
+        return Word._raw(self.alphabet, z), Word._raw(self.alphabet, v)
 
     def root(self) -> tuple["Word", int]:
         """Largest-exponent expression self = r ** e with r not a proper power.
@@ -161,14 +176,11 @@ class Word:
         """
         if not self.letters:
             raise ValueError("trivial word has no root")
-        z, v = self.cyclic_decomposition()
-        core = v.letters
-        m = len(core)
+        z, v, _, zinv = _split(self.letters)
+        m = len(v)
         for d in range(1, m):
-            if m % d == 0 and core[:d] * (m // d) == core:
-                zl = z.letters
-                zinv = tuple(-x for x in reversed(zl))
-                return Word._raw(self.alphabet, zl + core[:d] + zinv), m // d
+            if m % d == 0 and v[:d] * (m // d) == v:
+                return Word._raw(self.alphabet, z + v[:d] + zinv), m // d
         return self, 1
 
     def is_proper_power(self) -> bool:
@@ -211,8 +223,8 @@ def conjugate(x: Word, y: Word) -> bool:
     Two words are conjugate iff their cyclically reduced cores are cyclic
     rotations of each other.
     """
-    cx = x.cyclic_decomposition()[1].letters
-    cy = y.cyclic_decomposition()[1].letters
+    cx = _split(x.letters)[1]
+    cy = _split(y.letters)[1]
     return len(cx) == len(cy) and any(
         cx == cy[k:] + cy[:k] for k in range(max(len(cy), 1))
     )
@@ -221,35 +233,36 @@ def conjugate(x: Word, y: Word) -> bool:
 def power_membership(u: Word, g: Word) -> Optional[int]:
     """Return k with u**k == g, or None if g is not a power of u.
 
-    With u = z v z^-1 split by :meth:`Word.cyclic_decomposition`, u**k is
-    z (v^sign(k))^|k| z^-1 reduced as written, so |g| fixes |k| and the
-    letters of g decide the sign.
+    With u = z v z^-1 split by :func:`_split`, u**k is z (v^sign(k))^|k| z^-1
+    reduced as written, so |g| fixes |k| and the letters of g decide the
+    sign.
     """
     if u.is_identity():
         raise ValueError("u must be nontrivial")
     if g.is_identity():
         return 0
-    z, v = u.cyclic_decomposition()
+    z, v, vinv, zinv = _split(u.letters)
     k, rest = divmod(len(g) - 2 * len(z), len(v))
     if k < 1 or rest:
         return None
-    zl, zinv = z.letters, z.inverse().letters
-    if g.letters == zl + v.letters * k + zinv:
+    if g.letters == z + v * k + zinv:
         return k
-    if g.letters == zl + v.inverse().letters * k + zinv:
+    if g.letters == z + vinv * k + zinv:
         return -k
     return None
 
 
 def _strip_search(
-    g: Word, u_left: Optional[Word], u_right: Optional[Word]
-) -> tuple[int, Word, int]:
+    g: tuple[int, ...], u_left: Optional[tuple[int, ...]], u_right: Optional[tuple[int, ...]]
+) -> tuple[int, tuple[int, ...], int]:
     """Double-coset minimization g = uL^s * h * uR^t over a fixed (s, t) box.
 
-    The box bound is sound: once |s| or |t| exceeds it, the surviving
-    letters of the corresponding power block alone make h longer than g,
-    so no minimizer lies outside.  The least key (len(h), |s|, |t|, s, t)
-    wins: ties go to smallest |s|, then |t|.
+    All three are reduced letter tuples in one encoding (see the module
+    docstring), and h comes back in it; a missing u is None.  The box
+    bound is sound: once |s| or |t| exceeds it, the surviving letters of
+    the corresponding power block alone make h longer than g, so no
+    minimizer lies outside.  The least key (len(h), |s|, |t|, s, t) wins:
+    ties go to smallest |s|, then |t|.
 
     The box is scanned row by row.  Row s builds x = uL^-s * g by one
     product from its neighbouring row, and measures |x * uR^-t| for every
@@ -273,39 +286,33 @@ def _strip_search(
     """
     ulen = max(len(u_left) if u_left else 1, len(u_right) if u_right else 1)
     bound = 2 * len(g) + 2 * ulen + 4
-    right = None
-    if u_right:
-        z, v = u_right.cyclic_decomposition()
-        right = (z.letters, z.inverse().letters, v.inverse().letters, v.letters)
+    right = _split(u_right) if u_right else None
     n, t, reach = _row_minimum(g, right, bound)
     best_key, best_x = (n, 0, abs(t), 0, t), g
     if u_left is not None:
-        z, v = u_left.cyclic_decomposition()
+        z, v, vinv, zinv = _split(u_left)
         # rows (s, uL^-s * g), each one product from its neighbour, up to the
         # first that starts with z v^-sigma and lies beyond the reach of uR
-        for sign, step, lead in (
-            (1, u_left.inverse(), z.letters + v.inverse().letters),
-            (-1, u_left, z.letters + v.letters),
-        ):
+        for sign, step, lead in ((1, z + vinv + zinv, z + vinv), (-1, u_left, z + v)):
             x, x_reach = g, reach
             for k in range(1, bound + 1):
-                if x_reach <= len(x) - len(lead) and x.letters[: len(lead)] == lead:
+                if x_reach <= len(x) - len(lead) and x[: len(lead)] == lead:
                     break
-                x = step * x
+                x = join_letters(step, x)
                 n, t, x_reach = _row_minimum(x, right, bound)
                 key = (n, k, abs(t), sign * k, t)
                 if key < best_key:
                     best_key, best_x = key, x
     s, t = best_key[3], best_key[4]
-    h = best_x * (u_right ** (-t)) if t else best_x
+    h = join_letters(best_x, _power(u_right, -t)) if t else best_x
     return s, h, t
 
 
-def _row_minimum(x: Word, right: Optional[tuple], bound: int) -> tuple[int, int, int]:
+def _row_minimum(x: tuple[int, ...], right: Optional[tuple], bound: int) -> tuple[int, int, int]:
     """Least (|x * uR^-t|, |t|, t) over |t| <= bound; returns (length, t, reach).
 
-    `right` holds the letters of z, z^-1, v^-1 and v, where uR = z v z^-1
-    is split by :meth:`Word.cyclic_decomposition`.  With k = |t| and
+    `x` and `right` are letter tuples: `right` holds z, v, v^-1 and z^-1
+    from :func:`_split` of uR = z v z^-1.  With k = |t| and
     sigma = sign(t), the word uR^-t = z (v^-sigma)^k z^-1 is reduced as
     written, so |x * uR^-t| = |x| + 2|z| + k|v| - 2c, where c is the common
     prefix of x^-1 and that word.  Let Q be the common prefix of x^-1 and
@@ -319,19 +326,18 @@ def _row_minimum(x: Word, right: Optional[tuple], bound: int) -> tuple[int, int,
     uR (`right` None) leaves every t at |x|, so t = 0 wins and the reach
     is 0.
     """
-    xs = x.letters
-    n = len(xs)
+    n = len(x)
     if right is None:
         return n, 0, 0
-    zl, zinv, vinv, v = right
+    zl, v, vinv, zinv = right
     lz = len(zl)
     best = (n, 0, 0)
     qmax = 0
-    # letter i of x^-1 is -xs[~i]
+    # letter i of x^-1 is -x[~i]
     for sigma, core in ((1, vinv), (-1, v)):
         lv = len(core)
         q = 0
-        while q < n and -xs[~q] == (zl[q] if q < lz else core[(q - lz) % lv]):
+        while q < n and -x[~q] == (zl[q] if q < lz else core[(q - lz) % lv]):
             q += 1
         if q > qmax:
             qmax = q
@@ -341,7 +347,7 @@ def _row_minimum(x: Word, right: Optional[tuple], bound: int) -> tuple[int, int,
                 c = q
             else:
                 c = m
-                while c - m < lz and c < n and -xs[~c] == zinv[c - m]:
+                while c - m < lz and c < n and -x[~c] == zinv[c - m]:
                     c += 1
             cand = (n + 2 * lz + k * lv - 2 * c, k, sigma * k)
             if cand < best:
@@ -361,5 +367,6 @@ def coset_strip(u: Word, g: Word) -> tuple[int, Word, int]:
         raise ValueError("u must be nontrivial and not a proper power")
     if power_membership(u, g) is not None:
         raise ValueError("g lies in <u>; no double-coset strip exists")
-    return _strip_search(g, u, u)
+    s, h, t = _strip_search(g.letters, u.letters, u.letters)
+    return s, Word._raw(g.alphabet, h), t
 

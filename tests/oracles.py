@@ -1,7 +1,11 @@
 """Brute-force reference implementations that the library's closed forms replace.
 
 They are meant to be slow and obviously right, and share no code path
-with what they check beyond word products and powers and the theta map.
+with what they check beyond word products and the theta map.  The
+u-powers of the strip, membership and retraction oracles are running
+products, not ``Word.__pow__``: the library builds every u-power with
+its kernel ``freewords._power``.  ``product_padded`` still uses
+``Word.__pow__``, as ``bigpowers.build_padded`` does.
 The test inputs come from here as well: the free-word enumerator and its
 relabelings, and the Z^n box and ball points.
 """
@@ -98,6 +102,16 @@ def verify_bijection(n: int, R: int) -> bool:
     return len(seen) == 2 * half + 1
 
 
+def running_powers(u: Word, bound: int) -> dict[int, Word]:
+    """u^k for |k| <= bound, each one product from the last: u^k = u^(k-1) * u."""
+    powers = {0: u.alphabet.identity()}
+    u_inv = u.inverse()
+    for k in range(1, bound + 1):
+        powers[k] = powers[k - 1] * u
+        powers[-k] = powers[1 - k] * u_inv
+    return powers
+
+
 def brute_strip_search(
     g: Word, u_left: Optional[Word], u_right: Optional[Word]
 ) -> tuple[int, Word, int]:
@@ -112,10 +126,12 @@ def brute_strip_search(
     bound = 2 * len(g) + 2 * ulen + 4
     s_range = range(-bound, bound + 1) if u_left is not None else range(0, 1)
     t_range = range(-bound, bound + 1) if u_right is not None else range(0, 1)
-    rights = [(t, (u_right ** (-t)).letters if u_right is not None else ()) for t in t_range]
+    left = running_powers(u_left, bound) if u_left is not None else None
+    right = running_powers(u_right, bound) if u_right is not None else None
+    rights = [(t, right[-t].letters if right is not None else ()) for t in t_range]
     best_key = None
     for s in s_range:
-        a = ((u_left ** (-s)) * g if u_left is not None else g).letters
+        a = (left[-s] * g if left is not None else g).letters
         for t, b in rights:
             j = 0
             while j < len(a) and j < len(b) and a[-1 - j] == -b[j]:
@@ -124,8 +140,8 @@ def brute_strip_search(
             if best_key is None or key < best_key:
                 best_key = key
     s, t = best_key[3], best_key[4]
-    h = (u_left ** (-s)) * g if u_left is not None else g
-    h = h * (u_right ** (-t)) if u_right is not None else h
+    h = left[-s] * g if left is not None else g
+    h = h * right[-t] if right is not None else h
     assert len(h) == best_key[0]
     return s, h, t
 
@@ -133,23 +149,22 @@ def brute_strip_search(
 def brute_power_membership(u: Word, g: Word) -> Optional[int]:
     """Return k with u**k == g, or None, by building u**k and u**-k for k = 1, 2, ...
 
-    The scan stops once u**k is longer than |g| + 2|u|, and in any case
-    after ceil(|g| / |v|) + |u| steps, with v the cyclically reduced core of u.
+    Both are running products: u**(k+1) = u**k * u.  The scan stops once
+    u**k is longer than g, as |u**k| = |u**-k| grows strictly with k for a
+    nontrivial u.
     """
     if u.is_identity():
         raise ValueError("u must be nontrivial")
     if g.is_identity():
         return 0
-    _, core = u.cyclic_decomposition()
-    bound = -(-len(g) // len(core)) + len(u)
-    for k in range(1, bound + 1):
-        p = u**k
-        if len(p) > len(g) + 2 * len(u):
-            break
+    u_inv = u.inverse()
+    p, q, k = u, u_inv, 1
+    while len(p) <= len(g):
         if p == g:
             return k
-        if p.inverse() == g:
+        if q == g:
             return -k
+        p, q, k = p * u, q * u_inv, k + 1
     return None
 
 
@@ -214,7 +229,7 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
 
     Every top-stage syllable u^e t^v, stored as (2 * stage + 1, 2e, 2v...),
     becomes the base syllable of u^(e + p * theta(v)), built by
-    ``Word.__pow__`` and doubled; the subtower then normalizes the whole
+    ``running_powers`` and doubled; the subtower then normalizes the whole
     syllable sequence from scratch.
     """
     top = len(spec.group.stages) - 1
@@ -224,7 +239,7 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     for syl in w.syllables:
         if syl[0] % 2 == 1 and syl[0] // 2 == top:
             e = syl[1] // 2 + spec.p * th(tuple(x // 2 for x in syl[2:]))
-            syllables.append(tuple(2 * x for x in (u**e).letters))
+            syllables.append(tuple(2 * x for x in running_powers(u, abs(e))[e].letters))
         else:
             syllables.append(syl)
     return spec.target._from_syllables(tuple(syllables))

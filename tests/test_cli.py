@@ -345,6 +345,26 @@ class TestBall:
         code, _ = run(capsys, "ball", "--spec", g1_spec, "--rmax", "2", "--cap", "0")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"free_rank": 2, "stages": 5}',
+            '{"free_rank": 2, "stages": [{"u": 5, "rank": 1}]}',
+            '{"free_rank": [2], "stages": []}',
+            '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1.7}]}',
+            '{"free_rank": 2.5, "stages": []}',
+        ],
+        ids=["stages-not-list", "u-not-string", "free-rank-list", "rank-float", "free-rank-float"],
+    )
+    def test_malformed_spec_exits_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code = main(["ball", "--spec", str(path), "--rmax", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestCrosscheck:
     def test_agreement(self, capsys, g1_spec):
@@ -373,6 +393,15 @@ class TestCrosscheck:
 
     def test_negative_cap_exits_2(self, capsys, g1_spec):
         code, out = run(capsys, "crosscheck", "--spec", g1_spec, "--r", "2", "--cap", "-5")
+        assert code == 2
+        assert out == ""
+
+    def test_force_p_below_1_exits_2_before_any_work(self, capsys, monkeypatch, g1_spec):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ran work before rejecting --force-p")
+
+        monkeypatch.setattr("discrimlab.cli._load_group", no_work)
+        code, out = run(capsys, "crosscheck", "--spec", g1_spec, "--r", "2", "--force-p", "0")
         assert code == 2
         assert out == ""
 

@@ -8,6 +8,10 @@ relabeling preserves word length, products and powers and leaves s and t
 alone, so the brute force commutes with it; every u (with two words:
 every u1, each with one partner u2) and every g is therefore checked
 against the brute force, at an eighth of its cost.
+
+``_strip_search`` works on letter tuples in any encoding closed under
+negation; the tests pass it plain ``Word`` letters through ``strip``, and
+the random tests also pass it the doubled letters of the normal form.
 """
 
 import pytest
@@ -41,6 +45,33 @@ PATTERNS = {
 }
 
 
+def letters(w):
+    """The letters of a Word; None stays None."""
+    return None if w is None else w.letters
+
+
+def doubled(w):
+    """The doubled letters of a Word, as an eocgroup base syllable; None stays None."""
+    return None if w is None else tuple([2 * x for x in w.letters])
+
+
+def strip(g, u_left, u_right):
+    """``_strip_search`` on the letters of Words, with h wrapped back into a Word.
+
+    The wrap does not reduce, so an unreduced h compares unequal.
+    """
+    s, h, t = _strip_search(g.letters, letters(u_left), letters(u_right))
+    return s, Word._raw(g.alphabet, h), t
+
+
+def assert_matches_brute_force(g, u_left, u_right):
+    """The strip agrees with the brute force, on plain and on doubled letters."""
+    s, h, t = brute_strip_search(g, u_left, u_right)
+    assert strip(g, u_left, u_right) == (s, h, t)
+    got = _strip_search(doubled(g), doubled(u_left), doubled(u_right))
+    assert got == (s, doubled(h), t)
+
+
 def test_inputs_cover_the_stated_sets():
     assert len(G5) == 1 + 4 + 12 + 36 + 108 + 324
     assert len(U3) == 4 + 8 + 32
@@ -55,9 +86,7 @@ def test_exhaustive_against_brute_force(pattern):
         for g in G5:
             s, h, t = brute_strip_search(g, u_left, u_right)
             for phi in F2_RELABELINGS:
-                got = _strip_search(
-                    relabel(phi, g), relabel(phi, u_left), relabel(phi, u_right)
-                )
+                got = strip(relabel(phi, g), relabel(phi, u_left), relabel(phi, u_right))
                 assert got == (s, relabel(phi, h), t), (g, u_left, u_right, phi)
 
 
@@ -73,7 +102,7 @@ words10 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(lambda ls: 
 @given(words10, non_power, non_power, st.sampled_from(sorted(PATTERNS)))
 def test_random_against_brute_force(g, u1, u2, pattern):
     u_left, u_right = PATTERNS[pattern](u1, u2)
-    assert _strip_search(g, u_left, u_right) == brute_strip_search(g, u_left, u_right)
+    assert_matches_brute_force(g, u_left, u_right)
 
 
 words14 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=14).map(lambda ls: Word(A, ls))
@@ -85,11 +114,11 @@ def test_long_words_against_brute_force(g, u1, u2, pattern):
     # past 10 letters most rows of the box lie beyond the row where the
     # scan stops, so these are the inputs where a wrong stop would show
     u_left, u_right = PATTERNS[pattern](u1, u2)
-    assert _strip_search(g, u_left, u_right) == brute_strip_search(g, u_left, u_right)
+    assert_matches_brute_force(g, u_left, u_right)
 
 
 def measured_rows(monkeypatch, g, u):
-    """The rows x = u^-s * g, as words, that ``_strip_search(g, u, u)`` measures."""
+    """The rows x = u^-s * g, as letter tuples, that ``strip(g, u, u)`` measures."""
     rows = []
     row_minimum = freewords._row_minimum
 
@@ -98,7 +127,7 @@ def measured_rows(monkeypatch, g, u):
         return row_minimum(x, right, bound)
 
     monkeypatch.setattr(freewords, "_row_minimum", spy)
-    _strip_search(g, u, u)
+    strip(g, u, u)
     return rows
 
 
@@ -120,5 +149,5 @@ def test_reach_into_the_u_block_keeps_scanning(monkeypatch, u, g, s):
     lead = z.letters + v.inverse().letters
     x = u ** -s * g
     assert x.letters[: len(lead)] == lead
-    assert u ** -(s + 1) * g in measured_rows(monkeypatch, g, u)
-    assert _strip_search(g, u, u) == brute_strip_search(g, u, u)
+    assert (u ** -(s + 1) * g).letters in measured_rows(monkeypatch, g, u)
+    assert strip(g, u, u) == brute_strip_search(g, u, u)
