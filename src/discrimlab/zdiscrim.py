@@ -11,11 +11,19 @@ All arithmetic is exact (python ints and Fractions); numpy is used only
 to speed up exhaustive kernel searches over small integer boxes.  Those
 searches run over coefficient vectors in max-norm shells.  Each shell is
 built directly in numpy in lex order, so the cube [-m, m]^n is never
-walked.  The complexity search tests the candidates of a shell one block
-at a time against one antipodal half of the punctured ball, and stops at
-the first block with a discriminating candidate.  A block has
-SCAN_BLOCK_CELLS // |half ball| candidates (at least one), so the image
-matrix it builds never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64
+walked.
+
+The complexity search uses the symmetry of the ball: the l1 ball and the
+box are invariant under signed permutations of coordinates, so c
+discriminates exactly when every signed permutation of c does.  A shell
+is tested only at its canonical rows 0 <= c_1 <= ... <= c_n = m, one per
+orbit, against the primitive points of one antipodal half of the
+punctured ball, since c.x != 0 exactly when c.(x/gcd(x)) != 0.  The
+result is still the lex-first discriminating vector of the first shell
+that has one: the least lex-first orbit member of its discriminating
+canonical rows.  The budget still counts whole shells.  Candidates are
+tested in blocks of SCAN_BLOCK_CELLS // |half ball| (at least one), so
+the image matrix never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64
 cells, whatever the shell size.
 """
 
@@ -128,17 +136,37 @@ def _shell_vectors_cached(n: int, m: int) -> np.ndarray:
     return shell
 
 
-def _half_ball(n: int, spec: BallSpec) -> np.ndarray:
-    """The punctured ball's points with positive first nonzero entry, as rows.
+def _canonical_rows(n: int, m: int) -> np.ndarray:
+    """Shell m's rows 0 <= c_1 <= ... <= c_n = m, one per signed-permutation orbit, in lex order."""
+    shell = _shell_vectors_cached(n, m)
+    # a shell row's first nonzero entry is positive, so a non-decreasing
+    # row has no negative entry
+    return shell[np.all(np.diff(shell, axis=1) >= 0, axis=1)]
 
-    In the lex-ordered box the rows after the center are exactly those
-    points, and the rows before it are their negatives.
+
+def _half_ball(n: int, spec: BallSpec) -> np.ndarray:
+    """The punctured ball's primitive points with positive first nonzero entry, as rows.
+
+    In the lex-ordered box the rows after the center are exactly the
+    points with positive first nonzero entry, and the rows before it are
+    their negatives.  A point is primitive when the gcd of its entries is 1.
     """
     box = _cube(n, spec.radius)
     half = box[len(box) // 2 + 1 :]
     if spec.shape == "l1":
         half = half[np.abs(half).sum(axis=1) <= spec.radius]
-    return half
+    return half[np.gcd.reduce(np.abs(half), axis=1) == 1]
+
+
+def _lex_first_member(c: IntVector) -> IntVector:
+    """The lex-first signed permutation of canonical c with positive first nonzero entry.
+
+    c is a canonical row, 0 <= c_1 <= ... <= c_n with c_n > 0.  The least
+    member puts the zeros first, then the smallest nonzero entry (it must
+    be positive), then the others negated, largest first.
+    """
+    z = c.count(0)
+    return c[: z + 1] + tuple(-x for x in reversed(c[z + 1 :]))
 
 
 def minimal_complexity(
@@ -147,18 +175,30 @@ def minimal_complexity(
     """Least complexity of a hom whose kernel misses the punctured ball, by exhaustive search.
 
     Searches coefficient vectors in increasing max-norm shells up to the
-    theta(n, R) ceiling, lex order within a shell, skipping sign-mirrored
-    duplicates (negative leading coefficient); the kernel is symmetric
-    under negation, so one antipodal half of the punctured ball is
-    tested.  Each shell is built directly in lex order and scanned in
-    blocks of SCAN_BLOCK_CELLS // |half ball| candidates (at least one):
-    the search stops at the first block holding a discriminating
-    candidate and returns the lex-first one, so the image matrix never
-    exceeds max(SCAN_BLOCK_CELLS, |half ball|) cells.  ``budget`` caps the
-    candidates of the whole shells searched; a shell that would pass it
-    raises BudgetExceeded before it is built.  The theta complexity is a
-    valid search ceiling; if the search passes it anyway, AscentExhausted
-    carries theta's coefficients and a half-ball point theta sends to 0.
+    theta(n, R) ceiling and returns the first shell m holding a
+    discriminating vector, with the lex-first such vector whose first
+    nonzero entry is positive (the kernel is symmetric under negation).
+
+    The ball is invariant under signed permutations of coordinates, so
+    discrimination is a property of a whole orbit, and each orbit meets
+    the shell in exactly one canonical row 0 <= c_1 <= ... <= c_n = m.
+    Only the canonical rows of ``_shell_vectors_cached(n, m)`` are tested,
+    in blocks of SCAN_BLOCK_CELLS // |half ball| candidates (at least
+    one), so the image matrix never exceeds max(SCAN_BLOCK_CELLS,
+    |half ball|) cells.  They are tested against the primitive points of
+    one antipodal half of the punctured ball: c kills x exactly when it
+    kills x/gcd(x), which lies in the same half ball.  At the first shell
+    with a discriminating canonical row, every canonical row of that shell
+    is tested, each discriminating one is mapped to the lex-first member
+    of its orbit (``_lex_first_member``), and the least of those is the
+    lex-first discriminating vector of the whole shell.
+
+    ``budget`` caps the candidates of the whole shells searched, counted
+    as full shells (not canonical rows): a shell that would pass it raises
+    BudgetExceeded before it is built.  The theta complexity is a valid
+    search ceiling; if the search passes it anyway, AscentExhausted
+    carries theta's coefficients and the lex-first half-ball point theta
+    sends to 0, which is primitive, since x/gcd(x) precedes x.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -175,12 +215,13 @@ def minimal_complexity(
         searched += _shell_size(n, m)
         if searched > budget:
             raise BudgetExceeded(f"coefficient search exceeded budget {budget}")
-        shell = _shell_vectors_cached(n, m)
-        for start in range(0, len(shell), block):
-            candidates = shell[start : start + block]
-            ok = np.flatnonzero(np.all(half @ candidates.T != 0, axis=0))
-            if ok.size:
-                return m, ZnHom(tuple(int(c) for c in candidates[ok[0]]))
+        canonical = _canonical_rows(n, m)
+        found = []
+        for start in range(0, len(canonical), block):
+            candidates = canonical[start : start + block]
+            found += candidates[np.all(half @ candidates.T != 0, axis=0)].tolist()
+        if found:
+            return m, ZnHom(min(_lex_first_member(tuple(c)) for c in found))
     # theta (or its negative) lies in a scanned shell, so it kills a point
     killed = half[half @ np.array(th.coefficients, dtype=np.int64) == 0]
     raise AscentExhausted(

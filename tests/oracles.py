@@ -2,10 +2,9 @@
 
 They are meant to be slow and obviously right, and share no code path
 with what they check beyond word products and the theta map.  The
-u-powers of the strip, membership and retraction oracles are running
-products, not ``Word.__pow__``: the library builds every u-power with
-its kernel ``freewords._power``.  ``product_padded`` still uses
-``Word.__pow__``, as ``bigpowers.build_padded`` does.
+u-powers of every oracle are running products (``running_powers``), not
+``Word.__pow__``: the library builds every u-power with its kernel
+``freewords._power``.
 The test inputs come from here as well: the free-word enumerator and its
 relabelings, and the Z^n box and ball points.
 """
@@ -82,6 +81,12 @@ def ball_points(n: int, spec: BallSpec) -> list[IntVector]:
     if spec.shape == "box":
         return points
     return [v for v in points if sum(abs(t) for t in v) <= spec.radius]
+
+
+def half_ball_points(n: int, spec: BallSpec) -> np.ndarray:
+    """The punctured ball's points with positive first nonzero entry, as int64 rows."""
+    half = [v for v in ball_points(n, spec) if next((c for c in v if c != 0), 0) > 0]
+    return np.array(half, dtype=np.int64).reshape(-1, n)
 
 
 def interval_half_width(n: int, R: int) -> int:
@@ -168,12 +173,15 @@ def brute_power_membership(u: Word, g: Word) -> Optional[int]:
     return None
 
 
-def product_padded(spec: PaddedWordSpec, r: Sequence[int]) -> Word:
-    """(flanks) u^r0 g_1 u^r1 ... g_k u^rk as a chain of ``Word`` products."""
+def product_padded(spec: PaddedWordSpec, r: Sequence[int], powers: dict[int, Word]) -> Word:
+    """(flanks) u^r0 g_1 u^r1 ... g_k u^rk as a chain of ``Word`` products.
+
+    ``powers`` is a ``running_powers(spec.u, bound)`` table with bound >= max |r_i|.
+    """
     w = spec.flank_left if spec.flank_left is not None else spec.u.alphabet.identity()
     for i, g in enumerate(spec.gs):
-        w = w * spec.u ** r[i] * g
-    w = w * spec.u ** r[spec.k]
+        w = w * powers[r[i]] * g
+    w = w * powers[r[spec.k]]
     if spec.flank_right is not None:
         w = w * spec.flank_right
     return w
@@ -190,7 +198,8 @@ def brute_certify(
 
     Draws the same seeded samples, then tests each tuple of the box
     |r_i| <= min(N + 2, sweep_cap) on its own, in ``itertools.product``
-    order, against the (at most four) forbidden words.
+    order, against the (at most four) forbidden words.  One table of
+    running powers, |r| <= |N| + 10, serves the samples and the sweep.
     """
     report = CertifyReport(
         spec_echo=_spec_echo(spec),
@@ -204,18 +213,19 @@ def brute_certify(
     one = spec.u.alphabet.identity()
     lefts, rights = (spec.flank_left or one, one), (spec.flank_right or one, one)
     forbidden = tuple({(x * y).letters for x in lefts for y in rights})
+    powers = running_powers(spec.u, abs(N) + 10)
     for _ in range(samples):
         r = tuple(
             rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
         )
-        if product_padded(spec, r).letters in forbidden:
+        if product_padded(spec, r, powers).letters in forbidden:
             raise CertificationError(
                 f"trivializing tuple {r} above threshold {N}: threshold is unsound"
             )
         report.sampled_ok += 1
     bound = min(N + 2, sweep_cap)
     for r in itertools.product(range(-bound, bound + 1), repeat=k + 1):
-        if product_padded(spec, r).letters in forbidden:
+        if product_padded(spec, r, powers).letters in forbidden:
             report.trivializing.append(r)
             if min(abs(x) for x in r) > N:
                 raise CertificationError(
@@ -324,10 +334,9 @@ def brute_minimal_complexity(
     """
     if n == 1:
         return 1, ZnHom((1,))
-    pts = [v for v in ball_points(n, spec) if any(v)]
-    if not pts:
+    half = half_ball_points(n, spec)
+    if len(half) == 0:
         return 1, ZnHom((1,) + (0,) * (n - 1))
-    half = np.array([v for v in pts if next(c for c in v if c != 0) > 0], dtype=np.int64)
     searched = 0
     for m in range(1, theta(n, spec.radius).complexity + 1):
         shell = brute_shell_vectors(n, m)

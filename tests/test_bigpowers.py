@@ -15,7 +15,7 @@ from discrimlab.bigpowers import (
 )
 from discrimlab.errors import AscentExhausted, CertificationError
 from discrimlab.freewords import Alphabet, Word, parse_word
-from oracles import brute_certify, product_padded
+from oracles import brute_certify, product_padded, running_powers
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -254,7 +254,7 @@ class TestCertifyMatchesBrute:
             s = _random_spec(rng)
             r = tuple(rng.randint(-5, 5) for _ in range(s.k + 1))
             powers = {e: (s.u**e).letters for e in range(-5, 6)}
-            expected = product_padded(s, r)
+            expected = product_padded(s, r, running_powers(s.u, 5))
             assert build_padded(s, r) == expected
             assert build_padded(s, r, powers) == expected
 

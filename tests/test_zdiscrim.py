@@ -10,6 +10,9 @@ from discrimlab import zdiscrim
 from discrimlab.zdiscrim import (
     BallSpec,
     ZnHom,
+    _canonical_rows,
+    _half_ball,
+    _lex_first_member,
     _shell_size,
     _shell_vectors_cached,
     lower_bound_value,
@@ -24,6 +27,7 @@ from oracles import (
     ball_points,
     brute_minimal_complexity,
     brute_shell_vectors,
+    half_ball_points,
     interval_half_width,
     verify_bijection,
 )
@@ -75,16 +79,21 @@ class TestTheta:
             theta(3, 1)((1, 1))
 
 
+def _shell_ms(n):
+    """Every m whose cube [-m, m]^n has at most 10^5 points, up to m = 40."""
+    m = 1
+    while (2 * m + 1) ** n <= 10**5 and m <= 40:
+        yield m
+        m += 1
+
+
 class TestShells:
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_brute_force_in_order(self, n):
-        # every m whose cube [-m, m]^n has at most 10^5 points, up to m = 40
-        m = 1
-        while (2 * m + 1) ** n <= 10**5 and m <= 40:
+        for m in _shell_ms(n):
             shell = _shell_vectors_cached(n, m)
             assert np.array_equal(shell, brute_shell_vectors(n, m)), m
             assert len(shell) == _shell_size(n, m)
-            m += 1
 
     def test_cached_shell_is_read_only(self):
         shell = _shell_vectors_cached(3, 2)
@@ -122,11 +131,6 @@ class TestMinimalComplexity:
             monkeypatch.setattr(zdiscrim, "SCAN_BLOCK_CELLS", block_cells)
         for n, R, budget in _ORACLE_CASES:
             expect = _oracle_outcome(n, shape, R, budget)
-            # blocks this small cost one numpy call per candidate: leave out
-            # the two box searches that scan over 50,000 candidates
-            if block_cells is not None and isinstance(expect, tuple):
-                if ((2 * expect[0] + 1) ** n - 1) // 2 > 50_000:
-                    continue
             got = _outcome(minimal_complexity, n, BallSpec(shape, R), budget)
             assert got == expect, (n, R)
 
@@ -198,6 +202,32 @@ class TestMinimalComplexity:
     def test_empty_ball(self):
         m, h = minimal_complexity(3, BallSpec("l1", 0))
         assert m == 1 and h.n == 3
+
+
+class TestOrbitReduction:
+    """The signed-permutation reduction of the complexity search against the brute-force shells."""
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_canonical_rows_and_lex_first_members(self, n):
+        for m in _shell_ms(n):
+            # the least shell row of each orbit, keyed by its sorted |v|
+            least = {}
+            for v in map(tuple, brute_shell_vectors(n, m).tolist()):
+                least.setdefault(tuple(sorted(map(abs, v))), v)
+            canonical = [tuple(c) for c in _canonical_rows(n, m).tolist()]
+            assert canonical == sorted(least), (n, m)
+            for c in canonical:
+                assert _lex_first_member(c) == least[c], (n, m, c)
+
+    @pytest.mark.parametrize("shape", ["l1", "box"])
+    def test_primitive_filter_keeps_the_result(self, shape, monkeypatch):
+        specs = [(n, BallSpec(shape, R), budget) for n, R, budget in _ORACLE_CASES]
+        expect = [_outcome(minimal_complexity, *case) for case in specs]
+        # the same search against every half-ball point, primitive or not
+        full = {(n, spec): half_ball_points(n, spec) for n, spec, _ in specs}
+        assert any(len(full[n, spec]) > len(_half_ball(n, spec)) for n, spec, _ in specs)
+        monkeypatch.setattr(zdiscrim, "_half_ball", lambda n, spec: full[n, spec])
+        assert [_outcome(minimal_complexity, *case) for case in specs] == expect
 
 
 class TestSiegel:
