@@ -30,34 +30,40 @@ Canonical form:
   * adjacent syllables are unmergeable (alternation);
   * every base syllable is the minimal representative of its double
     coset with respect to the u's of its abelian neighbors, with the
-    stripped u-powers folded into the neighbors' e-exponents (fixed
-    tie-break: minimal length, then smallest |s|, then |t|).  The strip
+    stripped u-powers folded into the neighbors' e-exponents.  Among the
+    shortest words of the double coset it is the lex-least one (the strip's
+    ``canonical`` key), a choice that depends on the double coset alone and
+    not on the word that entered it.  The strip
     (``freewords._strip_search``) scans its (s, t) box row by row,
     measuring each row by letter comparisons and stopping each direction
-    of s at the first row that provably cannot win; it is memoized per
-    group.
+    of s at the first row that provably cannot hold a shortest word; it is
+    memoized per group.
 
 Products normalize only the changed tail.  For a canonical a, pushing a's
 syllables onto an empty stack changes nothing, so a * b starts the stack
 at a's syllables and pushes only b's; the pushes leave some prefix of
 length k untouched.  The strip pass then starts at index k-1, the last
 syllable whose right neighbour may have changed.  That is exact because
-the strip is idempotent on a canonical middle: h already has minimal
-length in its double coset, so (len h, 0, 0, 0, 0) is the least key and
-``_strip(h, ls, rs)`` returns (0, h, 0) for every syllable before k-1.
+the strip is idempotent on a canonical middle: h already is the lex-least
+shortest word of its double coset, and a nonempty h is reached from
+itself only at s = t = 0, so ``_strip(h, ls, rs)`` returns (0, h, 0) for
+every syllable before k-1.
 
 The ball multiplies canonical elements by one generator at a time, and
 ``_times_generator`` does that product by cases on the last syllable: a
 base letter joins a base tail, which is then stripped against its left
-neighbour (a u-power strips to nothing and folds into it), or is absorbed
-by or appended after an abelian tail; a t-letter merges into an abelian
-tail of its stage, or is appended after an abelian tail of another stage
-or after a base tail that its strip leaves in place.  The pinch of a
-cancelled t-part, and a base tail whose strip moves, go to
-``_from_syllables``.  Each case does only the steps of that normalization
-whose outcome is not known in advance, so the two agree syllable for
-syllable; a stripped base syllable is stored as the strip cache's tuple,
-which elements share, not as a new one per element.
+neighbour, or follows an abelian tail and is stripped against the tail's
+stage (a u-power strips to nothing; s folds into the neighbour either
+way); a t-letter merges into an abelian tail of its stage, is appended
+after an abelian tail of another stage, or follows a base tail, which is
+stripped between its left neighbour and the t-letter with s and t folded
+into the two.  If that strip leaves nothing, the tail was a u-power, so
+the two abelian syllables it separated are of distinct stages and stay
+apart.  Only the pinch of a cancelled t-part goes to ``_from_syllables``.
+Each case does only the steps of that normalization whose outcome is not
+known in advance, so the two agree syllable for syllable; a stripped base
+syllable is stored as the strip cache's tuple, which elements share, not
+as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, u-power
 memberships, ball layers and, built lazily once, its subtower (the group
@@ -71,7 +77,10 @@ parent * generator, and two flat integer arrays record, per ball index,
 the parent's ball index and the generator's index in
 ``generator_tokens()`` order.  They grow and roll back with the layers,
 so a homomorphism can be evaluated on the whole ball with one product
-per element (``retraction._first_collision``).
+per element (``retraction._first_collision``).  A layer does not multiply
+an element by the inverse of its tree generator: that product is the
+element's tree parent, one layer down, and with one normal form per
+element it would only find that parent's syllables in the ball.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -214,9 +223,17 @@ class EocGroup:
         # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
         self._u_letters[None] = None
-        self._generator_syllables = [
-            (self._token_syllable(tok),) for tok in self.generator_tokens()
+        tokens = self.generator_tokens()
+        self._generator_syllables = [(self._token_syllable(tok),) for tok in tokens]
+        # _forward_gens[g]: the generators that do not undo generator g, by
+        # index; the last entry, also read as index -1 (the identity's tree
+        # generator), holds them all
+        inverse = [
+            tokens.index(-tok if isinstance(tok, int) else (*tok[:2], -tok[2])) for tok in tokens
         ]
+        self._forward_gens = [
+            tuple(h for h in range(len(tokens)) if h != inverse[g]) for g in range(len(tokens))
+        ] + [tuple(range(len(tokens)))]
         # ball cache: layers[r] = list of elements of word length exactly r,
         # and the length of every element so far, keyed by its syllables
         self._layers: list[list[EocElement]] = [[self.identity()]]
@@ -319,7 +336,9 @@ class EocGroup:
             return self._strip_cache[key]
         except KeyError:
             u = self._u_letters
-            result = self._strip_cache[key] = _strip_search(g, u[left_stage], u[right_stage])
+            result = self._strip_cache[key] = _strip_search(
+                g, u[left_stage], u[right_stage], canonical=True
+            )
             return result
 
     def _push(self, stack: list[tuple[int, ...]], syl: tuple[int, ...]) -> int:
@@ -435,20 +454,30 @@ class EocGroup:
                 if any(syl[2:]):
                     return head[:-1] + (syl,)
             else:
-                # the base tail stays if its strip against the new right
-                # neighbour moves nothing; a u-power tail would move
-                left = head[-2][0] >> 1 if len(head) > 1 else None
-                s, _, t = self._strip(tail, left, gen[0] >> 1)
+                # strip the base tail between its left neighbour and gen, and
+                # fold s and t into them; if h is empty the tail was a u-power,
+                # so left and gen are of distinct stages and do not merge
+                left = head[-2] if len(head) > 1 else None
+                s, h, t = self._strip(tail, left[0] >> 1 if left else None, gen[0] >> 1)
                 if not (s or t):
                     return head + (gen,)
+                if t:
+                    gen = (gen[0], 2 * t, *gen[2:])
+                if left is None:
+                    return (h, gen) if h else (gen,)
+                if s:
+                    left = (left[0], left[1] + 2 * s, *left[2:])
+                return head[:-2] + ((left, h, gen) if h else (left, gen))
+            # the t-part cancelled: a pure u-power pinches into its neighbours
             return self._from_syllables(raw, head).syllables
         if tail[0] & 1:
-            k = self._power_of(tail[0] >> 1, gen)
-            if k:
-                return head[:-1] + ((tail[0], tail[1] + 2 * k, *tail[2:]),)
-            # one letter that is no u-power strips to itself: any |s| >= 1
-            # leaves a word at least as long
-            return head + (gen,)
+            # strip the letter against the tail's stage and fold s into the
+            # tail; a u-power strips to nothing, as the push would absorb it
+            s, h, _ = self._strip(gen, tail[0] >> 1, None)
+            if not s:
+                return head + (h,)
+            tail = (tail[0], tail[1] + 2 * s, *tail[2:])
+            return head[:-1] + ((tail, h) if h else (tail,))
         # one letter joins a reduced word by cancelling its last letter or not
         syl = tail[:-1] if tail[-1] == -gen[0] else tail + gen
         if not syl:
@@ -473,15 +502,20 @@ class EocGroup:
         lengths = self._lengths
         parents, gens = self._tree_parents, self._tree_gens
         times = self._times_generator
-        generators = range(len(self._generator_syllables))
-        first = len(lengths) - len(frontier)
+        forward = self._forward_gens
+        size = len(lengths)
+        first = size - len(frontier)
         for parent, elem in enumerate(frontier, start=first):
             head = elem.syllables
-            for g in generators:
+            # the generator that undoes the parent's own gives its tree parent
+            for g in forward[gens[parent]]:
                 key = times(head, g)
-                if key not in lengths:
-                    if len(lengths) >= cap:
+                lengths.setdefault(key, depth)
+                if len(lengths) > size:
+                    size += 1
+                    if size > cap:
                         # keep the cache at whole layers so a later call can regrow
+                        del lengths[key]
                         for e in new:
                             del lengths[e.syllables]
                         del parents[len(lengths):]
@@ -489,7 +523,6 @@ class EocGroup:
                         raise BudgetExceeded(
                             f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
                         )
-                    lengths[key] = depth
                     new.append(EocElement(self, key))
                     parents.append(parent)
                     gens.append(g)

@@ -253,7 +253,11 @@ def power_membership(u: Word, g: Word) -> Optional[int]:
 
 
 def _strip_search(
-    g: tuple[int, ...], u_left: Optional[tuple[int, ...]], u_right: Optional[tuple[int, ...]]
+    g: tuple[int, ...],
+    u_left: Optional[tuple[int, ...]],
+    u_right: Optional[tuple[int, ...]],
+    *,
+    canonical: bool = False,
 ) -> tuple[int, tuple[int, ...], int]:
     """Double-coset minimization g = uL^s * h * uR^t over a fixed (s, t) box.
 
@@ -261,13 +265,18 @@ def _strip_search(
     docstring), and h comes back in it; a missing u is None.  The box
     bound is sound: once |s| or |t| exceeds it, the surviving letters of
     the corresponding power block alone make h longer than g, so no
-    minimizer lies outside.  The least key (len(h), |s|, |t|, s, t) wins:
-    ties go to smallest |s|, then |t|.
+    minimizer lies outside.  Among the (s, t) of least len(h), the least
+    key (|s|, |t|, s, t) wins: ties go to smallest |s|, then |t|.  Those
+    offsets are relative to g, so two representatives of one double coset
+    can strip to two different shortest h.  With `canonical`, the least
+    key is (h, |s|, |t|, s, t): the lex-least shortest h, which depends
+    only on the double coset <uL> g <uR>.  Lex order on doubled letters is
+    lex order on plain letters.
 
     The box is scanned row by row.  Row s builds x = uL^-s * g by one
     product from its neighbouring row, and measures |x * uR^-t| for every
-    t by letter comparisons (:func:`_row_minimum`); only the winning
-    (s, t) builds h.
+    t by letter comparisons (:func:`_row_minimum`); only the (s, t) of
+    least length build h.
 
     Each direction sigma of s stops at the first row that provably cannot
     be beaten by the rows after it.  Write uL = z v z^-1 with v cyclically
@@ -280,15 +289,17 @@ def _strip_search(
     reach.  If the reach is at most |y|, the cancellation lies inside y^-1
     and ends at the same letter in every later row, whose first letter
     after y^-1 is again the first letter of v^sigma.  So every later row
-    measures exactly j|v| more than this one for each t, and has a larger
-    |s|: its key is strictly larger, and its h strictly longer than the
-    minimum.  Otherwise the scan goes on, to the box bound at most.
+    measures exactly j|v| more than this one for each t: its h is strictly
+    longer than the minimum, and the scan keeps every (s, t) of least
+    length under either key.  Otherwise the scan goes on, to the box bound
+    at most.
     """
     ulen = max(len(u_left) if u_left else 1, len(u_right) if u_right else 1)
     bound = 2 * len(g) + 2 * ulen + 4
     right = _split(u_right) if u_right else None
-    n, t, reach = _row_minimum(g, right, bound)
-    best_key, best_x = (n, 0, abs(t), 0, t), g
+    least, ts, reach = _row_minimum(g, right, bound)
+    # the rows (s, x, every t of length `least`) of the least length so far
+    rows = [(0, g, ts)]
     if u_left is not None:
         z, v, vinv, zinv = _split(u_left)
         # rows (s, uL^-s * g), each one product from its neighbour, up to the
@@ -299,17 +310,22 @@ def _strip_search(
                 if x_reach <= len(x) - len(lead) and x[: len(lead)] == lead:
                     break
                 x = join_letters(step, x)
-                n, t, x_reach = _row_minimum(x, right, bound)
-                key = (n, k, abs(t), sign * k, t)
-                if key < best_key:
-                    best_key, best_x = key, x
-    s, t = best_key[3], best_key[4]
-    h = join_letters(best_x, _power(u_right, -t)) if t else best_x
-    return s, h, t
+                n, ts, x_reach = _row_minimum(x, right, bound)
+                if n < least:
+                    least, rows = n, [(sign * k, x, ts)]
+                elif n == least:
+                    rows.append((sign * k, x, ts))
+    keys = []
+    for s, x, ts in rows:
+        for t in ts:
+            h = join_letters(x, _power(u_right, -t)) if t else x
+            keys.append((h, abs(s), abs(t), s, t) if canonical else (abs(s), abs(t), s, t, h))
+    key = min(keys)
+    return (key[3], key[0], key[4]) if canonical else (key[2], key[4], key[3])
 
 
-def _row_minimum(x: tuple[int, ...], right: Optional[tuple], bound: int) -> tuple[int, int, int]:
-    """Least (|x * uR^-t|, |t|, t) over |t| <= bound; returns (length, t, reach).
+def _row_minimum(x: tuple[int, ...], right: Optional[tuple], bound: int) -> tuple[int, list, int]:
+    """Least |x * uR^-t| over |t| <= bound; returns (length, every t of it, reach).
 
     `x` and `right` are letter tuples: `right` holds z, v, v^-1 and z^-1
     from :func:`_split` of uR = z v z^-1.  With k = |t| and
@@ -319,19 +335,18 @@ def _row_minimum(x: tuple[int, ...], right: Optional[tuple], bound: int) -> tupl
     the infinite word z (v^-sigma)^inf.  While |z| + k|v| <= Q, c is
     |z| + k|v| plus the common prefix of the rest of x^-1 with z^-1; once
     |z| + k|v| > Q, c = Q and the length rises strictly with k, so the
-    scan of that sign stops there.
+    scan of that sign stops there with every t of the least length found.
 
     In both cases c <= Q + |z|, so the reach, the larger Q of the two
-    signs plus |z|, bounds the letters of x that any t cancels.  A trivial
-    uR (`right` None) leaves every t at |x|, so t = 0 wins and the reach
-    is 0.
+    signs plus |z|, bounds the letters of x that any t cancels.  A missing
+    uR (`right` None) admits only t = 0, and the reach is 0.
     """
     n = len(x)
     if right is None:
-        return n, 0, 0
+        return n, [0], 0
     zl, v, vinv, zinv = right
     lz = len(zl)
-    best = (n, 0, 0)
+    best, ties = n, [0]
     qmax = 0
     # letter i of x^-1 is -x[~i]
     for sigma, core in ((1, vinv), (-1, v)):
@@ -349,12 +364,14 @@ def _row_minimum(x: tuple[int, ...], right: Optional[tuple], bound: int) -> tupl
                 c = m
                 while c - m < lz and c < n and -x[~c] == zinv[c - m]:
                     c += 1
-            cand = (n + 2 * lz + k * lv - 2 * c, k, sigma * k)
-            if cand < best:
-                best = cand
+            length = n + 2 * lz + k * lv - 2 * c
+            if length < best:
+                best, ties = length, [sigma * k]
+            elif length == best:
+                ties.append(sigma * k)
             if m > q:
                 break
-    return best[0], best[2], qmax + lz
+    return best, ties, qmax + lz
 
 
 def coset_strip(u: Word, g: Word) -> tuple[int, Word, int]:

@@ -2,9 +2,9 @@
 
 They are meant to be slow and obviously right, and share no code path
 with what they check beyond word products and the theta map.  The
-u-powers of every oracle are running products (``running_powers``), not
-``Word.__pow__``: the library builds every u-power with its kernel
-``freewords._power``.
+u-powers of every oracle are chains of products (``running_powers``,
+``product_power``), not ``Word.__pow__``: the library builds every
+u-power with its kernel ``freewords._power``.
 The test inputs come from here as well: the free-word enumerator and its
 relabelings, and the Z^n box and ball points.
 """
@@ -23,7 +23,7 @@ from discrimlab.bigpowers import (
     PaddedWordSpec,
     _spec_echo,
 )
-from discrimlab.eocgroup import EocElement
+from discrimlab.eocgroup import EocElement, EocGroup
 from discrimlab.errors import BudgetExceeded, CertificationError
 from discrimlab.freewords import Alphabet, Word
 from discrimlab.retraction import ThetaSpec
@@ -118,14 +118,15 @@ def running_powers(u: Word, bound: int) -> dict[int, Word]:
 
 
 def brute_strip_search(
-    g: Word, u_left: Optional[Word], u_right: Optional[Word]
+    g: Word, u_left: Optional[Word], u_right: Optional[Word], *, canonical: bool = False
 ) -> tuple[int, Word, int]:
     """Exhaustive double-coset minimization: g = uL^s * h * uR^t.
 
     Measures h = (uL^-s * g) * uR^-t for every (s, t) in the box that
     ``freewords._strip_search`` scans and keeps the least key
-    (len(h), |s|, |t|, s, t).  Both factors are reduced words, so |h| is
-    their total length less twice the letters that cancel at the junction.
+    (len(h), |s|, |t|, s, t), or with `canonical` the least key
+    (len(h), h, |s|, |t|, s, t).  Both factors are reduced words, so h is
+    their letters less the ones that cancel at the junction.
     """
     ulen = max(len(u_left) if u_left else 1, len(u_right) if u_right else 1)
     bound = 2 * len(g) + 2 * ulen + 4
@@ -142,13 +143,63 @@ def brute_strip_search(
             while j < len(a) and j < len(b) and a[-1 - j] == -b[j]:
                 j += 1
             key = (len(a) + len(b) - 2 * j, abs(s), abs(t), s, t)
+            if canonical:
+                key = key[:1] + (a[: len(a) - j] + b[j:],) + key[1:]
             if best_key is None or key < best_key:
                 best_key = key
-    s, t = best_key[3], best_key[4]
+    s, t = best_key[-2:]
     h = left[-s] * g if left is not None else g
     h = h * right[-t] if right is not None else h
     assert len(h) == best_key[0]
     return s, h, t
+
+
+def product_power(u: Word, e: int) -> Word:
+    """u^e by repeated squaring, every step a ``Word`` product."""
+    result, base = u.alphabet.identity(), u if e >= 0 else u.inverse()
+    e = abs(e)
+    while e:
+        if e & 1:
+            result = result * base
+        base, e = base * base, e >> 1
+    return result
+
+
+def ball_image_count(group: EocGroup, R: int, p: int) -> int:
+    """Distinct free-base images of the raw token words of length <= R.
+
+    t_{j,i} goes to u_j^(p * (2R+1)^k), where k counts the t-generators
+    before it over all stages (so stage j's scale is (2R+1) to the number
+    of t-generators of the stages before j).  That is a homomorphism onto
+    the free base, so equal elements have equal images, and the count is
+    at most the number of elements of length <= R.  A ball of that size
+    therefore holds each of its elements once.  Every image is a running
+    product along its word; no normal-form code runs.
+    """
+    alphabet = group.alphabet
+    before = list(itertools.accumulate([0] + [stage.rank for stage in group.stages]))
+    tokens = group.generator_tokens()
+    images = []
+    for tok in tokens:
+        if isinstance(tok, int):
+            images.append(Word(alphabet, (tok,)))
+        else:
+            _, j, i = tok
+            e = p * (2 * R + 1) ** (before[j] + abs(i) - 1)
+            images.append(product_power(group.stages[j].u, e if i > 0 else -e))
+    inverse = [tokens.index(-tok if isinstance(tok, int) else tok[:2] + (-tok[2],)) for tok in tokens]
+    seen = {()}
+    # raw words as (index of the last token, image), no token next to its inverse
+    frontier = [(-1, alphabet.identity())]
+    for _ in range(R):
+        frontier = [
+            (g, w * images[g])
+            for last, w in frontier
+            for g in range(len(tokens))
+            if last < 0 or g != inverse[last]
+        ]
+        seen.update(w.letters for _, w in frontier)
+    return len(seen)
 
 
 def brute_power_membership(u: Word, g: Word) -> Optional[int]:

@@ -11,7 +11,7 @@ from discrimlab.eocgroup import EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
-from oracles import raag_ball_size
+from oracles import ball_image_count, raag_ball_size
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -235,10 +235,19 @@ class TestHashes:
             assert hash(G.element(x)) != hash(G.element(y))
 
 
+def ball_digest(group, radius):
+    """sha256 of the ball's tokens in ball order and of its BFS tree arrays."""
+    ball = group.ball(radius)
+    h = hashlib.sha256()
+    h.update("\n".join(e.tokens() for e in ball).encode())
+    h.update(b"\n" + ",".join(map(str, group._tree_parents)).encode())
+    h.update(b"\n" + ",".join(map(str, group._tree_gens)).encode())
+    return h.hexdigest()
+
+
 class TestBallOrder:
-    # sha256 of the ball's tokens in ball order and of its BFS tree arrays,
-    # frozen from the normal form that stored syllables as objects; the
-    # first-collision witnesses of the p ascent depend on this order
+    # digests frozen from the normal form that stored syllables as objects;
+    # the first-collision witnesses of the p ascent depend on this order
     @pytest.mark.parametrize(
         "stages, radius, size, digest",
         [
@@ -253,13 +262,19 @@ class TestBallOrder:
     )
     def test_bfs_order_frozen(self, stages, radius, size, digest):
         group = EocGroup(A, stages)
-        ball = group.ball(radius)
-        h = hashlib.sha256()
-        h.update("\n".join(e.tokens() for e in ball).encode())
-        h.update(b"\n" + ",".join(map(str, group._tree_parents)).encode())
-        h.update(b"\n" + ",".join(map(str, group._tree_gens)).encode())
-        assert len(ball) == size
-        assert h.hexdigest() == digest
+        assert len(group.ball(radius)) == size
+        assert ball_digest(group, radius) == digest
+
+    def test_regrown_after_cap_matches_uninterrupted(self):
+        # ball sizes 1, 7, 37, 187, 929: each cap trips inside a layer, after
+        # that layer's first insertions
+        stages = [(a * a * b, 1)]
+        group = EocGroup(A, stages)
+        for cap in (5, 100, 500):
+            with pytest.raises(BudgetExceeded):
+                group.ball(4, cap=cap)
+            assert len(group._lengths) == sum(map(len, group._layers))
+        assert ball_digest(group, 4) == ball_digest(EocGroup(A, stages), 4)
 
 
 @st.composite
@@ -336,15 +351,26 @@ class TestNormalFormStructure:
                 assert left[0] != right[0]
 
 
-# (free rank, [(u letter, t-rank), ...]): single-letter u's only, see TestGroupLaws
+def tokens_group(stages, rank=2):
+    """The group of (u tokens, t-rank) stages over F_rank."""
+    alphabet = Alphabet(rank)
+    return EocGroup(alphabet, [(parse_word(alphabet, u), n) for u, n in stages])
+
+
+# (free rank, [(u tokens, t-rank), ...])
 CANONICAL_SPECS = (
-    (2, [(1, 1)]),
-    (2, [(1, 2)]),
-    (2, [(-2, 1)]),
-    (2, [(1, 1), (2, 1)]),
-    (2, [(2, 2), (-1, 1)]),
-    (3, [(3, 1)]),
-    (3, [(1, 1), (-3, 2)]),
+    (2, [("g1", 1)]),
+    (2, [("g1", 2)]),
+    (2, [("G2", 1)]),
+    (2, [("g1", 1), ("g2", 1)]),
+    (2, [("g2", 2), ("G1", 1)]),
+    (3, [("g3", 1)]),
+    (3, [("g1", 1), ("G3", 2)]),
+    (2, [("g1 g2", 1)]),
+    (2, [("g1 g1 g2", 1)]),
+    (2, [("g1 g2 G1", 2)]),
+    (2, [("g1 g2 G1 G2", 1)]),
+    (2, [("g1", 1), ("g2", 1), ("g1 g2", 1)]),
 )
 
 
@@ -352,8 +378,7 @@ CANONICAL_SPECS = (
 def canonical_group(index):
     """One group per spec, kept so that its ball grows once across examples."""
     rank, stages = CANONICAL_SPECS[index]
-    alphabet = Alphabet(rank)
-    return EocGroup(alphabet, [(Word(alphabet, (x,)), n) for x, n in stages])
+    return tokens_group(stages, rank)
 
 
 @st.composite
@@ -364,12 +389,7 @@ def canonical_words(draw, count, max_tokens):
 
 
 class TestGroupLaws:
-    """Group laws of the normal form on specs whose u's are single letters.
-
-    Only these specs are drawn: for a multi-letter u the strip's tie-break
-    depends on the input word, so the normal form is not yet canonical
-    (ROADMAP open item 1) and these laws can fail there.
-    """
+    """Group laws of the normal form, on single- and multi-letter u's."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(canonical_words(2, 8))
@@ -414,8 +434,8 @@ def assert_times_generator_is_generic(group, radius):
 class TestTimesGenerator:
     @pytest.mark.parametrize("u", ["g1", "g1 g1 g2", "g1 g2 G1", "g1 g2"])
     def test_single_stage(self, u):
-        # u = g1 g2 is the non-canonical case of ROADMAP open item 1: the
-        # product still has to reproduce the generic normalizer's output
+        # u = g1 g2: a letter after an abelian tail can strip to another
+        # letter (g1 = u G2), and a base tail's strip can move
         assert_times_generator_is_generic(EocGroup(A, [(parse_word(A, u), 1)]), 4)
 
     @pytest.mark.parametrize("stages", [[(a, 1), (b, 1)], [(a, 1), (b, 1), (a * b, 1)]])
@@ -456,3 +476,42 @@ class TestBallTree:
         assert len(g._tree_parents) == len(g._tree_gens) == len(g._lengths) == 1
         assert len(g.ball(3)) == 143
         assert_ball_tree(g, 3)
+
+
+class TestBallOracle:
+    """Ball sizes against ``oracles.ball_image_count``, which uses no normal-form code."""
+
+    @pytest.mark.parametrize("u", ["g1", "g1 g2", "g1 g1 g2", "g1 g2 G1 G2"])
+    def test_single_stage(self, u):
+        group = tokens_group([(u, 1)])
+        for R in range(5):
+            assert len(group.ball(R)) == ball_image_count(group, R, 40), R
+
+    def test_g1g2_sizes(self):
+        # a strip that broke ties by offsets gave 183, 897 and 4,383 elements
+        group = tokens_group([("g1 g2", 1)])
+        assert [len(group.ball(R)) for R in range(3, 6)] == [181, 869, 4157]
+        assert ball_image_count(group, 5, 40) == 4157
+
+    def test_three_stage_tower(self):
+        group = tokens_group([("g1", 1), ("g2", 1), ("g1 g2", 1)])
+        assert len(group.ball(3)) == ball_image_count(group, 3, 40) == 753
+
+    @pytest.mark.parametrize("stages, radius", [([("g1", 1)], 6), ([("g1", 1), ("g2", 1)], 4)])
+    def test_layers_skip_the_generic_normalizer(self, monkeypatch, stages, radius):
+        group = tokens_group(stages)
+        calls = []
+        normalize = EocGroup._from_syllables
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return normalize(self, *args, **kwargs)
+
+        monkeypatch.setattr(EocGroup, "_from_syllables", spy)
+        group.ball(radius)
+        assert calls == []
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(groups(), st.integers(0, 3))
+    def test_random_groups(self, G, radius):
+        assert len(G.ball(radius)) == ball_image_count(G, radius, 40)

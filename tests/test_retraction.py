@@ -303,12 +303,14 @@ class TestTreeWalk:
                 assert (expected is None) == (found and p == top)
                 assert retraction._collision(group, R, p, ball, len(group.stages)) == expected
 
-    def test_noncanonical_u_witness_kept(self):
+    def test_multi_letter_u_p_min_is_radius(self):
+        # G1 t1.1 g1 and g2 t1.1 G2 are one element; when the strip broke
+        # ties by offsets they had two normal forms, and both ascents ran
+        # out of p at R=3 with that pair as the witness
         group, _ = _walk_group("g1g2")
-        for ascent in (minimal_discriminating_p, compose_chain):
-            with pytest.raises(AscentExhausted) as exc:
-                ascent(group, 3)
-            assert [w.tokens() for w in exc.value.witness] == ["g2 t1.1 G2", "G1 t1.1 g1"]
+        for R in range(1, 6):
+            assert minimal_discriminating_p(group, R) == R
+            assert compose_chain(group, R).p == R
 
 
 # (free rank, stages as (u, rank), largest R checked) for the floor

@@ -12,6 +12,9 @@ against the brute force, at an eighth of its cost.
 ``_strip_search`` works on letter tuples in any encoding closed under
 negation; the tests pass it plain ``Word`` letters through ``strip``, and
 the random tests also pass it the doubled letters of the normal form.
+The random tests check the canonical key (the lex-least shortest h, which
+the normal form uses) against the brute force too.  Relabeling does not
+preserve lex order, so the exhaustive tests check the default key only.
 """
 
 import pytest
@@ -55,21 +58,22 @@ def doubled(w):
     return None if w is None else tuple([2 * x for x in w.letters])
 
 
-def strip(g, u_left, u_right):
+def strip(g, u_left, u_right, canonical=False):
     """``_strip_search`` on the letters of Words, with h wrapped back into a Word.
 
     The wrap does not reduce, so an unreduced h compares unequal.
     """
-    s, h, t = _strip_search(g.letters, letters(u_left), letters(u_right))
+    s, h, t = _strip_search(g.letters, letters(u_left), letters(u_right), canonical=canonical)
     return s, Word._raw(g.alphabet, h), t
 
 
 def assert_matches_brute_force(g, u_left, u_right):
-    """The strip agrees with the brute force, on plain and on doubled letters."""
-    s, h, t = brute_strip_search(g, u_left, u_right)
-    assert strip(g, u_left, u_right) == (s, h, t)
-    got = _strip_search(doubled(g), doubled(u_left), doubled(u_right))
-    assert got == (s, doubled(h), t)
+    """The strip agrees with the brute force under both keys, on plain and on doubled letters."""
+    for canonical in (False, True):
+        s, h, t = brute_strip_search(g, u_left, u_right, canonical=canonical)
+        assert strip(g, u_left, u_right, canonical) == (s, h, t)
+        got = _strip_search(doubled(g), doubled(u_left), doubled(u_right), canonical=canonical)
+        assert got == (s, doubled(h), t)
 
 
 def test_inputs_cover_the_stated_sets():
@@ -103,6 +107,18 @@ words10 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10).map(lambda ls: 
 def test_random_against_brute_force(g, u1, u2, pattern):
     u_left, u_right = PATTERNS[pattern](u1, u2)
     assert_matches_brute_force(g, u_left, u_right)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(words10, non_power, non_power, st.sampled_from(sorted(PATTERNS)), st.integers(-3, 3), st.integers(-3, 3))
+def test_canonical_h_depends_only_on_the_double_coset(g, u1, u2, pattern, i, j):
+    u_left, u_right = PATTERNS[pattern](u1, u2)
+    one = A.identity()
+    moved = (u_left or one) ** i * g * (u_right or one) ** j
+    h = strip(g, u_left, u_right, canonical=True)[1]
+    s2, h2, t2 = strip(moved, u_left, u_right, canonical=True)
+    assert h2 == h
+    assert (u_left or one) ** s2 * h2 * (u_right or one) ** t2 == moved
 
 
 words14 = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=14).map(lambda ls: Word(A, ls))
