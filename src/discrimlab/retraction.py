@@ -24,14 +24,14 @@ group keeps: every ball element was first built as parent * generator,
 and a retraction is a homomorphism, so the image of an element is the
 image of its parent times the image of its generator.  Only the
 generators go through ``apply_theta``; every other element costs one
-product.  The first ``_SCAN_HEAD`` elements are scanned in ball order
-and the scan stops at the first repeated image, so a p whose collision
-lies early is ruled out early.  Past them the tree is walked depth
-first, holding only the images on the current path and its waiting
-siblings, and each element leaves one int64 fingerprint (``hash`` of its
-image).  Equal fingerprints are then settled exactly by rebuilding both
-images from the root, and the pair reported is the one a ball-order
-scan of the images finds first.
+product.  The tree is walked depth first from the root, holding only
+the images on the current path and its waiting siblings, and each
+element leaves one int64 fingerprint (``hash`` of its image).  Equal
+fingerprints are then settled exactly by rebuilding both images from
+the root, and the pair reported is the one a ball-order scan of the
+images finds first.  The walk has no early stop, so a failing p costs
+a whole walk; the floor already rules out the small p, whose collisions
+lie earliest in the ball.
 
 When the target is the free base (a single-stage retraction, and every
 composite down a tower) the images are kept as bare base syllables:
@@ -160,10 +160,6 @@ def hom_complexity(spec: ThetaSpec) -> int:
     return max(1, 2 * len(z) + spec.coefficients[-1] * len(v))
 
 
-# ball elements scanned in ball order, their images all kept, before the
-# depth-first walk; it bounds the images alive at once beyond the current path
-_SCAN_HEAD = 4096
-
 # the fingerprint of an image; distinct fingerprints mean distinct images
 _fingerprint = hash
 
@@ -180,51 +176,31 @@ def _first_collision(
     (``generator_tokens()`` order) to ``generator_images[i]``, with
     product ``mul``; each is built from its BFS parent's image.
 
-    The first ``_SCAN_HEAD`` elements are scanned in ball order, keeping
-    their images, and the scan stops at the first repeated image, so a
-    failing p whose first collision lies early costs only the scan up
-    to it.  Past that prefix the BFS tree is walked depth first from the
-    prefix's images, so only the images on the current path, and the
-    siblings waiting on it, are alive at once, and each element leaves
-    only the int64 ``_fingerprint`` of its image.  Elements with
-    distinct fingerprints have distinct images.  Each run of equal
-    fingerprints is then settled exactly: the images are rebuilt from
-    the root (at most R products each) and compared.  The pair returned
-    is the one the ball-order scan would stop at: the least later index k
-    whose image occurred before, and the first index j with that image.
+    The BFS tree is walked depth first from the root, so only the images
+    on the current path, and the siblings waiting on it, are alive at
+    once, and each element leaves only the int64 ``_fingerprint`` of its
+    image.  The whole ball is walked even when two images collide early:
+    the ascent's floor already rules out the p whose collisions lie
+    early.  Elements with distinct fingerprints have distinct images.
+    Each run of equal fingerprints is then settled exactly: the images
+    are rebuilt from the root (at most R products each) and compared.
+    The pair returned is the one a ball-order scan of the images would
+    stop at: the least later index k whose image occurred before, and
+    the first index j with that image.
     """
     group = ball[0].group
     n = len(ball)
     parents, gens = group._tree_parents, group._tree_gens
-    head = min(n, _SCAN_HEAD)
-    images = [identity]
-    seen = {identity: 0}
-    for k in range(1, head):
-        img = mul(images[parents[k]], generator_images[gens[k]])
-        j = seen.setdefault(img, k)
-        if j != k:
-            return ball[j], ball[k]
-        images.append(img)
-    if head == n:
-        return None
-    del seen
     # _tree_parents is non-decreasing, so the children of element k are
-    # the indices first[k] up to first[k + 1] - 1
+    # the indices starts[k] up to starts[k + 1] - 1
     tree = np.frombuffer(parents, dtype=np.intc, count=n)
     first = np.searchsorted(tree[1:], np.arange(n + 1)) + 1
     starts = array("q", first.astype(np.int64).tobytes())
     fingerprint = _fingerprint
-    prints = array("q", map(fingerprint, images))
-    prints.frombytes(bytes(8 * (n - head)))
-    # entries (first child, end, image), seeded with the prefix elements
-    # that have children past the prefix
-    past = np.maximum(first[:head], head)
-    seeds = np.flatnonzero(past < first[1 : head + 1])
-    waiting = [
-        (lo, hi, images[k])
-        for k, lo, hi in zip(seeds.tolist(), past[seeds].tolist(), first[seeds + 1].tolist())
-    ]
-    del images
+    prints = array("q", bytes(8 * n))
+    prints[0] = fingerprint(identity)
+    # entries (first child, end, image of their parent)
+    waiting = [(starts[0], starts[1], identity)]
     while waiting:
         lo, hi, img = waiting.pop()
         for c in range(lo, hi):

@@ -9,7 +9,7 @@ import pytest
 from discrimlab import retraction
 from discrimlab.eocgroup import EocGroup
 from discrimlab.errors import AscentExhausted
-from discrimlab.freewords import Alphabet, Word, join_letters, parse_word
+from discrimlab.freewords import Alphabet, Word, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
     apply_chain,
@@ -251,14 +251,13 @@ class TestComposeChain:
             assert apply_chain(tower, 1, chain.p, w).tokens() == text
 
 
-# (free rank, stages as (u, rank), largest R checked); u = g1 g2 has no
-# injective p up to the ceiling at R = 3 (its normal form is not canonical)
+# (free rank, stages as (u, rank), largest R checked)
 WALK_SPECS = {
     "g1-rank1": (2, [("g1", 1)], 4),
     "g1-rank2": (2, [("g1", 2)], 3),
     "tower": (2, [("g1", 1), ("g2", 1)], 3),
     "rank3": (3, [("g1 g3 G1", 1), ("g2", 1)], 2),
-    "g1g2": (2, [("g1 g2", 1)], 3),
+    "g1g2": (2, [("g1 g2", 1)], 4),
 }
 
 
@@ -400,22 +399,21 @@ class TestFloor:
 
 
 class TestFingerprints:
-    """Past the scanned prefix, equal fingerprints are settled exactly and the ball-order pair is kept."""
+    """The one depth-first walk: equal fingerprints are settled exactly and the ball-order pair is kept.
 
-    # the prefix ends at the root, inside the first sphere, and inside the
-    # children of one element (the second sphere of g1-rank1 is 7..32);
-    # a constant fingerprint makes one run of every element past it, and
-    # mod 4 makes four runs that mix distinct images
-    @pytest.mark.parametrize("head", [1, 4, 10])
+    There is no early stop, so every p walks the whole ball.
+    """
+
+    # a constant fingerprint makes one run of the whole ball, and mod 4
+    # makes four runs that mix distinct images
     @pytest.mark.parametrize(
         "fingerprint",
         [hash, lambda image: 0, lambda image: hash(image) & 3],
         ids=["hash", "constant", "mod4"],
     )
     @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
-    def test_walk_past_prefix_matches_per_element_scan(self, label, fingerprint, head, monkeypatch):
+    def test_walk_settles_runs_as_per_element_scan(self, label, fingerprint, monkeypatch):
         monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
-        monkeypatch.setattr(retraction, "_SCAN_HEAD", head)
         group, rmax = _walk_group(label)
         for k in sorted({1, len(group.stages)}):
             for R in range(1, rmax + 1):
@@ -429,9 +427,8 @@ class TestFingerprints:
                     expected = brute_first_collision(ball, image)
                     assert retraction._collision(group, R, p, ball, k) == expected
 
-    @pytest.mark.parametrize("head", [1, 4, 10])
     @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
-    def test_walk_fingerprints_every_element_once(self, label, head, monkeypatch):
+    def test_walk_fingerprints_every_element_once(self, label, monkeypatch):
         group, R = _walk_group(label)
         ball = group.ball(R)
         for k in sorted({1, len(group.stages)}):
@@ -444,26 +441,18 @@ class TestFingerprints:
 
             seen = []
             monkeypatch.setattr(retraction, "_fingerprint", lambda img: seen.append(img) or hash(img))
-            monkeypatch.setattr(retraction, "_SCAN_HEAD", head)
             assert retraction._collision(group, R, p, ball, k) is None
             assert Counter(seen) == Counter(map(image, ball))
 
-    def test_early_collision_stops_the_walk(self):
-        # at p = 1 the R = 7 ball's first collision lies at index 5, and
-        # the walk builds no image past it
+    # p = 1 collides early in the R = 7 ball; p = 11, one below p_min,
+    # collides deep in the R = 6 ball
+    @pytest.mark.parametrize("R, p, index, size", [(7, 1, 5, 46_367), (6, 11, 6_270, 10_945)])
+    def test_failing_walk_matches_per_element_scan(self, R, p, index, size):
         group = EocGroup(A, [(a, 1)])
-        ball = group.ball(7)
-        images = [retraction._base_letters(retraction._retract(group, 7, 1, g, 1)) for g in group.generators()]
-        products = 0
-
-        def counting_join(x, y):
-            nonlocal products
-            products += 1
-            return join_letters(x, y)
-
-        pair = retraction._first_collision(ball, images, (), counting_join)
-        assert pair == brute_first_collision(ball, lambda w: apply_theta(ThetaSpec(group, 7, 1), w))
-        assert products == ball.index(pair[1]) == 5
+        ball = group.ball(R)
+        pair = retraction._collision(group, R, p, ball, 1)
+        assert pair == brute_first_collision(ball, lambda w: apply_theta(ThetaSpec(group, R, p), w))
+        assert (ball.index(pair[1]), len(ball)) == (index, size)
 
     def test_walk_memory_bounded(self):
         # the R = 7 ball has 46,367 elements; holding all their images
