@@ -9,7 +9,7 @@ import pytest
 from discrimlab import retraction
 from discrimlab.eocgroup import EocGroup
 from discrimlab.errors import AscentExhausted
-from discrimlab.freewords import Alphabet, Word, parse_word
+from discrimlab.freewords import Alphabet, Word, join_letters, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
     apply_chain,
@@ -411,7 +411,7 @@ class TestFingerprints:
         [hash, lambda image: 0, lambda image: hash(image) & 3],
         ids=["hash", "constant", "mod4"],
     )
-    @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
+    @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_walk_settles_runs_as_per_element_scan(self, label, fingerprint, monkeypatch):
         monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
         group, rmax = _walk_group(label)
@@ -427,7 +427,7 @@ class TestFingerprints:
                     expected = brute_first_collision(ball, image)
                     assert retraction._collision(group, R, p, ball, k) == expected
 
-    @pytest.mark.parametrize("label", ["g1-rank1", "tower", "rank3"])
+    @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_walk_fingerprints_every_element_once(self, label, monkeypatch):
         group, R = _walk_group(label)
         ball = group.ball(R)
@@ -443,6 +443,46 @@ class TestFingerprints:
             monkeypatch.setattr(retraction, "_fingerprint", lambda img: seen.append(img) or hash(img))
             assert retraction._collision(group, R, p, ball, k) is None
             assert Counter(seen) == Counter(map(image, ball))
+
+    # homomorphisms of G1 onto the free base, as the images of g1, g2 and
+    # t1.1, with the pair of ball indices a ball-order scan stops at;
+    # sending a generator to 1 merges it with the root, whose fingerprint
+    # the walk records before any other
+    @pytest.mark.parametrize(
+        "fingerprint",
+        [hash, lambda image: 0, lambda image: hash(image) & 3],
+        ids=["hash", "constant", "mod4"],
+    )
+    @pytest.mark.parametrize(
+        "g1, g2, t, pair",
+        [
+            ("g1", "g2", "", (0, 5)),
+            ("", "g2", "g2", (0, 1)),
+            ("", "", "", (0, 1)),
+            ("g1", "g1", "g1 g1 g1", (1, 2)),
+            ("g1", "g2", "g1 g1 g1 g1 g1 g1", None),
+        ],
+        ids=["t-trivial", "g1-trivial", "trivial", "g2-to-g1", "theta-6"],
+    )
+    def test_walk_of_any_homomorphism_matches_per_element_scan(self, g1, g2, t, pair, fingerprint, monkeypatch):
+        monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
+        group = EocGroup(A, [(a, 1)])
+        ball = group.ball(3)
+        images = {1: parse_word(A, g1), 2: parse_word(A, g2), ("t", 0, 1): parse_word(A, t)}
+        for x in list(images):
+            inverse = -x if isinstance(x, int) else ("t", 0, -1)
+            images[inverse] = images[x].inverse()
+
+        def image(w):
+            out = A.identity()
+            for tok in group.parse_tokens(w.tokens()):
+                out = out * images[tok]
+            return out
+
+        letters = [images[tok].letters for tok in group.generator_tokens()]
+        expected = brute_first_collision(ball, image)
+        assert retraction._first_collision(ball, letters, (), join_letters) == expected
+        assert (expected and (ball.index(expected[0]), ball.index(expected[1]))) == pair
 
     # p = 1 collides early in the R = 7 ball; p = 11, one below p_min,
     # collides deep in the R = 6 ball
