@@ -225,32 +225,26 @@ def _cmd_ball(args) -> int:
     return EXIT_OK
 
 
-def _raw_words(gens, max_len):
+def _raw_words(group, max_len):
     """All raw token sequences of length <= max_len, pruning immediate inverses.
 
     Pruned pairs normalize to shorter raw words already enumerated, so the
-    set of represented group elements is unchanged.
+    set of represented group elements is unchanged.  Each word extends by
+    the generators that do not undo its last one (``_forward_gens``).
     """
-    frontier = [()]
+    gens = group.generator_tokens()
+    forward = group._forward_gens
+    # (index of the last generator, or -1 for the empty word; the word)
+    frontier = [(-1, ())]
     yield ()
     for _ in range(max_len):
         new = []
-        for w in frontier:
-            for tok in gens:
-                if w and _is_inverse_pair(w[-1], tok):
-                    continue
-                nw = w + (tok,)
-                new.append(nw)
+        for last, w in frontier:
+            for g in forward[last]:
+                nw = w + (gens[g],)
+                new.append((g, nw))
                 yield nw
         frontier = new
-
-
-def _is_inverse_pair(x, y) -> bool:
-    if isinstance(x, int) and isinstance(y, int):
-        return x == -y
-    if isinstance(x, tuple) and isinstance(y, tuple):
-        return x[1] == y[1] and x[2] == -y[2]
-    return False
 
 
 def _cmd_crosscheck(args) -> int:
@@ -293,7 +287,7 @@ def _cmd_crosscheck(args) -> int:
         # the normal form is empty iff the retraction at p kills the word
         agreements = 0
         disagreement = None
-        for toks in _raw_words(gens, args.r):
+        for toks in _raw_words(group, args.r):
             w = group.element(toks)
             img = apply_chain(group, args.r, p, w)
             if w.is_trivial() == img.is_identity():

@@ -23,8 +23,7 @@ form when a t-part cancels, for ``tokens``, and for
 ``retraction.apply_theta`` when it maps t-letters to u-powers), and a
 strip passes the doubled syllable and u's to ``freewords._strip_search``
 as they are.  Words enter and leave this form only at the element API
-(tokens, ``base_element``, ``abelian_element``) and on u-power
-membership misses.
+(tokens, ``base_element``, ``abelian_element``).
 
 Canonical form:
   * adjacent syllables are unmergeable (alternation);
@@ -39,38 +38,41 @@ Canonical form:
     of s at the first row that provably cannot hold a shortest word; it is
     memoized per group.
 
-Products normalize only the changed tail.  For a canonical a, pushing a's
-syllables onto an empty stack changes nothing, so a * b starts the stack
-at a's syllables and pushes only b's; the pushes leave some prefix of
-length k untouched.  The strip pass then starts at index k-1, the last
-syllable whose right neighbour may have changed.  That is exact because
-the strip is idempotent on a canonical middle: h already is the lex-least
-shortest word of its double coset, and a nonempty h is reached from
-itself only at s = t = 0, so ``_strip(h, ls, rs)`` returns (0, h, 0) for
-every syllable before k-1.
+Products fold one syllable at a time.  ``_times(head, syl)`` multiplies
+canonical syllables by one reduced syllable, by cases on the last
+syllable of `head`, the tail:
+  * a base syllable after an abelian tail is stripped against the tail's
+    stage, and s folds into the tail (a u-power of that stage strips to
+    nothing);
+  * a base syllable joins a base tail, and the joined word is stripped
+    against its left neighbour, s folding into it; an empty join drops
+    the tail;
+  * an abelian syllable after an abelian tail of another stage is
+    appended; after one of its own stage the two add entrywise, and if
+    the t-part cancels (a pinch) the pure u-power u^e is multiplied onto
+    the rest, one level of recursion, which re-strips the base syllable
+    the pinch exposes against its left neighbour alone (at e = 0 that
+    changes nothing: the lex-least shortest word of <uL> b <u> is also
+    that of <uL> b);
+  * an abelian syllable after a base tail strips the tail between its
+    left neighbour and the syllable's stage, and s and t fold into the
+    two.  If nothing is left the tail was a u-power, so the two abelian
+    syllables it separated are of distinct stages and stay apart.
+Each case rewrites only the last syllables of `head`, and leaves them
+canonical: a strip depends on its neighbours' stages, not on their
+u-exponents, so the syllables before them stay canonical too.  Each case
+therefore returns the canonical form of head * syl, and as the canonical
+form is unique, every normalization is the fold ``_from_syllables`` of
+``_times`` over raw syllables: a word from scratch, a product a * b as
+b's syllables folded onto a's, and a ball layer as each element times
+one generator syllable.  A stripped base syllable is stored as the strip
+cache's tuple, which elements share, not as a new one per element.
 
-The ball multiplies canonical elements by one generator at a time, and
-``_times_generator`` does that product by cases on the last syllable: a
-base letter joins a base tail, which is then stripped against its left
-neighbour, or follows an abelian tail and is stripped against the tail's
-stage (a u-power strips to nothing; s folds into the neighbour either
-way); a t-letter merges into an abelian tail of its stage, is appended
-after an abelian tail of another stage, or follows a base tail, which is
-stripped between its left neighbour and the t-letter with s and t folded
-into the two.  If that strip leaves nothing, the tail was a u-power, so
-the two abelian syllables it separated are of distinct stages and stay
-apart.  Only the pinch of a cancelled t-part goes to ``_from_syllables``.
-Each case does only the steps of that normalization whose outcome is not
-known in advance, so the two agree syllable for syllable; a stripped base
-syllable is stored as the strip cache's tuple, which elements share, not
-as a new one per element.
-
-A group is immutable, so it keeps what it computes: strips, u-power
-memberships, ball layers and, built lazily once, its subtower (the group
-with the top stage removed, see ``retraction.subtower``) and its top-stage
-retractions by (R, p) (``retraction._theta_spec``).  Retractions onto the
-subtower therefore share one set of caches across words, p values and
-stages.
+A group is immutable, so it keeps what it computes: strips, ball layers
+and, built lazily once, its subtower (the group with the top stage
+removed, see ``retraction.subtower``) and its top-stage retractions by
+(R, p) (``retraction._theta_spec``).  Retractions onto the subtower
+therefore share one set of caches across words, p values and stages.
 
 The ball keeps its BFS tree: every element is first built as
 parent * generator, and two flat integer arrays record, per ball index,
@@ -224,7 +226,7 @@ class EocGroup:
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
         self._u_letters[None] = None
         tokens = self.generator_tokens()
-        self._generator_syllables = [(self._token_syllable(tok),) for tok in tokens]
+        self._generator_syllables = [self._token_syllable(tok) for tok in tokens]
         # _forward_gens[g]: the generators that do not undo generator g, by
         # index; the last entry, also read as index -1 (the identity's tree
         # generator), holds them all
@@ -260,7 +262,7 @@ class EocGroup:
 
     def generators(self) -> list[EocElement]:
         """The generators as elements, in ``generator_tokens()`` order."""
-        return [EocElement(self, gen) for gen in self._generator_syllables]
+        return [EocElement(self, (gen,)) for gen in self._generator_syllables]
 
     def parse_tokens(self, text: str) -> list[Token]:
         tokens: list[Token] = []
@@ -316,6 +318,9 @@ class EocGroup:
         """The base syllable of u_stage^e (``freewords._power``)."""
         return _power(self._u_letters[stage], e)
 
+    # No library code calls this: the strip absorbs u-powers.  Only
+    # perfbench/tracer.py, which wraps it by name, and
+    # tests/test_tracer_targets.py still need it.
     def _power_of(self, stage: int, g: tuple[int, ...]) -> Optional[int]:
         """k with u_stage^k == g for the base syllable g, or None."""
         key = (stage, g)
@@ -341,157 +346,70 @@ class EocGroup:
             )
             return result
 
-    def _push(self, stack: list[tuple[int, ...]], syl: tuple[int, ...]) -> int:
-        """Push one syllable, merging with the stack top until stable.
+    def _times(
+        self, head: tuple[tuple[int, ...], ...], syl: tuple[int, ...]
+    ) -> tuple[tuple[int, ...], ...]:
+        """The canonical syllables of head * syl, for canonical syllables `head`.
 
-        Returns the length of the stack prefix the push left untouched.
+        `syl` is a reduced base syllable, possibly empty, or an abelian
+        syllable with a nonzero t-part (see the module docstring).  A base
+        tail of `head` need only be reduced, as after a pinch: a base `syl`
+        joins it and strips the join again.
         """
-        while True:
-            if not syl:
-                return len(stack)
-            if not stack:
-                stack.append(syl)
-                return 0
-            top = stack[-1]
-            if top[0] & 1:
-                if syl[0] & 1:
-                    if top[0] != syl[0]:
-                        break
-                    stack.pop()
-                    syl = (top[0], *map(operator.add, top[1:], syl[1:]))
-                    if not any(syl[2:]):
-                        # the t-part cancelled: a pure u-power is base material
-                        syl = self._u_power(syl[0] >> 1, syl[1] >> 1)
-                    continue
-                # top is abelian, syl is base: absorb syl into top if it is a u-power
-                k = self._power_of(top[0] >> 1, syl)
-                if k is None:
-                    break
-                stack.pop()
-                syl = (top[0], top[1] + 2 * k, *top[2:])
-            elif syl[0] & 1:
-                # top is base, syl is abelian: absorb top into syl if it is a u-power
-                k = self._power_of(syl[0] >> 1, top)
-                if k is None:
-                    break
-                stack.pop()
-                syl = (syl[0], syl[1] + 2 * k, *syl[2:])
-            else:
-                stack.pop()
-                syl = join_letters(top, syl)
-        stack.append(syl)
-        return len(stack) - 1
+        tail = head[-1] if head else None
+        if syl and syl[0] & 1:
+            if tail is None:
+                return (syl,)
+            if tail[0] & 1:
+                if tail[0] != syl[0]:
+                    # abelian syllables of distinct stages do not merge
+                    return head + (syl,)
+                syl = (syl[0], *map(operator.add, tail[1:], syl[1:]))
+                if any(syl[2:]):
+                    return head[:-1] + (syl,)
+                # the t-part cancelled: the pure u-power is base material
+                return self._times(head[:-1], self._u_power(syl[0] >> 1, syl[1] >> 1))
+            # strip the base tail between its left neighbour and syl, and fold
+            # s and t into them; if h is empty the tail was a u-power, so left
+            # and syl are of distinct stages and do not merge
+            left = head[-2] if len(head) > 1 else None
+            s, h, t = self._strip(tail, left[0] >> 1 if left else None, syl[0] >> 1)
+            if not (s or t):
+                return head + (syl,)
+            if t:
+                syl = (syl[0], syl[1] + 2 * t, *syl[2:])
+            if left is None:
+                return (h, syl) if h else (syl,)
+            if s:
+                left = (left[0], left[1] + 2 * s, *left[2:])
+            return head[:-2] + ((left, h, syl) if h else (left, syl))
+        if tail is not None and not tail[0] & 1:
+            # a base syl joins a base tail, and the join replaces the tail
+            syl = join_letters(tail, syl)
+            head = head[:-1]
+            tail = head[-1] if head else None
+        if tail is None:
+            return (syl,) if syl else ()
+        # strip the base syl against the abelian tail's stage and fold s into
+        # the tail; a u-power strips to nothing
+        s, h, _ = self._strip(syl, tail[0] >> 1, None)
+        if not s:
+            return head + (h,) if h else head
+        tail = (tail[0], tail[1] + 2 * s, *tail[2:])
+        return head[:-1] + ((tail, h) if h else (tail,))
 
     def _from_syllables(
         self, raw: tuple[tuple[int, ...], ...], head: tuple[tuple[int, ...], ...] = ()
     ) -> EocElement:
         """Normal form of the canonical syllables `head` followed by `raw`.
 
-        With ``head=()`` this normalizes `raw` from scratch; otherwise only
-        the tail that `raw` changes is normalized (see the module docstring).
+        The fold of ``_times`` over `raw`, so each syllable of `raw` must be
+        one that ``_times`` takes.  With ``head=()`` this normalizes `raw`
+        from scratch; a product a * b folds b's syllables onto a's.
         """
-        # structural pass: alternation, pinches, u-power absorption
-        out = list(head)
-        kept = len(out)
         for syl in raw:
-            k = self._push(out, syl)
-            if k < kept:
-                kept = k
-        # canonical pass: strip base syllables against their abelian neighbors,
-        # from the last syllable whose right neighbour may have changed
-        n = len(out)
-        i = kept - 1 if kept else 0
-        while i < n:
-            syl = out[i]
-            if syl[0] & 1:
-                i += 1
-                continue
-            # alternation: both neighbours of a base syllable are abelian
-            left = out[i - 1] if i else None
-            right = out[i + 1] if i + 1 < n else None
-            if left is None and right is None:
-                i += 1
-                continue
-            s, h, t = self._strip(
-                syl,
-                left[0] >> 1 if left else None,
-                right[0] >> 1 if right else None,
-            )
-            # a missing neighbour has no u to strip, so its exponent is 0
-            if s:
-                out[i - 1] = (left[0], left[1] + 2 * s, *left[2:])
-            if t:
-                out[i + 1] = (right[0], right[1] + 2 * t, *right[2:])
-            if h:
-                out[i] = h
-                i += 1
-            else:
-                # only possible between abelian neighbors of distinct stages
-                del out[i]
-                n -= 1
-        return EocElement(self, tuple(out))
-
-    def _times_generator(
-        self, head: tuple[tuple[int, ...], ...], g: int
-    ) -> tuple[tuple[int, ...], ...]:
-        """The syllables of head * generator g, for canonical syllables `head`.
-
-        Equal to ``_from_syllables(self._generator_syllables[g], head)``;
-        the cases below do only the steps of that normalization whose
-        outcome is not known in advance, and the rest go to it.
-        """
-        raw = self._generator_syllables[g]
-        gen = raw[0]
-        if not head:
-            return (gen,)
-        tail = head[-1]
-        if gen[0] & 1:
-            if tail[0] & 1:
-                if tail[0] != gen[0]:
-                    # abelian syllables of distinct stages do not merge
-                    return head + (gen,)
-                syl = (tail[0], tail[1], *map(operator.add, tail[2:], gen[2:]))
-                if any(syl[2:]):
-                    return head[:-1] + (syl,)
-            else:
-                # strip the base tail between its left neighbour and gen, and
-                # fold s and t into them; if h is empty the tail was a u-power,
-                # so left and gen are of distinct stages and do not merge
-                left = head[-2] if len(head) > 1 else None
-                s, h, t = self._strip(tail, left[0] >> 1 if left else None, gen[0] >> 1)
-                if not (s or t):
-                    return head + (gen,)
-                if t:
-                    gen = (gen[0], 2 * t, *gen[2:])
-                if left is None:
-                    return (h, gen) if h else (gen,)
-                if s:
-                    left = (left[0], left[1] + 2 * s, *left[2:])
-                return head[:-2] + ((left, h, gen) if h else (left, gen))
-            # the t-part cancelled: a pure u-power pinches into its neighbours
-            return self._from_syllables(raw, head).syllables
-        if tail[0] & 1:
-            # strip the letter against the tail's stage and fold s into the
-            # tail; a u-power strips to nothing, as the push would absorb it
-            s, h, _ = self._strip(gen, tail[0] >> 1, None)
-            if not s:
-                return head + (h,)
-            tail = (tail[0], tail[1] + 2 * s, *tail[2:])
-            return head[:-1] + ((tail, h) if h else (tail,))
-        # one letter joins a reduced word by cancelling its last letter or not
-        syl = tail[:-1] if tail[-1] == -gen[0] else tail + gen
-        if not syl:
-            return head[:-1]
-        if len(head) == 1:
-            return (syl,)
-        # strip the new tail against its left neighbour; a u-power strips to
-        # nothing and folds into the neighbour, as the push would absorb it
-        left = head[-2]
-        s, h, _ = self._strip(syl, left[0] >> 1, None)
-        if not s:
-            return head[:-1] + (h,)
-        left = (left[0], left[1] + 2 * s, *left[2:])
-        return head[:-2] + ((left, h) if h else (left,))
+            head = self._times(head, syl)
+        return EocElement(self, head)
 
     # -- word problem and ball enumeration ------------------------------------
 
@@ -501,7 +419,8 @@ class EocGroup:
         new: list[EocElement] = []
         lengths = self._lengths
         parents, gens = self._tree_parents, self._tree_gens
-        times = self._times_generator
+        times = self._times
+        gen_syllables = self._generator_syllables
         forward = self._forward_gens
         size = len(lengths)
         first = size - len(frontier)
@@ -509,7 +428,7 @@ class EocGroup:
             head = elem.syllables
             # the generator that undoes the parent's own gives its tree parent
             for g in forward[gens[parent]]:
-                key = times(head, g)
+                key = times(head, gen_syllables[g])
                 lengths.setdefault(key, depth)
                 if len(lengths) > size:
                     size += 1

@@ -57,8 +57,11 @@ class Alphabet:
 def join_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Reduced product of two reduced letter tuples.
 
-    Both sides are already reduced, so only the junction can cancel.
+    Both sides are already reduced, so only the junction can cancel; when
+    its two letters do not, the product is the concatenation.
     """
+    if not (a and b and a[-1] == -b[0]):
+        return a + b
     i = len(a)
     j = 0
     n = len(b)

@@ -341,10 +341,9 @@ def _least_injective_p(
     """Least p up to ``_p_ceiling`` with ``collision(p, ball)`` None on the radius-R ball.
 
     ``collision`` tests the composite of the top `k` stage retractions.
-    Past the ceiling, raises ``AscentExhausted`` with a pair the
-    retractions at the ceiling merge as its witness: the walk's
-    collision there, or the closed-form pair when the ceiling lies below
-    the floor.
+    Past the ceiling, raises ``AscentExhausted`` with the walk's
+    collision at the ceiling as its witness.  The floor is at most
+    max(1, 2R), below the ceiling, so the ascent tries at least one p.
 
     The ascent starts at a floor below which every p fails.  Take a stage
     s among the top k, with u_s = z v z^-1 (v cyclically reduced) and
@@ -364,13 +363,10 @@ def _least_injective_p(
         raise ValueError("group has no stages to retract")
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
-    family = _floor_family(group, R, k)
-    for p in range(_floor(family), ceiling + 1):
+    for p in range(_floor(_floor_family(group, R, k)), ceiling + 1):
         witness = collision(p, ball)
         if witness is None:
             return p
-    if ceiling < _floor(family):
-        witness = _floor_pair(group, family, ceiling)
     raise AscentExhausted(
         "no injective p up to the ceiling: ascent analysis is wrong", ceiling, R, witness
     )

@@ -1,7 +1,8 @@
 """Brute-force reference implementations that the library's closed forms replace.
 
 They are meant to be slow and obviously right, and share no code path
-with what they check beyond word products and the theta map.  The
+with what they check beyond word products and the theta map
+(``stack_normal_form`` also shares the strip, which has its own oracle).  The
 u-powers of every oracle are chains of products (``running_powers``,
 ``product_power``), not ``Word.__pow__``: the library builds every
 u-power with its kernel ``freewords._power``.
@@ -11,6 +12,7 @@ relabelings, and the Z^n box and ball points.
 
 import itertools
 import math
+import operator
 import random
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -25,7 +27,7 @@ from discrimlab.bigpowers import (
 )
 from discrimlab.eocgroup import EocElement, EocGroup
 from discrimlab.errors import BudgetExceeded, CertificationError
-from discrimlab.freewords import Alphabet, Word
+from discrimlab.freewords import Alphabet, Word, join_letters
 from discrimlab.retraction import ThetaSpec
 from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, theta
 
@@ -304,6 +306,102 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
         else:
             syllables.append(syl)
     return spec.target._from_syllables(tuple(syllables))
+
+
+def stack_normal_form(
+    group: EocGroup,
+    raw: tuple[tuple[int, ...], ...],
+    head: tuple[tuple[int, ...], ...] = (),
+) -> EocElement:
+    """Normal form of the canonical syllables `head` followed by `raw`, by a stack.
+
+    The normalizer that ``EocGroup._times`` replaced.  Each raw syllable
+    is pushed onto a stack and merged with the top until stable
+    (alternation, pinches, u-power absorption); a strip pass then makes
+    every base syllable from the last untouched one on canonical against
+    its abelian neighbours.  It shares ``EocGroup._strip`` with the
+    library on purpose: the strip has its own oracle,
+    ``brute_strip_search``.  u-powers come from ``product_power`` and
+    memberships from ``brute_power_membership``.
+    """
+
+    def u_power(stage, e):
+        return tuple(2 * x for x in product_power(group.stages[stage].u, e).letters)
+
+    def power_of(stage, syl):
+        return brute_power_membership(
+            group.stages[stage].u, Word(group.alphabet, [x // 2 for x in syl])
+        )
+
+    def push(stack, syl):
+        """Push one syllable; returns the length of the prefix it left untouched."""
+        while True:
+            if not syl:
+                return len(stack)
+            if not stack:
+                stack.append(syl)
+                return 0
+            top = stack[-1]
+            if top[0] & 1:
+                if syl[0] & 1:
+                    if top[0] != syl[0]:
+                        break
+                    stack.pop()
+                    syl = (top[0], *map(operator.add, top[1:], syl[1:]))
+                    if not any(syl[2:]):
+                        # the t-part cancelled: a pure u-power is base material
+                        syl = u_power(syl[0] >> 1, syl[1] >> 1)
+                    continue
+                # top is abelian, syl is base: absorb syl into top if it is a u-power
+                k = power_of(top[0] >> 1, syl)
+                if k is None:
+                    break
+                stack.pop()
+                syl = (top[0], top[1] + 2 * k, *top[2:])
+            elif syl[0] & 1:
+                # top is base, syl is abelian: absorb top into syl if it is a u-power
+                k = power_of(syl[0] >> 1, top)
+                if k is None:
+                    break
+                stack.pop()
+                syl = (syl[0], syl[1] + 2 * k, *syl[2:])
+            else:
+                stack.pop()
+                syl = join_letters(top, syl)
+        stack.append(syl)
+        return len(stack) - 1
+
+    out = list(head)
+    kept = len(out)
+    for syl in raw:
+        kept = min(kept, push(out, syl))
+    # strip base syllables against their abelian neighbours, from the last
+    # syllable whose right neighbour may have changed
+    n = len(out)
+    i = kept - 1 if kept else 0
+    while i < n:
+        syl = out[i]
+        left = out[i - 1] if i else None
+        right = out[i + 1] if i + 1 < n else None
+        if syl[0] & 1 or (left is None and right is None):
+            i += 1
+            continue
+        s, h, t = group._strip(
+            syl, left[0] >> 1 if left else None, right[0] >> 1 if right else None
+        )
+        # a missing neighbour has no u to strip, so its exponent is 0
+        if s:
+            out[i - 1] = (left[0], left[1] + 2 * s, *left[2:])
+        if t:
+            out[i + 1] = (right[0], right[1] + 2 * t, *right[2:])
+        if h:
+            out[i] = h
+            i += 1
+        else:
+            # only possible between abelian neighbours of distinct stages
+            del out[i]
+            n -= 1
+    return EocElement(group, tuple(out))
 
 
 def brute_first_collision(

@@ -6,6 +6,7 @@ import re
 import pytest
 
 from discrimlab.cli import build_parser, main
+from discrimlab.eocgroup import load_group_spec
 from discrimlab.zdiscrim import ZnHom
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,6 +26,10 @@ WORKLOADS = _load_workloads()
 G1_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}]}'
 G1_RANK2_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 2}]}'
 TOWER_SPEC = '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2", "rank": 1}]}'
+TOWER3_SPEC = (
+    '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2", "rank": 1},'
+    ' {"u": "g1 g2", "rank": 1}]}'
+)
 CONJUGATE_TOWER_SPEC = (
     '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g1 g2 G1", "rank": 1}]}'
 )
@@ -240,6 +245,9 @@ class TestCurve:
 
     def test_ascent_past_ceiling_exits_1(self, capsys, monkeypatch, g1_spec):
         monkeypatch.setattr("discrimlab.retraction._p_ceiling", lambda group, R: 1)
+        # that ceiling lies below the floor, which the real one never does,
+        # so the ascent starts at p = 1
+        monkeypatch.setattr("discrimlab.retraction._floor_family", lambda group, R, k: None)
         code = main(["curve", "--spec", g1_spec, "--rmax", "2"])
         err = capsys.readouterr().err
         assert code == 1
@@ -371,6 +379,21 @@ class TestCrosscheck:
         code, out = run(capsys, "crosscheck", "--spec", g1_spec, "--r", "3")
         assert code == 0
         assert "agreement,pass" in out
+
+    @pytest.mark.parametrize(
+        "spec, r", [(TOWER_SPEC, 4), (TOWER3_SPEC, 3)], ids=["tower-r4", "tower3-r3"]
+    )
+    def test_raw_words_checked_counts_words_without_inverse_pairs(self, capsys, tmp_path, spec, r):
+        # n generators give n (n - 1)^(k - 1) words of length k: 3,201 for
+        # the tower at r = 4 and 911 for the three-stage tower at r = 3
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, out = run(capsys, "crosscheck", "--spec", str(path), "--r", str(r))
+        n = len(load_group_spec(spec).generator_tokens())
+        expected = 1 + sum(n * (n - 1) ** (k - 1) for k in range(1, r + 1))
+        assert code == 0
+        assert f"raw_words_checked,{expected}\n" in out
+        assert expected == {4: 3201, 3: 911}[r]
 
     def test_corrupted_p_detected(self, capsys, g1_spec):
         code, _ = run(

@@ -11,7 +11,7 @@ from discrimlab.eocgroup import EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
-from oracles import ball_image_count, raag_ball_size
+from oracles import ball_image_count, product_power, raag_ball_size, stack_normal_form
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -423,12 +423,12 @@ class TestGroupLaws:
         assert G.word_length(w, cap) == G.word_length(w.inverse(), cap) <= len(x)
 
 
-def assert_times_generator_is_generic(group, radius):
-    """The one-generator product equals the generic normalizer on the whole ball."""
+def assert_times_is_stack_normal_form(group, radius):
+    """Every ball element times every generator agrees with the stack normalizer."""
     for w in group.ball(radius):
-        for g, gen in enumerate(group._generator_syllables):
-            expected = group._from_syllables(gen, w.syllables).syllables
-            assert group._times_generator(w.syllables, g) == expected, (w, g)
+        for gen in group._generator_syllables:
+            expected = stack_normal_form(group, (gen,), w.syllables).syllables
+            assert group._times(w.syllables, gen) == expected, (w, gen)
 
 
 class TestTimesGenerator:
@@ -436,16 +436,63 @@ class TestTimesGenerator:
     def test_single_stage(self, u):
         # u = g1 g2: a letter after an abelian tail can strip to another
         # letter (g1 = u G2), and a base tail's strip can move
-        assert_times_generator_is_generic(EocGroup(A, [(parse_word(A, u), 1)]), 4)
+        assert_times_is_stack_normal_form(EocGroup(A, [(parse_word(A, u), 1)]), 4)
 
     @pytest.mark.parametrize("stages", [[(a, 1), (b, 1)], [(a, 1), (b, 1), (a * b, 1)]])
     def test_towers(self, stages):
-        assert_times_generator_is_generic(EocGroup(A, stages), 4)
+        assert_times_is_stack_normal_form(EocGroup(A, stages), 4)
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(groups(), st.integers(0, 3))
     def test_random_groups(self, G, radius):
-        assert_times_generator_is_generic(G, radius)
+        assert_times_is_stack_normal_form(G, radius)
+
+
+@st.composite
+def pinching_words(draw, count):
+    """Raw token words of a ``CANONICAL_SPECS`` group with u_j^e runs inserted.
+
+    A run sits alone or between a t-letter of stage j and its inverse,
+    where the t-part cancels (a pinch); a run next to a t-letter of stage j
+    is absorbed into its abelian syllable.
+    """
+    group = canonical_group(draw(st.integers(0, len(CANONICAL_SPECS) - 1)))
+    tokens = group.generator_tokens()
+
+    def run(tok, e, sandwich):
+        letters = list(product_power(group.stages[tok[1]].u, e).letters)
+        return [tok, *letters, (*tok[:2], -tok[2])] if sandwich else letters
+
+    t_tokens = [tok for tok in tokens if not isinstance(tok, int)]
+    piece = st.one_of(
+        st.sampled_from(tokens).map(lambda tok: [tok]),
+        st.builds(run, st.sampled_from(t_tokens), st.integers(-2, 2), st.booleans()),
+    )
+    words = [sum(draw(st.lists(piece, max_size=6)), []) for _ in range(count)]
+    return group, words
+
+
+def raw_syllables(group, tokens):
+    return tuple(map(group._token_syllable, tokens))
+
+
+def inverse_tokens(tokens):
+    return [-tok if isinstance(tok, int) else (*tok[:2], -tok[2]) for tok in reversed(tokens)]
+
+
+class TestStackNormalForm:
+    """The fold of ``_times`` against the stack normalizer of ``oracles``."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pinching_words(2))
+    def test_element_product_inverse_and_fold(self, case):
+        G, (xt, yt) = case
+        x, y = G.element(xt), G.element(yt)
+        assert x == stack_normal_form(G, raw_syllables(G, xt))
+        assert x * y == stack_normal_form(G, y.syllables, x.syllables)
+        assert x.inverse() == stack_normal_form(G, raw_syllables(G, inverse_tokens(xt)))
+        concatenated = x.syllables + y.syllables
+        assert G._from_syllables(concatenated) == stack_normal_form(G, concatenated)
 
 
 def assert_ball_tree(group, radius):

@@ -204,8 +204,12 @@ class TestSubtower:
 
 
 class TestAscentCeiling:
+    # a ceiling of 1 lies below the floor, which the real ceiling never does
+    # (TestFloor.test_floor_below_ceiling), so the ascent here starts at p = 1
+
     def test_minimal_p_reports_collision_at_ceiling(self, G1, monkeypatch):
         monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
+        monkeypatch.setattr(retraction, "_floor_family", lambda group, R, k: None)
         with pytest.raises(AscentExhausted) as exc:
             minimal_discriminating_p(G1, 2)
         err = exc.value
@@ -217,6 +221,7 @@ class TestAscentCeiling:
 
     def test_compose_chain_reports_collision_at_ceiling(self, tower, monkeypatch):
         monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
+        monkeypatch.setattr(retraction, "_floor_family", lambda group, R, k: None)
         with pytest.raises(AscentExhausted) as exc:
             compose_chain(tower, 2)
         err = exc.value
@@ -323,6 +328,14 @@ FLOOR_SPECS = {
 }
 
 
+# WALK_SPECS and the towers, for the floor against the ceiling
+CEILING_SPECS = {
+    **WALK_SPECS,
+    "tower-g2g2g1": FLOOR_SPECS["tower-g2g2g1"],
+    "tower3": (2, [("g1", 1), ("g2", 1), ("g1 g2", 1)], 8),
+}
+
+
 def _floor(group, R, k):
     family = retraction._floor_family(group, R, k)
     return family, 1 if family is None else 1 + family[1] + family[2]
@@ -362,6 +375,15 @@ class TestFloor:
         for k in sorted({1, len(group.stages)}):
             for R in range(rmax + 1):
                 assert _floor(group, R, k)[1] <= _walk_p_min(group, R, k), (k, R)
+
+    @pytest.mark.parametrize("label", sorted(CEILING_SPECS))
+    def test_floor_below_ceiling(self, label):
+        # so the ascent tries at least one p, and its witness is a collision
+        group, _ = _walk_group(label, CEILING_SPECS)
+        for k in sorted({1, len(group.stages)}):
+            for R in range(9):
+                floor = retraction._floor(retraction._floor_family(group, R, k))
+                assert floor <= max(1, 2 * R) < retraction._p_ceiling(group, R), (k, R)
 
     def test_floor_is_p_min_for_single_letter_u(self):
         group = EocGroup(A, [(a, 1)])
