@@ -74,12 +74,14 @@ removed, see ``retraction.subtower``) and its top-stage retractions by
 (R, p) (``retraction._theta_spec``).  Retractions onto the subtower
 therefore share one set of caches across words, p values and stages.
 
-The ball keeps its BFS tree: every element is first built as
-parent * generator, and two flat integer arrays record, per ball index,
-the parent's ball index and the generator's index in
-``generator_tokens()`` order.  They grow and roll back with the layers,
-so a homomorphism can be evaluated on the whole ball with one product
-per element (``retraction._first_collision``).  A layer does not multiply
+The ball is one list of elements in BFS order, grown a layer at a time;
+the ball of radius r is its first ``_ends[r]`` entries.  It keeps its
+BFS tree: every element is first built as parent * generator, and two
+flat integer arrays record, per ball index, the parent's ball index and
+the generator's index in ``generator_tokens()`` order.  A layer that
+exceeds the cap is rolled back from the list and both arrays, so a
+homomorphism can be evaluated on the whole ball with one product per
+element (``retraction._first_collision``).  A layer does not multiply
 an element by the inverse of its tree generator: that product is the
 element's tree parent, one layer down, and with one normal form per
 element it would only find that parent's syllables in the ball.
@@ -101,6 +103,7 @@ from .errors import BudgetExceeded, GroupSpecError, WordFormatError
 from .freewords import (
     Alphabet,
     Word,
+    _CHUNK_RE,
     _power,
     _strip_search,
     conjugate,
@@ -236,12 +239,14 @@ class EocGroup:
         self._forward_gens = [
             tuple(h for h in range(len(tokens)) if h != inverse[g]) for g in range(len(tokens))
         ] + [tuple(range(len(tokens)))]
-        # ball cache: layers[r] = list of elements of word length exactly r,
-        # and the length of every element so far, keyed by its syllables
-        self._layers: list[list[EocElement]] = [[self.identity()]]
+        # ball cache: the elements in BFS order, _ends[r] of them of word
+        # length <= r, and the length of every element so far, keyed by its
+        # syllables
+        self._ball: list[EocElement] = [self.identity()]
+        self._ends: list[int] = [1]
         self._lengths: dict[tuple, int] = {(): 0}
         # the ball's BFS tree, by ball index: element k was first built as
-        # ball[_tree_parents[k]] * generator _tree_gens[k]; -1 for the identity
+        # _ball[_tree_parents[k]] * generator _tree_gens[k]; -1 for the identity
         self._tree_parents = array("i", [-1])
         self._tree_gens = array("i", [-1])
 
@@ -266,12 +271,11 @@ class EocGroup:
 
     def parse_tokens(self, text: str) -> list[Token]:
         tokens: list[Token] = []
-        pos = 0
-        for chunk in text.split():
-            pos = text.index(chunk, pos)
-            m = _T_TOKEN_RE.match(chunk)
+        for chunk in _CHUNK_RE.finditer(text):
+            token, pos = chunk.group(), chunk.start()
+            m = _T_TOKEN_RE.match(token)
             if not m:
-                tokens.append(parse_letter(self.alphabet, chunk, pos))
+                tokens.append(parse_letter(self.alphabet, token, pos))
             else:
                 stage = int(m.group(2)) - 1
                 idx = int(m.group(3))
@@ -282,7 +286,6 @@ class EocGroup:
                         f"t-index {idx} out of range for stage {stage + 1}", pos
                     )
                 tokens.append(("t", stage, idx if m.group(1) == "t" else -idx))
-            pos += len(chunk)
         return tokens
 
     def element(self, tokens: Union[str, Iterable[Token]]) -> EocElement:
@@ -414,17 +417,16 @@ class EocGroup:
     # -- word problem and ball enumeration ------------------------------------
 
     def _grow_layer(self, cap: int) -> None:
-        frontier = self._layers[-1]
-        depth = len(self._layers)
-        new: list[EocElement] = []
+        ball = self._ball
+        depth = len(self._ends)
+        start = self._ends[-2] if depth > 1 else 0
         lengths = self._lengths
         parents, gens = self._tree_parents, self._tree_gens
         times = self._times
         gen_syllables = self._generator_syllables
         forward = self._forward_gens
-        size = len(lengths)
-        first = size - len(frontier)
-        for parent, elem in enumerate(frontier, start=first):
+        size = layer = len(ball)
+        for parent, elem in enumerate(ball[start:], start):
             head = elem.syllables
             # the generator that undoes the parent's own gives its tree parent
             for g in forward[gens[parent]]:
@@ -435,28 +437,24 @@ class EocGroup:
                     if size > cap:
                         # keep the cache at whole layers so a later call can regrow
                         del lengths[key]
-                        for e in new:
+                        for e in ball[layer:]:
                             del lengths[e.syllables]
-                        del parents[len(lengths):]
-                        del gens[len(lengths):]
+                        del ball[layer:], parents[layer:], gens[layer:]
                         raise BudgetExceeded(
                             f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
                         )
-                    new.append(EocElement(self, key))
+                    ball.append(EocElement(self, key))
                     parents.append(parent)
                     gens.append(g)
-        self._layers.append(new)
+        self._ends.append(size)
 
     def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[EocElement]:
         """All elements of word length <= radius, BFS layer order, deduplicated."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        while len(self._layers) <= radius:
+        while len(self._ends) <= radius:
             self._grow_layer(cap)
-        out: list[EocElement] = []
-        for layer in self._layers[: radius + 1]:
-            out.extend(layer)
-        return out
+        return self._ball[: self._ends[radius]]
 
     def word_length(self, w: EocElement, cap: int = DEFAULT_BALL_CAP) -> int:
         """Exact minimal token count over all representatives, via BFS from 1."""

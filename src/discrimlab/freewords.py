@@ -26,6 +26,9 @@ from typing import Iterable, Optional
 from .errors import WordFormatError
 
 _TOKEN_RE = re.compile(r"([gG])([0-9]+)$")
+# one whitespace-separated token of a word or an element; its start is the
+# position a WordFormatError reports
+_CHUNK_RE = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -211,12 +214,7 @@ def parse_letter(alphabet: Alphabet, token: str, position: int) -> int:
 
 def parse_word(alphabet: Alphabet, text: str) -> Word:
     """Parse the ``g<i>``/``G<i>`` token format, rejecting malformed tokens."""
-    letters = []
-    pos = 0
-    for chunk in text.split():
-        pos = text.index(chunk, pos)
-        letters.append(parse_letter(alphabet, chunk, pos))
-        pos += len(chunk)
+    letters = [parse_letter(alphabet, m.group(), m.start()) for m in _CHUNK_RE.finditer(text)]
     return Word(alphabet, letters)
 
 

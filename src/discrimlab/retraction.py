@@ -23,22 +23,25 @@ Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
 and a retraction is a homomorphism, so the image of an element is the
 image of its parent times the image of its generator.  Only the
-generators go through ``apply_theta``; every other element costs one
-product.  The tree is walked depth first from the root, holding only
-the images on the current path and its waiting siblings, and each
-element leaves one int64 fingerprint (``hash`` of its image).  Equal
-fingerprints are then settled exactly by rebuilding both images from
-the root, and the pair reported is the one a ball-order scan of the
-images finds first.  The walk has no early stop, so a failing p costs
-a whole walk; the floor already rules out the small p, whose collisions
-lie earliest in the ball.
+generators go through ``apply_theta``, and each generator's image is one
+syllable of the target (a base word, or a lower-stage abelian
+syllable).  Every other element costs one product, the target's own
+rule for one syllable: ``EocGroup._times`` on the parent image's
+canonical syllables.  The tree is walked depth first from the root,
+holding only the images on the current path and its waiting siblings,
+and each element leaves one int64 fingerprint (``hash`` of its image).
+Equal fingerprints are then settled exactly by rebuilding both images
+from the root, and the pair reported is the one a ball-order scan of
+the images finds first.  The walk has no early stop, so a failing p
+costs a whole walk; the floor already rules out the small p, whose
+collisions lie earliest in the ball.
 
 When the target is the free base (a single-stage retraction, and every
-composite down a tower) the images are kept as bare base syllables:
-letter tuples with every letter doubled, as ``eocgroup`` stores them.
-Equal tuples still mean equal words, and the doubling keeps CPython's
-hash(-1) == hash(-2) from giving every pair of images that differ only
-by G1 against G2 the same hash.
+composite down a tower) an image is its one base syllable, letter
+tuples with every letter doubled as ``eocgroup`` stores them, and the
+product is ``freewords.join_letters``.  Equal tuples still mean equal
+words, and the doubling keeps CPython's hash(-1) == hash(-2) from giving
+every pair of images that differ only by G1 against G2 the same hash.
 """
 
 from __future__ import annotations
@@ -165,16 +168,14 @@ _fingerprint = hash
 
 
 def _first_collision(
-    ball: Sequence[EocElement],
-    generator_images: Sequence,
-    identity,
-    mul: Callable,
+    ball: Sequence[EocElement], generator_images: Sequence, mul: Callable
 ) -> Optional[tuple[EocElement, EocElement]]:
     """The first pair of ball elements, in ball order, with equal images.
 
     The images are those of the homomorphism sending the i-th generator
     (``generator_tokens()`` order) to ``generator_images[i]``, with
-    product ``mul``; each is built from its BFS parent's image.
+    product ``mul`` and identity ``()``; each is built from its BFS
+    parent's image.
 
     The BFS tree is walked depth first from the root, so only the images
     on the current path, and the siblings waiting on it, are alive at
@@ -198,9 +199,9 @@ def _first_collision(
     starts = array("q", first.astype(np.int64).tobytes())
     fingerprint = _fingerprint
     prints = array("q", bytes(8 * n))
-    prints[0] = fingerprint(identity)
+    prints[0] = fingerprint(())
     # entries (first child, end, image of their parent)
-    waiting = [(starts[0], starts[1], identity)]
+    waiting = [(starts[0], starts[1], ())]
     while waiting:
         lo, hi, img = waiting.pop()
         for c in range(lo, hi):
@@ -214,7 +215,7 @@ def _first_collision(
         while k:
             path.append(gens[k])
             k = parents[k]
-        img = identity
+        img = ()
         for g in reversed(path):
             img = mul(img, generator_images[g])
         return img
@@ -240,18 +241,11 @@ def _first_collision(
     return None if best is None else (ball[best[0]], ball[best[1]])
 
 
-def _base_letters(w: EocElement) -> tuple[int, ...]:
-    """The base syllable (doubled letters) of an element of a group with no stages."""
-    if not w.syllables:
-        return ()
-    if len(w.syllables) > 1 or w.syllables[0][0] & 1:
-        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
-    return w.syllables[0]
-
-
 def _base_word(w: EocElement) -> Word:
     """The base word of an element of a group with no stages."""
-    return _syllable_word(w.group.alphabet, _base_letters(w))
+    if w.group.stages:
+        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
+    return _syllable_word(w.group.alphabet, w.syllables[0] if w.syllables else ())
 
 
 def _retract(group: EocGroup, R: int, p: int, w: EocElement, k: int) -> EocElement:
@@ -265,22 +259,24 @@ def _retract(group: EocGroup, R: int, p: int, w: EocElement, k: int) -> EocEleme
     return w
 
 
-def _collision(
+def _images_injective(
     group: EocGroup, R: int, p: int, ball: Sequence[EocElement], k: int
 ) -> Optional[tuple[EocElement, EocElement]]:
-    """The first pair of ball elements, in ball order, that the top `k` retractions at p merge."""
-    images = [_retract(group, R, p, g, k) for g in group.generators()]
-    target = images[0].group
-    if target.stages:
-        return _first_collision(ball, images, target.identity(), operator.mul)
-    return _first_collision(ball, [_base_letters(w) for w in images], (), join_letters)
+    """The first pair of ball elements, in ball order, that the top `k` retractions at p merge.
 
-
-def _images_injective(
-    group: EocGroup, R: int, p: int, ball: Sequence[EocElement]
-) -> Optional[tuple[EocElement, EocElement]]:
-    """The top-stage collision at p; called once per p tried, which perfbench/tracer.py counts."""
-    return _collision(group, R, p, ball, 1)
+    Each generator image is one syllable of the target, or none, so the
+    walk multiplies it in with the target's own product rule: ``_times``
+    on canonical syllables, or ``join_letters`` on the base letters once
+    the target is the free base.  An image of two syllables raises.  The
+    name is the span ``perfbench/tracer.py`` times and counts per p tried.
+    """
+    images = []
+    for g in group.generators():
+        w = _retract(group, R, p, g, k)
+        syl, = w.syllables or ((),)
+        images.append(syl)
+    target = w.group
+    return _first_collision(ball, images, target._times if target.stages else join_letters)
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:
@@ -335,12 +331,9 @@ def _floor(family: Optional[tuple[int, int, int]]) -> int:
     return 1 if family is None else 1 + family[1] + family[2]
 
 
-def _least_injective_p(
-    group: EocGroup, R: int, cap: int, k: int, collision: Callable
-) -> int:
-    """Least p up to ``_p_ceiling`` with ``collision(p, ball)`` None on the radius-R ball.
+def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
+    """Least p up to ``_p_ceiling`` whose top `k` retractions are injective on the radius-R ball.
 
-    ``collision`` tests the composite of the top `k` stage retractions.
     Past the ceiling, raises ``AscentExhausted`` with the walk's
     collision at the ceiling as its witness.  The floor is at most
     max(1, 2R), below the ceiling, so the ascent tries at least one p.
@@ -364,7 +357,7 @@ def _least_injective_p(
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
     for p in range(_floor(_floor_family(group, R, k)), ceiling + 1):
-        witness = collision(p, ball)
+        witness = _images_injective(group, R, p, ball, k)
         if witness is None:
             return p
     raise AscentExhausted(
@@ -381,9 +374,7 @@ def minimal_discriminating_p(
     translating: a collision pair (w, w') gives the nontrivial w * w'^-1
     with trivial image, and conversely.
     """
-    return _least_injective_p(
-        group, R, cap, 1, lambda p, ball: _images_injective(group, R, p, ball)
-    )
+    return _least_injective_p(group, R, cap, 1)
 
 
 def _p_min_certificate(
@@ -399,7 +390,7 @@ def _p_min_certificate(
     family = _floor_family(group, R, 1)
     if p_min - 1 < _floor(family):
         return _floor_pair(group, family, p_min - 1)
-    return _collision(group, R, p_min - 1, ball, 1)
+    return _images_injective(group, R, p_min - 1, ball, 1)
 
 
 @dataclass(frozen=True)
@@ -498,7 +489,7 @@ def compose_chain(
     multiply complexities, never exceed their product.
     """
     k = len(group.stages)
-    p = _least_injective_p(group, R, cap, k, lambda p, ball: _collision(group, R, p, ball, k))
+    p = _least_injective_p(group, R, cap, k)
     stage_complexities = []
     g = group
     while g.stages:

@@ -194,6 +194,23 @@ class TestTokens:
                 G.parse_tokens(text)
             assert exc.value.position == 8
 
+    # positions as the str.split() / str.index scan reported them, for
+    # base and t-tokens after tabs, runs of spaces, leading blanks and U+3000
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("g1\tt1.1\tt2.1", 8),
+            ("t1.1   g1  g3", 11),
+            ("  \t t1.1 t1.2", 9),
+            ("g1\u3000x1", 3),
+            ("\u3000t1.1\u3000\u3000t1.1 t1.1x", 12),
+        ],
+    )
+    def test_error_position_after_any_blanks(self, G, text, position):
+        with pytest.raises(WordFormatError) as exc:
+            G.parse_tokens(text)
+        assert exc.value.position == position
+
     def test_base_element(self, G):
         w = parse_word(A, "g1 g2 G1")
         assert G.base_element(w).tokens() == "g1 g2 G1"
@@ -273,7 +290,7 @@ class TestBallOrder:
         for cap in (5, 100, 500):
             with pytest.raises(BudgetExceeded):
                 group.ball(4, cap=cap)
-            assert len(group._lengths) == sum(map(len, group._layers))
+            assert len(group._lengths) == len(group._ball) == group._ends[-1]
         assert ball_digest(group, 4) == ball_digest(EocGroup(A, stages), 4)
 
 
@@ -520,7 +537,7 @@ class TestBallTree:
         g = EocGroup(A, [(a, 1)])
         with pytest.raises(BudgetExceeded):
             g.ball(3, cap=5)
-        assert len(g._tree_parents) == len(g._tree_gens) == len(g._lengths) == 1
+        assert len(g._tree_parents) == len(g._tree_gens) == len(g._lengths) == len(g._ball) == 1
         assert len(g.ball(3)) == 143
         assert_ball_tree(g, 3)
 

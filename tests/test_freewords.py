@@ -249,3 +249,20 @@ class TestParsing:
     def test_out_of_range_index(self):
         with pytest.raises(WordFormatError):
             parse_word(A, "g3")
+
+    # positions as the str.split() / str.index scan reported them: tabs,
+    # runs of spaces, leading blanks and U+3000 all separate tokens
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("g1\tg2\tx1", 6),
+            ("g1   g2  g3", 9),
+            ("  \t g1 G7", 7),
+            ("g1\u3000x1", 3),
+            ("\u3000g2\u3000\u3000g1 g1x", 8),
+        ],
+    )
+    def test_error_position_after_any_blanks(self, text, position):
+        with pytest.raises(WordFormatError) as exc:
+            parse_word(A, text)
+        assert exc.value.position == position

@@ -1,14 +1,17 @@
 import itertools
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discrimlab import retraction
 from discrimlab.eocgroup import EocGroup
-from discrimlab.errors import AscentExhausted
+from discrimlab.errors import AscentExhausted, GroupSpecError
 from discrimlab.freewords import Alphabet, Word, join_letters, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
@@ -23,7 +26,8 @@ from discrimlab.retraction import (
 )
 from discrimlab.zdiscrim import lower_bound_value, theta
 
-from oracles import brute_first_collision, per_syllable_apply_theta
+from oracles import ball_image_count, brute_first_collision, per_syllable_apply_theta
+from test_eocgroup import groups
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -293,8 +297,7 @@ class TestTreeWalk:
                 spec = ThetaSpec(group, R, p)
                 expected = brute_first_collision(ball, lambda w: apply_theta(spec, w))
                 assert (expected is None) == (found and p == top)
-                assert retraction._collision(group, R, p, ball, 1) == expected
-                assert retraction._images_injective(group, R, p, ball) == expected
+                assert retraction._images_injective(group, R, p, ball, 1) == expected
 
     @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_chain_walk_matches_per_element_scan(self, label):
@@ -305,7 +308,7 @@ class TestTreeWalk:
             for p in range(1, top + 1):
                 expected = brute_first_collision(ball, lambda w: apply_chain(group, R, p, w))
                 assert (expected is None) == (found and p == top)
-                assert retraction._collision(group, R, p, ball, len(group.stages)) == expected
+                assert retraction._images_injective(group, R, p, ball, len(group.stages)) == expected
 
     def test_multi_letter_u_p_min_is_radius(self):
         # G1 t1.1 g1 and g2 t1.1 G2 are one element; when the strip broke
@@ -345,7 +348,7 @@ def _walk_p_min(group, R, k):
     """Least injective p by walking every p from 1, with no floor."""
     ball = group.ball(R)
     for p in range(1, retraction._p_ceiling(group, R) + 1):
-        if retraction._collision(group, R, p, ball, k) is None:
+        if retraction._images_injective(group, R, p, ball, k) is None:
             return p
     raise AssertionError(f"no injective p up to the ceiling at R={R}")
 
@@ -447,7 +450,7 @@ class TestFingerprints:
                     else:
                         image = lambda w: apply_chain(group, R, p, w)
                     expected = brute_first_collision(ball, image)
-                    assert retraction._collision(group, R, p, ball, k) == expected
+                    assert retraction._images_injective(group, R, p, ball, k) == expected
 
     @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_walk_fingerprints_every_element_once(self, label, monkeypatch):
@@ -457,13 +460,14 @@ class TestFingerprints:
             p = _walk_p_min(group, R, k)
 
             def image(w):
-                # as the walk keeps them: bare letters once in the free base
+                # as the walk keeps them: canonical syllables, or the one
+                # base syllable's letters once in the free base
                 img = retraction._retract(group, R, p, w, k)
-                return img if img.group.stages else retraction._base_letters(img)
+                return img.syllables if img.group.stages else (img.syllables or ((),))[0]
 
             seen = []
             monkeypatch.setattr(retraction, "_fingerprint", lambda img: seen.append(img) or hash(img))
-            assert retraction._collision(group, R, p, ball, k) is None
+            assert retraction._images_injective(group, R, p, ball, k) is None
             assert Counter(seen) == Counter(map(image, ball))
 
     # homomorphisms of G1 onto the free base, as the images of g1, g2 and
@@ -503,7 +507,7 @@ class TestFingerprints:
 
         letters = [images[tok].letters for tok in group.generator_tokens()]
         expected = brute_first_collision(ball, image)
-        assert retraction._first_collision(ball, letters, (), join_letters) == expected
+        assert retraction._first_collision(ball, letters, join_letters) == expected
         assert (expected and (ball.index(expected[0]), ball.index(expected[1]))) == pair
 
     # p = 1 collides early in the R = 7 ball; p = 11, one below p_min,
@@ -512,7 +516,7 @@ class TestFingerprints:
     def test_failing_walk_matches_per_element_scan(self, R, p, index, size):
         group = EocGroup(A, [(a, 1)])
         ball = group.ball(R)
-        pair = retraction._collision(group, R, p, ball, 1)
+        pair = retraction._images_injective(group, R, p, ball, 1)
         assert pair == brute_first_collision(ball, lambda w: apply_theta(ThetaSpec(group, R, p), w))
         assert (ball.index(pair[1]), len(ball)) == (index, size)
 
@@ -523,8 +527,93 @@ class TestFingerprints:
         ball = group.ball(7)
         tracemalloc.start()
         try:
-            assert retraction._collision(group, 7, 14, ball, 1) is None
+            assert retraction._images_injective(group, 7, 14, ball, 1) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+def assert_one_syllable_images(group, R, p):
+    """Each generator image of the top 1 and of all stage retractions is one syllable, or none."""
+    for k in sorted({1, len(group.stages)}):
+        for g in group.generators():
+            img = retraction._retract(group, R, p, g, k)
+            assert len(img.syllables) <= 1, (g, k, img)
+
+
+class TestOneSyllableImages:
+    """The walk multiplies in each generator image as one syllable of the target."""
+
+    @pytest.mark.parametrize("label", sorted(CEILING_SPECS))
+    def test_specs(self, label):
+        group, _ = _walk_group(label, CEILING_SPECS)
+        for R, p in itertools.product(range(4), (1, 2, 7)):
+            assert_one_syllable_images(group, R, p)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(groups(), st.integers(0, 3), st.integers(1, 12))
+    def test_random_groups(self, group, R, p):
+        assert_one_syllable_images(group, R, p)
+
+    def test_two_syllable_image_raises(self, tower, monkeypatch):
+        two = subtower(tower).element("t1.1 g2")
+        assert len(two.syllables) == 2
+        monkeypatch.setattr(retraction, "_retract", lambda group, R, p, w, k: two)
+        with pytest.raises(ValueError, match="too many values"):
+            retraction._images_injective(tower, 2, 3, tower.ball(2), 1)
+
+    def test_base_word_needs_the_free_base(self, G1):
+        for text in ("t1.1", "g1"):
+            with pytest.raises(RuntimeError):
+                retraction._base_word(G1.element(text))
+
+
+def _corpus(n, seed):
+    """n seeded random groups: free rank 2-3, 1-3 stages, |u| 1-4 as drawn, t-rank 1-3.
+
+    Draws that validation rejects (u trivial once reduced, a proper power,
+    or commensurable with another stage's u) are drawn again.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        alphabet = Alphabet(rng.randint(2, 3))
+        letters = [*range(1, alphabet.rank + 1), *range(-alphabet.rank, 0)]
+        stages = []
+        for _ in range(rng.randint(1, 3)):
+            u = Word(alphabet, [rng.choice(letters) for _ in range(rng.randint(1, 4))])
+            stages.append((u, rng.randint(1, 3)))
+        try:
+            out.append(EocGroup(alphabet, stages))
+        except GroupSpecError:
+            pass
+    return out
+
+
+# ball_image_count sends the last t-generator to u^(40 (2R+1)^(n-1)), n the
+# total t-rank, and holds the image of every raw word; past this many letters
+# in one generator image it needs hundreds of MB, so those points check only
+# the ascents
+ORACLE_LETTERS = 10_000
+
+
+class TestCorpus:
+    """Canonical balls and both ascents over random specs (ROADMAP items 1 and 5)."""
+
+    def test_balls_and_ascents(self):
+        cap = 20_000
+        checked = points = 0
+        for group in _corpus(60, 0):
+            n = sum(stage.rank for stage in group.stages)
+            ulen = max(len(stage.u) for stage in group.stages)
+            for R in range(3 if len(group.stages) == 3 else 4):
+                points += 1
+                size = len(group.ball(R, cap=cap))
+                if 40 * (2 * R + 1) ** (n - 1) * ulen <= ORACLE_LETTERS:
+                    checked += 1
+                    assert size == ball_image_count(group, R, 40), (group.stages, R)
+                # neither ascent runs past _p_ceiling
+                minimal_discriminating_p(group, R, cap=cap)
+                compose_chain(group, R, cap=cap)
+        assert (checked, points) == (189, 228)
