@@ -272,9 +272,7 @@ def certify(
             rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
         )
         if build_padded(spec, r, powers).letters in forbidden:
-            raise CertificationError(
-                f"trivializing tuple {r} above threshold {N}: threshold is unsound"
-            )
+            raise CertificationError(N, r)
         report.sampled_ok += 1
     box = [(e, powers[e]) for e in range(-bound, bound + 1)]
     h = (k + 2) // 2
@@ -289,7 +287,5 @@ def certify(
             r = left + right
             report.trivializing.append(r)
             if min(abs(x) for x in r) > N:
-                raise CertificationError(
-                    f"trivializing tuple {r} above threshold {N}: threshold is unsound"
-                )
+                raise CertificationError(N, r)
     return report

@@ -281,10 +281,13 @@ def _cmd_crosscheck(args) -> int:
     if group.stages:
         p_min = minimal_discriminating_p(group, args.r, cap=args.cap)
         checks.append(("p_min", p_min))
-        p = args.force_p if args.force_p is not None else p_min
+        p = args.force_p
+        if p is None:
+            # the agreement check runs the composite, whose p a tower may raise
+            p = compose_chain(group, args.r, cap=args.cap).p if len(group.stages) > 1 else p_min
         checks.append(("p_used", p))
         # triviality oracle agreement over every raw word of token length <= r:
-        # the normal form is empty iff the retraction at p kills the word
+        # the normal form is empty iff the composite retraction at p kills the word
         agreements = 0
         disagreement = None
         for toks in _raw_words(group, args.r):
@@ -371,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force-p",
         type=int,
-        help="use this p instead of the computed p_min for the agreement check",
+        help="use this p for the agreement check instead of p_min (a tower: the composite p)",
     )
     common_out(p)
     p.set_defaults(func=_cmd_crosscheck)

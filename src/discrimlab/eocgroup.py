@@ -20,7 +20,7 @@ or u^-1 and u^-2, the same hash.  The group keeps each stage's u as
 doubled letters too, and the ``freewords`` letter kernels work on either
 encoding: ``_u_power`` is ``freewords._power`` of that u (for the normal
 form when a t-part cancels, for ``tokens``, and for
-``retraction.apply_theta`` when it maps t-letters to u-powers), and a
+``retraction._image`` when it maps t-letters to u-powers), and a
 strip passes the doubled syllable and u's to ``freewords._strip_search``
 as they are.  Words enter and leave this form only at the element API
 (tokens, ``base_element``, ``abelian_element``).
@@ -70,9 +70,9 @@ cache's tuple, which elements share, not as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, ball layers
 and, built lazily once, its subtower (the group with the top stage
-removed, see ``retraction.subtower``) and its top-stage retractions by
-(R, p) (``retraction._theta_spec``).  Retractions onto the subtower
-therefore share one set of caches across words, p values and stages.
+removed, see ``retraction.subtower``), but no retractions, which are
+substitutions (``retraction._image``).  Retractions onto the subtower
+share one set of caches across words and p values.
 
 The ball is one list of elements in BFS order, grown a layer at a time;
 the ball of radius r is its first ``_ends[r]`` entries.  It keeps its
@@ -224,7 +224,6 @@ class EocGroup:
         self._strip_cache: dict = {}
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
-        self._theta_specs: dict = {}
         # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
         self._u_letters[None] = None

@@ -31,7 +31,14 @@ class GroupSpecError(DiscrimError, ValueError):
 
 
 class CertificationError(DiscrimError):
-    """A certified bound was contradicted by a concrete counterexample."""
+    """A certified threshold was contradicted by its witness, a trivializing tuple r above it."""
+
+    def __init__(self, threshold, witness):
+        super().__init__(
+            f"trivializing tuple {witness} above threshold {threshold}: threshold is unsound"
+        )
+        self.threshold = threshold
+        self.witness = witness
 
 
 class AscentExhausted(DiscrimError):

@@ -7,14 +7,18 @@ map, so for p large enough it is injective on any fixed finite ball of
 G'.  This module computes the least such p exactly, the resulting
 generator-image complexity, and complexity curves in R.
 
+Every stage's u lies in the free base, which every retraction fixes, so
+the composite of the top k retractions at one p is a substitution of
+u-powers for abelian syllables, ``_image``.  ``apply_theta`` (k = 1),
+``apply_chain`` (all k) and the walk below take their images from it.
+
 One ascent on one ball serves both the top stage
 (``minimal_discriminating_p``) and the uniform p of the composite down a
 tower (``compose_chain``).  It starts at a proven floor: below it, a
 closed-form pair of ball elements, t u^-j against u^k conjugated to the
 cyclic core of u, collides, so no ball walk is needed to rule those p
 out.  From the floor it tries p = floor, floor + 1, .. up to
-``_p_ceiling``.  Its generator images come from one walk down the top k
-stages (k = 1, or all) through ``_theta_spec``.  ``complexity_record``
+``_p_ceiling``, for the top k stages (k = 1, or all).  ``complexity_record``
 adds a certificate that p_min is least: a pair that the retraction at
 p_min - 1 merges, in closed form below the floor, else the walk's
 collision there.
@@ -23,7 +27,7 @@ Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
 and a retraction is a homomorphism, so the image of an element is the
 image of its parent times the image of its generator.  Only the
-generators go through ``apply_theta``, and each generator's image is one
+generators go through ``_image``, and each generator's image is one
 syllable of the target (a base word, or a lower-stage abelian
 syllable).  Every other element costs one product, the target's own
 rule for one syllable: ``EocGroup._times`` on the parent image's
@@ -56,10 +60,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup, _syllable_word
+from .eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup, EocStage, _syllable_word
 from .errors import AscentExhausted
 from .freewords import Word, join_letters
-from .zdiscrim import lower_bound_value, scaled_theta
+from .zdiscrim import lower_bound_value
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,6 @@ class ThetaSpec:
     group: EocGroup
     R: int
     p: int
-    # the u-exponents p * (2R+1)^(i-1) of the images of the top-stage t_i
-    coefficients: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.group.stages:
@@ -79,13 +81,6 @@ class ThetaSpec:
             raise ValueError("R must be nonnegative")
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        rank = self.group.stages[-1].rank
-        coefficients = scaled_theta(rank, self.R, self.p).coefficients
-        object.__setattr__(self, "coefficients", coefficients)
-
-    @property
-    def stage(self) -> int:
-        return len(self.group.stages) - 1
 
     @property
     def target(self) -> EocGroup:
@@ -108,38 +103,40 @@ def subtower(group: EocGroup) -> EocGroup:
     return group._subtower
 
 
-def _theta_spec(group: EocGroup, R: int, p: int) -> ThetaSpec:
-    """The top-stage retraction of `group` at (R, p), built once and kept by `group`."""
-    spec = group._theta_specs.get((R, p))
-    if spec is None:
-        spec = group._theta_specs[(R, p)] = ThetaSpec(group, R, p)
-    return spec
+def _image(group: EocGroup, R: int, p: int, k: int, syl: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of the canonical syllable `syl` under the top `k` retractions at uniform p.
+
+    An abelian syllable u_j^e t^v of one of the top k stages becomes the
+    base syllable of u_j^(e + p * theta(v)), theta(v) the sum of
+    v_i (2R+1)^(i-1); every other syllable is fixed.
+    """
+    if not syl[0] & 1 or syl[0] >> 1 < len(group.stages) - k:
+        return syl
+    # theta of the doubled entries by Horner's rule: 2e + p * theta(2v)
+    # = 2 (e + p * theta(v))
+    base = 2 * R + 1
+    x = 0
+    for v in reversed(syl[2:]):
+        x = x * base + v
+    return group._u_power(syl[0] >> 1, (syl[1] + p * x) >> 1)
 
 
 def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """Push an element through the retraction, landing in the subtower group.
 
     Each run of base material (base syllables and the u-power images of
-    top-stage syllables) is reduced into one base syllable first, so the
-    subtower normalizes one syllable per run; lower-stage syllables pass
-    through unchanged.
+    top-stage syllables, from ``_image``) is reduced into one base
+    syllable first, so the subtower normalizes one syllable per run;
+    lower-stage syllables pass through unchanged.
     """
     if w.group is not spec.group:
         raise ValueError("element does not belong to the retracted group")
-    stage = spec.stage
-    top = 2 * stage + 1
-    coefficients = spec.coefficients
-    u_power = spec.group._u_power
+    group, R, p = spec.group, spec.R, spec.p
     syllables = []
     run: tuple[int, ...] = ()
     for syl in w.syllables:
-        tag = syl[0]
-        if tag == top:
-            # doubled exponent: 2e + p * theta(2v) = 2 (e + p * theta(v))
-            e = syl[1] + sum(map(operator.mul, coefficients, syl[2:]))
-            if e:
-                run = join_letters(run, u_power(stage, e >> 1))
-        elif tag & 1:
+        syl = _image(group, R, p, 1, syl)
+        if syl and syl[0] & 1:
             if run:
                 syllables.append(run)
                 run = ()
@@ -151,16 +148,21 @@ def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     return spec.target._from_syllables(tuple(syllables))
 
 
-def hom_complexity(spec: ThetaSpec) -> int:
-    """Max image word length over the generators of the retracted group.
+def _stage_complexity(stage: EocStage, R: int, p: int) -> int:
+    """Max image word length over the generators under one stage's retraction at (R, p).
 
-    Base and lower-stage generators are fixed (length 1); the top-stage
-    t_i map to u^k with k = p * (2R+1)^(i-1), longest at i = n.  With
+    Base and lower-stage generators are fixed (length 1); the stage's t_i
+    map to u^k with k = p * (2R+1)^(i-1), longest at i = n.  With
     u = z v z^-1 split by :meth:`Word.cyclic_decomposition`, u^k is
     z v^k z^-1 reduced as written, so |u^k| = 2|z| + k|v|.
     """
-    z, v = spec.group.stages[spec.stage].u.cyclic_decomposition()
-    return max(1, 2 * len(z) + spec.coefficients[-1] * len(v))
+    z, v = stage.u.cyclic_decomposition()
+    return max(1, 2 * len(z) + p * (2 * R + 1) ** (stage.rank - 1) * len(v))
+
+
+def hom_complexity(spec: ThetaSpec) -> int:
+    """Max image word length over the generators of the retracted group."""
+    return _stage_complexity(spec.group.stages[-1], spec.R, spec.p)
 
 
 # the fingerprint of an image; distinct fingerprints mean distinct images
@@ -241,42 +243,20 @@ def _first_collision(
     return None if best is None else (ball[best[0]], ball[best[1]])
 
 
-def _base_word(w: EocElement) -> Word:
-    """The base word of an element of a group with no stages."""
-    if w.group.stages:
-        raise RuntimeError(f"retraction chain left the free base group: {w!r}")
-    return _syllable_word(w.group.alphabet, w.syllables[0] if w.syllables else ())
-
-
-def _retract(group: EocGroup, R: int, p: int, w: EocElement, k: int) -> EocElement:
-    """The image of `w` under the top `k` stage retractions at uniform p.
-
-    k = 1 is the top-stage retraction, k = len(group.stages) the composite.
-    """
-    for _ in range(k):
-        w = apply_theta(_theta_spec(group, R, p), w)
-        group = w.group
-    return w
-
-
 def _images_injective(
     group: EocGroup, R: int, p: int, ball: Sequence[EocElement], k: int
 ) -> Optional[tuple[EocElement, EocElement]]:
     """The first pair of ball elements, in ball order, that the top `k` retractions at p merge.
 
-    Each generator image is one syllable of the target, or none, so the
-    walk multiplies it in with the target's own product rule: ``_times``
-    on canonical syllables, or ``join_letters`` on the base letters once
-    the target is the free base.  An image of two syllables raises.  The
-    name is the span ``perfbench/tracer.py`` times and counts per p tried.
+    Each generator image is one syllable of the target (``_image``), so
+    the walk multiplies it in with the target's own product rule:
+    ``_times`` on canonical syllables, or ``join_letters`` on the base
+    letters once the target is the free base.  The name is the span
+    ``perfbench/tracer.py`` times and counts per p tried.
     """
-    images = []
-    for g in group.generators():
-        w = _retract(group, R, p, g, k)
-        syl, = w.syllables or ((),)
-        images.append(syl)
-    target = w.group
-    return _first_collision(ball, images, target._times if target.stages else join_letters)
+    images = [_image(group, R, p, k, syl) for syl in group._generator_syllables]
+    mul = join_letters if k == len(group.stages) else subtower(group)._times
+    return _first_collision(ball, images, mul)
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:
@@ -427,7 +407,7 @@ def complexity_record(
     return ComplexityRecord(
         R=R,
         p_min=p,
-        complexity=hom_complexity(_theta_spec(group, R, p)),
+        complexity=hom_complexity(ThetaSpec(group, R, p)),
         lower_bound=lb,
         ball_size=len(ball),
         wall_ms=wall_ms,
@@ -471,8 +451,20 @@ class ChainResult:
 
 
 def apply_chain(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
-    """Compose the top-stage retractions all the way down to the free base."""
-    return _base_word(_retract(group, R, p, w, len(group.stages)))
+    """Compose the top-stage retractions all the way down to the free base.
+
+    The composite substitutes each abelian syllable's u-power (``_image``)
+    and freely reduces: no subtower or intermediate normal form is built.
+    """
+    if w.group is not group:
+        raise ValueError("element does not belong to the retracted group")
+    if group.stages and (R < 0 or p < 1):
+        raise ValueError(f"need R >= 0 and p >= 1, got R={R}, p={p}")
+    k = len(group.stages)
+    letters: tuple[int, ...] = ()
+    for syl in w.syllables:
+        letters = join_letters(letters, _image(group, R, p, k, syl))
+    return _syllable_word(group.alphabet, letters)
 
 
 # the name perfbench/tracer.py wraps to time the chain layer
@@ -490,12 +482,8 @@ def compose_chain(
     """
     k = len(group.stages)
     p = _least_injective_p(group, R, cap, k)
-    stage_complexities = []
-    g = group
-    while g.stages:
-        spec = _theta_spec(g, R, p)
-        stage_complexities.append(hom_complexity(spec))
-        g = spec.target
+    # top stage first, as the composite applies them
+    stage_complexities = [_stage_complexity(s, R, p) for s in reversed(group.stages)]
     sub = []
     composite_max = 1
     for w in group.generators():

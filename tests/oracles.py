@@ -2,7 +2,9 @@
 
 They are meant to be slow and obviously right, and share no code path
 with what they check beyond word products and the theta map
-(``stack_normal_form`` also shares the strip, which has its own oracle).  The
+(``stack_normal_form`` also shares the strip, which has its own oracle, and
+``chain_of_retractions`` normalizes in each subtower, which the
+substitution it checks never does).  The
 u-powers of every oracle are chains of products (``running_powers``,
 ``product_power``), not ``Word.__pow__``: the library builds every
 u-power with its kernel ``freewords._power``.
@@ -272,18 +274,14 @@ def brute_certify(
             rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
         )
         if product_padded(spec, r, powers).letters in forbidden:
-            raise CertificationError(
-                f"trivializing tuple {r} above threshold {N}: threshold is unsound"
-            )
+            raise CertificationError(N, r)
         report.sampled_ok += 1
     bound = min(N + 2, sweep_cap)
     for r in itertools.product(range(-bound, bound + 1), repeat=k + 1):
         if product_padded(spec, r, powers).letters in forbidden:
             report.trivializing.append(r)
             if min(abs(x) for x in r) > N:
-                raise CertificationError(
-                    f"trivializing tuple {r} above threshold {N}: threshold is unsound"
-                )
+                raise CertificationError(N, r)
     return report
 
 
@@ -292,7 +290,7 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
 
     Every top-stage syllable u^e t^v, stored as (2 * stage + 1, 2e, 2v...),
     becomes the base syllable of u^(e + p * theta(v)), built by
-    ``running_powers`` and doubled; the subtower then normalizes the whole
+    ``product_power`` and doubled; the subtower then normalizes the whole
     syllable sequence from scratch.
     """
     top = len(spec.group.stages) - 1
@@ -302,10 +300,22 @@ def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     for syl in w.syllables:
         if syl[0] % 2 == 1 and syl[0] // 2 == top:
             e = syl[1] // 2 + spec.p * th(tuple(x // 2 for x in syl[2:]))
-            syllables.append(tuple(2 * x for x in running_powers(u, abs(e))[e].letters))
+            syllables.append(tuple(2 * x for x in product_power(u, e).letters))
         else:
             syllables.append(syl)
     return spec.target._from_syllables(tuple(syllables))
+
+
+def chain_of_retractions(group: EocGroup, R: int, p: int, w: EocElement) -> Word:
+    """The composite retraction at uniform p onto the free base, one stage at a time.
+
+    The path that ``retraction.apply_chain``'s substitution replaced:
+    ``per_syllable_apply_theta`` retracts the top stage and normalizes in
+    the subtower, down to the free base, whose one syllable is the word.
+    """
+    while w.group.stages:
+        w = per_syllable_apply_theta(ThetaSpec(w.group, R, p), w)
+    return Word(group.alphabet, [x // 2 for x in (w.syllables or ((),))[0]])
 
 
 def stack_normal_form(

@@ -179,8 +179,10 @@ class TestCertify:
         # leaves the r = (2, 2) counterexample above the claimed threshold,
         # and certify must abort on it
         s = spec_of("g1", "g2", flank_left="G1 G1 G2 G1 G1")
-        with pytest.raises(CertificationError):
+        with pytest.raises(CertificationError) as exc:
             certify(s, 0, samples=200, seed=0)
+        assert (exc.value.threshold, exc.value.witness) == (0, (2, 2))
+        assert str(exc.value) == "trivializing tuple (2, 2) above threshold 0: threshold is unsound"
         # the computed threshold covers the collapse point
         assert threshold(s) >= 2
         assert certify(s, threshold(s), samples=200, seed=0).passed

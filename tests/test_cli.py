@@ -30,6 +30,11 @@ TOWER3_SPEC = (
     '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g2", "rank": 1},'
     ' {"u": "g1 g2", "rank": 1}]}'
 )
+# the top stage's p_min is 2 at r = 3, but the composite's least injective p is 6
+RANK3_TOWER_SPEC = (
+    '{"free_rank": 3, "stages": [{"u": "g2", "rank": 2}, {"u": "G2 G3", "rank": 1},'
+    ' {"u": "g1 g3 G2", "rank": 1}]}'
+)
 CONJUGATE_TOWER_SPEC = (
     '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g1 g2 G1", "rank": 1}]}'
 )
@@ -394,6 +399,13 @@ class TestCrosscheck:
         assert code == 0
         assert f"raw_words_checked,{expected}\n" in out
         assert expected == {4: 3201, 3: 911}[r]
+
+    def test_tower_uses_the_composite_p(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(RANK3_TOWER_SPEC)
+        code, out = run(capsys, "crosscheck", "--spec", str(path), "--r", "3")
+        assert code == 0
+        assert "p_min,2\n" in out and "p_used,6\n" in out and "agreement,pass\n" in out
 
     def test_corrupted_p_detected(self, capsys, g1_spec):
         code, _ = run(

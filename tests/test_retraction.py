@@ -26,8 +26,13 @@ from discrimlab.retraction import (
 )
 from discrimlab.zdiscrim import lower_bound_value, theta
 
-from oracles import ball_image_count, brute_first_collision, per_syllable_apply_theta
-from test_eocgroup import groups
+from oracles import (
+    ball_image_count,
+    brute_first_collision,
+    chain_of_retractions,
+    per_syllable_apply_theta,
+)
+from test_eocgroup import group_and_elements, groups
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -190,9 +195,9 @@ class TestSubtower:
         assert ThetaSpec(tower, 2, 5).target is sub
         assert [(s.u, s.rank) for s in sub.stages] == [(a, 1)]
 
-    def test_chain_builds_no_group_once_subtowers_exist(self, monkeypatch):
+    def test_chain_builds_no_group_on_a_fresh_tower(self, monkeypatch):
+        # the composite is a substitution into the free base: no subtower
         tower = EocGroup(A, [(a, 1), (b, 1)])
-        chain = compose_chain(tower, 2)
         built = []
         init = EocGroup.__init__
 
@@ -201,10 +206,11 @@ class TestSubtower:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(EocGroup, "__init__", counting_init)
+        chain = compose_chain(tower, 2)
         for p in (1, chain.p):
             for w in tower.ball(2):
                 apply_chain(tower, 2, p, w)
-        assert built == []
+        assert built == [] and tower._subtower is None
 
 
 class TestAscentCeiling:
@@ -232,7 +238,7 @@ class TestAscentCeiling:
         assert (err.ceiling, err.R) == (1, 2)
         w, w2 = err.witness
         assert w != w2
-        assert apply_chain(tower, 2, 1, w) == apply_chain(tower, 2, 1, w2)
+        assert chain_of_retractions(tower, 2, 1, w) == chain_of_retractions(tower, 2, 1, w2)
 
 
 class TestComposeChain:
@@ -243,7 +249,7 @@ class TestComposeChain:
     def test_two_stage_discriminates(self, tower):
         chain = compose_chain(tower, 2)
         # injectivity re-verified independently
-        images = [apply_chain(tower, 2, chain.p, w) for w in tower.ball(2)]
+        images = [chain_of_retractions(tower, 2, chain.p, w) for w in tower.ball(2)]
         assert len(set(images)) == len(images)
 
     def test_submultiplicativity_exact(self, tower):
@@ -306,7 +312,9 @@ class TestTreeWalk:
             ball = group.ball(R)
             top, found = _ascent_top(lambda g, r: compose_chain(g, r).p, group, R)
             for p in range(1, top + 1):
-                expected = brute_first_collision(ball, lambda w: apply_chain(group, R, p, w))
+                expected = brute_first_collision(
+                    ball, lambda w: chain_of_retractions(group, R, p, w)
+                )
                 assert (expected is None) == (found and p == top)
                 assert retraction._images_injective(group, R, p, ball, len(group.stages)) == expected
 
@@ -370,7 +378,9 @@ class TestFloor:
                         spec = ThetaSpec(group, R, p)
                         assert apply_theta(spec, w) == apply_theta(spec, w2)
                     else:
-                        assert apply_chain(group, R, p, w) == apply_chain(group, R, p, w2)
+                        assert chain_of_retractions(group, R, p, w) == chain_of_retractions(
+                            group, R, p, w2
+                        )
 
     @pytest.mark.parametrize("label", sorted(FLOOR_SPECS))
     def test_floor_not_above_walk_p_min(self, label):
@@ -448,7 +458,7 @@ class TestFingerprints:
                         spec = ThetaSpec(group, R, p)
                         image = lambda w: apply_theta(spec, w)
                     else:
-                        image = lambda w: apply_chain(group, R, p, w)
+                        image = lambda w: chain_of_retractions(group, R, p, w)
                     expected = brute_first_collision(ball, image)
                     assert retraction._images_injective(group, R, p, ball, k) == expected
 
@@ -462,8 +472,9 @@ class TestFingerprints:
             def image(w):
                 # as the walk keeps them: canonical syllables, or the one
                 # base syllable's letters once in the free base
-                img = retraction._retract(group, R, p, w, k)
-                return img.syllables if img.group.stages else (img.syllables or ((),))[0]
+                if k < len(group.stages):
+                    return per_syllable_apply_theta(ThetaSpec(group, R, p), w).syllables
+                return tuple(2 * x for x in chain_of_retractions(group, R, p, w).letters)
 
             seen = []
             monkeypatch.setattr(retraction, "_fingerprint", lambda img: seen.append(img) or hash(img))
@@ -535,15 +546,22 @@ class TestFingerprints:
 
 
 def assert_one_syllable_images(group, R, p):
-    """Each generator image of the top 1 and of all stage retractions is one syllable, or none."""
-    for k in sorted({1, len(group.stages)}):
-        for g in group.generators():
-            img = retraction._retract(group, R, p, g, k)
-            assert len(img.syllables) <= 1, (g, k, img)
+    """``_image`` of each generator is its one-syllable image under the oracle retractions.
+
+    For the top stage, the image normalized in the subtower; for all
+    stages, the composite's word, doubled.
+    """
+    k = len(group.stages)
+    for g in group.generators():
+        syl, = g.syllables
+        top = per_syllable_apply_theta(ThetaSpec(group, R, p), g)
+        assert top.syllables == (retraction._image(group, R, p, 1, syl),), (g, R, p)
+        word = chain_of_retractions(group, R, p, g)
+        assert retraction._image(group, R, p, k, syl) == tuple(2 * x for x in word.letters), (g, R, p)
 
 
 class TestOneSyllableImages:
-    """The walk multiplies in each generator image as one syllable of the target."""
+    """``_image`` of every generator is the oracle's one-syllable image, for the top stage and for all."""
 
     @pytest.mark.parametrize("label", sorted(CEILING_SPECS))
     def test_specs(self, label):
@@ -556,17 +574,29 @@ class TestOneSyllableImages:
     def test_random_groups(self, group, R, p):
         assert_one_syllable_images(group, R, p)
 
-    def test_two_syllable_image_raises(self, tower, monkeypatch):
-        two = subtower(tower).element("t1.1 g2")
-        assert len(two.syllables) == 2
-        monkeypatch.setattr(retraction, "_retract", lambda group, R, p, w, k: two)
-        with pytest.raises(ValueError, match="too many values"):
-            retraction._images_injective(tower, 2, 3, tower.ball(2), 1)
 
-    def test_base_word_needs_the_free_base(self, G1):
-        for text in ("t1.1", "g1"):
-            with pytest.raises(RuntimeError):
-                retraction._base_word(G1.element(text))
+class TestSubstitution:
+    """``apply_chain`` substitutes u-powers for t-syllables: the composite of one retraction per stage."""
+
+    @pytest.mark.parametrize("label", sorted(WALK_SPECS))
+    def test_matches_chain_of_retractions(self, label):
+        group, rmax = _walk_group(label)
+        for R, p in itertools.product(range(rmax + 1), (1, 2, 7)):
+            for w in group.ball(R):
+                assert apply_chain(group, R, p, w) == chain_of_retractions(group, R, p, w)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(group_and_elements(), st.integers(0, 3), st.integers(1, 12))
+    def test_random_groups(self, case, R, p):
+        group, x, y = case
+        for w in (x, y, x * y):
+            assert apply_chain(group, R, p, w) == chain_of_retractions(group, R, p, w)
+
+    def test_rejects_what_a_retraction_rejects(self, tower, G1):
+        w = tower.element("t1.1 t2.1")
+        for args in ((2, 0, w), (-1, 3, w), (2, 3, G1.element("t1.1"))):
+            with pytest.raises(ValueError):
+                apply_chain(tower, *args)
 
 
 def _corpus(n, seed):
