@@ -284,7 +284,7 @@ def _cmd_crosscheck(args) -> int:
         p = args.force_p
         if p is None:
             # the agreement check runs the composite, whose p a tower may raise
-            p = compose_chain(group, args.r, cap=args.cap).p if len(group.stages) > 1 else p_min
+            p = compose_chain(group, args.r, cap=args.cap).p
         checks.append(("p_used", p))
         # triviality oracle agreement over every raw word of token length <= r:
         # the normal form is empty iff the composite retraction at p kills the word
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--force-p",
         type=int,
-        help="use this p for the agreement check instead of p_min (a tower: the composite p)",
+        help="use this p for the agreement check instead of the composite's least injective p",
     )
     common_out(p)
     p.set_defaults(func=_cmd_crosscheck)
