@@ -151,13 +151,12 @@ def _cmd_bigpowers(args) -> int:
             N,
             report.sampled_ok,
             len(report.trivializing),
-            "pass" if report.passed else "fail",
+            # certify raises CertificationError rather than return a failing report
+            "pass",
             f"{wall_ms:.3f}",
         )
     ]
     _emit(args, meta, ["threshold", "sampled_ok", "trivializing", "verdict", "wall_ms"], rows)
-    if not report.passed:
-        raise _Violation("certification found a trivializing tuple above threshold")
     return EXIT_OK
 
 

@@ -70,9 +70,11 @@ cache's tuple, which elements share, not as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, ball layers
 and, built lazily once, its subtower (the group with the top stage
-removed, see ``retraction.subtower``), but no retractions, which are
-substitutions (``retraction._image``).  Retractions onto the subtower
-share one set of caches across words and p values.
+removed, see ``retraction.subtower``) and the matrices of the collision
+walk's fingerprint homomorphism (``retraction._phi``), but no
+retractions, which are substitutions (``retraction._image``).
+Retractions onto the subtower share one set of caches across words and
+p values.
 
 The ball is one list of elements in BFS order, grown a layer at a time;
 the ball of radius r is its first ``_ends[r]`` entries.  It keeps its
@@ -81,10 +83,11 @@ flat integer arrays record, per ball index, the parent's ball index and
 the generator's index in ``generator_tokens()`` order.  A layer that
 exceeds the cap is rolled back from the list and both arrays, so a
 homomorphism can be evaluated on the whole ball with one product per
-element (``retraction._first_collision``).  A layer does not multiply
-an element by the inverse of its tree generator: that product is the
-element's tree parent, one layer down, and with one normal form per
-element it would only find that parent's syllables in the ball.
+element, a layer at a time (``retraction._first_collision``).  A layer
+does not multiply an element by the inverse of its tree generator: that
+product is the element's tree parent, one layer down, and with one
+normal form per element it would only find that parent's syllables in
+the ball.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -224,6 +227,8 @@ class EocGroup:
         self._strip_cache: dict = {}
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
+        # the matrices of retraction._phi, built on its first call
+        self._phi: Optional[tuple] = None
         # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
         self._u_letters[None] = None

@@ -7,6 +7,7 @@ import pytest
 
 from discrimlab.cli import build_parser, main
 from discrimlab.eocgroup import load_group_spec
+from discrimlab.errors import CertificationError
 from discrimlab.zdiscrim import ZnHom
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -217,6 +218,19 @@ class TestBigpowers:
         data = [l for l in out.splitlines() if not l.startswith("#")]
         assert data[1].split(",")[0] == "3"  # threshold
         assert "pass" in data[1]
+
+    def test_unsound_threshold_exits_1_without_a_row(self, capsys, monkeypatch):
+        # certify raises on a trivializing tuple above the threshold, so no
+        # failing report reaches the verdict column
+        def certify(spec, N, **kwargs):
+            raise CertificationError(N, (N + 1,))
+
+        monkeypatch.setattr("discrimlab.cli.certify", certify)
+        code = main(["bigpowers", "--u", "g1", "--g", "g2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: trivializing tuple")
+        assert captured.out == ""
 
     def test_invalid_g_exits_2(self, capsys):
         code, _ = run(capsys, "bigpowers", "--u", "g1", "--g", "g1 g1")

@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -433,22 +434,45 @@ class TestFloor:
         assert (rec.p_min, floor) == (4, 3)
 
 
+# the walk's own key, and two that clash: a constant key makes one run of the
+# whole ball, and the key mod 4 makes four runs that mix distinct images
+KEY = retraction._key
+KEYS = pytest.mark.parametrize(
+    "key",
+    [KEY, lambda m: np.zeros(len(m), dtype=np.int64), lambda m: KEY(m) & 3],
+    ids=["key", "constant", "mod4"],
+)
+
+
+def _mat_mul(m, n):
+    """The 2x2 product over F_P, written apart from the library's."""
+    P = 2**31 - 1
+    return (
+        (m[0] * n[0] + m[1] * n[2]) % P,
+        (m[0] * n[1] + m[1] * n[3]) % P,
+        (m[2] * n[0] + m[3] * n[2]) % P,
+        (m[2] * n[1] + m[3] * n[3]) % P,
+    )
+
+
+def _phi_of_tokens(group, target, text):
+    """phi of a word of `target` (a subtower of `group`, or its free base), folded token by token."""
+    m = (1, 0, 0, 1)
+    for tok in target.parse_tokens(text):
+        m = _mat_mul(m, retraction._phi(group, target._token_syllable(tok)))
+    return m
+
+
 class TestFingerprints:
-    """The one depth-first walk: equal fingerprints are settled exactly and the ball-order pair is kept.
+    """The one layered walk: equal keys are settled exactly and the ball-order pair is kept.
 
     There is no early stop, so every p walks the whole ball.
     """
 
-    # a constant fingerprint makes one run of the whole ball, and mod 4
-    # makes four runs that mix distinct images
-    @pytest.mark.parametrize(
-        "fingerprint",
-        [hash, lambda image: 0, lambda image: hash(image) & 3],
-        ids=["hash", "constant", "mod4"],
-    )
+    @KEYS
     @pytest.mark.parametrize("label", sorted(WALK_SPECS))
-    def test_walk_settles_runs_as_per_element_scan(self, label, fingerprint, monkeypatch):
-        monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
+    def test_walk_settles_runs_as_per_element_scan(self, label, key, monkeypatch):
+        monkeypatch.setattr(retraction, "_key", key)
         group, rmax = _walk_group(label)
         for k in sorted({1, len(group.stages)}):
             for R in range(1, rmax + 1):
@@ -464,32 +488,29 @@ class TestFingerprints:
 
     @pytest.mark.parametrize("label", sorted(WALK_SPECS))
     def test_walk_fingerprints_every_element_once(self, label, monkeypatch):
+        # each ball element's key is the key of phi of its exact image,
+        # folded token by token
         group, R = _walk_group(label)
         ball = group.ball(R)
         for k in sorted({1, len(group.stages)}):
             p = _walk_p_min(group, R, k)
-
-            def image(w):
-                # as the walk keeps them: canonical syllables, or the one
-                # base syllable's letters once in the free base
-                if k < len(group.stages):
-                    return per_syllable_apply_theta(ThetaSpec(group, R, p), w).syllables
-                return tuple(2 * x for x in chain_of_retractions(group, R, p, w).letters)
-
-            seen = []
-            monkeypatch.setattr(retraction, "_fingerprint", lambda img: seen.append(img) or hash(img))
+            if k < len(group.stages):
+                target = subtower(group)
+                texts = [per_syllable_apply_theta(ThetaSpec(group, R, p), w).tokens() for w in ball]
+            else:
+                target = EocGroup(group.alphabet, [])
+                texts = [chain_of_retractions(group, R, p, w).tokens() for w in ball]
+            expected = [_phi_of_tokens(group, target, text) for text in texts]
+            recorded = []
+            monkeypatch.setattr(retraction, "_key", lambda m: recorded.append(KEY(m)) or recorded[-1])
             assert retraction._images_injective(group, R, p, ball, k) is None
-            assert Counter(seen) == Counter(map(image, ball))
+            assert np.concatenate(recorded).tolist() == KEY(np.array(expected).reshape(-1, 2, 2)).tolist()
 
     # homomorphisms of G1 onto the free base, as the images of g1, g2 and
     # t1.1, with the pair of ball indices a ball-order scan stops at;
-    # sending a generator to 1 merges it with the root, whose fingerprint
-    # the walk records before any other
-    @pytest.mark.parametrize(
-        "fingerprint",
-        [hash, lambda image: 0, lambda image: hash(image) & 3],
-        ids=["hash", "constant", "mod4"],
-    )
+    # sending a generator to 1 merges it with the root, whose key the walk
+    # records before any other
+    @KEYS
     @pytest.mark.parametrize(
         "g1, g2, t, pair",
         [
@@ -501,8 +522,8 @@ class TestFingerprints:
         ],
         ids=["t-trivial", "g1-trivial", "trivial", "g2-to-g1", "theta-6"],
     )
-    def test_walk_of_any_homomorphism_matches_per_element_scan(self, g1, g2, t, pair, fingerprint, monkeypatch):
-        monkeypatch.setattr(retraction, "_fingerprint", fingerprint)
+    def test_walk_of_any_homomorphism_matches_per_element_scan(self, g1, g2, t, pair, key, monkeypatch):
+        monkeypatch.setattr(retraction, "_key", key)
         group = EocGroup(A, [(a, 1)])
         ball = group.ball(3)
         images = {1: parse_word(A, g1), 2: parse_word(A, g2), ("t", 0, 1): parse_word(A, t)}
@@ -517,8 +538,9 @@ class TestFingerprints:
             return out
 
         letters = [images[tok].letters for tok in group.generator_tokens()]
+        matrices = [retraction._phi(group, tuple(2 * x for x in word)) for word in letters]
         expected = brute_first_collision(ball, image)
-        assert retraction._first_collision(ball, letters, join_letters) == expected
+        assert retraction._first_collision(ball, letters, join_letters, matrices) == expected
         assert (expected and (ball.index(expected[0]), ball.index(expected[1]))) == pair
 
     # p = 1 collides early in the R = 7 ball; p = 11, one below p_min,
@@ -543,6 +565,53 @@ class TestFingerprints:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+
+# the g1/g2 tower and a three-stage tower with multi-letter u's
+PHI_SPECS = {
+    "tower": WALK_SPECS["tower"],
+    "rank3-three-stage": (3, [("g2", 2), ("G2 G3", 1), ("g1 g3 G2", 1)], 2),
+}
+
+
+class TestPhi:
+    """phi is a homomorphism of each walk target: the group, each subtower and the free base."""
+
+    @pytest.mark.parametrize("label", sorted(PHI_SPECS))
+    def test_generators_times_inverses_are_the_identity(self, label):
+        group, _ = _walk_group(label, PHI_SPECS)
+        target = group
+        while True:
+            for g in target.generators():
+                syl, = g.syllables
+                inverse, = g.inverse().syllables
+                assert _mat_mul(retraction._phi(group, syl), retraction._phi(group, inverse)) == (1, 0, 0, 1)
+                # each subtower's own phi is the restriction of the group's
+                assert retraction._phi(target, syl) == retraction._phi(group, syl)
+            if not target.stages:
+                break
+            target = subtower(target)
+
+    @pytest.mark.parametrize("label", sorted(PHI_SPECS))
+    def test_u_commutes_with_its_t_images(self, label):
+        group, _ = _walk_group(label, PHI_SPECS)
+        for j, stage in enumerate(group.stages):
+            U = _phi_of_tokens(group, group, stage.u.tokens())
+            for i in range(1, stage.rank + 1):
+                T = retraction._phi(group, group._token_syllable(("t", j, i)))
+                assert T != (1, 0, 0, 1)
+                assert _mat_mul(U, T) == _mat_mul(T, U), (j, i)
+
+    @pytest.mark.parametrize("label", sorted(PHI_SPECS))
+    def test_syllables_map_as_their_tokens(self, label):
+        # abelian syllables u_j^e t^v with e != 0 occur in the ball, though
+        # no generator image is one
+        group, R = _walk_group(label, PHI_SPECS)
+        for w in group.ball(R):
+            by_syllable = (1, 0, 0, 1)
+            for syl in w.syllables:
+                by_syllable = _mat_mul(by_syllable, retraction._phi(group, syl))
+            assert by_syllable == _phi_of_tokens(group, group, w.tokens()), w
 
 
 def assert_one_syllable_images(group, R, p):
