@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 import tracemalloc
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
