@@ -15,12 +15,12 @@ u-powers for abelian syllables, ``_image``.  ``apply_theta`` (k = 1),
 One ascent on one ball serves both the top stage
 (``minimal_discriminating_p``) and the uniform p of the composite down a
 tower (``compose_chain``).  It starts at a proven floor: below it, a
-closed-form pair of ball elements, t u^-j against u^k conjugated to the
-cyclic core of u, collides, so no ball walk is needed to rule those p
+closed-form pair of ball elements collides (split u^p = b a; then
+t a^-1 and b have one image), so no ball walk is needed to rule those p
 out.  From the floor it tries p = floor, floor + 1, .. up to
 ``_p_ceiling``, for the top k stages (k = 1, or all).  ``complexity_record``
 adds a certificate that p_min is least: a pair that the retraction at
-p_min - 1 merges, in closed form below the floor, else the walk's
+p_min - 1 merges, the split pair below the floor, else the walk's
 collision there.
 
 Injectivity on the ball is checked along the ball's BFS tree, which the
@@ -353,44 +353,30 @@ def _p_ceiling(group: EocGroup, R: int) -> int:
     return 4 * R + 4 * ulen + 10
 
 
-def _floor_family(group: EocGroup, R: int, k: int) -> Optional[tuple[int, int, int]]:
-    """(stage, j_max, m_max) of the closed-form pairs that rule out the most p.
+def _floor(group: EocGroup, R: int, k: int) -> int:
+    """1 + the largest p that a split pair (``_split_pair``) of one of the top `k` stages rules out.
 
-    Over the top `k` stages s, with u_s = z v z^-1 split by
-    :meth:`Word.cyclic_decomposition`, the pair (z^-1 t_{s,1} z v^-j, v^m)
-    lies in the radius-R ball for 0 <= j <= j_max = (R - 1 - 2|z|) // |v|
-    and 0 <= m <= m_max = R // |v|; ties go to the higher stage.  None when
-    R < 2|z| + 1 on every stage, so that no such pair fits.
+    The pair of stage s exists at p exactly when |u_s^p| = 2|z| + p|v| <=
+    2R - 1, with u_s = z v z^-1 as in ``_stage_complexity``; the floor is 1
+    when no stage has one.
     """
-    best = None
-    top = len(group.stages) - 1
-    for s in range(top, top - k, -1):
-        z, v = group.stages[s].u.cyclic_decomposition()
-        if R > 2 * len(z):
-            family = (s, (R - 1 - 2 * len(z)) // len(v), R // len(v))
-            if best is None or family[1] + family[2] > best[1] + best[2]:
-                best = family
-    return best
+    best = 0
+    for stage in group.stages[len(group.stages) - k :]:
+        z, v = stage.u.cyclic_decomposition()
+        best = max(best, (2 * R - 1 - 2 * len(z)) // len(v))
+    return 1 + best
 
 
-def _floor_pair(
-    group: EocGroup, family: tuple[int, int, int], p: int
-) -> tuple[EocElement, EocElement]:
-    """The pair (z^-1 t z v^-j, v^m) of `family` with j + m = p, m as large as fits.
+def _split_pair(group: EocGroup, s: int, R: int, p: int) -> tuple[EocElement, EocElement]:
+    """(t_{s,1} a^-1, b) for the split u_s^p = b a with |b| = min(R, |u_s^p|).
 
-    Needs 1 <= p <= j_max + m_max; the retractions of ``_least_injective_p``
-    at p merge the two.
+    Both lie in the radius-R ball when p >= 1 and |u_s^p| <= 2R - 1, and
+    the retractions of ``_least_injective_p`` at p send both to b.
     """
-    s, _, m_max = family
-    z, v = group.stages[s].u.cyclic_decomposition()
-    m = min(m_max, p)
-    w = group.element([*z.inverse().letters, ("t", s, 1), *z.letters, *(v ** (m - p)).letters])
-    return w, group.base_element(v**m)
-
-
-def _floor(family: Optional[tuple[int, int, int]]) -> int:
-    """The first p not ruled out by the closed-form pairs of `family`."""
-    return 1 if family is None else 1 + family[1] + family[2]
+    letters = group._u_power(s, p)
+    b, a = letters[:R], letters[R:]
+    t = group._token_syllable(("t", s, 1))
+    return group._from_syllables((t, tuple(-x for x in reversed(a)))), group._from_syllables((b,))
 
 
 def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
@@ -403,22 +389,20 @@ def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
     The ascent starts at a floor below which every p fails.  Take a stage
     s among the top k, with u_s = z v z^-1 (v cyclically reduced) and
     t = t_{s,1}.  The retractions fix the base and send t to u_s^p (its
-    coefficient is p * (2R+1)^0), so z^-1 t z v^-j maps to
-    z^-1 u_s^p z v^-j = v^(p-j), which is the image of v^m whenever
-    j + m = p.  The two elements are distinct: their t-exponent sums are
-    1 and 0.  Both lie in the ball when the words as written fit,
-    2|z| + 1 + j|v| <= R and m|v| <= R.  So every p <= j_max + m_max
-    (``_floor_family``) fails, and the first p tried is one more than the
-    largest such bound over the top k stages.  The unconjugated pair
-    (t u^-j, u^m), of lengths 1 + 2|z| + j|v| (j >= 1) and 2|z| + m|v|
-    (m >= 1), never rules out more: its m ranges only up to
-    (R - 2|z|) // |v|.
+    coefficient is p * (2R+1)^0), and u_s^p = z v^p z^-1 is reduced as
+    written, of length 2|z| + p|v|.  Split it at any letter as b a.  Then
+    t a^-1 and b have the same image, b, and they are distinct, since
+    their t-exponent sums are 1 and 0.  Both lie in the radius-R ball
+    when 1 + |a| <= R and |b| <= R, and such a split exists exactly when
+    2|z| + p|v| <= 2R - 1 (``_split_pair``).  So every such p fails, and
+    the first p tried is ``_floor``, one more than the largest of them
+    over the top k stages.
     """
     if not group.stages:
         raise ValueError("group has no stages to retract")
     ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
-    for p in range(_floor(_floor_family(group, R, k)), ceiling + 1):
+    for p in range(_floor(group, R, k), ceiling + 1):
         witness = _images_injective(group, R, p, ball, k)
         if witness is None:
             return p
@@ -444,14 +428,14 @@ def _p_min_certificate(
 ) -> Optional[tuple[EocElement, EocElement]]:
     """A pair of distinct ball elements that the top-stage retraction at p_min - 1 merges.
 
-    The closed-form pair when p_min - 1 lies below the floor, else the
-    walk's collision at p_min - 1; None when p_min = 1.
+    The split pair when p_min - 1 lies below the floor, else the walk's
+    collision at p_min - 1; None when p_min = 1.  The walk is kept because
+    no proof yet shows that the floor is injective.
     """
     if p_min == 1:
         return None
-    family = _floor_family(group, R, 1)
-    if p_min - 1 < _floor(family):
-        return _floor_pair(group, family, p_min - 1)
+    if p_min - 1 < _floor(group, R, 1):
+        return _split_pair(group, len(group.stages) - 1, R, p_min - 1)
     return _images_injective(group, R, p_min - 1, ball, 1)
 
 

@@ -266,7 +266,7 @@ class TestCurve:
         monkeypatch.setattr("discrimlab.retraction._p_ceiling", lambda group, R: 1)
         # that ceiling lies below the floor, which the real one never does,
         # so the ascent starts at p = 1
-        monkeypatch.setattr("discrimlab.retraction._floor_family", lambda group, R, k: None)
+        monkeypatch.setattr("discrimlab.retraction._floor", lambda group, R, k: 1)
         code = main(["curve", "--spec", g1_spec, "--rmax", "2"])
         err = capsys.readouterr().err
         assert code == 1
@@ -284,10 +284,10 @@ class TestCurve:
         ]
 
     def test_certificate_that_does_not_collide_exits_1(self, capsys, monkeypatch, g1_spec):
-        def distinct_images(group, family, p):
+        def distinct_images(group, s, R, p):
             return group.element("t1.1"), group.identity()
 
-        monkeypatch.setattr("discrimlab.retraction._floor_pair", distinct_images)
+        monkeypatch.setattr("discrimlab.retraction._split_pair", distinct_images)
         code = main(["curve", "--spec", g1_spec, "--rmax", "2"])
         err = capsys.readouterr().err
         assert code == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discrimlab import retraction
-from discrimlab.eocgroup import EocGroup
+from discrimlab.eocgroup import DEFAULT_BALL_CAP, EocGroup
 from discrimlab.errors import AscentExhausted, GroupSpecError
 from discrimlab.freewords import Alphabet, Word, join_letters, parse_word
 from discrimlab.retraction import (
@@ -219,7 +219,7 @@ class TestAscentCeiling:
 
     def test_minimal_p_reports_collision_at_ceiling(self, G1, monkeypatch):
         monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
-        monkeypatch.setattr(retraction, "_floor_family", lambda group, R, k: None)
+        monkeypatch.setattr(retraction, "_floor", lambda group, R, k: 1)
         with pytest.raises(AscentExhausted) as exc:
             minimal_discriminating_p(G1, 2)
         err = exc.value
@@ -231,7 +231,7 @@ class TestAscentCeiling:
 
     def test_compose_chain_reports_collision_at_ceiling(self, tower, monkeypatch):
         monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
-        monkeypatch.setattr(retraction, "_floor_family", lambda group, R, k: None)
+        monkeypatch.setattr(retraction, "_floor", lambda group, R, k: 1)
         with pytest.raises(AscentExhausted) as exc:
             compose_chain(tower, 2)
         err = exc.value
@@ -347,9 +347,32 @@ CEILING_SPECS = {
 }
 
 
-def _floor(group, R, k):
-    family = retraction._floor_family(group, R, k)
-    return family, 1 if family is None else 1 + family[1] + family[2]
+def _split_pairs_below_floor(group, R, k, cap=DEFAULT_BALL_CAP):
+    """Check every split pair below the floor of the top `k` stages; return how many there are.
+
+    For each p below the floor, each of the top k stages whose u^p fits
+    (2|z| + p|v| <= 2R - 1) gives a pair, and at least one stage does.
+    Each pair must lie in the radius-R ball, be distinct, and be merged by
+    the retractions at p.
+    """
+    ball = set(group.ball(R, cap=cap))
+    top = len(group.stages)
+    pairs = 0
+    for p in range(1, retraction._floor(group, R, k)):
+        fits = [s for s in range(top - k, top) if len(group.stages[s].u ** p) <= 2 * R - 1]
+        assert fits, (k, R, p)
+        for s in fits:
+            w, w2 = retraction._split_pair(group, s, R, p)
+            assert w in ball and w2 in ball and w != w2, (s, R, p)
+            if k == 1:
+                spec = ThetaSpec(group, R, p)
+                assert apply_theta(spec, w) == apply_theta(spec, w2), (R, p)
+            else:
+                assert chain_of_retractions(group, R, p, w) == chain_of_retractions(
+                    group, R, p, w2
+                ), (s, R, p)
+            pairs += 1
+    return pairs
 
 
 def _walk_p_min(group, R, k):
@@ -362,32 +385,21 @@ def _walk_p_min(group, R, k):
 
 
 class TestFloor:
-    """The closed-form pairs the p ascent starts above."""
+    """The split pairs the p ascent starts above."""
 
     @pytest.mark.parametrize("label", sorted(FLOOR_SPECS))
     def test_pairs_below_floor_collide_in_ball(self, label):
         group, rmax = _walk_group(label, FLOOR_SPECS)
         for k in sorted({1, len(group.stages)}):
             for R in range(rmax + 1):
-                family, floor = _floor(group, R, k)
-                for p in range(1, floor):
-                    w, w2 = retraction._floor_pair(group, family, p)
-                    assert group.word_length(w) <= R and group.word_length(w2) <= R
-                    assert w != w2
-                    if k == 1:
-                        spec = ThetaSpec(group, R, p)
-                        assert apply_theta(spec, w) == apply_theta(spec, w2)
-                    else:
-                        assert chain_of_retractions(group, R, p, w) == chain_of_retractions(
-                            group, R, p, w2
-                        )
+                _split_pairs_below_floor(group, R, k)
 
     @pytest.mark.parametrize("label", sorted(FLOOR_SPECS))
     def test_floor_not_above_walk_p_min(self, label):
         group, rmax = _walk_group(label, FLOOR_SPECS)
         for k in sorted({1, len(group.stages)}):
             for R in range(rmax + 1):
-                assert _floor(group, R, k)[1] <= _walk_p_min(group, R, k), (k, R)
+                assert retraction._floor(group, R, k) <= _walk_p_min(group, R, k), (k, R)
 
     @pytest.mark.parametrize("label", sorted(CEILING_SPECS))
     def test_floor_below_ceiling(self, label):
@@ -395,42 +407,66 @@ class TestFloor:
         group, _ = _walk_group(label, CEILING_SPECS)
         for k in sorted({1, len(group.stages)}):
             for R in range(9):
-                floor = retraction._floor(retraction._floor_family(group, R, k))
+                floor = retraction._floor(group, R, k)
                 assert floor <= max(1, 2 * R) < retraction._p_ceiling(group, R), (k, R)
 
     def test_floor_is_p_min_for_single_letter_u(self):
         group = EocGroup(A, [(a, 1)])
         for R in range(8):
-            floor = _floor(group, R, 1)[1]
+            floor = retraction._floor(group, R, 1)
             assert floor == max(1, 2 * R)
             assert minimal_discriminating_p(group, R) == floor
 
-    def test_conjugated_family_beats_unconjugated(self):
-        # u = g1 g2 G1: (t u^-j, u^m) fits no m >= 1 at R = 3, since
-        # |u| = 3, but (G1 t g1 g2^-j, g2^m) fits m <= 3
+    def test_split_pair_of_conjugated_u(self):
+        # u = g1 g2 G1 at R = 3: u^3 = g1 g2 g2 g2 G1 (5 <= 2R - 1 letters)
+        # splits as b = g1 g2 g2 and a = g2 G1, so t G1 G2 collides with b
         group, _ = _walk_group("g1g2G1", FLOOR_SPECS)
-        assert _floor(group, 3, 1) == ((0, 0, 3), 4)
-        assert [w.tokens() for w in retraction._floor_pair(group, (0, 0, 3), 3)] == [
-            "G1 t1.1 g1",
-            "g2 g2 g2",
-        ]
+        assert retraction._floor(group, 3, 1) == 4
+        w, w2 = retraction._split_pair(group, 0, 3, 3)
+        assert w == group.element("t1.1 g1 G2")
+        assert w2.tokens() == "g1 g2 g2"
 
-    def test_certificate_rules_out_p_below_p_min(self):
-        # g1 g1 g2 at R = 5: the floor is 3 but p_min is 4, so the
-        # certificate is the walk's collision at p = 3
+    def test_certificate_is_the_split_pair(self):
+        # g1 g1 g2: the floor is p_min at every R, so no certificate walks
         group, rmax = _walk_group("g1g1g2", FLOOR_SPECS)
         for R in range(rmax + 1):
             rec = complexity_record(group, R)
-            family, floor = _floor(group, R, 1)
+            assert rec.p_min == retraction._floor(group, R, 1)
             if rec.p_min == 1:
                 assert rec.certificate is None
-            elif rec.p_min == floor:
-                assert rec.certificate == retraction._floor_pair(group, family, floor - 1)
+            else:
+                assert rec.certificate == retraction._split_pair(group, 0, R, rec.p_min - 1)
+        assert [w.tokens() for w in rec.certificate] == ["G2 G1 G1 t1.1 G2", "g1 g1 g2 g1 g1"]
+
+    def test_certificate_rules_out_p_below_p_min(self, monkeypatch):
+        # with the floor at 1, p_min - 1 is never below it, so the
+        # certificate is the walk's collision at p_min - 1
+        monkeypatch.setattr(retraction, "_floor", lambda group, R, k: 1)
+        group, rmax = _walk_group("g1g1g2", FLOOR_SPECS)
+        for R in range(rmax + 1):
+            rec = complexity_record(group, R)
+            if rec.p_min == 1:
+                assert rec.certificate is None
             else:
                 spec = ThetaSpec(group, R, rec.p_min - 1)
                 expected = brute_first_collision(group.ball(R), lambda w: apply_theta(spec, w))
                 assert rec.certificate == expected
-        assert (rec.p_min, floor) == (4, 3)
+        assert rec.p_min == 4
+
+    def test_one_walk_per_record(self, monkeypatch):
+        # the ascent's first walk succeeds and the certificate is closed
+        # form, so p_min - 1 is not walked a second time
+        walks = []
+        walk = retraction._images_injective
+
+        def counted(group, R, p, ball, k):
+            walks.append((R, p))
+            return walk(group, R, p, ball, k)
+
+        monkeypatch.setattr(retraction, "_images_injective", counted)
+        group, rmax = _walk_group("g1g1g2", FLOOR_SPECS)
+        p_min = [complexity_record(group, R).p_min for R in range(rmax + 1)]
+        assert walks == list(enumerate(p_min))
 
 
 # the walk's own key, and two that clash: a constant key makes one run of the
@@ -696,12 +732,26 @@ def _corpus(n, seed):
 ORACLE_LETTERS = 10_000
 
 
+def _family_floor(group, R, k):
+    """The floor of the (z^-1 t z v^-j, v^m) pairs that the split pair replaced.
+
+    The pair lies in the radius-R ball for j <= (R - 1 - 2|z|) // |v| and
+    m <= R // |v|, and rules out every p <= j + m.
+    """
+    best = 0
+    for stage in group.stages[len(group.stages) - k :]:
+        z, v = stage.u.cyclic_decomposition()
+        if R > 2 * len(z):
+            best = max(best, (R - 1 - 2 * len(z)) // len(v) + R // len(v))
+    return 1 + best
+
+
 class TestCorpus:
     """Canonical balls and both ascents over random specs (ROADMAP items 1 and 5)."""
 
     def test_balls_and_ascents(self):
         cap = 20_000
-        checked = points = 0
+        checked = points = ascents = pairs = raised = 0
         for group in _corpus(60, 0):
             n = sum(stage.rank for stage in group.stages)
             ulen = max(len(stage.u) for stage in group.stages)
@@ -711,7 +761,21 @@ class TestCorpus:
                 if 40 * (2 * R + 1) ** (n - 1) * ulen <= ORACLE_LETTERS:
                     checked += 1
                     assert size == ball_image_count(group, R, 40), (group.stages, R)
-                # neither ascent runs past _p_ceiling
-                minimal_discriminating_p(group, R, cap=cap)
-                compose_chain(group, R, cap=cap)
+                # every split pair below the floor collides in the ball, the
+                # floor is never below the pair family it replaced, and the
+                # walk at the floor is injective, so each ascent walks once
+                # (and neither runs past _p_ceiling)
+                for k in sorted({1, len(group.stages)}):
+                    floor = retraction._floor(group, R, k)
+                    family = _family_floor(group, R, k)
+                    assert floor >= family, (group.stages, R, k)
+                    raised += floor > family
+                    pairs += _split_pairs_below_floor(group, R, k, cap)
+                    if k == 1:
+                        p_min = minimal_discriminating_p(group, R, cap=cap)
+                    else:
+                        p_min = compose_chain(group, R, cap=cap).p
+                    assert p_min == floor, (group.stages, R, k)
+                    ascents += 1
         assert (checked, points) == (189, 228)
+        assert (ascents, pairs, raised) == (320, 462, 24)
