@@ -419,7 +419,7 @@ class TestFloor:
 
     def test_split_pair_of_conjugated_u(self):
         # u = g1 g2 G1 at R = 3: u^3 = g1 g2 g2 g2 G1 (5 <= 2R - 1 letters)
-        # splits as b = g1 g2 g2 and a = g2 G1, so t G1 G2 collides with b
+        # splits as b = g1 g2 g2 and a = g2 G1, so t g1 G2 collides with b
         group, _ = _walk_group("g1g2G1", FLOOR_SPECS)
         assert retraction._floor(group, 3, 1) == 4
         w, w2 = retraction._split_pair(group, 0, 3, 3)
@@ -764,7 +764,8 @@ class TestCorpus:
                 # every split pair below the floor collides in the ball, the
                 # floor is never below the pair family it replaced, and the
                 # walk at the floor is injective, so each ascent walks once
-                # (and neither runs past _p_ceiling)
+                # (and neither runs past _p_ceiling); on one stage both
+                # ascents run and agree
                 for k in sorted({1, len(group.stages)}):
                     floor = retraction._floor(group, R, k)
                     family = _family_floor(group, R, k)
@@ -772,10 +773,9 @@ class TestCorpus:
                     raised += floor > family
                     pairs += _split_pairs_below_floor(group, R, k, cap)
                     if k == 1:
-                        p_min = minimal_discriminating_p(group, R, cap=cap)
-                    else:
-                        p_min = compose_chain(group, R, cap=cap).p
-                    assert p_min == floor, (group.stages, R, k)
+                        assert minimal_discriminating_p(group, R, cap=cap) == floor, (group.stages, R)
+                    if k == len(group.stages):
+                        assert compose_chain(group, R, cap=cap).p == floor, (group.stages, R)
                     ascents += 1
         assert (checked, points) == (189, 228)
         assert (ascents, pairs, raised) == (320, 462, 24)
