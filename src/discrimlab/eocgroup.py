@@ -70,24 +70,33 @@ cache's tuple, which elements share, not as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, ball layers
 and, built lazily once, its subtower (the group with the top stage
-removed, see ``retraction.subtower``) and the matrices of the collision
-walk's fingerprint homomorphism (``retraction._phi``), but no
-retractions, which are substitutions (``retraction._image``).
-Retractions onto the subtower share one set of caches across words and
-p values.
+removed, see ``retraction.subtower``) and the matrices of its fingerprint
+homomorphism (``_phi``), but no retractions, which are substitutions
+(``retraction._image``).  Retractions onto the subtower share one set of
+caches across words and p values.
 
-The ball is one list of elements in BFS order, grown a layer at a time;
-the ball of radius r is its first ``_ends[r]`` entries.  It keeps its
-BFS tree: every element is first built as parent * generator, and two
-flat integer arrays record, per ball index, the parent's ball index and
-the generator's index in ``generator_tokens()`` order.  A layer that
-exceeds the cap is rolled back from the list and both arrays, so a
-homomorphism can be evaluated on the whole ball with one product per
-element, a layer at a time (``retraction._first_collision``).  A layer
-does not multiply an element by the inverse of its tree generator: that
-product is the element's tree parent, one layer down, and with one
-normal form per element it would only find that parent's syllables in
-the ball.
+The ball is its BFS tree, grown a layer at a time, and no element list
+is stored.  Two flat integer arrays record, per ball index, the parent's
+ball index and the generator's index in ``generator_tokens()`` order;
+the ball of radius r is the first ``_ends[r]`` entries, and ``ball(r)``
+is a read-only view of them.  A layer's candidates are the pairs
+(parent, generator) over the last layer, in ball order and then token
+order, except the generator that undoes the parent's own: that product
+is the parent's tree parent.  Each candidate is keyed by phi, a
+homomorphism into SL(2, F_P) (``_phi``): its matrix is its parent's
+times its generator's, computed in numpy blocks (``_layer_keys``), and
+``_key`` hashes the matrix to 64 bits.  Equal elements have equal keys,
+so a candidate whose key occurs neither among the earlier elements nor
+among the layer's other candidates is new, and no normal form is built
+for it.  Each run of equal keys is settled exactly, in candidate order,
+by comparing normal forms, so each new element keeps its first
+candidate and the ball order is the one a normal form per candidate
+gives.  A normal form is built on demand along the tree path, the
+parent's times the generator (``_times``), and kept by ball index
+(``_form``); the view builds its elements that way.  A layer that
+exceeds the cap is not kept, so a homomorphism can be evaluated on the
+whole ball with one product per element, a layer at a time
+(``retraction._first_collision``).
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -95,12 +104,18 @@ and ``T<stage>.<i>`` tokens, stages and indices 1-based.
 
 from __future__ import annotations
 
+import bisect
 import json
 import operator
+import random
 import re
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import reduce
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from .errors import BudgetExceeded, GroupSpecError, WordFormatError
 from .freewords import (
@@ -123,6 +138,15 @@ _T_TOKEN_RE = re.compile(r"([tT])([0-9]+)\.([0-9]+)$")
 # token model: base letters are signed ints as in freewords; t-letters are
 # triples ('t', stage_index0, signed generator index)
 Token = Union[int, tuple]
+
+# phi, from a group into SL(2, F_P): entries lie below P < 2^31, so a
+# product of two stays below 2^62 and a sum of two such below 2^63
+_P = 2**31 - 1
+_IDENTITY = (1, 0, 0, 1)
+# elements per numpy block of a layer, which bounds a layer's temporaries
+_BLOCK = 8192
+# odd weights of the four entries in an element's key
+_MIX = (0x5851F42D4C957F2D, 0x14057B7EF767814F, 0x2545F4914F6CDD1D, 0x3C6EF372FE94F82B)
 
 
 @dataclass(frozen=True)
@@ -227,7 +251,7 @@ class EocGroup:
         self._strip_cache: dict = {}
         self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
-        # the matrices of retraction._phi, built on its first call
+        # the matrices of _phi, built on its first call
         self._phi: Optional[tuple] = None
         # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
@@ -243,16 +267,19 @@ class EocGroup:
         self._forward_gens = [
             tuple(h for h in range(len(tokens)) if h != inverse[g]) for g in range(len(tokens))
         ] + [tuple(range(len(tokens)))]
-        # ball cache: the elements in BFS order, _ends[r] of them of word
-        # length <= r, and the length of every element so far, keyed by its
-        # syllables
-        self._ball: list[EocElement] = [self.identity()]
-        self._ends: list[int] = [1]
-        self._lengths: dict[tuple, int] = {(): 0}
-        # the ball's BFS tree, by ball index: element k was first built as
-        # _ball[_tree_parents[k]] * generator _tree_gens[k]; -1 for the identity
+        # the ball's BFS tree, by ball index: element k is element
+        # _tree_parents[k] times generator _tree_gens[k] (-1 for the
+        # identity), and the elements of word length <= r are the first _ends[r]
         self._tree_parents = array("i", [-1])
         self._tree_gens = array("i", [-1])
+        self._ends: list[int] = [1]
+        # the normal forms built so far, by ball index (_form)
+        self._forms: dict[int, tuple] = {0: ()}
+        # the last layer's phi matrices as int32, every element's key in
+        # sorted order, and the ball indices in that order
+        self._layer_matrices, keys = _root()
+        self._keys = keys.astype(np.uint64)
+        self._key_index = np.zeros(1, dtype=np.intp)
 
     # -- construction helpers -------------------------------------------------
 
@@ -420,53 +447,140 @@ class EocGroup:
 
     # -- word problem and ball enumeration ------------------------------------
 
-    def _grow_layer(self, cap: int) -> None:
-        ball = self._ball
-        depth = len(self._ends)
-        start = self._ends[-2] if depth > 1 else 0
-        lengths = self._lengths
-        parents, gens = self._tree_parents, self._tree_gens
-        times = self._times
-        gen_syllables = self._generator_syllables
-        forward = self._forward_gens
-        size = layer = len(ball)
-        for parent, elem in enumerate(ball[start:], start):
-            head = elem.syllables
-            # the generator that undoes the parent's own gives its tree parent
-            for g in forward[gens[parent]]:
-                key = times(head, gen_syllables[g])
-                lengths.setdefault(key, depth)
-                if len(lengths) > size:
-                    size += 1
-                    if size > cap:
-                        # keep the cache at whole layers so a later call can regrow
-                        del lengths[key]
-                        for e in ball[layer:]:
-                            del lengths[e.syllables]
-                        del ball[layer:], parents[layer:], gens[layer:]
-                        raise BudgetExceeded(
-                            f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
-                        )
-                    ball.append(EocElement(self, key))
-                    parents.append(parent)
-                    gens.append(g)
-        self._ends.append(size)
+    def _form(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """The canonical syllables of ball element k, built along its tree path and kept."""
+        forms, parents = self._forms, self._tree_parents
+        path = []
+        while k not in forms:
+            path.append(k)
+            k = parents[k]
+        head = forms[k]
+        for k in reversed(path):
+            head = forms[k] = self._times(head, self._generator_syllables[self._tree_gens[k]])
+        return head
 
-    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> list[EocElement]:
-        """All elements of word length <= radius, BFS layer order, deduplicated."""
+    def _grow_layer(self, cap: int) -> None:
+        """Add the next BFS layer; past `cap` elements, raise and keep none of it."""
+        depth, size = len(self._ends), self._ends[-1]
+        lo = self._ends[-2] if depth > 1 else 0
+        gen_matrices = np.array(
+            [_phi(self, syl) for syl in self._generator_syllables], dtype=np.int64
+        ).reshape(-1, 2, 2)
+        # the candidates in candidate order: the parents in ball order, each
+        # with its forward generators in token order
+        if depth == 1:
+            gens = np.array(self._forward_gens[-1])
+            parents = np.zeros(len(gens), dtype=np.intp)
+        else:
+            forward = np.array(self._forward_gens[:-1])
+            gens = forward[np.frombuffer(self._tree_gens, dtype=np.intc)[lo:]].ravel()
+            parents = np.repeat(np.arange(lo, size), forward.shape[1])
+        matrices = np.empty((len(gens), 2, 2), dtype=np.int32)
+        keys = np.empty(len(gens), dtype=np.uint64)
+        for start in range(0, len(gens), _BLOCK):
+            stop = start + _BLOCK
+            keys[start:stop] = _layer_keys(
+                self._layer_matrices,
+                parents[start:stop] - lo,
+                gen_matrices,
+                gens[start:stop],
+                matrices[start:stop],
+            )
+        # a candidate is new if no earlier element and no other candidate
+        # shares its key; the others are settled by normal forms
+        order = np.argsort(keys)
+        ordered = keys[order]
+        repeated = ordered[1:] == ordered[:-1]
+        clash = _members(self._keys, ordered)
+        clash[1:] |= repeated
+        clash[:-1] |= repeated
+        earlier = self._key_index[_members(ordered[clash], self._keys)]
+        clash[order] = clash.copy()
+        at = np.flatnonzero(clash)
+        # every form equal to a candidate's has its key, so one set of the
+        # forms of the earlier elements with clashing keys settles them all
+        times, gen_syllables, form = self._times, self._generator_syllables, self._form
+        seen = {form(e) for e in earlier.tolist()}
+        settled = {}
+        for i, parent, g in zip(at.tolist(), parents[at].tolist(), gens[at].tolist()):
+            syllables = times(form(parent), gen_syllables[g])
+            if syllables not in seen:
+                seen.add(syllables)
+                settled[i] = syllables
+        new = ~clash
+        new[list(settled)] = True
+        count = int(np.count_nonzero(new))
+        if size + count > cap:
+            raise BudgetExceeded(
+                f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
+            )
+        # the ball index of each new candidate
+        index = np.empty(len(gens), dtype=np.intp)
+        index[new] = np.arange(size, size + count)
+        self._tree_parents.frombytes(parents[new].astype(np.intc).tobytes())
+        self._tree_gens.frombytes(gens[new].astype(np.intc).tobytes())
+        self._forms.update(zip(index[list(settled)].tolist(), settled.values()))
+        self._layer_matrices = matrices[new]
+        # the new keys, in key order, go after the equal earlier ones
+        fresh = order[new[order]]
+        slots = np.searchsorted(self._keys, keys[fresh], side="right")
+        self._keys = np.insert(self._keys, slots, keys[fresh])
+        self._key_index = np.insert(self._key_index, slots, index[fresh])
+        self._ends.append(size + count)
+
+    def _find(self, syllables: tuple[tuple[int, ...], ...]) -> Optional[int]:
+        """The ball index of the element with these canonical syllables, if the ball has it yet."""
+        m = reduce(_mat_mul, [_phi(self, syl) for syl in syllables], _IDENTITY)
+        key = _key(np.array(m, dtype=np.int64).reshape(1, 2, 2)).astype(np.uint64)
+        first = int(np.searchsorted(self._keys, key, side="left")[0])
+        last = int(np.searchsorted(self._keys, key, side="right")[0])
+        for k in self._key_index[first:last].tolist():
+            if self._form(k) == syllables:
+                return k
+        return None
+
+    def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> Sequence[EocElement]:
+        """All elements of word length <= radius, BFS layer order, deduplicated.
+
+        A read-only view of the ball's first entries, which builds each
+        element from its tree path when it is read.
+        """
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         while len(self._ends) <= radius:
             self._grow_layer(cap)
-        return self._ball[: self._ends[radius]]
+        return _Ball(self, self._ends[radius])
 
     def word_length(self, w: EocElement, cap: int = DEFAULT_BALL_CAP) -> int:
         """Exact minimal token count over all representatives, via BFS from 1."""
         if w.group is not self:
             raise ValueError("element of a different group")
-        while w.syllables not in self._lengths:
+        while (k := self._find(w.syllables)) is None:
             self._grow_layer(cap)
-        return self._lengths[w.syllables]
+        return bisect.bisect_right(self._ends, k)
+
+
+class _Ball(Sequence):
+    """The first `size` elements of a group's ball in BFS order, each built when read."""
+
+    __slots__ = ("_group", "_size")
+
+    def __init__(self, group: EocGroup, size: int):
+        self._group = group
+        self._size = size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._size))]
+        k = operator.index(i)
+        if k < 0:
+            k += self._size
+        if not 0 <= k < self._size:
+            raise IndexError("ball index out of range")
+        return EocElement(self._group, self._group._form(k))
 
 
 def _base_syllable(w: Word) -> tuple[int, ...]:
@@ -482,6 +596,99 @@ def _letter_tokens(syl: tuple[int, ...]) -> list[str]:
 def _syllable_word(alphabet: Alphabet, syl: tuple[int, ...]) -> Word:
     """The reduced word of a base syllable: its entries halved."""
     return Word._raw(alphabet, tuple([x >> 1 for x in syl]))
+
+
+def _mat_mul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of two matrices (a, b, c, d) over F_P."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return ((a * e + b * g) % _P, (a * f + b * h) % _P, (c * e + d * g) % _P, (c * f + d * h) % _P)
+
+
+def _mat_pow(m: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """m^e for m in SL(2, F_P) and any integer e."""
+    if e < 0:
+        a, b, c, d = m
+        m, e = (d, -b % _P, -c % _P, a), -e
+    out = None
+    while True:
+        if e & 1:
+            out = m if out is None else _mat_mul(out, m)
+        e >>= 1
+        if not e:
+            return out or _IDENTITY
+        m = _mat_mul(m, m)
+
+
+def _phi(group: EocGroup, syl: tuple[int, ...]) -> tuple[int, ...]:
+    """phi of one syllable of `group`, of one of its subtowers or of the free base.
+
+    phi sends each base letter to a seeded random matrix of SL(2, F_P),
+    and t_{j,i} to U_j^(x_{j,i}), U_j = phi(u_j), for a seeded exponent
+    x_{j,i}.  The t's of stage j commute with U_j and with each other, so
+    phi is a homomorphism of the group, and, as the letters are drawn
+    first and then the stages in order, its restriction to a subtower is
+    the subtower's own phi.  An abelian syllable u_j^e t^v maps to
+    U_j^(e + sum x_{j,i} v_i), taken as U_j^e times each phi(t_{j,i})^(v_i).
+    The matrices of the letters, of each U_j and of each t_{j,i} are
+    built on first use and kept by `group`.  The ball keys its candidates
+    by the group's phi, and the collision walk keys its images by the same
+    phi restricted to the retraction's target.
+    """
+    if group._phi is None:
+        rng = random.Random(2011)
+        group._phi = letters, units, ts = {}, [], []
+        for i in range(1, group.alphabet.rank + 1):
+            a, b, c = rng.randrange(1, _P), rng.randrange(_P), rng.randrange(_P)
+            letters[2 * i] = (a, b, c, (1 + b * c) * pow(a, -1, _P) % _P)
+            letters[-2 * i] = _mat_pow(letters[2 * i], -1)
+        for j, stage in enumerate(group.stages):
+            # a base syllable needs only the letters, drawn above
+            units.append(_phi(group, group._u_letters[j]))
+            ts.append([_mat_pow(units[j], rng.randrange(1, _P)) for _ in range(stage.rank)])
+    letters, units, ts = group._phi
+    if not syl:
+        return _IDENTITY
+    if not syl[0] & 1:
+        return reduce(_mat_mul, [letters[x] for x in syl])
+    j = syl[0] >> 1
+    # the t-part is nonzero, so there is at least one factor
+    factors = [_mat_pow(t, v >> 1) for t, v in zip(ts[j], syl[2:]) if v]
+    return reduce(_mat_mul, factors, _mat_pow(units[j], syl[1] >> 1))
+
+
+def _key(m: np.ndarray) -> np.ndarray:
+    """One key per matrix of `m`: its four entries dotted with ``_MIX``, mod 2^64."""
+    return m.reshape(-1, 4).view(np.uint64) @ np.array(_MIX, dtype=np.uint64)
+
+
+def _root() -> tuple[np.ndarray, np.ndarray]:
+    """The identity's layer: its matrix as one int32 2x2 block, and its key."""
+    m = np.array(_IDENTITY, dtype=np.int64).reshape(1, 2, 2)
+    return m.astype(np.int32), _key(m)
+
+
+def _members(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of `keys` occurs in the sorted array `ordered`."""
+    if not len(ordered):
+        return np.zeros(len(keys), dtype=bool)
+    # a key past the last entry wraps to the first, which is smaller
+    return ordered[np.searchsorted(ordered, keys) % len(ordered)] == keys
+
+
+def _layer_keys(
+    prev: np.ndarray, parents: np.ndarray, g: np.ndarray, gens: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The keys of prev[parents] * g[gens] mod P, one block of a layer.
+
+    `prev` holds a layer's matrices as int32, as every entry is below
+    2^31, and is widened to int64 for the product; the products go to
+    `out` as int32 and are keyed by ``_key``.
+    """
+    m = np.matmul(np.take(prev, parents, axis=0).astype(np.int64), np.take(g, gens, axis=0))
+    m %= _P
+    out[...] = m
+    return _key(m)
 
 
 def load_group_spec(text: str) -> EocGroup:

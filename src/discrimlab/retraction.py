@@ -30,17 +30,19 @@ image of its parent times the image of its generator.  Only the
 generators go through ``_image``, and each generator's image is one
 syllable of the target (a base word, or a lower-stage abelian
 syllable).  The walk does not build the other images.  It composes the
-retraction with a homomorphism phi of the target into SL(2, F_P),
-P = 2^31 - 1 (``_phi``: seeded random matrices for the base letters,
-and powers of phi(u_j) for the t's of stage j, with which they
-commute), and evaluates the composite layer by layer in numpy int64: an
-element's matrix is its parent's times its generator's, and only two
-layers are held at once.  Each element leaves a 64-bit key of its
-matrix.  Equal images have equal matrices, so distinct keys mean
-distinct images; each run of equal keys is settled exactly, by
-rebuilding the images from the root with the target's own product
-(``EocGroup._times``, or ``freewords.join_letters`` once the target is
-the free base) and comparing them.  No number this module returns
+retraction with the group's own fingerprint homomorphism phi into
+SL(2, F_P), P = 2^31 - 1 (``eocgroup._phi``: seeded random matrices
+for the base letters, and powers of phi(u_j) for the t's of stage j,
+with which they commute), restricted to the target, and evaluates the
+composite layer by layer in numpy blocks, as the ball keys its
+candidates (``eocgroup._layer_keys``): an element's matrix is its
+parent's times its generator's, and only two layers are held at once.
+Each element leaves a 64-bit key of its matrix.  Equal images have
+equal matrices, so distinct keys mean distinct images; each run of
+equal keys is settled exactly, by rebuilding the images from the root
+with the target's own product (``EocGroup._times``, or
+``freewords.join_letters`` once the target is the free base) and
+comparing them.  No number this module returns
 depends on phi, and the pair reported is the one a ball-order scan of
 the images finds first.  The walk has no early stop, so a failing p
 costs a whole walk; the floor already rules out the small p, whose
@@ -51,16 +53,25 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup, EocStage, _syllable_word
+from .eocgroup import (
+    _BLOCK,
+    DEFAULT_BALL_CAP,
+    EocElement,
+    EocGroup,
+    EocStage,
+    _layer_keys,
+    _mat_pow,
+    _phi,
+    _root,
+    _syllable_word,
+)
 from .errors import AscentExhausted
 from .freewords import Word, join_letters
 from .zdiscrim import lower_bound_value
@@ -103,22 +114,31 @@ def subtower(group: EocGroup) -> EocGroup:
     return group._subtower
 
 
-def _image(group: EocGroup, R: int, p: int, k: int, syl: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of the canonical syllable `syl` under the top `k` retractions at uniform p.
+def _exponent(group: EocGroup, R: int, p: int, k: int, syl: tuple[int, ...]) -> Optional[int]:
+    """e + p * theta(v) for an abelian syllable u_j^e t^v of one of the top `k` stages, else None.
 
-    An abelian syllable u_j^e t^v of one of the top k stages becomes the
-    base syllable of u_j^(e + p * theta(v)), theta(v) the sum of
-    v_i (2R+1)^(i-1); every other syllable is fixed.
+    theta(v) is the sum of v_i (2R+1)^(i-1).
     """
     if not syl[0] & 1 or syl[0] >> 1 < len(group.stages) - k:
-        return syl
+        return None
     # theta of the doubled entries by Horner's rule: 2e + p * theta(2v)
     # = 2 (e + p * theta(v))
     base = 2 * R + 1
     x = 0
     for v in reversed(syl[2:]):
         x = x * base + v
-    return group._u_power(syl[0] >> 1, (syl[1] + p * x) >> 1)
+    return (syl[1] + p * x) >> 1
+
+
+def _image(group: EocGroup, R: int, p: int, k: int, syl: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of the canonical syllable `syl` under the top `k` retractions at uniform p.
+
+    An abelian syllable u_j^e t^v of one of the top k stages becomes the
+    base syllable of u_j^(e + p * theta(v)) (``_exponent``); every other
+    syllable is fixed.
+    """
+    e = _exponent(group, R, p, k, syl)
+    return syl if e is None else group._u_power(syl[0] >> 1, e)
 
 
 def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
@@ -165,78 +185,6 @@ def hom_complexity(spec: ThetaSpec) -> int:
     return _stage_complexity(spec.group.stages[-1], spec.R, spec.p)
 
 
-# phi, from the walk's target into SL(2, F_P): entries lie below P < 2^31,
-# so a product of two stays below 2^62 and a sum of two such below 2^63
-_P = 2**31 - 1
-_IDENTITY = (1, 0, 0, 1)
-# elements per numpy block of a ball layer, which bounds the walk's temporaries
-_BLOCK = 8192
-# odd weights of the four entries in an element's key
-_MIX = (0x5851F42D4C957F2D, 0x14057B7EF767814F, 0x2545F4914F6CDD1D, 0x3C6EF372FE94F82B)
-
-
-def _mat_mul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
-    """The product of two matrices (a, b, c, d) over F_P."""
-    a, b, c, d = m
-    e, f, g, h = n
-    return ((a * e + b * g) % _P, (a * f + b * h) % _P, (c * e + d * g) % _P, (c * f + d * h) % _P)
-
-
-def _mat_pow(m: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """m^e for m in SL(2, F_P) and any integer e."""
-    if e < 0:
-        a, b, c, d = m
-        m, e = (d, -b % _P, -c % _P, a), -e
-    out = None
-    while True:
-        if e & 1:
-            out = m if out is None else _mat_mul(out, m)
-        e >>= 1
-        if not e:
-            return out or _IDENTITY
-        m = _mat_mul(m, m)
-
-
-def _phi(group: EocGroup, syl: tuple[int, ...]) -> tuple[int, ...]:
-    """phi of one syllable of `group`, of one of its subtowers or of the free base.
-
-    phi sends each base letter to a seeded random matrix of SL(2, F_P),
-    and t_{j,i} to U_j^(x_{j,i}), U_j = phi(u_j), for a seeded exponent
-    x_{j,i}.  The t's of stage j commute with U_j and with each other, so
-    phi is a homomorphism of the group, and, as the letters are drawn
-    first and then the stages in order, its restriction to a subtower is
-    the subtower's own phi.  An abelian syllable u_j^e t^v maps to
-    U_j^(e + sum x_{j,i} v_i), taken as U_j^e times each phi(t_{j,i})^(v_i).
-    The matrices of the letters, of each U_j and of each t_{j,i} are
-    built on first use and kept by `group`.
-    """
-    if group._phi is None:
-        rng = random.Random(2011)
-        group._phi = letters, units, ts = {}, [], []
-        for i in range(1, group.alphabet.rank + 1):
-            a, b, c = rng.randrange(1, _P), rng.randrange(_P), rng.randrange(_P)
-            letters[2 * i] = (a, b, c, (1 + b * c) * pow(a, -1, _P) % _P)
-            letters[-2 * i] = _mat_pow(letters[2 * i], -1)
-        for j, stage in enumerate(group.stages):
-            # a base syllable needs only the letters, drawn above
-            units.append(_phi(group, group._u_letters[j]))
-            ts.append([_mat_pow(units[j], rng.randrange(1, _P)) for _ in range(stage.rank)])
-    letters, units, ts = group._phi
-    if not syl:
-        return _IDENTITY
-    if not syl[0] & 1:
-        return reduce(_mat_mul, [letters[x] for x in syl])
-    j = syl[0] >> 1
-    # the t-part is nonzero, so there is at least one factor
-    factors = [_mat_pow(t, v >> 1) for t, v in zip(ts[j], syl[2:]) if v]
-    return reduce(_mat_mul, factors, _mat_pow(units[j], syl[1] >> 1))
-
-
-def _key(m: np.ndarray) -> np.ndarray:
-    """One key per matrix of `m`: its four entries dotted with ``_MIX``, mod 2^64."""
-    return m.reshape(-1, 4).view(np.uint64) @ np.array(_MIX, dtype=np.uint64)
-
-
 def _first_collision(
     ball: Sequence[EocElement],
     generator_images: Sequence,
@@ -249,14 +197,16 @@ def _first_collision(
     (``generator_tokens()`` order) to ``generator_images[i]``, with
     product ``mul`` and identity ``()``.  ``generator_matrices[i]`` is
     phi of that image, (a, b, c, d) in SL(2, F_P), for a homomorphism phi
-    of the target, so psi, phi after the images, is a homomorphism too.
+    of the target (``eocgroup._phi``), so psi, phi after the images, is a
+    homomorphism too.
 
-    psi is evaluated over the ball's BFS tree one layer at a time in
-    numpy int64: the matrix of element c is its parent's matrix times
-    its generator's, mod P.  Only the previous and the current layer's
-    entries are kept, and a layer is computed in blocks of ``_BLOCK``
-    elements, so the walk holds 32 bytes per element of two layers and 8
-    per ball element, the 64-bit key of its four entries (``_key``).  The
+    psi is evaluated over the ball's BFS tree one layer at a time: the
+    matrix of element c is its parent's matrix times its generator's,
+    mod P, in blocks of ``_BLOCK`` elements (``eocgroup._layer_keys``,
+    which the ball's growth uses too).  Only the previous and the current
+    layer's entries are kept, as int32, so the walk holds 16 bytes per
+    element of two layers and 8 per ball element, the 64-bit key of its
+    four entries (``eocgroup._key``).  The
     whole ball is walked even when two images collide early: the
     ascent's floor already rules out the p whose collisions lie early.
     Equal images have equal matrices and so equal keys, so elements with
@@ -274,23 +224,21 @@ def _first_collision(
     tree_gens = np.frombuffer(gens, dtype=np.intc, count=n)
     g = np.array(generator_matrices, dtype=np.int64).reshape(-1, 2, 2)
     keys = np.empty(n, dtype=np.uint64)
-    prev = np.array(_IDENTITY, dtype=np.int64).reshape(1, 2, 2)
-    keys[0] = _key(prev)[0]
+    prev, keys[:1] = _root()
     prev_lo, ends = 0, group._ends
     for lo, hi in zip(ends, ends[1:]):
         if lo == n:
             break
-        layer = np.empty((hi - lo, 2, 2), dtype=np.int64)
+        layer = np.empty((hi - lo, 2, 2), dtype=np.int32)
         for start in range(lo, hi, _BLOCK):
             stop = min(start + _BLOCK, hi)
-            m = layer[start - lo : stop - lo]
-            np.matmul(
-                np.take(prev, tree_parents[start:stop] - prev_lo, axis=0),
-                np.take(g, tree_gens[start:stop], axis=0),
-                out=m,
+            keys[start:stop] = _layer_keys(
+                prev,
+                tree_parents[start:stop] - prev_lo,
+                g,
+                tree_gens[start:stop],
+                layer[start - lo : stop - lo],
             )
-            m %= _P
-            keys[start:stop] = _key(m)
         prev, prev_lo = layer, lo
 
     def image(k: int):
@@ -329,16 +277,26 @@ def _images_injective(
     """The first pair of ball elements, in ball order, that the top `k` retractions at p merge.
 
     Each generator image is one syllable of the target (``_image``).  Its
-    matrix is ``_phi`` of that syllable: a base syllable folded letter by
-    letter, an abelian one a power of U_j.  The walk keys every element
+    matrix is ``_phi`` of that syllable, except that the image u_j^m of a
+    retracted t takes U_j^m, U_j = phi(u_j), straight from its exponent
+    rather than folding the letters of u_j^m.  The walk keys every element
     by those matrices and settles equal keys with the target's own
     product rule: ``_times`` on canonical syllables, or ``join_letters``
     on the base letters once the target is the free base.  The name is
     the span ``perfbench/tracer.py`` times and counts per p tried.
     """
-    images = [_image(group, R, p, k, syl) for syl in group._generator_syllables]
+    images, matrices = [], []
+    for syl in group._generator_syllables:
+        e = _exponent(group, R, p, k, syl)
+        if e is None:
+            images.append(syl)
+            matrices.append(_phi(group, syl))
+        else:
+            u = group._u_letters[syl[0] >> 1]
+            images.append(group._u_power(syl[0] >> 1, e))
+            matrices.append(_mat_pow(_phi(group, u), e))
     mul = join_letters if k == len(group.stages) else subtower(group)._times
-    return _first_collision(ball, images, mul, [_phi(group, img) for img in images])
+    return _first_collision(ball, images, mul, matrices)
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:

@@ -6,8 +6,9 @@ with what they check beyond word products and the theta map
 ``chain_of_retractions`` normalizes in each subtower, which the
 substitution it checks never does).  The
 u-powers of every oracle are chains of products (``running_powers``,
-``product_power``), not ``Word.__pow__``: the library builds every
-u-power with its kernel ``freewords._power``.
+``product_power``), or runs of one period (``ball_image_count``), not
+``Word.__pow__``: the library builds every u-power with its kernel
+``freewords._power``.
 The test inputs come from here as well: the free-word enumerator and its
 relabelings, and the Z^n box and ball points.
 """
@@ -178,32 +179,164 @@ def ball_image_count(group: EocGroup, R: int, p: int) -> int:
     the free base, so equal elements have equal images, and the count is
     at most the number of elements of length <= R.  A ball of that size
     therefore holds each of its elements once.  Every image is a running
-    product along its word; no normal-form code runs.
+    product along its word; no normal-form code and no fingerprint runs.
+
+    The exponents grow as (2R+1)^k, so an image is kept as a reduced word
+    written in runs (``_run_letter``): a base letter, or a slice of the
+    reduced word of a u-power.  Runs of one period are compared a period
+    at a time (``_common_prefix``), so a u-power costs the same at any
+    exponent.  Images are bucketed by length and a polynomial hash, and
+    each bucket is split into classes by exact comparison.
     """
-    alphabet = group.alphabet
     before = list(itertools.accumulate([0] + [stage.rank for stage in group.stages]))
     tokens = group.generator_tokens()
-    images = []
+    runs = []
     for tok in tokens:
         if isinstance(tok, int):
-            images.append(Word(alphabet, (tok,)))
+            runs.append(((), (tok,), 1, 0, 1))
         else:
             _, j, i = tok
+            z, v = _conjugate_split(group.stages[j].u.letters)
             e = p * (2 * R + 1) ** (before[j] + abs(i) - 1)
-            images.append(product_power(group.stages[j].u, e if i > 0 else -e))
+            runs.append((z, v, e if i > 0 else -e, 0, 2 * len(z) + e * len(v)))
     inverse = [tokens.index(-tok if isinstance(tok, int) else tok[:2] + (-tok[2],)) for tok in tokens]
-    seen = {()}
+    classes: dict[tuple, list] = {}
+
+    def add(image):
+        length = sum(r[4] - r[3] for r in image)
+        bucket = classes.setdefault((length, _word_hash(image)), [])
+        if all(_common_prefix(image, other) < length for other in bucket):
+            bucket.append(image)
+
+    add(())
     # raw words as (index of the last token, image), no token next to its inverse
-    frontier = [(-1, alphabet.identity())]
+    frontier = [(-1, ())]
     for _ in range(R):
         frontier = [
-            (g, w * images[g])
+            (g, _run_product(w, runs[g]))
             for last, w in frontier
             for g in range(len(tokens))
             if last < 0 or g != inverse[last]
         ]
-        seen.update(w.letters for _, w in frontier)
-    return len(seen)
+        for _, w in frontier:
+            add(w)
+    return sum(map(len, classes.values()))
+
+
+def _conjugate_split(u: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(z, v) with u = z v z^-1 as written and v cyclically reduced, for a reduced u."""
+    k = 0
+    while u[k] == -u[-1 - k]:
+        k += 1
+    return u[:k], u[k : len(u) - k]
+
+
+# A run (z, v, m, lo, hi) is letters lo..hi-1 of the reduced word
+# z v^m z^-1 (v^m as |m| copies of v^(sign m)); a base letter x is ((), (x,), 1, 0, 1).
+
+
+def _run_letter(run: tuple, i: int) -> int:
+    """Letter i of the whole word z v^m z^-1 of a run."""
+    z, v, m, _, _ = run
+    n = abs(m) * len(v)
+    if i < len(z):
+        return z[i]
+    if i < len(z) + n:
+        k = (i - len(z)) % len(v)
+        return v[k] if m > 0 else -v[-1 - k]
+    return -z[2 * len(z) + n - 1 - i]
+
+
+def _periodic_left(run: tuple, i: int) -> int:
+    """How many letters from i on lie both in the run's slice and in its v-power."""
+    z, v, m, _, hi = run
+    start, stop = len(z), len(z) + abs(m) * len(v)
+    return max(0, min(stop, hi) - i) if i >= start else 0
+
+
+def _common_prefix(a: Sequence[tuple], b: Sequence[tuple]) -> int:
+    """The length of the longest common prefix of two words written in runs.
+
+    Letter by letter, except that where both words are inside v-powers
+    of one period length and agree on one whole period, they agree up to
+    the nearer end of the two powers, which is skipped a period at a time.
+    """
+    i = j = done = 0
+    x = a[0][3] if a else 0
+    y = b[0][3] if b else 0
+    while i < len(a) and j < len(b):
+        ra, rb = a[i], b[j]
+        period = len(ra[1])
+        step = 1
+        if period == len(rb[1]):
+            left = min(_periodic_left(ra, x), _periodic_left(rb, y))
+            if left >= period and all(
+                _run_letter(ra, x + t) == _run_letter(rb, y + t) for t in range(period)
+            ):
+                step = left - left % period
+        if step == 1 and _run_letter(ra, x) != _run_letter(rb, y):
+            return done
+        done, x, y = done + step, x + step, y + step
+        if x == ra[4]:
+            i += 1
+            x = a[i][3] if i < len(a) else 0
+        if y == rb[4]:
+            j += 1
+            y = b[j][3] if j < len(b) else 0
+    return done
+
+
+def _run_product(a: tuple, run: tuple) -> tuple:
+    """The reduced word of a times one whole run, both reduced, in runs."""
+    # the inverse of a, read forwards: the runs of z v^-m z^-1 mirrored
+    inverse = []
+    for z, v, m, lo, hi in reversed(a):
+        n = 2 * len(z) + abs(m) * len(v)
+        inverse.append((z, v, -m, n - hi, n - lo))
+    cancel = _common_prefix(inverse, [run])
+    out = list(a)
+    left = cancel
+    while left:
+        z, v, m, lo, hi = out.pop()
+        if hi - lo > left:
+            out.append((z, v, m, lo, hi - left))
+            break
+        left -= hi - lo
+    z, v, m, lo, hi = run
+    if lo + cancel < hi:
+        out.append((z, v, m, lo + cancel, hi))
+    return tuple(out)
+
+
+_HASH_MOD = (1 << 61) - 1
+_HASH_BASE = 1_000_003
+
+
+def _word_hash(word: Sequence[tuple]) -> int:
+    """A polynomial hash of a word's letters, a period at a time inside its v-powers.
+
+    c^k for a period c hashes to hash(c) (B^(pk) - 1) / (B^p - 1), so a
+    u-power costs the same at any exponent.
+    """
+    M, B = _HASH_MOD, _HASH_BASE
+    h = 0
+    for run in word:
+        i, hi, period = run[3], run[4], len(run[1])
+        while i < hi:
+            left = _periodic_left(run, i)
+            if left >= period:
+                k = left // period
+                c = 0
+                for t in range(period):
+                    c = (c * B + _run_letter(run, i + t)) % M
+                bp = pow(B, period, M)
+                bk = pow(bp, k, M)
+                h = (h * bk + c * (bk - 1) * pow(bp - 1, -1, M)) % M
+                i += k * period
+            else:
+                h = (h * B + _run_letter(run, i)) % M
+                i += 1
+    return h
 
 
 def brute_power_membership(u: Word, g: Word) -> Optional[int]:

@@ -4,9 +4,11 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from discrimlab import eocgroup
 from discrimlab.eocgroup import EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
@@ -15,6 +17,8 @@ from oracles import ball_image_count, product_power, raag_ball_size, stack_norma
 
 A = Alphabet(2)
 a, b = A.generators()
+
+KEY = eocgroup._key
 
 
 @pytest.fixture(scope="module")
@@ -262,21 +266,24 @@ def ball_digest(group, radius):
     return h.hexdigest()
 
 
+# digests frozen from the normal form that stored syllables as objects;
+# the first-collision witnesses of the p ascent depend on this order
+FROZEN_BALLS = pytest.mark.parametrize(
+    "stages, radius, size, digest",
+    [
+        ([(a, 1)], 5, 2583, "71d763a4bf3d4a40653b7d032e37232c60c738f388a551cc5d8685f2af3b13c9"),
+        ([(a, 2)], 4, 1513, "2f7e1834a68e5986756ba5808a4ea07f5da89465b3a4ed3fed9de0da1a97f956"),
+        ([(a, 1), (b, 1)], 4, 1969, "80c2fa49b13d8d2ff65ae50a401d9083f47734c5610da2ea237268126cae354e"),
+        # multi-letter u, frozen from the ball built by the generic
+        # normalizer before one-generator products had their own method
+        ([(a * a * b, 1)], 5, 4595, "412536b98ac2d220c110fe89d6693039f126b34705a4572c2a373dfeb108890a"),
+        ([(a * b * a.inverse(), 2)], 4, 2553, "619df37b75856a9d7401cec0c6a3b79f280bd9d41f98796bc4cf791f0d41a865"),
+    ],
+)
+
+
 class TestBallOrder:
-    # digests frozen from the normal form that stored syllables as objects;
-    # the first-collision witnesses of the p ascent depend on this order
-    @pytest.mark.parametrize(
-        "stages, radius, size, digest",
-        [
-            ([(a, 1)], 5, 2583, "71d763a4bf3d4a40653b7d032e37232c60c738f388a551cc5d8685f2af3b13c9"),
-            ([(a, 2)], 4, 1513, "2f7e1834a68e5986756ba5808a4ea07f5da89465b3a4ed3fed9de0da1a97f956"),
-            ([(a, 1), (b, 1)], 4, 1969, "80c2fa49b13d8d2ff65ae50a401d9083f47734c5610da2ea237268126cae354e"),
-            # multi-letter u, frozen from the ball built by the generic
-            # normalizer before one-generator products had their own method
-            ([(a * a * b, 1)], 5, 4595, "412536b98ac2d220c110fe89d6693039f126b34705a4572c2a373dfeb108890a"),
-            ([(a * b * a.inverse(), 2)], 4, 2553, "619df37b75856a9d7401cec0c6a3b79f280bd9d41f98796bc4cf791f0d41a865"),
-        ],
-    )
+    @FROZEN_BALLS
     def test_bfs_order_frozen(self, stages, radius, size, digest):
         group = EocGroup(A, stages)
         assert len(group.ball(radius)) == size
@@ -290,8 +297,35 @@ class TestBallOrder:
         for cap in (5, 100, 500):
             with pytest.raises(BudgetExceeded):
                 group.ball(4, cap=cap)
-            assert len(group._lengths) == len(group._ball) == group._ends[-1]
+            assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
         assert ball_digest(group, 4) == ball_digest(EocGroup(A, stages), 4)
+
+
+@pytest.fixture(
+    params=[lambda m: np.zeros(len(m), dtype=np.int64), lambda m: KEY(m) & 3],
+    ids=["constant", "mod4"],
+)
+def clashing_key(request, monkeypatch):
+    """Patch the ball's key to one that clashes.
+
+    A constant key settles every candidate against the whole ball, and the
+    key mod 4 makes four runs that mix distinct elements.
+    """
+    monkeypatch.setattr(eocgroup, "_key", request.param)
+
+
+class TestClashingKeys:
+    """Balls grown with clashing keys are the frozen ones: only normal forms merge candidates."""
+
+    @FROZEN_BALLS
+    def test_bfs_order_frozen(self, clashing_key, stages, radius, size, digest):
+        TestBallOrder().test_bfs_order_frozen(stages, radius, size, digest)
+
+    def test_regrown_after_cap_matches_uninterrupted(self, clashing_key):
+        TestBallOrder().test_regrown_after_cap_matches_uninterrupted()
+
+    def test_word_length(self, clashing_key):
+        TestBall().test_word_length(EocGroup(A, [(a, 1)]))
 
 
 @st.composite
@@ -516,7 +550,7 @@ def assert_ball_tree(group, radius):
     """Every ball element is its recorded BFS parent times its recorded generator."""
     ball = group.ball(radius)
     gens = group.generators()
-    assert len(group._tree_parents) == len(group._tree_gens) == len(group._lengths)
+    assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
     assert (group._tree_parents[0], group._tree_gens[0]) == (-1, -1)
     for k in range(1, len(ball)):
         parent = group._tree_parents[k]
@@ -537,7 +571,7 @@ class TestBallTree:
         g = EocGroup(A, [(a, 1)])
         with pytest.raises(BudgetExceeded):
             g.ball(3, cap=5)
-        assert len(g._tree_parents) == len(g._tree_gens) == len(g._lengths) == len(g._ball) == 1
+        assert len(g._tree_parents) == len(g._tree_gens) == g._ends[-1] == 1
         assert len(g.ball(3)) == 143
         assert_ball_tree(g, 3)
 
