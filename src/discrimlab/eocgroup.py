@@ -85,11 +85,24 @@ order, except the generator that undoes the parent's own: that product
 is the parent's tree parent.  Each candidate is keyed by phi, a
 homomorphism into SL(2, F_P) (``_phi``): its matrix is its parent's
 times its generator's, computed in numpy blocks (``_layer_keys``), and
-``_key`` hashes the matrix to 64 bits.  Equal elements have equal keys,
-so a candidate whose key occurs neither among the earlier elements nor
-among the layer's other candidates is new, and no normal form is built
-for it.  Each run of equal keys is settled exactly, in candidate order,
-by comparing normal forms, so each new element keeps its first
+``_key`` hashes the matrix to 64 bits.
+
+Most duplicate candidates are one defining relation, [u_j, t] = 1 or
+[t, t'] = 1, applied to the last two letters of a tree path, and a
+commuting square proves them equal with no normal form (the shuffles of
+Hermiller and Meier's graph-product rewriting, used here only as exact
+proofs of equality).  Take a candidate c = P g whose parent P = Q h has
+a tree generator h that commutes with g (``_commute``); then
+c = (Q g) h.  c equals an element of the ball so far when g undoes Q's
+generator, when Q g, a candidate of the layer before, is not in P's
+layer (its entry in the resolution row ``_row`` is -1), or when h undoes
+the generator of Q g; otherwise c equals the candidate (Q g, h) of its
+own layer, and the two are linked.  A class of linked candidates is one
+element, old if any member is.  Equal elements have equal keys, so a live
+class whose key occurs neither among the earlier elements nor among the
+layer's other classes is new, and no normal form is built for it.  Each
+run of equal keys is settled exactly, one member per class, in candidate
+order, by comparing normal forms, so each new element keeps its first
 candidate and the ball order is the one a normal form per candidate
 gives.  A normal form is built on demand along the tree path, the
 parent's times the generator (``_times``), and kept by ball index
@@ -267,6 +280,29 @@ class EocGroup:
         self._forward_gens = [
             tuple(h for h in range(len(tokens)) if h != inverse[g]) for g in range(len(tokens))
         ] + [tuple(range(len(tokens)))]
+        # the same as arrays for _grow_layer, with row -1 for the identity:
+        # _forward[t, i] is _forward_gens[t][i], _slot[t, g] is the i of g
+        # (0 for the generator that undoes t), and _inverse[t] undoes t
+        self._inverse = np.array(inverse + [-1], dtype=np.intp)
+        self._forward = np.zeros((len(tokens) + 1, len(tokens)), dtype=np.intp)
+        self._slot = np.zeros_like(self._forward)
+        for t, forward in enumerate(self._forward_gens):
+            self._forward[t, : len(forward)] = forward
+            self._slot[t, forward] = range(len(forward))
+        # _commute[h, g]: h and g commute by a defining relation, as two t's
+        # of one stage, or as a t of stage j and a letter that is u_j or its
+        # inverse; a generator and itself or its inverse are left out, and
+        # the table is None when no pair is left
+        single = {abs(s.u.letters[0]): j for j, s in enumerate(self.stages) if len(s.u) == 1}
+        centres = [tok[1] if isinstance(tok, tuple) else single.get(abs(tok)) for tok in tokens]
+        commute = np.array(
+            [
+                [c is not None and c == d and g not in (h, inverse[h]) for g, d in enumerate(centres)]
+                for h, c in enumerate(centres)
+            ],
+            dtype=bool,
+        )
+        self._commute = commute if commute.any() else None
         # the ball's BFS tree, by ball index: element k is element
         # _tree_parents[k] times generator _tree_gens[k] (-1 for the
         # identity), and the elements of word length <= r are the first _ends[r]
@@ -279,7 +315,11 @@ class EocGroup:
         # sorted order, and the ball indices in that order
         self._layer_matrices, keys = _root()
         self._keys = keys.astype(np.uint64)
-        self._key_index = np.zeros(1, dtype=np.intp)
+        self._key_index = np.zeros(1, dtype=np.int32)
+        # the last layer's resolution row, read by its successor's squares:
+        # per candidate of the layer, the ball index of its element if the
+        # layer has it, else -1; kept only when _commute is set
+        self._row: Optional[np.ndarray] = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -459,8 +499,91 @@ class EocGroup:
             head = forms[k] = self._times(head, self._generator_syllables[self._tree_gens[k]])
         return head
 
+    def _squares(
+        self, lo: int, width: int, c: np.ndarray, parents: np.ndarray, gens: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The commuting squares of candidates `c`, with their parents and generators.
+
+        Returns the candidates proven old, the candidates linked to another
+        of the layer, and those others (the square rule of ``_grow_layer``).
+        """
+        tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc)
+        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)
+        h = tree_gens[parents]
+        at = np.flatnonzero(self._commute[h, gens])
+        c, g, h, q = c[at], gens[at], h[at], tree_parents[parents[at]]
+        # x = q g, a candidate of the layer before unless g undoes q's
+        # generator, where _slot reads 0
+        depth = len(self._ends)
+        prev_lo = self._ends[-3] if depth > 2 else 0
+        prev_width = self._forward.shape[1] - (depth > 2)
+        qg = tree_gens[q]
+        x = self._row[(q - prev_lo) * prev_width + self._slot[qg, g]]
+        # x = -1 reads the last element's generator, which x < 0 masks
+        xg = tree_gens[x]
+        old = (g == self._inverse[qg]) | (x < 0) | (h == self._inverse[xg])
+        linked = ~old
+        return c[old], c[linked], (x[linked] - lo) * width + self._slot[xg[linked], h[linked]]
+
+    def _live_classes(
+        self, lo: int, width: int, gen_matrices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """The next layer's live classes (``_grow_layer``), by their least candidates.
+
+        Returns their keys, their least candidates, each candidate's class
+        label and every candidate's matrix.  The candidates are keyed in
+        blocks of whole parents and linked by squares when two generators
+        commute; without squares the labels are None, and each candidate is
+        a class.
+        """
+        depth, size = len(self._ends), self._ends[-1]
+        n = (size - lo) * width
+        squares = self._commute is not None and depth > 1
+        keys = np.empty(n, dtype=np.uint64)
+        matrices = np.empty((n, 2, 2), dtype=np.int32)
+        old, src, dst = [], [], []
+        step = _BLOCK // width * width
+        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)[lo:size]
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            rows = slice(start // width, stop // width)
+            parents = np.repeat(np.arange(lo + rows.start, lo + rows.stop), width)
+            gens = self._forward[tree_gens[rows], :width].ravel()
+            keys[start:stop] = _layer_keys(
+                self._layer_matrices, parents - lo, gen_matrices, gens, matrices[start:stop]
+            )
+            if squares:
+                found = self._squares(lo, width, np.arange(start, stop), parents, gens)
+                for blocks, block in zip((old, src, dst), found):
+                    blocks.append(block)
+        if not squares:
+            return keys, np.arange(n), None, matrices
+        labels = _classes(n, np.concatenate(src), np.concatenate(dst))
+        dead = labels != np.arange(n)
+        dead[labels[np.concatenate(old)]] = True
+        reps = np.flatnonzero(~dead)
+        return keys[reps], reps, labels, matrices
+
     def _grow_layer(self, cap: int) -> None:
-        """Add the next BFS layer; past `cap` elements, raise and keep none of it."""
+        """Add the next BFS layer; past `cap` elements, raise and keep none of it.
+
+        Commuting squares settle most candidates without a normal form.
+        Take a candidate c = P g whose parent P = Q h has a tree generator h
+        that commutes with g by a defining relation (``_commute``).  Then
+        c = (Q g) h.  With L the word length of P, c is old, equal to an
+        element of length <= L, when
+          * g undoes Q's generator: Q g is Q's parent, of length L - 2;
+          * else X = Q g, a candidate of the layer before, is not in
+            layer L (its row entry in ``_row`` is -1): it has length <= L - 1;
+          * or h undoes X's generator: c is X's parent, of length L - 1.
+        Otherwise c equals the candidate (X, h) of this layer, and the two
+        are linked.  A class of linked candidates is one element: old if a
+        member is, else new if its key occurs in no other class and among no
+        earlier element, as distinct keys mean distinct elements.  The
+        other classes are settled by normal forms, one member each, in
+        candidate order.  So each new element's tree entry is its least
+        candidate, as if every candidate were settled by its normal form.
+        """
         depth, size = len(self._ends), self._ends[-1]
         lo = self._ends[-2] if depth > 1 else 0
         gen_matrices = np.array(
@@ -468,26 +591,49 @@ class EocGroup:
         ).reshape(-1, 2, 2)
         # the candidates in candidate order: the parents in ball order, each
         # with its forward generators in token order
-        if depth == 1:
-            gens = np.array(self._forward_gens[-1])
-            parents = np.zeros(len(gens), dtype=np.intp)
-        else:
-            forward = np.array(self._forward_gens[:-1])
-            gens = forward[np.frombuffer(self._tree_gens, dtype=np.intc)[lo:]].ravel()
-            parents = np.repeat(np.arange(lo, size), forward.shape[1])
-        matrices = np.empty((len(gens), 2, 2), dtype=np.int32)
-        keys = np.empty(len(gens), dtype=np.uint64)
-        for start in range(0, len(gens), _BLOCK):
-            stop = start + _BLOCK
-            keys[start:stop] = _layer_keys(
-                self._layer_matrices,
-                parents[start:stop] - lo,
-                gen_matrices,
-                gens[start:stop],
-                matrices[start:stop],
+        width = self._forward.shape[1] - (depth > 1)
+        keys, reps, labels, matrices = self._live_classes(lo, width, gen_matrices)
+        new, fresh, settled, merged = self._settle(lo, width, keys, reps)
+        count = len(fresh)
+        if size + count > cap:
+            raise BudgetExceeded(
+                f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
             )
-        # a candidate is new if no earlier element and no other candidate
-        # shares its key; the others are settled by normal forms
+        # the new keys, in key order, go after the equal earlier ones
+        self._keys, self._key_index = _merge(
+            self._keys, self._key_index, keys[fresh], size + (np.cumsum(new) - 1)[fresh]
+        )
+        kept = reps[new]
+        self._layer_matrices = np.take(matrices, kept, axis=0)
+        # the per-candidate arrays go before the layer's own are built
+        del keys, reps, new, fresh, matrices
+        if self._commute is not None:
+            # the ball index of each class's element, by its least candidate
+            index = np.full((size - lo) * width, -1, dtype=np.int32)
+            index[kept] = np.arange(size, size + count, dtype=np.int32)
+            index[list(merged)] = index[list(merged.values())]
+            self._row = index if labels is None else index[labels]
+        parents = kept // width + lo
+        gens = self._forward[np.frombuffer(self._tree_gens, dtype=np.intc)[parents], kept % width]
+        self._tree_parents.frombytes(parents.astype(np.intc).tobytes())
+        self._tree_gens.frombytes(gens.astype(np.intc).tobytes())
+        self._forms.update(
+            zip((size + np.searchsorted(kept, list(settled))).tolist(), settled.values())
+        )
+        self._ends.append(size + count)
+
+    def _settle(
+        self, lo: int, width: int, keys: np.ndarray, reps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+        """Which live classes of the next layer are new (``_grow_layer``).
+
+        `keys` and `reps` are the classes' keys and least candidates.  A
+        class is new if no earlier element and no other class shares its
+        key; the others are settled by normal forms, in candidate order.
+        Returns the mask of new classes, their positions in key order, the
+        normal forms built for new classes and, for each class settled as
+        equal to an earlier one of the layer, that class, by least candidate.
+        """
         order = np.argsort(keys)
         ordered = keys[order]
         repeated = ordered[1:] == ordered[:-1]
@@ -496,37 +642,25 @@ class EocGroup:
         clash[:-1] |= repeated
         earlier = self._key_index[_members(ordered[clash], self._keys)]
         clash[order] = clash.copy()
-        at = np.flatnonzero(clash)
-        # every form equal to a candidate's has its key, so one set of the
-        # forms of the earlier elements with clashing keys settles them all
+        # every form equal to a candidate's has its key, so the forms of the
+        # earlier elements with clashing keys settle them all; seen maps a
+        # form to the first class with it, or to -1 for an earlier element
         times, gen_syllables, form = self._times, self._generator_syllables, self._form
-        seen = {form(e) for e in earlier.tolist()}
-        settled = {}
-        for i, parent, g in zip(at.tolist(), parents[at].tolist(), gens[at].tolist()):
-            syllables = times(form(parent), gen_syllables[g])
-            if syllables not in seen:
-                seen.add(syllables)
+        forward, tree_gens = self._forward_gens, self._tree_gens
+        seen = dict.fromkeys([form(e) for e in earlier.tolist()], -1)
+        settled, merged = {}, {}
+        for i in reps[clash].tolist():
+            parent, slot = divmod(i, width)
+            parent += lo
+            syllables = times(form(parent), gen_syllables[forward[tree_gens[parent]][slot]])
+            j = seen.setdefault(syllables, i)
+            if j == i:
                 settled[i] = syllables
+            elif j >= 0:
+                merged[i] = j
         new = ~clash
-        new[list(settled)] = True
-        count = int(np.count_nonzero(new))
-        if size + count > cap:
-            raise BudgetExceeded(
-                f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
-            )
-        # the ball index of each new candidate
-        index = np.empty(len(gens), dtype=np.intp)
-        index[new] = np.arange(size, size + count)
-        self._tree_parents.frombytes(parents[new].astype(np.intc).tobytes())
-        self._tree_gens.frombytes(gens[new].astype(np.intc).tobytes())
-        self._forms.update(zip(index[list(settled)].tolist(), settled.values()))
-        self._layer_matrices = matrices[new]
-        # the new keys, in key order, go after the equal earlier ones
-        fresh = order[new[order]]
-        slots = np.searchsorted(self._keys, keys[fresh], side="right")
-        self._keys = np.insert(self._keys, slots, keys[fresh])
-        self._key_index = np.insert(self._key_index, slots, index[fresh])
-        self._ends.append(size + count)
+        new[np.searchsorted(reps, list(settled))] = True
+        return new, order[new[order]], settled, merged
 
     def _find(self, syllables: tuple[tuple[int, ...], ...]) -> Optional[int]:
         """The ball index of the element with these canonical syllables, if the ball has it yet."""
@@ -674,6 +808,41 @@ def _members(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
         return np.zeros(len(keys), dtype=bool)
     # a key past the last entry wraps to the first, which is smaller
     return ordered[np.searchsorted(ordered, keys) % len(ordered)] == keys
+
+
+def _classes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The least node connected to each of n nodes by the edges src[i] -- dst[i].
+
+    Min-label propagation: every edge lowers both ends' labels to the lesser
+    of the two, and each label then jumps to its own node's label, until
+    the two ends of every edge agree.  Each node is the source of at most
+    one edge.
+    """
+    labels = np.arange(n)
+    while True:
+        a, b = labels[src], labels[dst]
+        if np.array_equal(a, b):
+            return labels
+        low = np.minimum(a, b)
+        labels[src] = low
+        np.minimum.at(labels, dst, low)
+        labels = labels[labels]
+
+
+def _merge(
+    keys: np.ndarray, index: np.ndarray, new_keys: np.ndarray, new_index: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted `keys` and their `index` entries, with sorted `new_keys` and theirs after equal keys."""
+    at = np.searchsorted(keys, new_keys, side="right") + np.arange(len(new_keys))
+    rest = np.ones(len(keys) + len(at), dtype=bool)
+    rest[at] = False
+    rest = np.flatnonzero(rest)
+    merged = []
+    for old, new in ((keys, new_keys), (index, new_index)):
+        out = np.empty(len(rest) + len(at), dtype=old.dtype)
+        out[at], out[rest] = new, old
+        merged.append(out)
+    return merged[0], merged[1]
 
 
 def _layer_keys(

@@ -251,14 +251,14 @@ def _first_collision(
             img = mul(img, generator_images[h])
         return img
 
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     ordered = keys[order]
-    # the runs of equal keys, each in ball order
+    # the runs of equal keys, each put into ball order
     runs: dict[int, list[int]] = {}
     for i in np.flatnonzero(ordered[1:] == ordered[:-1]).tolist():
         runs.setdefault(int(ordered[i]), [int(order[i])]).append(int(order[i + 1]))
     best = None
-    for run in sorted(runs.values(), key=operator.itemgetter(1)):
+    for run in sorted(map(sorted, runs.values()), key=operator.itemgetter(1)):
         if best is not None and run[1] >= best[1]:
             break
         seen = {}

@@ -2,7 +2,10 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -327,6 +330,9 @@ class TestClashingKeys:
     def test_word_length(self, clashing_key):
         TestBall().test_word_length(EocGroup(A, [(a, 1)]))
 
+    def test_square_rollback(self, clashing_key):
+        TestSquares().test_cap_rolls_the_row_back()
+
 
 @st.composite
 def groups(draw):
@@ -595,17 +601,21 @@ class TestBallOracle:
         group = tokens_group([("g1", 1), ("g2", 1), ("g1 g2", 1)])
         assert len(group.ball(3)) == ball_image_count(group, 3, 40) == 753
 
-    @pytest.mark.parametrize("stages, radius", [([("g1", 1)], 6), ([("g1", 1), ("g2", 1)], 4)])
+    @pytest.mark.parametrize(
+        "stages, radius", [([("g1", 1)], 6), ([("g1", 2)], 4), ([("g1", 1), ("g2", 1)], 4)]
+    )
     def test_layers_skip_the_generic_normalizer(self, monkeypatch, stages, radius):
+        # no product at all: commuting squares settle every duplicate, so no
+        # normal form is built, and _from_syllables is a fold of _times
         group = tokens_group(stages)
         calls = []
-        normalize = EocGroup._from_syllables
+        times = EocGroup._times
 
-        def spy(self, *args, **kwargs):
+        def spy(self, *args):
             calls.append(args)
-            return normalize(self, *args, **kwargs)
+            return times(self, *args)
 
-        monkeypatch.setattr(EocGroup, "_from_syllables", spy)
+        monkeypatch.setattr(EocGroup, "_times", spy)
         group.ball(radius)
         assert calls == []
 
@@ -613,3 +623,108 @@ class TestBallOracle:
     @given(groups(), st.integers(0, 3))
     def test_random_groups(self, G, radius):
         assert len(G.ball(radius)) == ball_image_count(G, radius, 40)
+
+
+def ball_state(group, radius):
+    """The ball's tree arrays, layer ends, normal forms and key map."""
+    group.ball(radius)
+    return (
+        list(group._tree_parents),
+        list(group._tree_gens),
+        list(group._ends),
+        [group._form(k) for k in range(group._ends[-1])],
+        sorted(zip(group._keys.tolist(), group._key_index.tolist())),
+        group._layer_matrices.tobytes(),
+    )
+
+
+def without_squares(monkeypatch, group):
+    """Patch the group's commute table to all-False: every duplicate goes through the keys."""
+    if group._commute is not None:
+        monkeypatch.setattr(group, "_commute", np.zeros_like(group._commute))
+    return group
+
+
+class TestSquares:
+    """Balls grown by commuting squares are the balls grown without them."""
+
+    @FROZEN_BALLS
+    def test_frozen_specs(self, monkeypatch, stages, radius, size, digest):
+        assert ball_state(EocGroup(A, stages), radius) == ball_state(
+            without_squares(monkeypatch, EocGroup(A, stages)), radius
+        )
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(groups(), st.integers(0, 3))
+    def test_random_groups(self, G, radius):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            bare = without_squares(monkeypatch, EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]))
+            assert ball_state(G, radius) == ball_state(bare, radius)
+
+    def test_commute_table(self, tower):
+        # t1.1 commutes with g1 and G1, t2.1 with g2 and G2; no t's of one stage
+        tokens = tower.generator_tokens()
+        pairs = {(tokens[h], tokens[g]) for h, g in zip(*np.nonzero(tower._commute))}
+        t1, t2 = ("t", 0, 1), ("t", 1, 1)
+        expected = set()
+        for t, letter in ((t1, 1), (t2, 2)):
+            for x in ((*t[:2], 1), (*t[:2], -1)):
+                for y in (letter, -letter):
+                    expected |= {(x, y), (y, x)}
+        assert pairs == expected
+        assert EocGroup(A, [(a * b, 1)])._commute is None
+        assert EocGroup(A, [])._commute is None
+        assert EocGroup(A, [(a * b, 2)])._commute is not None
+
+    @pytest.mark.parametrize(
+        "stages, radius",
+        [([("g1", 1)], 5), ([("g1", 2)], 4), ([("g1", 1), ("g2", 1)], 4), ([("g1 g2", 2)], 4)],
+    )
+    def test_row_resolves_every_candidate(self, stages, radius):
+        # the row entry of candidate (parent, g) is the ball index of
+        # parent * g if the last layer has it, else -1
+        group = tokens_group(stages)
+        for r in range(1, radius + 1):
+            group.ball(r)
+            prev_lo, lo, size = ([0] + group._ends)[-3:]
+            layer = {group._form(k): k for k in range(lo, size)}
+            expected = [
+                layer.get(group._times(group._form(p), group._generator_syllables[g]), -1)
+                for p in range(prev_lo, lo)
+                for g in group._forward_gens[group._tree_gens[p]]
+            ]
+            assert group._row.tolist() == expected, r
+
+    def test_cap_rolls_the_row_back(self):
+        # ball sizes 1, 7, 33, 143, 609: each cap trips inside a layer
+        stages = [(a, 1)]
+        group = EocGroup(A, stages)
+        for cap in (5, 10, 100, 500):
+            row = group._row
+            with pytest.raises(BudgetExceeded):
+                group.ball(4, cap=cap)
+            assert group._row is row
+            assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
+            group.ball(len(group._ends))
+        uninterrupted = EocGroup(A, stages)
+        assert ball_state(group, 5) == ball_state(uninterrupted, 5)
+        assert np.array_equal(group._row, uninterrupted._row)
+
+    def test_ball_and_curve_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, which costs a CLI
+        # command time and memory
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"free_rank": 2, "stages": [{"u": "g1", "rank": 1}]}))
+        script = (
+            "import sys\n"
+            "from discrimlab.cli import main\n"
+            f"main(['ball', '--spec', {str(spec)!r}, '--rmax', '4'])\n"
+            f"main(['curve', '--spec', {str(spec)!r}, '--rmax', '4'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(eocgroup.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "False"
