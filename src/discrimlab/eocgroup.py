@@ -70,46 +70,35 @@ cache's tuple, which elements share, not as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, ball layers
 and, built lazily once, its subtower (the group with the top stage
-removed, see ``retraction.subtower``) and the matrices of its fingerprint
-homomorphism (``_phi``), but no retractions, which are substitutions
+removed, see ``retraction.subtower``), the matrices of its fingerprint
+homomorphism (``_phi``) and the ball's index tables (``_forward``,
+``_slot``, ``_commute``), but no retractions, which are substitutions
 (``retraction._image``).  Retractions onto the subtower share one set of
 caches across words and p values.
 
-The ball is its BFS tree, grown a layer at a time, and no element list
-is stored.  Two flat integer arrays record, per ball index, the parent's
-ball index and the generator's index in ``generator_tokens()`` order;
-the ball of radius r is the first ``_ends[r]`` entries, and ``ball(r)``
-is a read-only view of them.  A layer's candidates are the pairs
-(parent, generator) over the last layer, in ball order and then token
-order, except the generator that undoes the parent's own: that product
-is the parent's tree parent.  Each candidate is keyed by phi, a
-homomorphism into SL(2, F_P) (``_phi``): its matrix is its parent's
-times its generator's, computed in numpy blocks (``_layer_keys``), and
-``_key`` hashes the matrix to 64 bits.
-
-Most duplicate candidates are one defining relation, [u_j, t] = 1 or
-[t, t'] = 1, applied to the last two letters of a tree path, and a
-commuting square proves them equal with no normal form (the shuffles of
-Hermiller and Meier's graph-product rewriting, used here only as exact
-proofs of equality).  Take a candidate c = P g whose parent P = Q h has
-a tree generator h that commutes with g (``_commute``); then
-c = (Q g) h.  c equals an element of the ball so far when g undoes Q's
-generator, when Q g, a candidate of the layer before, is not in P's
-layer (its entry in the resolution row ``_row`` is -1), or when h undoes
-the generator of Q g; otherwise c equals the candidate (Q g, h) of its
-own layer, and the two are linked.  A class of linked candidates is one
-element, old if any member is.  Equal elements have equal keys, so a live
-class whose key occurs neither among the earlier elements nor among the
-layer's other classes is new, and no normal form is built for it.  Each
-run of equal keys is settled exactly, one member per class, in candidate
-order, by comparing normal forms, so each new element keeps its first
-candidate and the ball order is the one a normal form per candidate
-gives.  A normal form is built on demand along the tree path, the
-parent's times the generator (``_times``), and kept by ball index
-(``_form``); the view builds its elements that way.  A layer that
-exceeds the cap is not kept, so a homomorphism can be evaluated on the
-whole ball with one product per element, a layer at a time
-(``retraction._first_collision``).
+The ball is its BFS tree, grown a layer at a time.  Two flat integer
+arrays record, per ball index, the parent's ball index and the
+generator's index in ``generator_tokens()`` order; the ball of radius r
+is the first ``_ends[r]`` entries, and ``ball(r)`` is a read-only view
+of them.  Besides the tree, the ball keeps only the last layer's
+resolution row (``_row``), the last layer's matrices and the normal
+forms built so far.  A layer's candidates are the pairs (parent,
+generator) over the last layer, in ball order and then token order,
+except the generator that undoes the parent's own.  Every defining
+relation, [u_j, t] = 1 or [t, t'] = 1, has even length, so a candidate
+is old exactly when it lies two layers back, which the row's back edges
+show.  Commuting squares (the shuffles of Hermiller and Meier's
+graph-product rewriting, used here only as exact proofs of equality)
+link most equal candidates of a layer, and keys by phi, a homomorphism
+into SL(2, F_P) (``_phi``, hashed to 64 bits by ``_key``), prove most
+of the rest distinct; only runs of equal keys are settled by normal
+forms (``_grow_layer``).  A normal form is built on demand along the
+tree path, the parent's times the generator (``_times``), and kept by
+ball index (``_form``); the view builds its elements that way.  A layer
+that exceeds the cap is not kept.  ``_tree_keys``, the one tree
+evaluator, evaluates a homomorphism into SL(2, F_P) on the whole ball
+with one product per element: ``word_length`` uses it with phi, and
+``retraction._first_collision`` with phi after a retraction.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -228,12 +217,38 @@ class EocElement:
         return f"EocElement({self.tokens()!r})"
 
 
+class _IndexTable:
+    """A ball index table of ``EocGroup``, built with the others on first read.
+
+    ``EocGroup._index_tables`` sets the tables as plain attributes, which
+    shadow this descriptor; ``functools.cached_property`` would write the
+    instance ``__dict__``, which slows every attribute read on CPython 3.11.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, group: Optional["EocGroup"], owner=None):
+        if group is None:
+            return self
+        group._index_tables()
+        return getattr(group, self.name)
+
+
 class EocGroup:
     """Handle for G' = F *_<u_1> (<u_1> x Z^(n_1)) *_<u_2> ... over F = F_rank.
 
     Immutable after construction; all operations are pure.  Ball layers
     and double-coset strips are memoized on the handle.
     """
+
+    # a group that only normalizes never grows a ball, so the ball's index
+    # tables are built on first read, not in __init__
+    _inverse = _IndexTable()
+    _forward_gens = _IndexTable()
+    _forward = _IndexTable()
+    _slot = _IndexTable()
+    _commute = _IndexTable()
 
     def __init__(self, alphabet: Alphabet, stages: Sequence[tuple[Word, int]]):
         self.alphabet = alphabet
@@ -269,40 +284,7 @@ class EocGroup:
         # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
         self._u_letters[None] = None
-        tokens = self.generator_tokens()
-        self._generator_syllables = [self._token_syllable(tok) for tok in tokens]
-        # _forward_gens[g]: the generators that do not undo generator g, by
-        # index; the last entry, also read as index -1 (the identity's tree
-        # generator), holds them all
-        inverse = [
-            tokens.index(-tok if isinstance(tok, int) else (*tok[:2], -tok[2])) for tok in tokens
-        ]
-        self._forward_gens = [
-            tuple(h for h in range(len(tokens)) if h != inverse[g]) for g in range(len(tokens))
-        ] + [tuple(range(len(tokens)))]
-        # the same as arrays for _grow_layer, with row -1 for the identity:
-        # _forward[t, i] is _forward_gens[t][i], _slot[t, g] is the i of g
-        # (0 for the generator that undoes t), and _inverse[t] undoes t
-        self._inverse = np.array(inverse + [-1], dtype=np.intp)
-        self._forward = np.zeros((len(tokens) + 1, len(tokens)), dtype=np.intp)
-        self._slot = np.zeros_like(self._forward)
-        for t, forward in enumerate(self._forward_gens):
-            self._forward[t, : len(forward)] = forward
-            self._slot[t, forward] = range(len(forward))
-        # _commute[h, g]: h and g commute by a defining relation, as two t's
-        # of one stage, or as a t of stage j and a letter that is u_j or its
-        # inverse; a generator and itself or its inverse are left out, and
-        # the table is None when no pair is left
-        single = {abs(s.u.letters[0]): j for j, s in enumerate(self.stages) if len(s.u) == 1}
-        centres = [tok[1] if isinstance(tok, tuple) else single.get(abs(tok)) for tok in tokens]
-        commute = np.array(
-            [
-                [c is not None and c == d and g not in (h, inverse[h]) for g, d in enumerate(centres)]
-                for h, c in enumerate(centres)
-            ],
-            dtype=bool,
-        )
-        self._commute = commute if commute.any() else None
+        self._generator_syllables = [self._token_syllable(tok) for tok in self.generator_tokens()]
         # the ball's BFS tree, by ball index: element k is element
         # _tree_parents[k] times generator _tree_gens[k] (-1 for the
         # identity), and the elements of word length <= r are the first _ends[r]
@@ -311,15 +293,44 @@ class EocGroup:
         self._ends: list[int] = [1]
         # the normal forms built so far, by ball index (_form)
         self._forms: dict[int, tuple] = {0: ()}
-        # the last layer's phi matrices as int32, every element's key in
-        # sorted order, and the ball indices in that order
-        self._layer_matrices, keys = _root()
-        self._keys = keys.astype(np.uint64)
-        self._key_index = np.zeros(1, dtype=np.int32)
-        # the last layer's resolution row, read by its successor's squares:
-        # per candidate of the layer, the ball index of its element if the
-        # layer has it, else -1; kept only when _commute is set
-        self._row: Optional[np.ndarray] = None
+        # the last layer's phi matrices as int32
+        self._layer_matrices = _root()[0]
+        # the last layer's resolution row, read by the next layer's back
+        # edges and squares: per candidate of the layer, the ball index of
+        # its element if the layer has it, else -1 (empty for the identity)
+        self._row = np.empty(0, dtype=np.int32)
+
+    def _index_tables(self) -> None:
+        """Build the ball's index tables, by generator index; row -1 is the identity's.
+
+        ``_inverse[g]`` undoes g.  ``_forward_gens[g]`` holds the generators
+        that do not undo g, ``_forward[t, i]`` is ``_forward_gens[t][i]``
+        (0 past its end), and ``_slot[t, g]`` is the i of g (0 for the g
+        that undoes t).  ``_commute[h, g]``: h and g commute by a defining
+        relation, as two t's of one stage, or as a t of stage j and a letter
+        that is u_j or its inverse; g = h and g = h^-1 are left out.
+        """
+        tokens = self.generator_tokens()
+        n = len(tokens)
+        inverse = [
+            tokens.index(-tok if isinstance(tok, int) else (*tok[:2], -tok[2])) for tok in tokens
+        ] + [-1]
+        self._inverse = np.array(inverse, dtype=np.intp)
+        self._forward_gens = [tuple(h for h in range(n) if h != undo) for undo in inverse]
+        self._forward = np.zeros((n + 1, n), dtype=np.intp)
+        self._slot = np.zeros_like(self._forward)
+        for t, forward in enumerate(self._forward_gens):
+            self._forward[t, : len(forward)] = forward
+            self._slot[t, forward] = range(len(forward))
+        single = {abs(s.u.letters[0]): j for j, s in enumerate(self.stages) if len(s.u) == 1}
+        centres = [tok[1] if isinstance(tok, tuple) else single.get(abs(tok)) for tok in tokens]
+        self._commute = np.array(
+            [
+                [c is not None and c == d and g not in (h, inverse[h]) for g, d in enumerate(centres)]
+                for h, c in enumerate(centres + [None])
+            ],
+            dtype=bool,
+        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -499,13 +510,29 @@ class EocGroup:
             head = forms[k] = self._times(head, self._generator_syllables[self._tree_gens[k]])
         return head
 
+    def _back_edges(self, lo: int, width: int) -> np.ndarray:
+        """The next layer's old candidates, read from the last layer's row (``_grow_layer``)."""
+        depth = len(self._ends)
+        prev_lo = self._ends[-3] if depth > 2 else 0
+        prev_width = self._forward.shape[1] - (depth > 2)
+        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)
+        c = np.flatnonzero(self._row >= 0)
+        p = self._row[c]
+        # candidate c is (Y, h), and it resolved to P
+        h = self._forward[tree_gens[c // prev_width + prev_lo], c % prev_width]
+        pg = tree_gens[p]
+        # h is P's generator only on P's tree edge, where h^-1 undoes it and
+        # _slot reads 0
+        back = h != pg
+        return (p[back] - lo) * width + self._slot[pg[back], self._inverse[h[back]]]
+
     def _squares(
         self, lo: int, width: int, c: np.ndarray, parents: np.ndarray, gens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The commuting squares of candidates `c`, with their parents and generators.
 
-        Returns the candidates proven old, the candidates linked to another
-        of the layer, and those others (the square rule of ``_grow_layer``).
+        Returns the candidates linked to another of the layer, and those
+        others (the square rule of ``_grow_layer``).
         """
         tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc)
         tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)
@@ -521,27 +548,27 @@ class EocGroup:
         x = self._row[(q - prev_lo) * prev_width + self._slot[qg, g]]
         # x = -1 reads the last element's generator, which x < 0 masks
         xg = tree_gens[x]
-        old = (g == self._inverse[qg]) | (x < 0) | (h == self._inverse[xg])
-        linked = ~old
-        return c[old], c[linked], (x[linked] - lo) * width + self._slot[xg[linked], h[linked]]
+        linked = (g != self._inverse[qg]) & (x >= 0) & (h != self._inverse[xg])
+        return c[linked], (x[linked] - lo) * width + self._slot[xg[linked], h[linked]]
 
     def _live_classes(
-        self, lo: int, width: int, gen_matrices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]:
+        self, lo: int, width: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The next layer's live classes (``_grow_layer``), by their least candidates.
 
         Returns their keys, their least candidates, each candidate's class
         label and every candidate's matrix.  The candidates are keyed in
-        blocks of whole parents and linked by squares when two generators
-        commute; without squares the labels are None, and each candidate is
-        a class.
+        blocks of whole parents and linked by commuting squares, and a class
+        that a back edge reaches is old.
         """
-        depth, size = len(self._ends), self._ends[-1]
+        size = self._ends[-1]
         n = (size - lo) * width
-        squares = self._commute is not None and depth > 1
+        gen_matrices = np.array(
+            [_phi(self, syl) for syl in self._generator_syllables], dtype=np.int64
+        ).reshape(-1, 2, 2)
         keys = np.empty(n, dtype=np.uint64)
         matrices = np.empty((n, 2, 2), dtype=np.int32)
-        old, src, dst = [], [], []
+        src, dst = [], []
         step = _BLOCK // width * width
         tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)[lo:size]
         for start in range(0, n, step):
@@ -552,67 +579,59 @@ class EocGroup:
             keys[start:stop] = _layer_keys(
                 self._layer_matrices, parents - lo, gen_matrices, gens, matrices[start:stop]
             )
-            if squares:
-                found = self._squares(lo, width, np.arange(start, stop), parents, gens)
-                for blocks, block in zip((old, src, dst), found):
-                    blocks.append(block)
-        if not squares:
-            return keys, np.arange(n), None, matrices
+            linked, other = self._squares(lo, width, np.arange(start, stop), parents, gens)
+            src.append(linked)
+            dst.append(other)
         labels = _classes(n, np.concatenate(src), np.concatenate(dst))
-        dead = labels != np.arange(n)
-        dead[labels[np.concatenate(old)]] = True
-        reps = np.flatnonzero(~dead)
+        live = labels == np.arange(n)
+        live[labels[self._back_edges(lo, width)]] = False
+        reps = np.flatnonzero(live)
         return keys[reps], reps, labels, matrices
 
     def _grow_layer(self, cap: int) -> None:
         """Add the next BFS layer; past `cap` elements, raise and keep none of it.
 
-        Commuting squares settle most candidates without a normal form.
-        Take a candidate c = P g whose parent P = Q h has a tree generator h
-        that commutes with g by a defining relation (``_commute``).  Then
-        c = (Q g) h.  With L the word length of P, c is old, equal to an
-        element of length <= L, when
-          * g undoes Q's generator: Q g is Q's parent, of length L - 2;
-          * else X = Q g, a candidate of the layer before, is not in
-            layer L (its row entry in ``_row`` is -1): it has length <= L - 1;
-          * or h undoes X's generator: c is X's parent, of length L - 1.
-        Otherwise c equals the candidate (X, h) of this layer, and the two
-        are linked.  A class of linked candidates is one element: old if a
-        member is, else new if its key occurs in no other class and among no
-        earlier element, as distinct keys mean distinct elements.  The
-        other classes are settled by normal forms, one member each, in
-        candidate order.  So each new element's tree entry is its least
-        candidate, as if every candidate were settled by its normal form.
+        Back edges find every old candidate.  Each defining relation has
+        even length, so a candidate c = P g, with P of word length L, has
+        length L + 1 or L - 1, and c is old exactly when P g lies in layer
+        L - 1.  Then (P g, g^-1) is a candidate of layer L that resolved to
+        P, other than P's tree edge, as ``_row`` records (``_back_edges``).
+
+        Commuting squares settle most of the other duplicates without a
+        normal form.  Take a candidate c = P g whose parent P = Q h has a
+        tree generator h that commutes with g by a defining relation
+        (``_commute``).  Then c = (Q g) h, and unless g undoes Q's
+        generator, X = Q g is not in layer L (its row entry is -1), or h
+        undoes X's generator (in each case c is old), c equals the
+        candidate (X, h) of this layer, and the two are linked.  A class of
+        linked candidates is one element: old if a back edge reaches a
+        member, else new if its key occurs in no other class of the layer,
+        as distinct keys mean distinct elements.  The other classes are
+        settled by normal forms, one member each, in candidate order.  So
+        each new element's tree entry is its least candidate, as if every
+        candidate were settled by its normal form.
         """
         depth, size = len(self._ends), self._ends[-1]
         lo = self._ends[-2] if depth > 1 else 0
-        gen_matrices = np.array(
-            [_phi(self, syl) for syl in self._generator_syllables], dtype=np.int64
-        ).reshape(-1, 2, 2)
         # the candidates in candidate order: the parents in ball order, each
         # with its forward generators in token order
         width = self._forward.shape[1] - (depth > 1)
-        keys, reps, labels, matrices = self._live_classes(lo, width, gen_matrices)
-        new, fresh, settled, merged = self._settle(lo, width, keys, reps)
-        count = len(fresh)
+        keys, reps, labels, matrices = self._live_classes(lo, width)
+        new, settled, merged = self._settle(lo, width, keys, reps)
+        kept = reps[new]
+        count = len(kept)
         if size + count > cap:
             raise BudgetExceeded(
                 f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
             )
-        # the new keys, in key order, go after the equal earlier ones
-        self._keys, self._key_index = _merge(
-            self._keys, self._key_index, keys[fresh], size + (np.cumsum(new) - 1)[fresh]
-        )
-        kept = reps[new]
         self._layer_matrices = np.take(matrices, kept, axis=0)
         # the per-candidate arrays go before the layer's own are built
-        del keys, reps, new, fresh, matrices
-        if self._commute is not None:
-            # the ball index of each class's element, by its least candidate
-            index = np.full((size - lo) * width, -1, dtype=np.int32)
-            index[kept] = np.arange(size, size + count, dtype=np.int32)
-            index[list(merged)] = index[list(merged.values())]
-            self._row = index if labels is None else index[labels]
+        del keys, reps, new, matrices
+        # the ball index of each class's element, by its least candidate
+        index = np.full(len(labels), -1, dtype=np.int32)
+        index[kept] = np.arange(size, size + count, dtype=np.int32)
+        index[list(merged)] = index[list(merged.values())]
+        self._row = index[labels]
         parents = kept // width + lo
         gens = self._forward[np.frombuffer(self._tree_gens, dtype=np.intc)[parents], kept % width]
         self._tree_parents.frombytes(parents.astype(np.intc).tobytes())
@@ -624,51 +643,82 @@ class EocGroup:
 
     def _settle(
         self, lo: int, width: int, keys: np.ndarray, reps: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+    ) -> tuple[np.ndarray, dict, dict]:
         """Which live classes of the next layer are new (``_grow_layer``).
 
         `keys` and `reps` are the classes' keys and least candidates.  A
-        class is new if no earlier element and no other class shares its
-        key; the others are settled by normal forms, in candidate order.
-        Returns the mask of new classes, their positions in key order, the
-        normal forms built for new classes and, for each class settled as
-        equal to an earlier one of the layer, that class, by least candidate.
+        class whose key no other class shares is new; the others are
+        settled by normal forms, in candidate order.  Returns the mask of
+        new classes, the normal forms built for new classes and, for each
+        class settled as equal to an earlier one, that class, by least
+        candidate.
         """
         order = np.argsort(keys)
-        ordered = keys[order]
-        repeated = ordered[1:] == ordered[:-1]
-        clash = _members(self._keys, ordered)
-        clash[1:] |= repeated
-        clash[:-1] |= repeated
-        earlier = self._key_index[_members(ordered[clash], self._keys)]
-        clash[order] = clash.copy()
-        # every form equal to a candidate's has its key, so the forms of the
-        # earlier elements with clashing keys settle them all; seen maps a
-        # form to the first class with it, or to -1 for an earlier element
+        repeated = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+        clash = np.zeros(len(keys), dtype=bool)
+        clash[order[repeated]] = clash[order[repeated + 1]] = True
         times, gen_syllables, form = self._times, self._generator_syllables, self._form
         forward, tree_gens = self._forward_gens, self._tree_gens
-        seen = dict.fromkeys([form(e) for e in earlier.tolist()], -1)
-        settled, merged = {}, {}
+        # seen maps a normal form to the first class with it
+        seen, merged = {}, {}
         for i in reps[clash].tolist():
             parent, slot = divmod(i, width)
             parent += lo
             syllables = times(form(parent), gen_syllables[forward[tree_gens[parent]][slot]])
             j = seen.setdefault(syllables, i)
-            if j == i:
-                settled[i] = syllables
-            elif j >= 0:
+            if j != i:
                 merged[i] = j
+        settled = {i: syllables for syllables, i in seen.items()}
         new = ~clash
         new[np.searchsorted(reps, list(settled))] = True
-        return new, order[new[order]], settled, merged
+        return new, settled, merged
+
+    def _tree_keys(self, n: int, matrices: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """The keys of the first `n` ball elements, n a layer end, under a homomorphism.
+
+        The homomorphism, into SL(2, F_P), sends the i-th generator
+        (``generator_tokens()`` order) to ``matrices[i]``, (a, b, c, d).  It is evaluated over the
+        BFS tree one layer at a time: an element's matrix is its parent's
+        times its generator's, mod P, in blocks of ``_BLOCK`` elements
+        (``_layer_keys``, which keys the ball's candidates too).  Only the
+        previous and the current layer's matrices are kept, as int32, so
+        it holds 16 bytes per element of two layers and 8 per ball
+        element, the 64-bit key of its four entries (``_key``).
+        """
+        tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc, count=n)
+        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc, count=n)
+        g = np.array(matrices, dtype=np.int64).reshape(-1, 2, 2)
+        keys = np.empty(n, dtype=np.uint64)
+        prev, keys[:1] = _root()
+        prev_lo = 0
+        for lo, hi in zip(self._ends, self._ends[1:]):
+            if lo == n:
+                break
+            layer = np.empty((hi - lo, 2, 2), dtype=np.int32)
+            for start in range(lo, hi, _BLOCK):
+                stop = min(start + _BLOCK, hi)
+                keys[start:stop] = _layer_keys(
+                    prev,
+                    tree_parents[start:stop] - prev_lo,
+                    g,
+                    tree_gens[start:stop],
+                    layer[start - lo : stop - lo],
+                )
+            prev, prev_lo = layer, lo
+        return keys
 
     def _find(self, syllables: tuple[tuple[int, ...], ...]) -> Optional[int]:
-        """The ball index of the element with these canonical syllables, if the ball has it yet."""
+        """The ball index of the element with these canonical syllables, if the ball has it yet.
+
+        Only the elements whose phi key (``_tree_keys``) is the element's
+        are compared by normal form.
+        """
+        keys = self._tree_keys(
+            self._ends[-1], [_phi(self, syl) for syl in self._generator_syllables]
+        )
         m = reduce(_mat_mul, [_phi(self, syl) for syl in syllables], _IDENTITY)
-        key = _key(np.array(m, dtype=np.int64).reshape(1, 2, 2)).astype(np.uint64)
-        first = int(np.searchsorted(self._keys, key, side="left")[0])
-        last = int(np.searchsorted(self._keys, key, side="right")[0])
-        for k in self._key_index[first:last].tolist():
+        key = _key(np.array(m, dtype=np.int64).reshape(1, 2, 2))
+        for k in np.flatnonzero(keys == key).tolist():
             if self._form(k) == syllables:
                 return k
         return None
@@ -802,14 +852,6 @@ def _root() -> tuple[np.ndarray, np.ndarray]:
     return m.astype(np.int32), _key(m)
 
 
-def _members(ordered: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each of `keys` occurs in the sorted array `ordered`."""
-    if not len(ordered):
-        return np.zeros(len(keys), dtype=bool)
-    # a key past the last entry wraps to the first, which is smaller
-    return ordered[np.searchsorted(ordered, keys) % len(ordered)] == keys
-
-
 def _classes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """The least node connected to each of n nodes by the edges src[i] -- dst[i].
 
@@ -827,22 +869,6 @@ def _classes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         labels[src] = low
         np.minimum.at(labels, dst, low)
         labels = labels[labels]
-
-
-def _merge(
-    keys: np.ndarray, index: np.ndarray, new_keys: np.ndarray, new_index: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted `keys` and their `index` entries, with sorted `new_keys` and theirs after equal keys."""
-    at = np.searchsorted(keys, new_keys, side="right") + np.arange(len(new_keys))
-    rest = np.ones(len(keys) + len(at), dtype=bool)
-    rest[at] = False
-    rest = np.flatnonzero(rest)
-    merged = []
-    for old, new in ((keys, new_keys), (index, new_index)):
-        out = np.empty(len(rest) + len(at), dtype=old.dtype)
-        out[at], out[rest] = new, old
-        merged.append(out)
-    return merged[0], merged[1]
 
 
 def _layer_keys(

@@ -34,19 +34,18 @@ retraction with the group's own fingerprint homomorphism phi into
 SL(2, F_P), P = 2^31 - 1 (``eocgroup._phi``: seeded random matrices
 for the base letters, and powers of phi(u_j) for the t's of stage j,
 with which they commute), restricted to the target, and evaluates the
-composite layer by layer in numpy blocks, as the ball keys its
-candidates (``eocgroup._layer_keys``): an element's matrix is its
-parent's times its generator's, and only two layers are held at once.
-Each element leaves a 64-bit key of its matrix.  Equal images have
-equal matrices, so distinct keys mean distinct images; each run of
-equal keys is settled exactly, by rebuilding the images from the root
-with the target's own product (``EocGroup._times``, or
+composite over the ball's tree with ``EocGroup._tree_keys``, the
+group's one tree evaluator, which ``word_length`` uses too: an element's
+matrix is its parent's times its generator's, and only two layers are
+held at once.  Each element leaves a 64-bit key of its matrix.  Equal
+images have equal matrices, so distinct keys mean distinct images; each
+run of equal keys is settled exactly, by rebuilding the images from the
+root with the target's own product (``EocGroup._times``, or
 ``freewords.join_letters`` once the target is the free base) and
-comparing them.  No number this module returns
-depends on phi, and the pair reported is the one a ball-order scan of
-the images finds first.  The walk has no early stop, so a failing p
-costs a whole walk; the floor already rules out the small p, whose
-collisions lie earliest in the ball.
+comparing them.  No number this module returns depends on phi, and the
+pair reported is the one a ball-order scan of the images finds first.
+The walk has no early stop, so a failing p costs a whole walk; the floor
+already rules out the small p, whose collisions lie earliest in the ball.
 """
 
 from __future__ import annotations
@@ -61,15 +60,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .eocgroup import (
-    _BLOCK,
     DEFAULT_BALL_CAP,
     EocElement,
     EocGroup,
     EocStage,
-    _layer_keys,
     _mat_pow,
     _phi,
-    _root,
     _syllable_word,
 )
 from .errors import AscentExhausted
@@ -200,46 +196,21 @@ def _first_collision(
     of the target (``eocgroup._phi``), so psi, phi after the images, is a
     homomorphism too.
 
-    psi is evaluated over the ball's BFS tree one layer at a time: the
-    matrix of element c is its parent's matrix times its generator's,
-    mod P, in blocks of ``_BLOCK`` elements (``eocgroup._layer_keys``,
-    which the ball's growth uses too).  Only the previous and the current
-    layer's entries are kept, as int32, so the walk holds 16 bytes per
-    element of two layers and 8 per ball element, the 64-bit key of its
-    four entries (``eocgroup._key``).  The
-    whole ball is walked even when two images collide early: the
-    ascent's floor already rules out the p whose collisions lie early.
-    Equal images have equal matrices and so equal keys, so elements with
-    distinct keys have distinct images and no collision is missed.  Each
-    run of equal keys is then settled exactly: the images are rebuilt
-    from the root (at most R products each) and compared, so no returned
-    pair depends on phi.  The pair returned is the one a ball-order scan
-    of the images would stop at: the least later index k whose image
-    occurred before, and the first index j with that image.
+    psi is evaluated over the ball's BFS tree by
+    ``EocGroup._tree_keys``, one 64-bit key per element.  The whole ball
+    is walked even when two images collide early: the ascent's floor
+    already rules out the p whose collisions lie early.  Equal images have
+    equal matrices and so equal keys, so elements with distinct keys have
+    distinct images and no collision is missed.  Each run of equal keys is
+    then settled exactly: the images are rebuilt from the root (at most R
+    products each) and compared, so no returned pair depends on phi.  The
+    pair returned is the one a ball-order scan of the images would stop
+    at: the least later index k whose image occurred before, and the first
+    index j with that image.
     """
     group = ball[0].group
-    n = len(ball)
+    keys = group._tree_keys(len(ball), generator_matrices)
     parents, gens = group._tree_parents, group._tree_gens
-    tree_parents = np.frombuffer(parents, dtype=np.intc, count=n)
-    tree_gens = np.frombuffer(gens, dtype=np.intc, count=n)
-    g = np.array(generator_matrices, dtype=np.int64).reshape(-1, 2, 2)
-    keys = np.empty(n, dtype=np.uint64)
-    prev, keys[:1] = _root()
-    prev_lo, ends = 0, group._ends
-    for lo, hi in zip(ends, ends[1:]):
-        if lo == n:
-            break
-        layer = np.empty((hi - lo, 2, 2), dtype=np.int32)
-        for start in range(lo, hi, _BLOCK):
-            stop = min(start + _BLOCK, hi)
-            keys[start:stop] = _layer_keys(
-                prev,
-                tree_parents[start:stop] - prev_lo,
-                g,
-                tree_gens[start:stop],
-                layer[start - lo : stop - lo],
-            )
-        prev, prev_lo = layer, lo
 
     def image(k: int):
         path = []

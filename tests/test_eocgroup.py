@@ -626,22 +626,20 @@ class TestBallOracle:
 
 
 def ball_state(group, radius):
-    """The ball's tree arrays, layer ends, normal forms and key map."""
+    """The ball's tree arrays, layer ends, normal forms and last layer's matrices."""
     group.ball(radius)
     return (
         list(group._tree_parents),
         list(group._tree_gens),
         list(group._ends),
         [group._form(k) for k in range(group._ends[-1])],
-        sorted(zip(group._keys.tolist(), group._key_index.tolist())),
         group._layer_matrices.tobytes(),
     )
 
 
 def without_squares(monkeypatch, group):
     """Patch the group's commute table to all-False: every duplicate goes through the keys."""
-    if group._commute is not None:
-        monkeypatch.setattr(group, "_commute", np.zeros_like(group._commute))
+    monkeypatch.setattr(group, "_commute", np.zeros_like(group._commute))
     return group
 
 
@@ -672,9 +670,9 @@ class TestSquares:
                 for y in (letter, -letter):
                     expected |= {(x, y), (y, x)}
         assert pairs == expected
-        assert EocGroup(A, [(a * b, 1)])._commute is None
-        assert EocGroup(A, [])._commute is None
-        assert EocGroup(A, [(a * b, 2)])._commute is not None
+        assert not EocGroup(A, [(a * b, 1)])._commute.any()
+        assert not EocGroup(A, [])._commute.any()
+        assert EocGroup(A, [(a * b, 2)])._commute.any()
 
     @pytest.mark.parametrize(
         "stages, radius",
@@ -728,3 +726,44 @@ class TestSquares:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.splitlines()[-1] == "False"
+
+
+def assert_back_edges_exact(group, radius):
+    """Each layer's back edges are the candidates whose normal form is already in the ball.
+
+    Each such form lies in the layer two back.  `group` has grown no ball.
+    """
+    tokens = len(group.generator_tokens())
+    for r in range(1, radius + 1):
+        group.ball(r - 1)
+        two_back, lo, size = ([0, 0] + group._ends)[-3:]
+        ball = {group._form(k): k for k in range(size)}
+        found = [
+            ball.get(group._times(group._form(p), group._generator_syllables[g]))
+            for p in range(lo, size)
+            for g in group._forward_gens[group._tree_gens[p]]
+        ]
+        old = [c for c, k in enumerate(found) if k is not None]
+        assert sorted(group._back_edges(lo, tokens - (r > 1)).tolist()) == old, r
+        assert all(two_back <= found[c] < lo for c in old), r
+
+
+class TestBackEdges:
+    """Back edges find every old candidate, and nothing else."""
+
+    @FROZEN_BALLS
+    def test_frozen_specs(self, stages, radius, size, digest):
+        assert_back_edges_exact(EocGroup(A, stages), radius)
+
+    @pytest.mark.parametrize(
+        "rank, stages, radius",
+        [(2, [("g1 g2", 1)], 5), (2, [], 6), (3, [("g2", 2), ("G2 G3", 1), ("g1 g3 G2", 1)], 3)],
+        ids=["g1g2", "free", "free-rank-3-tower"],
+    )
+    def test_named_specs(self, rank, stages, radius):
+        assert_back_edges_exact(tokens_group(stages, rank), radius)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(groups(), st.integers(1, 3))
+    def test_random_groups(self, G, radius):
+        assert_back_edges_exact(EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]), radius)
