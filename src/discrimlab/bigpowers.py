@@ -158,45 +158,15 @@ def threshold(spec: PaddedWordSpec) -> int:
 
 @dataclass
 class CertifyReport:
-    """Independent validation of a threshold: random probes plus boundary sweep."""
+    """What ``certify`` checked of a threshold N: its samples and the sweep's trivializing tuples.
 
-    spec_echo: str
+    ``certify`` raises ``CertificationError`` before it returns a report
+    with a trivializing tuple above N, so every returned report passes.
+    """
+
     threshold: int
-    sweep_cap: int
-    samples: int
-    seed: int
     trivializing: list[tuple[int, ...]] = field(default_factory=list)
     sampled_ok: int = 0
-
-    @property
-    def passed(self) -> bool:
-        N = self.threshold
-        return all(min(abs(x) for x in r) <= N for r in self.trivializing)
-
-    def as_text(self) -> str:
-        lines = [
-            f"spec: {self.spec_echo}",
-            f"threshold: {self.threshold}",
-            f"sweep_cap: {self.sweep_cap}",
-            f"samples: {self.samples}",
-            f"seed: {self.seed}",
-            f"sampled_ok: {self.sampled_ok}",
-            f"trivializing_tuples: {len(self.trivializing)}",
-        ]
-        for r in self.trivializing:
-            lines.append(f"  trivial_at: {r}")
-        lines.append(f"verdict: {'pass' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def _spec_echo(spec: PaddedWordSpec) -> str:
-    parts = [f"u=({spec.u.tokens()})"]
-    parts.append("gs=[" + ", ".join(f"({g.tokens()})" for g in spec.gs) + "]")
-    if spec.flank_left is not None:
-        parts.append(f"flank_left=({spec.flank_left.tokens()})")
-    if spec.flank_right is not None:
-        parts.append(f"flank_right=({spec.flank_right.tokens()})")
-    return " ".join(parts)
 
 
 def _sweep_words(
@@ -245,13 +215,7 @@ def certify(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if sweep_cap < 0:
         raise ValueError(f"sweep_cap must be >= 0, got {sweep_cap}")
-    report = CertifyReport(
-        spec_echo=_spec_echo(spec),
-        threshold=N,
-        sweep_cap=sweep_cap,
-        samples=samples,
-        seed=seed,
-    )
+    report = CertifyReport(threshold=N)
     rng = random.Random(seed)
     k = spec.k
     # build_padded gives W = fl w fr for the core word w, and a lemma word

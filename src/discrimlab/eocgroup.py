@@ -98,7 +98,10 @@ ball index (``_form``); the view builds its elements that way.  A layer
 that exceeds the cap is not kept.  ``_tree_keys``, the one tree
 evaluator, evaluates a homomorphism into SL(2, F_P) on the whole ball
 with one product per element: ``word_length`` uses it with phi, and
-``retraction._first_collision`` with phi after a retraction.
+``retraction._first_collision`` with phi after a retraction.  The walk
+and the layer settle take their clashing keys from one ``_clashing``,
+and confirm each clash exactly: the layer by normal forms, the walk by
+the retraction's own map.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -647,16 +650,14 @@ class EocGroup:
         """Which live classes of the next layer are new (``_grow_layer``).
 
         `keys` and `reps` are the classes' keys and least candidates.  A
-        class whose key no other class shares is new; the others are
-        settled by normal forms, in candidate order.  Returns the mask of
+        class whose key no other class shares is new; the others
+        (``_clashing``, which the collision walk uses too) are settled by
+        normal forms, in candidate order.  Returns the mask of
         new classes, the normal forms built for new classes and, for each
         class settled as equal to an earlier one, that class, by least
         candidate.
         """
-        order = np.argsort(keys)
-        repeated = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
-        clash = np.zeros(len(keys), dtype=bool)
-        clash[order[repeated]] = clash[order[repeated + 1]] = True
+        clash = _clashing(keys)
         times, gen_syllables, form = self._times, self._generator_syllables, self._form
         forward, tree_gens = self._forward_gens, self._tree_gens
         # seen maps a normal form to the first class with it
@@ -850,6 +851,15 @@ def _root() -> tuple[np.ndarray, np.ndarray]:
     """The identity's layer: its matrix as one int32 2x2 block, and its key."""
     m = np.array(_IDENTITY, dtype=np.int64).reshape(1, 2, 2)
     return m.astype(np.int32), _key(m)
+
+
+def _clashing(keys: np.ndarray) -> np.ndarray:
+    """The mask of the entries of `keys` whose value occurs more than once."""
+    order = np.argsort(keys)
+    repeated = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    clash = np.zeros(len(keys), dtype=bool)
+    clash[order[repeated]] = clash[order[repeated + 1]] = True
+    return clash
 
 
 def _classes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -25,36 +25,33 @@ collision there.
 
 Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
-and a retraction is a homomorphism, so the image of an element is the
-image of its parent times the image of its generator.  Only the
-generators go through ``_image``, and each generator's image is one
-syllable of the target (a base word, or a lower-stage abelian
-syllable).  The walk does not build the other images.  It composes the
-retraction with the group's own fingerprint homomorphism phi into
-SL(2, F_P), P = 2^31 - 1 (``eocgroup._phi``: seeded random matrices
-for the base letters, and powers of phi(u_j) for the t's of stage j,
-with which they commute), restricted to the target, and evaluates the
-composite over the ball's tree with ``EocGroup._tree_keys``, the
-group's one tree evaluator, which ``word_length`` uses too: an element's
-matrix is its parent's times its generator's, and only two layers are
-held at once.  Each element leaves a 64-bit key of its matrix.  Equal
-images have equal matrices, so distinct keys mean distinct images; each
-run of equal keys is settled exactly, by rebuilding the images from the
-root with the target's own product (``EocGroup._times``, or
-``freewords.join_letters`` once the target is the free base) and
-comparing them.  No number this module returns depends on phi, and the
-pair reported is the one a ball-order scan of the images finds first.
-The walk has no early stop, so a failing p costs a whole walk; the floor
-already rules out the small p, whose collisions lie earliest in the ball.
+and a retraction is a homomorphism.  The walk composes the retraction
+with the group's own fingerprint homomorphism phi into SL(2, F_P),
+P = 2^31 - 1 (``eocgroup._phi``: seeded random matrices for the base
+letters, and powers of phi(u_j) for the t's of stage j, with which they
+commute), restricted to the target.  Only the generators' matrices are
+built, each from one syllable of ``_image``, and
+``EocGroup._tree_keys``, the group's one tree evaluator, evaluates the
+composite over the tree: an element's matrix is its parent's times its
+generator's, and only two layers are held at once.  Each element leaves
+a 64-bit key of its matrix.  Equal images have equal matrices and so
+equal keys, so only elements whose keys clash (``eocgroup._clashing``,
+as the ball settles its layers) can collide.  Those are scanned in ball
+order through the retraction itself (``apply_theta`` or
+``apply_chain``), so no number this module returns depends on phi, and
+the pair reported is the one a ball-order scan of all the images finds
+first.  The keys cover the whole ball, so a failing p costs a whole key
+pass; the floor already rules out the small p, whose collisions lie
+earliest in the ball.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -64,6 +61,7 @@ from .eocgroup import (
     EocElement,
     EocGroup,
     EocStage,
+    _clashing,
     _mat_pow,
     _phi,
     _syllable_word,
@@ -140,28 +138,15 @@ def _image(group: EocGroup, R: int, p: int, k: int, syl: tuple[int, ...]) -> tup
 def apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
     """Push an element through the retraction, landing in the subtower group.
 
-    Each run of base material (base syllables and the u-power images of
-    top-stage syllables, from ``_image``) is reduced into one base
-    syllable first, so the subtower normalizes one syllable per run;
-    lower-stage syllables pass through unchanged.
+    The subtower folds in the syllables' images (``_image``) one at a
+    time: u-powers for the top-stage syllables, the others fixed.  Each
+    image is a syllable that ``_times`` takes, as it joins a base
+    syllable onto a base tail.
     """
     if w.group is not spec.group:
         raise ValueError("element does not belong to the retracted group")
     group, R, p = spec.group, spec.R, spec.p
-    syllables = []
-    run: tuple[int, ...] = ()
-    for syl in w.syllables:
-        syl = _image(group, R, p, 1, syl)
-        if syl and syl[0] & 1:
-            if run:
-                syllables.append(run)
-                run = ()
-            syllables.append(syl)
-        else:
-            run = join_letters(run, syl)
-    if run:
-        syllables.append(run)
-    return spec.target._from_syllables(tuple(syllables))
+    return spec.target._from_syllables(tuple(_image(group, R, p, 1, syl) for syl in w.syllables))
 
 
 def _stage_complexity(stage: EocStage, R: int, p: int) -> int:
@@ -183,63 +168,34 @@ def hom_complexity(spec: ThetaSpec) -> int:
 
 def _first_collision(
     ball: Sequence[EocElement],
-    generator_images: Sequence,
-    mul: Callable,
     generator_matrices: Sequence[tuple[int, ...]],
+    image: Callable[[EocElement], object],
 ) -> Optional[tuple[EocElement, EocElement]]:
-    """The first pair of ball elements, in ball order, with equal images.
+    """The first pair of ball elements, in ball order, with equal images under `image`.
 
-    The images are those of the homomorphism sending the i-th generator
-    (``generator_tokens()`` order) to ``generator_images[i]``, with
-    product ``mul`` and identity ``()``.  ``generator_matrices[i]`` is
-    phi of that image, (a, b, c, d) in SL(2, F_P), for a homomorphism phi
-    of the target (``eocgroup._phi``), so psi, phi after the images, is a
-    homomorphism too.
+    `image` is a homomorphism of the ball's group, and
+    ``generator_matrices[i]`` is phi of the image of the i-th generator
+    (``generator_tokens()`` order), (a, b, c, d) in SL(2, F_P), for a
+    homomorphism phi of the target (``eocgroup._phi``), so psi, phi after
+    `image`, is a homomorphism too.  ``EocGroup._tree_keys`` evaluates psi
+    over the ball's BFS tree, one 64-bit key per element, and only the
+    elements whose keys clash (``eocgroup._clashing``) go through `image`,
+    in ball order.
 
-    psi is evaluated over the ball's BFS tree by
-    ``EocGroup._tree_keys``, one 64-bit key per element.  The whole ball
-    is walked even when two images collide early: the ascent's floor
-    already rules out the p whose collisions lie early.  Equal images have
-    equal matrices and so equal keys, so elements with distinct keys have
-    distinct images and no collision is missed.  Each run of equal keys is
-    then settled exactly: the images are rebuilt from the root (at most R
-    products each) and compared, so no returned pair depends on phi.  The
-    pair returned is the one a ball-order scan of the images would stop
-    at: the least later index k whose image occurred before, and the first
-    index j with that image.
+    Equal images have equal matrices and so equal keys, so both elements
+    of every collision are among those.  The scan is therefore
+    ``tests/oracles.py::brute_first_collision(ball, image)`` restricted to
+    the clashing elements, and returns its pair: the least index k whose
+    image occurred before, and the first index j with that image.  No
+    returned pair depends on phi.
     """
-    group = ball[0].group
-    keys = group._tree_keys(len(ball), generator_matrices)
-    parents, gens = group._tree_parents, group._tree_gens
-
-    def image(k: int):
-        path = []
-        while k:
-            path.append(gens[k])
-            k = parents[k]
-        img = ()
-        for h in reversed(path):
-            img = mul(img, generator_images[h])
-        return img
-
-    order = np.argsort(keys)
-    ordered = keys[order]
-    # the runs of equal keys, each put into ball order
-    runs: dict[int, list[int]] = {}
-    for i in np.flatnonzero(ordered[1:] == ordered[:-1]).tolist():
-        runs.setdefault(int(ordered[i]), [int(order[i])]).append(int(order[i + 1]))
-    best = None
-    for run in sorted(map(sorted, runs.values()), key=operator.itemgetter(1)):
-        if best is not None and run[1] >= best[1]:
-            break
-        seen = {}
-        for k in run:
-            j = seen.setdefault(image(k), k)
-            if j != k:
-                if best is None or k < best[1]:
-                    best = (j, k)
-                break
-    return None if best is None else (ball[best[0]], ball[best[1]])
+    keys = ball[0].group._tree_keys(len(ball), generator_matrices)
+    seen = {}
+    for k in np.flatnonzero(_clashing(keys)).tolist():
+        j = seen.setdefault(image(ball[k]), k)
+        if j != k:
+            return ball[j], ball[k]
+    return None
 
 
 def _images_injective(
@@ -247,27 +203,26 @@ def _images_injective(
 ) -> Optional[tuple[EocElement, EocElement]]:
     """The first pair of ball elements, in ball order, that the top `k` retractions at p merge.
 
-    Each generator image is one syllable of the target (``_image``).  Its
-    matrix is ``_phi`` of that syllable, except that the image u_j^m of a
-    retracted t takes U_j^m, U_j = phi(u_j), straight from its exponent
-    rather than folding the letters of u_j^m.  The walk keys every element
-    by those matrices and settles equal keys with the target's own
-    product rule: ``_times`` on canonical syllables, or ``join_letters``
-    on the base letters once the target is the free base.  The name is
-    the span ``perfbench/tracer.py`` times and counts per p tried.
+    `k` is 1 or every stage.  Each generator's image is one syllable of
+    the target (``_image``), and its matrix is ``_phi`` of that syllable,
+    except that the image u_j^m of a retracted t takes U_j^m, U_j =
+    phi(u_j), straight from its exponent rather than folding the letters
+    of u_j^m.  The walk settles clashing keys with the retraction itself:
+    ``apply_chain`` when k is every stage, else ``apply_theta``.  The name
+    is the span ``perfbench/tracer.py`` times and counts per p tried.
     """
-    images, matrices = [], []
+    matrices = []
     for syl in group._generator_syllables:
         e = _exponent(group, R, p, k, syl)
         if e is None:
-            images.append(syl)
             matrices.append(_phi(group, syl))
         else:
-            u = group._u_letters[syl[0] >> 1]
-            images.append(group._u_power(syl[0] >> 1, e))
-            matrices.append(_mat_pow(_phi(group, u), e))
-    mul = join_letters if k == len(group.stages) else subtower(group)._times
-    return _first_collision(ball, images, mul, matrices)
+            matrices.append(_mat_pow(_phi(group, group._u_letters[syl[0] >> 1]), e))
+    if k == len(group.stages):
+        image = partial(apply_chain, group, R, p)
+    else:
+        image = partial(apply_theta, ThetaSpec(group, R, p))
+    return _first_collision(ball, matrices, image)
 
 
 def _p_ceiling(group: EocGroup, R: int) -> int:

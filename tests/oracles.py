@@ -26,7 +26,6 @@ from discrimlab.bigpowers import (
     DEFAULT_SWEEP_CAP,
     CertifyReport,
     PaddedWordSpec,
-    _spec_echo,
 )
 from discrimlab.eocgroup import EocElement, EocGroup
 from discrimlab.errors import BudgetExceeded, CertificationError
@@ -389,13 +388,7 @@ def brute_certify(
     order, against the (at most four) forbidden words.  One table of
     running powers, |r| <= |N| + 10, serves the samples and the sweep.
     """
-    report = CertifyReport(
-        spec_echo=_spec_echo(spec),
-        threshold=N,
-        sweep_cap=sweep_cap,
-        samples=samples,
-        seed=seed,
-    )
+    report = CertifyReport(threshold=N)
     rng = random.Random(seed)
     k = spec.k
     one = spec.u.alphabet.identity()

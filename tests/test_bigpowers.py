@@ -6,6 +6,7 @@ import random
 import pytest
 
 from discrimlab.bigpowers import (
+    DEFAULT_SWEEP_CAP,
     PaddedWordSpec,
     _certified_block_magnitude,
     _corner_holds,
@@ -157,8 +158,7 @@ class TestCertify:
         for u_text, g_texts in CORPUS:
             s = spec_of(u_text, *g_texts)
             N = threshold(s)
-            report = certify(s, N, samples=300, seed=2024)
-            assert report.passed, report.as_text()
+            certify(s, N, samples=300, seed=2024)
 
     def test_corpus_thresholds_linear_in_size(self):
         sizes, ns = [], []
@@ -185,7 +185,7 @@ class TestCertify:
         assert str(exc.value) == "trivializing tuple (2, 2) above threshold 0: threshold is unsound"
         # the computed threshold covers the collapse point
         assert threshold(s) >= 2
-        assert certify(s, threshold(s), samples=200, seed=0).passed
+        certify(s, threshold(s), samples=200, seed=0)
 
     def test_flanked_sweep_matches_lemma_words(self):
         # certify tests one padded word per tuple; here the four lemma words
@@ -199,18 +199,13 @@ class TestCertify:
             report = certify(s, N, samples=20, seed=3)
             core = PaddedWordSpec(s.u, s.gs)
             fl, fr = s.flank_left or one, s.flank_right or one
-            bound = min(N + 2, report.sweep_cap)
+            bound = min(N + 2, DEFAULT_SWEEP_CAP)
             expected = []
             for r in itertools.product(range(-bound, bound + 1), repeat=s.k + 1):
                 w = build_padded(core, r)
                 if any(x.is_identity() for x in (w, fl * w, w * fr, fl * w * fr)):
                     expected.append(r)
             assert expected and report.trivializing == expected
-
-    def test_report_text(self):
-        s = spec_of("g1", "g2")
-        text = certify(s, 0, samples=10, seed=1).as_text()
-        assert "threshold: 0" in text and "verdict: pass" in text
 
 
 def _outcome(fn, spec, N, **kw):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from discrimlab import eocgroup, retraction
 from discrimlab.eocgroup import DEFAULT_BALL_CAP, EocGroup
 from discrimlab.errors import AscentExhausted, GroupSpecError
-from discrimlab.freewords import Alphabet, Word, join_letters, parse_word
+from discrimlab.freewords import Alphabet, Word, parse_word
 from discrimlab.retraction import (
     ThetaSpec,
     apply_chain,
@@ -498,10 +498,23 @@ def _phi_of_tokens(group, target, text):
     return m
 
 
+def _count_images(monkeypatch):
+    """The elements, in call order, that the walk passes to its `image` from now on."""
+    mapped = []
+    walk = retraction._first_collision
+
+    def counted(ball, matrices, image):
+        return walk(ball, matrices, lambda w: mapped.append(w) or image(w))
+
+    monkeypatch.setattr(retraction, "_first_collision", counted)
+    return mapped
+
+
 class TestFingerprints:
     """The one layered walk: equal keys are settled exactly and the ball-order pair is kept.
 
-    There is no early stop, so every p walks the whole ball.
+    Every p keys the whole ball; only elements whose keys clash are mapped,
+    in ball order, up to the first repeat.
     """
 
     @KEYS
@@ -575,7 +588,7 @@ class TestFingerprints:
         letters = [images[tok].letters for tok in group.generator_tokens()]
         matrices = [eocgroup._phi(group, tuple(2 * x for x in word)) for word in letters]
         expected = brute_first_collision(ball, image)
-        assert retraction._first_collision(ball, letters, join_letters, matrices) == expected
+        assert retraction._first_collision(ball, matrices, image) == expected
         assert (expected and (ball.index(expected[0]), ball.index(expected[1]))) == pair
 
     # p = 1 collides early in the R = 7 ball; p = 11, one below p_min,
@@ -587,6 +600,30 @@ class TestFingerprints:
         pair = retraction._images_injective(group, R, p, ball, 1)
         assert pair == brute_first_collision(ball, lambda w: apply_theta(ThetaSpec(group, R, p), w))
         assert (ball.index(pair[1]), len(ball)) == (index, size)
+
+    @pytest.mark.parametrize("label", sorted(WALK_SPECS))
+    def test_walk_at_p_min_maps_no_element(self, label, monkeypatch):
+        # no two images at p_min share a real key, so no element is mapped
+        group, R = _walk_group(label)
+        ball = group.ball(R)
+        ks = sorted({1, len(group.stages)})
+        p_min = [retraction._least_injective_p(group, R, DEFAULT_BALL_CAP, k) for k in ks]
+        mapped = _count_images(monkeypatch)
+        for k, p in zip(ks, p_min):
+            assert retraction._images_injective(group, R, p, ball, k) is None
+        assert mapped == []
+
+    @pytest.mark.parametrize("R, p, index", [(7, 1, 5), (6, 11, 6_270)])
+    def test_clashing_walk_maps_ball_order_up_to_pair(self, R, p, index, monkeypatch):
+        # with every key equal, the walk maps the ball in order and stops at
+        # the pair's second element
+        group = EocGroup(A, [(a, 1)])
+        ball = group.ball(R)
+        monkeypatch.setattr(eocgroup, "_key", lambda m: np.zeros(len(m), dtype=np.int64))
+        mapped = _count_images(monkeypatch)
+        pair = retraction._images_injective(group, R, p, ball, 1)
+        assert pair == brute_first_collision(ball, lambda w: apply_theta(ThetaSpec(group, R, p), w))
+        assert pair[1] == ball[index] and mapped == list(ball[: index + 1])
 
     def test_walk_memory_bounded(self):
         # the R = 7 ball has 46,367 elements; holding all their images
