@@ -158,7 +158,7 @@ def threshold(spec: PaddedWordSpec) -> int:
 
 @dataclass
 class CertifyReport:
-    """What ``certify`` checked of a threshold N: its samples and the sweep's trivializing tuples.
+    """What ``certify`` checked of a threshold N: its samples and the box's trivializing tuples.
 
     ``certify`` raises ``CertificationError`` before it returns a report
     with a trivializing tuple above N, so every returned report passes.
@@ -169,23 +169,41 @@ class CertifyReport:
     sampled_ok: int = 0
 
 
-def _sweep_words(
-    start: tuple[int, ...],
-    tails: Sequence[tuple[int, ...]],
-    powers: Sequence[tuple[int, tuple[int, ...]]],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(e, letters of start u^e_1 tail_1 ... u^e_m tail_m) for every e in powers^m.
+def _hits(
+    spec: PaddedWordSpec,
+    values: Sequence[int],
+    powers: Mapping[int, tuple[int, ...]],
+    forbidden: Sequence[tuple[int, ...]],
+) -> list[tuple[int, ...]]:
+    """Every r in values^(k+1) whose padded word is one of the distinct ``forbidden``
+    words, in ``itertools.product`` order.
 
-    The exponent tuples come out in ``itertools.product`` order.
+    Meets in the middle.  With h = (k + 2) // 2, the padded word is L R
+    with L = fl u^r0 g_1 ... u^r(h-1) g_h and R = u^rh g_(h+1) ... u^rk fr
+    (for k = 0, L = fl u^r0 fr and R = 1); each half is the padded word
+    of a spec of its own, built by ``build_padded`` from the u-powers of
+    ``powers``.  Reduced letter tuples are canonical, so L R equals a
+    forbidden word F exactly when L = F R^-1: each right half is indexed
+    under F R^-1 for every F, and each left half is then decided by one
+    lookup, so no tuple is skipped.
     """
-    words = [((), start)]
-    for tail in tails:
-        words = [
-            (r + (e,), join_letters(join_letters(w, p), tail))
-            for r, w in words
-            for e, p in powers
-        ]
-    return words
+    k, h = spec.k, (spec.k + 2) // 2
+    left, right = spec, None
+    if k:
+        left = PaddedWordSpec(spec.u, spec.gs[: h - 1], spec.flank_left, spec.gs[h - 1])
+        right = PaddedWordSpec(spec.u, spec.gs[h:], None, spec.flank_right)
+    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for r in itertools.product(values, repeat=k + 1 - h):
+        w = build_padded(right, r, powers).letters if k else ()
+        w_inv = tuple(-x for x in reversed(w))
+        # one F per key for a given right tuple, so each list stays sorted
+        for f in forbidden:
+            index.setdefault(join_letters(f, w_inv), []).append(r)
+    return [
+        r + s
+        for r in itertools.product(values, repeat=h)
+        for s in index.get(build_padded(left, r, powers).letters, ())
+    ]
 
 
 def certify(
@@ -195,18 +213,17 @@ def certify(
     seed: int = 0,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
 ) -> CertifyReport:
-    """Probe the threshold: seeded random r above N, plus an exhaustive sweep.
+    """Probe the threshold: exhaustive sweeps of a box and of the sampling band.
 
-    The sweep decides every r in the box |r_i| <= min(N + 2, sweep_cap) by
-    meeting in the middle.  With h = ceil((k + 1) / 2), the padded word is
-    L R with L = fl u^r0 g_1 ... u^r(h-1) g_h and R = u^rh g_(h+1) ... u^rk fr
-    (for k = 0, L = fl u^r0 fr and R = 1).  Reduced letter tuples are
-    canonical, so L R equals a forbidden word F exactly when L = F R^-1:
-    each right tuple is indexed under F R^-1 for every F, and each left
-    tuple is then decided by one lookup.  No tuple of the box is skipped,
-    and ``report.trivializing`` lists the hits in ``itertools.product``
-    order.  The samples are built whole by ``build_padded``, and both read
-    one table of u-powers.
+    The box |r_i| <= min(N + 2, sweep_cap) is swept by ``_hits``, and
+    ``report.trivializing`` lists its hits in ``itertools.product`` order.
+    The ``samples`` seeded random r above N all lie in the band
+    N + 1 <= |r_i| <= N + 10, which ``_hits`` sweeps too when ``samples``
+    is positive.  A band with no hit passes every draw, so ``sampled_ok``
+    is ``samples`` and nothing is drawn.  Otherwise the draws are replayed
+    and the first one the band sweep hit raises, so the witness is the one
+    a per-sample check would report.  The box's hits above N are checked
+    last.
 
     Raises CertificationError on any counterexample above N (a threshold
     bug), and ValueError for a negative ``samples`` or ``sweep_cap``.
@@ -216,40 +233,28 @@ def certify(
     if sweep_cap < 0:
         raise ValueError(f"sweep_cap must be >= 0, got {sweep_cap}")
     report = CertifyReport(threshold=N)
-    rng = random.Random(seed)
-    k = spec.k
     # build_padded gives W = fl w fr for the core word w, and a lemma word
     # fl^a w fr^b (a, b in {0, 1}) is trivial exactly when W = fl^(1-a) fr^(1-b);
     # an absent flank is 1, so at most four words W are forbidden
     one = spec.u.alphabet.identity()
     lefts, rights = (spec.flank_left or one, one), (spec.flank_right or one, one)
     forbidden = tuple({(x * y).letters for x in lefts for y in rights})
-    fl = lefts[0].letters
-    tails = _tails(spec)
     bound = min(N + 2, sweep_cap)
-    exponents = set(range(-bound, bound + 1))
-    if samples:
-        exponents.update(s * e for e in range(N + 1, N + 11) for s in (1, -1))
-    powers = {e: (spec.u**e).letters for e in exponents}
-    for _ in range(samples):
-        r = tuple(
-            rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1)
-        )
-        if build_padded(spec, r, powers).letters in forbidden:
-            raise CertificationError(N, r)
-        report.sampled_ok += 1
-    box = [(e, powers[e]) for e in range(-bound, bound + 1)]
-    h = (k + 2) // 2
-    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for right, w in _sweep_words((), tails[h:], box):
-        w_inv = tuple(-x for x in reversed(w))
-        # one F per key for a given right tuple, so each list stays sorted
-        for f in forbidden:
-            index.setdefault(join_letters(f, w_inv), []).append(right)
-    for left, w in _sweep_words(fl, tails[:h], box):
-        for right in index.get(w, ()):
-            r = left + right
-            report.trivializing.append(r)
-            if min(abs(x) for x in r) > N:
+    box = range(-bound, bound + 1)
+    band = sorted({s * e for e in range(N + 1, N + 11) for s in (1, -1)}) if samples else ()
+    powers = {e: (spec.u**e).letters for e in {*box, *band}}
+    report.trivializing = _hits(spec, box, powers, forbidden)
+    bad = set(_hits(spec, band, powers, forbidden))
+    if bad:
+        rng = random.Random(seed)
+        for _ in range(samples):
+            r = tuple(
+                rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(spec.k + 1)
+            )
+            if r in bad:
                 raise CertificationError(N, r)
+    report.sampled_ok = samples
+    for r in report.trivializing:
+        if min(abs(x) for x in r) > N:
+            raise CertificationError(N, r)
     return report

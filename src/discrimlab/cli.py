@@ -3,8 +3,9 @@
 Subcommands:
   zn          exact minimal discriminating complexity for Z^n balls, with
               the Siegel lower bound and the theta upper bound
-  bigpowers   certified nontriviality threshold for a padded word, with
-              randomized and exhaustive validation
+  bigpowers   certified nontriviality threshold for a padded word,
+              validated by exhaustive sweeps of a small box and of the
+              band its seeded samples are drawn from
   curve       complexity curve of the top-stage retraction of an
               extension-of-centralizer group
   ball        ball sizes of an extension-of-centralizer group

@@ -302,6 +302,9 @@ class EocGroup:
         # edges and squares: per candidate of the layer, the ball index of
         # its element if the layer has it, else -1 (empty for the identity)
         self._row = np.empty(0, dtype=np.int32)
+        # the grown ball's phi keys (_tree_keys), for _find; rebuilt when a
+        # layer is added
+        self._keys = np.empty(0, dtype=np.uint64)
 
     def _index_tables(self) -> None:
         """Build the ball's index tables, by generator index; row -1 is the identity's.
@@ -712,14 +715,16 @@ class EocGroup:
         """The ball index of the element with these canonical syllables, if the ball has it yet.
 
         Only the elements whose phi key (``_tree_keys``) is the element's
-        are compared by normal form.
+        are compared by normal form.  The keys are kept until the ball
+        grows.
         """
-        keys = self._tree_keys(
-            self._ends[-1], [_phi(self, syl) for syl in self._generator_syllables]
-        )
+        if len(self._keys) != self._ends[-1]:
+            self._keys = self._tree_keys(
+                self._ends[-1], [_phi(self, syl) for syl in self._generator_syllables]
+            )
         m = reduce(_mat_mul, [_phi(self, syl) for syl in syllables], _IDENTITY)
         key = _key(np.array(m, dtype=np.int64).reshape(1, 2, 2))
-        for k in np.flatnonzero(keys == key).tolist():
+        for k in np.flatnonzero(self._keys == key).tolist():
             if self._form(k) == syllables:
                 return k
         return None

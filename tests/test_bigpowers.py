@@ -10,6 +10,7 @@ from discrimlab.bigpowers import (
     PaddedWordSpec,
     _certified_block_magnitude,
     _corner_holds,
+    _hits,
     build_padded,
     certify,
     threshold,
@@ -288,3 +289,53 @@ class TestCertifyMatchesBrute:
         assert seen_flanks == {(False, False), (True, False), (False, True), (True, True)}
         # both the reported tuples and the raise site were compared
         assert raised > 0 and hits > 0
+
+
+class TestBandSweep:
+    """The meet-in-the-middle ``_hits`` and the band sweep behind ``sampled_ok``."""
+
+    def test_hits_match_per_tuple_scan(self):
+        rng = random.Random(28)
+        seen = set()
+        for _ in range(120):
+            s = _random_spec(rng)
+            values = sorted(rng.sample(range(-5, 6), rng.randint(1, 5)))
+            powers = {e: (s.u**e).letters for e in values}
+            tuples = list(itertools.product(values, repeat=s.k + 1))
+            # the identity, and one padded word of the scan, so every scan hits
+            forbidden = tuple({(), build_padded(s, rng.choice(tuples)).letters})
+            expected = [r for r in tuples if build_padded(s, r).letters in forbidden]
+            assert _hits(s, values, powers, forbidden) == expected, (s, values)
+            seen.add((s.k, s.flank_left is not None, s.flank_right is not None))
+        assert {k for k, _, _ in seen} == {0, 1, 2, 3}
+        assert {(fl, fr) for _, fl, fr in seen} == {
+            (False, False), (True, False), (False, True), (True, True)
+        }
+
+    def test_clean_band_draws_nothing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("certify drew a sample")
+
+        monkeypatch.setattr(random, "Random", no_draws)
+        for u_text, g_texts in CORPUS + K3:
+            s = spec_of(u_text, *g_texts)
+            assert certify(s, threshold(s), samples=500, seed=1).sampled_ok == 500
+
+    def test_band_hit_replays_the_draws(self):
+        # N = 0 is unsound here: (2, 2) lies in the band, but a box of
+        # |r_i| <= 1 misses it, so only the replayed draws can find it
+        s = spec_of("g1", "g2", flank_left="G1 G1 G2 G1 G1")
+        forbidden = ((), s.flank_left.inverse().letters)
+        band = [x * e for e in range(1, 11) for x in (1, -1)]
+        powers = {e: (s.u**e).letters for e in band}
+        assert _hits(s, band, powers, forbidden) == [(2, 2)]
+        outcomes = set()
+        for seed in range(8):
+            for samples in (1, 400):
+                kw = dict(samples=samples, seed=seed, sweep_cap=1)
+                got = _outcome(certify, s, 0, **kw)
+                assert got == _outcome(brute_certify, s, 0, **kw), kw
+                outcomes.add((samples, isinstance(got, str)))
+        # one draw misses (2, 2); 400 draws hit it for some seed and miss it
+        # for another
+        assert outcomes == {(1, False), (400, True), (400, False)}
