@@ -169,6 +169,30 @@ class CertifyReport:
     sampled_ok: int = 0
 
 
+def _padded_words(
+    spec: PaddedWordSpec,
+    values: Sequence[int],
+    powers: Mapping[int, tuple[int, ...]],
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(r, letters of the padded word at r) for every r in values^(k+1), in
+    ``itertools.product`` order.
+
+    For k >= 1 the words up to g_k are the padded words of the spec with
+    g_k for its right flank, built once per prefix r_0 ... r_(k-1) by this
+    sweep, and u^rk fr is joined on for each last exponent; at k = 0 each
+    word is built by ``build_padded``.
+    """
+    if not spec.k:
+        return [((e,), build_padded(spec, (e,), powers).letters) for e in values]
+    head = PaddedWordSpec(spec.u, spec.gs[:-1], spec.flank_left, spec.gs[-1])
+    fr = spec.flank_right.letters if spec.flank_right is not None else ()
+    return [
+        (r + (e,), join_letters(join_letters(w, powers[e]), fr))
+        for r, w in _padded_words(head, values, powers)
+        for e in values
+    ]
+
+
 def _hits(
     spec: PaddedWordSpec,
     values: Sequence[int],
@@ -181,29 +205,25 @@ def _hits(
     Meets in the middle.  With h = (k + 2) // 2, the padded word is L R
     with L = fl u^r0 g_1 ... u^r(h-1) g_h and R = u^rh g_(h+1) ... u^rk fr
     (for k = 0, L = fl u^r0 fr and R = 1); each half is the padded word
-    of a spec of its own, built by ``build_padded`` from the u-powers of
+    of a spec of its own, built by ``_padded_words`` from the u-powers of
     ``powers``.  Reduced letter tuples are canonical, so L R equals a
     forbidden word F exactly when L = F R^-1: each right half is indexed
     under F R^-1 for every F, and each left half is then decided by one
     lookup, so no tuple is skipped.
     """
     k, h = spec.k, (spec.k + 2) // 2
-    left, right = spec, None
+    left, rights = spec, [((), ())]
     if k:
         left = PaddedWordSpec(spec.u, spec.gs[: h - 1], spec.flank_left, spec.gs[h - 1])
         right = PaddedWordSpec(spec.u, spec.gs[h:], None, spec.flank_right)
+        rights = _padded_words(right, values, powers)
     index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for r in itertools.product(values, repeat=k + 1 - h):
-        w = build_padded(right, r, powers).letters if k else ()
+    for r, w in rights:
         w_inv = tuple(-x for x in reversed(w))
         # one F per key for a given right tuple, so each list stays sorted
         for f in forbidden:
             index.setdefault(join_letters(f, w_inv), []).append(r)
-    return [
-        r + s
-        for r in itertools.product(values, repeat=h)
-        for s in index.get(build_padded(left, r, powers).letters, ())
-    ]
+    return [r + s for r, w in _padded_words(left, values, powers) for s in index.get(w, ())]
 
 
 def certify(
@@ -218,12 +238,14 @@ def certify(
     The box |r_i| <= min(N + 2, sweep_cap) is swept by ``_hits``, and
     ``report.trivializing`` lists its hits in ``itertools.product`` order.
     The ``samples`` seeded random r above N all lie in the band
-    N + 1 <= |r_i| <= N + 10, which ``_hits`` sweeps too when ``samples``
-    is positive.  A band with no hit passes every draw, so ``sampled_ok``
-    is ``samples`` and nothing is drawn.  Otherwise the draws are replayed
-    and the first one the band sweep hit raises, so the witness is the one
-    a per-sample check would report.  The box's hits above N are checked
-    last.
+    N + 1 <= |r_i| <= N + 10.  Where sweeping that band costs no more
+    than the draws (it grows as 20^((k+2)//2), so for small k or many
+    samples), ``_hits`` sweeps it: a band with no hit passes every draw,
+    so ``sampled_ok`` is ``samples`` and nothing is drawn; otherwise the
+    draws are replayed and the first one the band sweep hit raises, so
+    the witness is the one a per-sample check would report.  Elsewhere
+    each draw is built by ``build_padded`` and checked on its own.  The
+    box's hits above N are checked last.
 
     Raises CertificationError on any counterexample above N (a threshold
     bug), and ValueError for a negative ``samples`` or ``sweep_cap``.
@@ -244,14 +266,23 @@ def certify(
     band = sorted({s * e for e in range(N + 1, N + 11) for s in (1, -1)}) if samples else ()
     powers = {e: (spec.u**e).letters for e in {*box, *band}}
     report.trivializing = _hits(spec, box, powers, forbidden)
-    bad = set(_hits(spec, band, powers, forbidden))
-    if bad:
+    k, h = spec.k, (spec.k + 2) // 2
+    # the band sweep builds |band|^h left halves and keys |band|^(k+1-h)
+    # right halves under each forbidden word; it runs only where that costs
+    # no more than the draws, which join samples * (k + 1) powers
+    failed = None  # decides a draw, or None when no draw can fail
+    n = len(band)
+    if samples and n**h + len(forbidden) * n ** (k + 1 - h) <= samples * (k + 1):
+        bad = set(_hits(spec, band, powers, forbidden))
+        if bad:
+            failed = bad.__contains__
+    elif samples:
+        failed = lambda r: build_padded(spec, r, powers).letters in forbidden
+    if failed is not None:
         rng = random.Random(seed)
         for _ in range(samples):
-            r = tuple(
-                rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(spec.k + 1)
-            )
-            if r in bad:
+            r = tuple(rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1))
+            if failed(r):
                 raise CertificationError(N, r)
     report.sampled_ok = samples
     for r in report.trivializing:

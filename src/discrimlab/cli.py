@@ -4,8 +4,9 @@ Subcommands:
   zn          exact minimal discriminating complexity for Z^n balls, with
               the Siegel lower bound and the theta upper bound
   bigpowers   certified nontriviality threshold for a padded word,
-              validated by exhaustive sweeps of a small box and of the
-              band its seeded samples are drawn from
+              validated by an exhaustive sweep of a small box and by
+              seeded samples, whose band is swept whole where that costs
+              no more than drawing them
   curve       complexity curve of the top-stage retraction of an
               extension-of-centralizer group
   ball        ball sizes of an extension-of-centralizer group

@@ -339,3 +339,63 @@ class TestBandSweep:
         # one draw misses (2, 2); 400 draws hit it for some seed and miss it
         # for another
         assert outcomes == {(1, False), (400, True), (400, False)}
+
+    def test_few_draws_are_built_one_by_one(self):
+        # N = 0 is unsound: u^2 lies in the band and cancels the flanks.  Ten
+        # draws cost less than sweeping the band, so each is built on its own
+        s = spec_of("g1", flank_left="G2", flank_right="G1 G1 g2")
+        outcomes = set()
+        for seed in range(8):
+            for samples in (10, 400):
+                kw = dict(samples=samples, seed=seed, sweep_cap=1)
+                got = _outcome(certify, s, 0, **kw)
+                assert got == _outcome(brute_certify, s, 0, **kw), kw
+                outcomes.add((samples, isinstance(got, str)))
+        assert outcomes == {(10, False), (10, True), (400, True)}
+
+    def test_large_k_builds_each_draw(self, monkeypatch):
+        # at k = 9 a band sweep would build 20^5 left halves; with a box of
+        # one tuple, certify builds its two halves and the 500 draws only
+        s = spec_of("g1", *["g2", "G2 g1 g2"] * 4, "g2")
+        built = []
+
+        def counting(*args):
+            built.append(args[1])
+            if len(built) > 500 + 2:
+                raise AssertionError("certify built more words than its draws")
+            return build_padded(*args)
+
+        monkeypatch.setattr("discrimlab.bigpowers.build_padded", counting)
+        N = threshold(s)
+        for n in (N, 0):
+            built.clear()
+            kw = dict(samples=500, seed=3, sweep_cap=0)
+            assert _outcome(certify, s, n, **kw) == _outcome(brute_certify, s, n, **kw)
+
+    def test_sweep_and_draws_agree_at_k4(self):
+        # 20 draws cost less than a band sweep at k = 4, and 2000 draws more,
+        # so the two sample counts take the two paths; each left flank
+        # cancels the padded word at some r in {-1, 1}^5, which a box of
+        # |r_i| <= 1 finds above N = 0
+        rng = random.Random(4)
+        raised = 0
+        for i in range(6):
+            while True:
+                u = _random_word(rng, 3)
+                gs = tuple(_random_word(rng, 3) for _ in range(4))
+                r = [rng.choice((1, -1)) for _ in range(5)]
+                if u.is_proper_power():
+                    continue
+                try:
+                    fl = build_padded(PaddedWordSpec(u, gs), r).inverse()
+                    s = PaddedWordSpec(u, gs, fl or None)
+                    break
+                except ValueError:
+                    continue
+            for n in (threshold(s), 0):
+                for samples in (20, 2000):
+                    kw = dict(samples=samples, seed=i, sweep_cap=1)
+                    got = _outcome(certify, s, n, **kw)
+                    assert got == _outcome(brute_certify, s, n, **kw), (s, n, samples)
+                    raised += isinstance(got, str)
+        assert raised > 0
