@@ -4,7 +4,9 @@ They are meant to be slow and obviously right, and share no code path
 with what they check beyond word products and the theta map
 (``stack_normal_form`` also shares the strip, which has its own oracle, and
 ``chain_of_retractions`` normalizes in each subtower, which the
-substitution it checks never does).  The
+substitution it checks never does; ``brute_raw_word_agreement`` runs
+the normal form and ``apply_chain`` per word, which the walk it checks
+builds incrementally).  The
 u-powers of every oracle are chains of products (``running_powers``,
 ``product_power``), or runs of one period (``ball_image_count``), not
 ``Word.__pow__``: the library builds every u-power with its kernel
@@ -30,7 +32,7 @@ from discrimlab.bigpowers import (
 from discrimlab.eocgroup import EocElement, EocGroup
 from discrimlab.errors import BudgetExceeded, CertificationError
 from discrimlab.freewords import Alphabet, Word, join_letters
-from discrimlab.retraction import ThetaSpec
+from discrimlab.retraction import ThetaSpec, apply_chain
 from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, theta
 
 IntVector = tuple[int, ...]
@@ -442,6 +444,42 @@ def chain_of_retractions(group: EocGroup, R: int, p: int, w: EocElement) -> Word
     while w.group.stages:
         w = per_syllable_apply_theta(ThetaSpec(w.group, R, p), w)
     return Word(group.alphabet, [x // 2 for x in (w.syllables or ((),))[0]])
+
+
+def brute_raw_word_agreement(
+    group: EocGroup, r: int, p: int
+) -> tuple[int, Optional[tuple]]:
+    """(agreements, first disagreeing raw word or None) over raw words of length <= r.
+
+    The per-word scan that the CLI's tree walk (``cli._raw_word_agreement``)
+    replaced.  Raw token words come layer by layer, each layer in its
+    parents' order and then in generator order, with no token next to its
+    inverse.  Each word is normalized from scratch (``EocGroup.element``),
+    and its normal form is retracted to the free base (``apply_chain``);
+    the verdicts agree when the form is empty iff the image is.  Nothing is
+    carried from a word to its extensions, and the image is read off the
+    normal form rather than multiplied from generator images.
+    """
+    tokens = group.generator_tokens()
+    inverse = [
+        tokens.index(-tok if isinstance(tok, int) else tok[:2] + (-tok[2],)) for tok in tokens
+    ]
+    # (index of the last token, or -1 for the empty word; the word)
+    layer = [(-1, ())]
+    words = [()]
+    for _ in range(r):
+        layer = [
+            (g, w + (tokens[g],))
+            for last, w in layer
+            for g in range(len(tokens))
+            if last < 0 or g != inverse[last]
+        ]
+        words.extend(w for _, w in layer)
+    for agreements, toks in enumerate(words):
+        w = group.element(toks)
+        if w.is_trivial() != apply_chain(group, r, p, w).is_identity():
+            return agreements, toks
+    return len(words), None
 
 
 def stack_normal_form(

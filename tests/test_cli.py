@@ -5,10 +5,12 @@ import re
 
 import pytest
 
-from discrimlab.cli import build_parser, main
+from discrimlab import retraction
+from discrimlab.cli import _raw_word_agreement, build_parser, main
 from discrimlab.eocgroup import load_group_spec
 from discrimlab.errors import CertificationError
 from discrimlab.zdiscrim import ZnHom
+from oracles import brute_raw_word_agreement
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference"
@@ -36,6 +38,7 @@ RANK3_TOWER_SPEC = (
     '{"free_rank": 3, "stages": [{"u": "g2", "rank": 2}, {"u": "G2 G3", "rank": 1},'
     ' {"u": "g1 g3 G2", "rank": 1}]}'
 )
+G1G2_SPEC = '{"free_rank": 2, "stages": [{"u": "g1 g2", "rank": 1}]}'
 CONJUGATE_TOWER_SPEC = (
     '{"free_rank": 2, "stages": [{"u": "g1", "rank": 1}, {"u": "g1 g2 G1", "rank": 1}]}'
 )
@@ -422,10 +425,42 @@ class TestCrosscheck:
         assert "p_min,2\n" in out and "p_used,6\n" in out and "agreement,pass\n" in out
 
     def test_corrupted_p_detected(self, capsys, g1_spec):
-        code, _ = run(
-            capsys, "crosscheck", "--spec", g1_spec, "--r", "2", "--force-p", "1"
-        )
-        assert code == 1
+        # the first disagreeing raw word in breadth-first order is reported
+        for r, p, word in [(2, 1, [1, ("t", 0, -1)]), (3, 2, [1, 1, ("t", 0, -1)])]:
+            code = main(["crosscheck", "--spec", g1_spec, "--r", str(r), "--force-p", str(p)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == f"error: triviality verdicts disagree at p={p} on raw word {word!r}\n"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [G1_SPEC, G1_RANK2_SPEC, TOWER_SPEC, G1G2_SPEC, RANK3_TOWER_SPEC],
+        ids=["g1", "g1-rank2", "tower", "g1g2", "rank3-tower"],
+    )
+    def test_walk_matches_per_word_scan(self, spec):
+        group = load_group_spec(spec)
+        for r in range(4):
+            for p in {retraction.compose_chain(group, r).p, 1, 2, 3, 5}:
+                walked = _raw_word_agreement(group, r, p)
+                assert walked == brute_raw_word_agreement(group, r, p), (r, p)
+
+    @pytest.mark.parametrize("spec, ascents", [(G1_SPEC, 1), (TOWER_SPEC, 2)], ids=["g1", "tower"])
+    def test_one_ascent_per_retraction(self, capsys, monkeypatch, tmp_path, spec, ascents):
+        # on one stage p_used is the p_min just computed; a tower also
+        # ascends its composite
+        calls = []
+        ascend = retraction._least_injective_p
+
+        def spy(*args):
+            calls.append(args)
+            return ascend(*args)
+
+        monkeypatch.setattr(retraction, "_least_injective_p", spy)
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, out = run(capsys, "crosscheck", "--spec", str(path), "--r", "3")
+        assert code == 0 and "agreement,pass\n" in out
+        assert len(calls) == ascents
 
     def test_meta_reproduces_row(self, capsys, g1_spec):
         argv = [
@@ -475,3 +510,4 @@ class TestOutput:
 
     def test_bad_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
