@@ -135,16 +135,12 @@ def threshold(spec: PaddedWordSpec) -> int:
     magnitude m of u^e_0 h_1 ... h_k u^e_k.  With flanks present the
     reduced core word is additionally forced to be strictly longer than
     |flank_left| + |flank_right|, so all four lemma words are nontrivial.
+    With no g (k = 0) the word is u^e_0 alone, and m is the least with
+    |u^m| > |flank_left| + |flank_right|.
     """
     flank_len = (len(spec.flank_left) if spec.flank_left else 0) + (
         len(spec.flank_right) if spec.flank_right else 0
     )
-    if spec.k == 0:
-        # w = u^r0: torsion-free, nontrivial for r0 != 0; flanks only need
-        # |u^r0| > |fl| + |fr|, and |u^r0| = 2|z| + |r0| * |v| for
-        # u = z v z^-1 exceeds that once |r0| > (|fl| + |fr| - 2|z|) // |v|
-        z, v = spec.u.cyclic_decomposition()
-        return max(0, (flank_len - 2 * len(z)) // len(v))
     middles = []
     offsets = [0] * (spec.k + 1)
     for j, g in enumerate(spec.gs):

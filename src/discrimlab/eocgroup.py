@@ -71,8 +71,8 @@ cache's tuple, which elements share, not as a new one per element.
 A group is immutable, so it keeps what it computes: strips, ball layers
 and, built lazily once, its subtower (the group with the top stage
 removed, see ``retraction.subtower``), the matrices of its fingerprint
-homomorphism (``_phi``) and the ball's index tables (``_forward``,
-``_slot``, ``_commute``), but no retractions, which are substitutions
+homomorphism (``_phi``) and the ball's index tables (``_inverse``,
+``_commute``), but no retractions, which are substitutions
 (``retraction._image``).  Retractions onto the subtower share one set of
 caches across words and p values.
 
@@ -83,11 +83,13 @@ is the first ``_ends[r]`` entries, and ``ball(r)`` is a read-only view
 of them.  Besides the tree, the ball keeps only the last layer's
 resolution row (``_row``), the last layer's matrices and the normal
 forms built so far.  A layer's candidates are the pairs (parent,
-generator) over the last layer, in ball order and then token order,
-except the generator that undoes the parent's own.  Every defining
-relation, [u_j, t] = 1 or [t, t'] = 1, has even length, so a candidate
-is old exactly when it lies two layers back, which the row's back edges
-show.  Commuting squares (the shuffles of Hermiller and Meier's
+generator) over the last layer, in ball order and then token order, every
+generator for every parent: with n generators, candidate c is
+(lo + c // n, c % n), lo the last layer's first ball index.  Every
+defining relation, [u_j, t] = 1 or [t, t'] = 1, has even length, so a
+candidate is old exactly when it lies two layers back, which the row's
+back edges show; a generator that undoes its parent's own gives one such
+candidate.  Commuting squares (the shuffles of Hermiller and Meier's
 graph-product rewriting, used here only as exact proofs of equality)
 link most equal candidates of a layer, and keys by phi, a homomorphism
 into SL(2, F_P) (``_phi``, hashed to 64 bits by ``_key``), prove most
@@ -248,9 +250,6 @@ class EocGroup:
     # a group that only normalizes never grows a ball, so the ball's index
     # tables are built on first read, not in __init__
     _inverse = _IndexTable()
-    _forward_gens = _IndexTable()
-    _forward = _IndexTable()
-    _slot = _IndexTable()
     _commute = _IndexTable()
 
     def __init__(self, alphabet: Alphabet, stages: Sequence[tuple[Word, int]]):
@@ -309,25 +308,16 @@ class EocGroup:
     def _index_tables(self) -> None:
         """Build the ball's index tables, by generator index; row -1 is the identity's.
 
-        ``_inverse[g]`` undoes g.  ``_forward_gens[g]`` holds the generators
-        that do not undo g, ``_forward[t, i]`` is ``_forward_gens[t][i]``
-        (0 past its end), and ``_slot[t, g]`` is the i of g (0 for the g
-        that undoes t).  ``_commute[h, g]``: h and g commute by a defining
+        ``_inverse[g]`` undoes g (-1 for the identity, which no generator
+        undoes).  ``_commute[h, g]``: h and g commute by a defining
         relation, as two t's of one stage, or as a t of stage j and a letter
         that is u_j or its inverse; g = h and g = h^-1 are left out.
         """
         tokens = self.generator_tokens()
-        n = len(tokens)
         inverse = [
             tokens.index(-tok if isinstance(tok, int) else (*tok[:2], -tok[2])) for tok in tokens
         ] + [-1]
         self._inverse = np.array(inverse, dtype=np.intp)
-        self._forward_gens = [tuple(h for h in range(n) if h != undo) for undo in inverse]
-        self._forward = np.zeros((n + 1, n), dtype=np.intp)
-        self._slot = np.zeros_like(self._forward)
-        for t, forward in enumerate(self._forward_gens):
-            self._forward[t, : len(forward)] = forward
-            self._slot[t, forward] = range(len(forward))
         single = {abs(s.u.letters[0]): j for j, s in enumerate(self.stages) if len(s.u) == 1}
         centres = [tok[1] if isinstance(tok, tuple) else single.get(abs(tok)) for tok in tokens]
         self._commute = np.array(
@@ -516,49 +506,33 @@ class EocGroup:
             head = forms[k] = self._times(head, self._generator_syllables[self._tree_gens[k]])
         return head
 
-    def _back_edges(self, lo: int, width: int) -> np.ndarray:
+    def _back_edges(self, lo: int) -> np.ndarray:
         """The next layer's old candidates, read from the last layer's row (``_grow_layer``)."""
-        depth = len(self._ends)
-        prev_lo = self._ends[-3] if depth > 2 else 0
-        prev_width = self._forward.shape[1] - (depth > 2)
-        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)
+        n = len(self._generator_syllables)
         c = np.flatnonzero(self._row >= 0)
-        p = self._row[c]
-        # candidate c is (Y, h), and it resolved to P
-        h = self._forward[tree_gens[c // prev_width + prev_lo], c % prev_width]
-        pg = tree_gens[p]
-        # h is P's generator only on P's tree edge, where h^-1 undoes it and
-        # _slot reads 0
-        back = h != pg
-        return (p[back] - lo) * width + self._slot[pg[back], self._inverse[h[back]]]
+        # candidate c is (Y, h), and it resolved to P, so (P, h^-1) is Y
+        return (self._row[c] - lo) * n + self._inverse[c % n]
 
     def _squares(
-        self, lo: int, width: int, c: np.ndarray, parents: np.ndarray, gens: np.ndarray
+        self, prev_lo: int, lo: int, c: np.ndarray, parents: np.ndarray, gens: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """The commuting squares of candidates `c`, with their parents and generators.
 
         Returns the candidates linked to another of the layer, and those
         others (the square rule of ``_grow_layer``).
         """
+        n = len(self._generator_syllables)
         tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc)
-        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)
-        h = tree_gens[parents]
+        h = np.frombuffer(self._tree_gens, dtype=np.intc)[parents]
         at = np.flatnonzero(self._commute[h, gens])
         c, g, h, q = c[at], gens[at], h[at], tree_parents[parents[at]]
-        # x = q g, a candidate of the layer before unless g undoes q's
-        # generator, where _slot reads 0
-        depth = len(self._ends)
-        prev_lo = self._ends[-3] if depth > 2 else 0
-        prev_width = self._forward.shape[1] - (depth > 2)
-        qg = tree_gens[q]
-        x = self._row[(q - prev_lo) * prev_width + self._slot[qg, g]]
-        # x = -1 reads the last element's generator, which x < 0 masks
-        xg = tree_gens[x]
-        linked = (g != self._inverse[qg]) & (x >= 0) & (h != self._inverse[xg])
-        return c[linked], (x[linked] - lo) * width + self._slot[xg[linked], h[linked]]
+        # x: the ball index of q g if the last layer has it, else -1
+        x = self._row[(q - prev_lo) * n + g]
+        linked = x >= 0
+        return c[linked], (x[linked] - lo) * n + h[linked]
 
     def _live_classes(
-        self, lo: int, width: int
+        self, prev_lo: int, lo: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The next layer's live classes (``_grow_layer``), by their least candidates.
 
@@ -567,68 +541,66 @@ class EocGroup:
         blocks of whole parents and linked by commuting squares, and a class
         that a back edge reaches is old.
         """
-        size = self._ends[-1]
-        n = (size - lo) * width
+        n = len(self._generator_syllables)
+        count = (self._ends[-1] - lo) * n
         gen_matrices = np.array(
             [_phi(self, syl) for syl in self._generator_syllables], dtype=np.int64
         ).reshape(-1, 2, 2)
-        keys = np.empty(n, dtype=np.uint64)
-        matrices = np.empty((n, 2, 2), dtype=np.int32)
+        keys = np.empty(count, dtype=np.uint64)
+        matrices = np.empty((count, 2, 2), dtype=np.int32)
         src, dst = [], []
-        step = _BLOCK // width * width
-        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc)[lo:size]
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            rows = slice(start // width, stop // width)
-            parents = np.repeat(np.arange(lo + rows.start, lo + rows.stop), width)
-            gens = self._forward[tree_gens[rows], :width].ravel()
-            keys[start:stop] = _layer_keys(
-                self._layer_matrices, parents - lo, gen_matrices, gens, matrices[start:stop]
+        step = _BLOCK // n * n
+        for start in range(0, count, step):
+            c = np.arange(start, min(start + step, count))
+            rows, gens = np.divmod(c, n)
+            keys[start : start + len(c)] = _layer_keys(
+                self._layer_matrices, rows, gen_matrices, gens, matrices[start : start + len(c)]
             )
-            linked, other = self._squares(lo, width, np.arange(start, stop), parents, gens)
+            linked, other = self._squares(prev_lo, lo, c, rows + lo, gens)
             src.append(linked)
             dst.append(other)
-        labels = _classes(n, np.concatenate(src), np.concatenate(dst))
-        live = labels == np.arange(n)
-        live[labels[self._back_edges(lo, width)]] = False
+        labels = _classes(count, np.concatenate(src), np.concatenate(dst))
+        live = labels == np.arange(count)
+        live[labels[self._back_edges(lo)]] = False
         reps = np.flatnonzero(live)
         return keys[reps], reps, labels, matrices
 
     def _grow_layer(self, cap: int) -> None:
         """Add the next BFS layer; past `cap` elements, raise and keep none of it.
 
+        The candidates are the parents of the last layer in ball order,
+        each with every generator in token order: with n generators,
+        candidate c is (lo + c // n, c % n) on every layer.
+
         Back edges find every old candidate.  Each defining relation has
         even length, so a candidate c = P g, with P of word length L, has
         length L + 1 or L - 1, and c is old exactly when P g lies in layer
         L - 1.  Then (P g, g^-1) is a candidate of layer L that resolved to
-        P, other than P's tree edge, as ``_row`` records (``_back_edges``).
+        P, as ``_row`` records (``_back_edges``); when g undoes P's own
+        generator, that candidate is P's tree edge.
 
         Commuting squares settle most of the other duplicates without a
         normal form.  Take a candidate c = P g whose parent P = Q h has a
         tree generator h that commutes with g by a defining relation
-        (``_commute``).  Then c = (Q g) h, and unless g undoes Q's
-        generator, X = Q g is not in layer L (its row entry is -1), or h
-        undoes X's generator (in each case c is old), c equals the
-        candidate (X, h) of this layer, and the two are linked.  A class of
-        linked candidates is one element: old if a back edge reaches a
-        member, else new if its key occurs in no other class of the layer,
-        as distinct keys mean distinct elements.  The other classes are
-        settled by normal forms, one member each, in candidate order.  So
-        each new element's tree entry is its least candidate, as if every
-        candidate were settled by its normal form.
+        (``_commute``).  Then c = (Q g) h.  If X = Q g is in layer L (its
+        row entry is not -1), c equals the candidate (X, h) of this layer,
+        and the two are linked; else X lies two layers back and c is old.
+        If h undoes X's generator, (X, h) is old, and so is c, which
+        equals it.  A class of linked candidates is one element: old if a
+        back edge reaches a member, else new if its key occurs in no other
+        class of the layer, as distinct keys mean distinct elements.  The
+        other classes are settled by normal forms, one member each, in
+        candidate order.  So each new element's tree entry is its least
+        candidate, as if every candidate were settled by its normal form.
         """
-        depth, size = len(self._ends), self._ends[-1]
-        lo = self._ends[-2] if depth > 1 else 0
-        # the candidates in candidate order: the parents in ball order, each
-        # with its forward generators in token order
-        width = self._forward.shape[1] - (depth > 1)
-        keys, reps, labels, matrices = self._live_classes(lo, width)
-        new, settled, merged = self._settle(lo, width, keys, reps)
+        prev_lo, lo, size = ([0, 0] + self._ends)[-3:]
+        keys, reps, labels, matrices = self._live_classes(prev_lo, lo)
+        new, settled, merged = self._settle(lo, keys, reps)
         kept = reps[new]
         count = len(kept)
         if size + count > cap:
             raise BudgetExceeded(
-                f"ball enumeration exceeded cap of {cap} elements at radius {depth}"
+                f"ball enumeration exceeded cap of {cap} elements at radius {len(self._ends)}"
             )
         self._layer_matrices = np.take(matrices, kept, axis=0)
         # the per-candidate arrays go before the layer's own are built
@@ -638,9 +610,10 @@ class EocGroup:
         index[kept] = np.arange(size, size + count, dtype=np.int32)
         index[list(merged)] = index[list(merged.values())]
         self._row = index[labels]
-        parents = kept // width + lo
-        gens = self._forward[np.frombuffer(self._tree_gens, dtype=np.intc)[parents], kept % width]
-        self._tree_parents.frombytes(parents.astype(np.intc).tobytes())
+        del index, labels
+        rows, gens = np.divmod(kept, len(self._generator_syllables))
+        rows += lo
+        self._tree_parents.frombytes(rows.astype(np.intc).tobytes())
         self._tree_gens.frombytes(gens.astype(np.intc).tobytes())
         self._forms.update(
             zip((size + np.searchsorted(kept, list(settled))).tolist(), settled.values())
@@ -648,7 +621,7 @@ class EocGroup:
         self._ends.append(size + count)
 
     def _settle(
-        self, lo: int, width: int, keys: np.ndarray, reps: np.ndarray
+        self, lo: int, keys: np.ndarray, reps: np.ndarray
     ) -> tuple[np.ndarray, dict, dict]:
         """Which live classes of the next layer are new (``_grow_layer``).
 
@@ -662,13 +635,12 @@ class EocGroup:
         """
         clash = _clashing(keys)
         times, gen_syllables, form = self._times, self._generator_syllables, self._form
-        forward, tree_gens = self._forward_gens, self._tree_gens
+        n = len(gen_syllables)
         # seen maps a normal form to the first class with it
         seen, merged = {}, {}
         for i in reps[clash].tolist():
-            parent, slot = divmod(i, width)
-            parent += lo
-            syllables = times(form(parent), gen_syllables[forward[tree_gens[parent]][slot]])
+            row, g = divmod(i, n)
+            syllables = times(form(lo + row), gen_syllables[g])
             j = seen.setdefault(syllables, i)
             if j != i:
                 merged[i] = j

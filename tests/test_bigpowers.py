@@ -16,8 +16,8 @@ from discrimlab.bigpowers import (
     threshold,
 )
 from discrimlab.errors import AscentExhausted, CertificationError
-from discrimlab.freewords import Alphabet, Word, parse_word
-from oracles import brute_certify, product_padded, running_powers
+from discrimlab.freewords import Alphabet, Word, parse_word, power_membership
+from oracles import brute_certify, free_words, product_padded, running_powers
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -125,6 +125,21 @@ class TestThreshold:
                 for r in range(N + 1, N + 4):
                     assert len(u**r) > flank_len and len(u**-r) > flank_len
                 assert N == 0 or len(u**N) <= flank_len
+
+    def test_no_g_matches_closed_form(self):
+        # with no g the word is fl u^r0 fr, and |u^r0| = 2|z| + |r0| |v| for
+        # u = z v z^-1 exceeds |fl| + |fr| exactly when
+        # |r0| > max(0, (|fl| + |fr| - 2|z|) // |v|); every u with |u| <= 4,
+        # every pair of flanks of length <= 2 outside <u>
+        flanks = [None] + free_words(A, 2)[1:]
+        for u in free_words(A, 4)[1:]:
+            z, v = u.cyclic_decomposition()
+            for fl, fr in itertools.product(flanks, repeat=2):
+                if any(f is not None and power_membership(u, f) is not None for f in (fl, fr)):
+                    continue
+                flank_len = sum(len(f) for f in (fl, fr) if f is not None)
+                want = max(0, (flank_len - 2 * len(z)) // len(v))
+                assert threshold(PaddedWordSpec(u, (), fl, fr)) == want, (u, fl, fr)
 
     def test_flank_margin(self):
         s = spec_of("g1", "g2", flank_left="G1 g2")

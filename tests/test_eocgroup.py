@@ -680,8 +680,10 @@ class TestSquares:
     )
     def test_row_resolves_every_candidate(self, stages, radius):
         # the row entry of candidate (parent, g) is the ball index of
-        # parent * g if the last layer has it, else -1
+        # parent * g if the last layer has it, else -1; every g is a
+        # candidate, the one that undoes the parent's own with entry -1
         group = tokens_group(stages)
+        n = len(group.generator_tokens())
         for r in range(1, radius + 1):
             group.ball(r)
             prev_lo, lo, size = ([0] + group._ends)[-3:]
@@ -689,9 +691,14 @@ class TestSquares:
             expected = [
                 layer.get(group._times(group._form(p), group._generator_syllables[g]), -1)
                 for p in range(prev_lo, lo)
-                for g in group._forward_gens[group._tree_gens[p]]
+                for g in range(n)
             ]
             assert group._row.tolist() == expected, r
+            undo = [
+                (p - prev_lo) * n + group._inverse[group._tree_gens[p]]
+                for p in range(max(prev_lo, 1), lo)
+            ]
+            assert all(expected[c] == -1 for c in undo), r
 
     def test_cap_rolls_the_row_back(self):
         # ball sizes 1, 7, 33, 143, 609: each cap trips inside a layer
@@ -733,7 +740,7 @@ def assert_back_edges_exact(group, radius):
 
     Each such form lies in the layer two back.  `group` has grown no ball.
     """
-    tokens = len(group.generator_tokens())
+    n = len(group.generator_tokens())
     for r in range(1, radius + 1):
         group.ball(r - 1)
         two_back, lo, size = ([0, 0] + group._ends)[-3:]
@@ -741,11 +748,16 @@ def assert_back_edges_exact(group, radius):
         found = [
             ball.get(group._times(group._form(p), group._generator_syllables[g]))
             for p in range(lo, size)
-            for g in group._forward_gens[group._tree_gens[p]]
+            for g in range(n)
         ]
         old = [c for c, k in enumerate(found) if k is not None]
-        assert sorted(group._back_edges(lo, tokens - (r > 1)).tolist()) == old, r
+        assert sorted(group._back_edges(lo).tolist()) == old, r
         assert all(two_back <= found[c] < lo for c in old), r
+        # the candidate that undoes its parent's generator is old
+        undo = [
+            (p - lo) * n + group._inverse[group._tree_gens[p]] for p in range(max(lo, 1), size)
+        ]
+        assert set(undo) <= set(old), r
 
 
 class TestBackEdges:
