@@ -81,8 +81,8 @@ arrays record, per ball index, the parent's ball index and the
 generator's index in ``generator_tokens()`` order; the ball of radius r
 is the first ``_ends[r]`` entries, and ``ball(r)`` is a read-only view
 of them.  Besides the tree, the ball keeps only the last layer's
-resolution row (``_row``), the last layer's matrices and the normal
-forms built so far.  A layer's candidates are the pairs (parent,
+resolution row (``_row``), that layer's matrices if it was keyed, and the
+normal forms built so far.  A layer's candidates are the pairs (parent,
 generator) over the last layer, in ball order and then token order, every
 generator for every parent: with n generators, candidate c is
 (lo + c // n, c % n), lo the last layer's first ball index.  Every
@@ -91,19 +91,25 @@ candidate is old exactly when it lies two layers back, which the row's
 back edges show; a generator that undoes its parent's own gives one such
 candidate.  Commuting squares (the shuffles of Hermiller and Meier's
 graph-product rewriting, used here only as exact proofs of equality)
-link most equal candidates of a layer, and keys by phi, a homomorphism
-into SL(2, F_P) (``_phi``, hashed to 64 bits by ``_key``), prove most
-of the rest distinct; only runs of equal keys are settled by normal
-forms (``_grow_layer``).  A normal form is built on demand along the
-tree path, the parent's times the generator (``_times``), and kept by
-ball index (``_form``); the view builds its elements that way.  A layer
-that exceeds the cap is not kept.  ``_tree_keys``, the one tree
-evaluator, evaluates a homomorphism into SL(2, F_P) on the whole ball
-with one product per element: ``word_length`` uses it with phi, and
-``retraction._first_collision`` with phi after a retraction.  The walk
-and the layer settle take their clashing keys from one ``_clashing``,
-and confirm each clash exactly: the layer by normal forms, the walk by
-the retraction's own map.
+link most equal candidates of a layer into classes.  When every u is
+one base letter the group is a right-angled Artin group, whose exact
+sphere sizes come from its growth series (``_sphere_size``), and a layer
+whose live classes number its sphere size is certified: each class is
+a distinct new element, and no key is built.  On other layers, keys by
+phi, a homomorphism into SL(2, F_P) (``_phi``, hashed to 64 bits by
+``_key``), of the live classes prove most of them distinct; only runs of
+equal keys are settled by normal forms (``_grow_layer``).  A normal
+form is built on demand along the tree path, the parent's times the
+generator (``_times``), and kept by ball index (``_form``); the view
+builds its elements that way.  A layer that exceeds the cap is not kept.
+``_tree_keys``, the one tree evaluator, evaluates a homomorphism into
+SL(2, F_P) on the whole ball with one product per element:
+``word_length`` uses it with phi, ``retraction._first_collision`` with
+phi after a retraction, and a keyed layer after a certified one to
+rebuild the matrices that layer did not keep.  The walk and the layer
+settle take their clashing keys from one ``_clashing``, which sorts one
+copy of the keys, and confirm each clash exactly: the layer by normal
+forms, the walk by the retraction's own map.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -113,6 +119,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import operator
 import random
 import re
@@ -531,39 +538,55 @@ class EocGroup:
         linked = x >= 0
         return c[linked], (x[linked] - lo) * n + h[linked]
 
-    def _live_classes(
-        self, prev_lo: int, lo: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _live_classes(self, prev_lo: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
         """The next layer's live classes (``_grow_layer``), by their least candidates.
 
-        Returns their keys, their least candidates, each candidate's class
-        label and every candidate's matrix.  The candidates are keyed in
-        blocks of whole parents and linked by commuting squares, and a class
+        Returns those and each candidate's class label.  The candidates are
+        linked by commuting squares, in blocks of whole parents, and a class
         that a back edge reaches is old.
         """
         n = len(self._generator_syllables)
         count = (self._ends[-1] - lo) * n
-        gen_matrices = np.array(
-            [_phi(self, syl) for syl in self._generator_syllables], dtype=np.int64
-        ).reshape(-1, 2, 2)
-        keys = np.empty(count, dtype=np.uint64)
-        matrices = np.empty((count, 2, 2), dtype=np.int32)
         src, dst = [], []
         step = _BLOCK // n * n
         for start in range(0, count, step):
             c = np.arange(start, min(start + step, count))
             rows, gens = np.divmod(c, n)
-            keys[start : start + len(c)] = _layer_keys(
-                self._layer_matrices, rows, gen_matrices, gens, matrices[start : start + len(c)]
-            )
             linked, other = self._squares(prev_lo, lo, c, rows + lo, gens)
             src.append(linked)
             dst.append(other)
         labels = _classes(count, np.concatenate(src), np.concatenate(dst))
         live = labels == np.arange(count)
         live[labels[self._back_edges(lo)]] = False
-        reps = np.flatnonzero(live)
-        return keys[reps], reps, labels, matrices
+        return np.flatnonzero(live), labels
+
+    def _sphere_size(self, radius: int) -> Optional[int]:
+        """The number of elements of word length `radius`, if every stage's u is one base letter.
+
+        Such a group is a right-angled Artin group, and its growth series
+        is 1 / C(y), y = -2x / (1 + x) (Chiswell, *The growth series of a
+        graph product*, 1994), with C(z) = sum_k c_k z^k counting the
+        k-cliques of its commutation graph: c_0 = 1, c_1 the number of
+        letters and t's, and c_k, k >= 2, the sum over stages of
+        C(rank + 1, k), as a stage's letter and t's commute pairwise and
+        validation keeps the stages' letters distinct.  The coefficient of
+        x^m in y^k is (-1)^m 2^k C(m - 1, k - 1).  None for other groups.
+        """
+        if any(len(stage.u) != 1 for stage in self.stages):
+            return None
+        ranks = [stage.rank for stage in self.stages]
+        cliques = [self.alphabet.rank + sum(ranks)] + [
+            sum(math.comb(r + 1, k) for r in ranks) for k in range(2, max(ranks, default=0) + 2)
+        ]
+        c = [1] + [
+            (-1) ** m * sum((ck << k) * math.comb(m - 1, k - 1) for k, ck in enumerate(cliques, 1))
+            for m in range(1, radius + 1)
+        ]
+        # the series w = 1 / c, term by term
+        w = [1]
+        for m in range(1, radius + 1):
+            w.append(-sum(c[i] * w[m - i] for i in range(1, m + 1)))
+        return w[radius]
 
     def _grow_layer(self, cap: int) -> None:
         """Add the next BFS layer; past `cap` elements, raise and keep none of it.
@@ -586,25 +609,36 @@ class EocGroup:
         row entry is not -1), c equals the candidate (X, h) of this layer,
         and the two are linked; else X lies two layers back and c is old.
         If h undoes X's generator, (X, h) is old, and so is c, which
-        equals it.  A class of linked candidates is one element: old if a
-        back edge reaches a member, else new if its key occurs in no other
-        class of the layer, as distinct keys mean distinct elements.  The
-        other classes are settled by normal forms, one member each, in
-        candidate order.  So each new element's tree entry is its least
-        candidate, as if every candidate were settled by its normal form.
+        equals it.  A class of linked candidates is one element, and it is
+        live if no back edge reaches a member.
+
+        The sphere size certifies a layer.  Every element of the new
+        sphere S is some candidate, and that candidate's class is live, as
+        a class is one element and a back edge reaches only old ones.  So
+        the live classes map onto S, and #live >= |S|, with equality
+        exactly when the map is a bijection: every live class is a distinct
+        new element.  Where ``_sphere_size`` gives |S| and #live equals it,
+        the layer builds no keys and no matrices and keeps every live class.
+        Otherwise (``_settle``) a live class is new if its key occurs in no
+        other live class, as distinct keys mean distinct elements, and the
+        classes whose keys clash are settled by normal forms, one member
+        each, in candidate order.  Either way each new element's tree entry
+        is its least candidate, as if every candidate were settled by its
+        normal form.
         """
         prev_lo, lo, size = ([0, 0] + self._ends)[-3:]
-        keys, reps, labels, matrices = self._live_classes(prev_lo, lo)
-        new, settled, merged = self._settle(lo, keys, reps)
-        kept = reps[new]
+        reps, labels = self._live_classes(prev_lo, lo)
+        if len(reps) == self._sphere_size(len(self._ends)):
+            kept, matrices, settled, merged = reps, None, {}, {}
+        else:
+            kept, matrices, settled, merged = self._settle(lo, reps)
         count = len(kept)
         if size + count > cap:
             raise BudgetExceeded(
                 f"ball enumeration exceeded cap of {cap} elements at radius {len(self._ends)}"
             )
-        self._layer_matrices = np.take(matrices, kept, axis=0)
-        # the per-candidate arrays go before the layer's own are built
-        del keys, reps, new, matrices
+        self._layer_matrices = matrices
+        del reps, matrices
         # the ball index of each class's element, by its least candidate
         index = np.full(len(labels), -1, dtype=np.int32)
         index[kept] = np.arange(size, size + count, dtype=np.int32)
@@ -620,36 +654,50 @@ class EocGroup:
         )
         self._ends.append(size + count)
 
-    def _settle(
-        self, lo: int, keys: np.ndarray, reps: np.ndarray
-    ) -> tuple[np.ndarray, dict, dict]:
-        """Which live classes of the next layer are new (``_grow_layer``).
+    def _settle(self, lo: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict, dict]:
+        """The new classes among the live classes of the next layer, by keys (``_grow_layer``).
 
-        `keys` and `reps` are the classes' keys and least candidates.  A
-        class whose key no other class shares is new; the others
-        (``_clashing``, which the collision walk uses too) are settled by
-        normal forms, in candidate order.  Returns the mask of
-        new classes, the normal forms built for new classes and, for each
-        class settled as equal to an earlier one, that class, by least
-        candidate.
+        `reps` are the classes' least candidates, each keyed by phi from
+        the last layer's matrices, which ``_tree_keys`` rebuilds if that
+        layer kept none.  A class whose key no other class shares is new;
+        the others (``_clashing``, which the collision walk uses too) are
+        settled by normal forms, in candidate order.  Returns the new
+        classes' least candidates and matrices, the normal forms built for
+        new classes and, for each class settled as equal to an earlier one,
+        that class, by least candidate.
         """
-        clash = _clashing(keys)
-        times, gen_syllables, form = self._times, self._generator_syllables, self._form
+        gen_syllables = self._generator_syllables
         n = len(gen_syllables)
+        g = np.array([_phi(self, syl) for syl in gen_syllables], dtype=np.int64).reshape(-1, 2, 2)
+        if self._layer_matrices is None:
+            self._layer_matrices = self._tree_keys(self._ends[-1], g)[1]
+        rows, gens = np.divmod(reps, n)
+        keys = np.empty(len(reps), dtype=np.uint64)
+        matrices = np.empty((len(reps), 2, 2), dtype=np.int32)
+        for start in range(0, len(reps), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            keys[block] = _layer_keys(
+                self._layer_matrices, rows[block], g, gens[block], matrices[block]
+            )
+        clash = _clashing(keys)
+        del keys, rows, gens
+        times, form = self._times, self._form
         # seen maps a normal form to the first class with it
         seen, merged = {}, {}
         for i in reps[clash].tolist():
-            row, g = divmod(i, n)
-            syllables = times(form(lo + row), gen_syllables[g])
+            row, h = divmod(i, n)
+            syllables = times(form(lo + row), gen_syllables[h])
             j = seen.setdefault(syllables, i)
             if j != i:
                 merged[i] = j
         settled = {i: syllables for syllables, i in seen.items()}
         new = ~clash
         new[np.searchsorted(reps, list(settled))] = True
-        return new, settled, merged
+        return reps[new], matrices[new], settled, merged
 
-    def _tree_keys(self, n: int, matrices: Sequence[tuple[int, ...]]) -> np.ndarray:
+    def _tree_keys(
+        self, n: int, matrices: Sequence[tuple[int, ...]]
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The keys of the first `n` ball elements, n a layer end, under a homomorphism.
 
         The homomorphism, into SL(2, F_P), sends the i-th generator
@@ -659,7 +707,8 @@ class EocGroup:
         (``_layer_keys``, which keys the ball's candidates too).  Only the
         previous and the current layer's matrices are kept, as int32, so
         it holds 16 bytes per element of two layers and 8 per ball
-        element, the 64-bit key of its four entries (``_key``).
+        element, the 64-bit key of its four entries (``_key``).  Returns
+        the keys and the int32 matrices of the layer that ends at `n`.
         """
         tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc, count=n)
         tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc, count=n)
@@ -681,7 +730,7 @@ class EocGroup:
                     layer[start - lo : stop - lo],
                 )
             prev, prev_lo = layer, lo
-        return keys
+        return keys, prev
 
     def _find(self, syllables: tuple[tuple[int, ...], ...]) -> Optional[int]:
         """The ball index of the element with these canonical syllables, if the ball has it yet.
@@ -693,7 +742,7 @@ class EocGroup:
         if len(self._keys) != self._ends[-1]:
             self._keys = self._tree_keys(
                 self._ends[-1], [_phi(self, syl) for syl in self._generator_syllables]
-            )
+            )[0]
         m = reduce(_mat_mul, [_phi(self, syl) for syl in syllables], _IDENTITY)
         key = _key(np.array(m, dtype=np.int64).reshape(1, 2, 2))
         for k in np.flatnonzero(self._keys == key).tolist():
@@ -831,11 +880,27 @@ def _root() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _clashing(keys: np.ndarray) -> np.ndarray:
-    """The mask of the entries of `keys` whose value occurs more than once."""
-    order = np.argsort(keys)
-    repeated = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    """The mask of the entries of the uint64 `keys` whose value occurs more than once.
+
+    One sorted copy, compared with itself shifted by one, gives the
+    repeated values, each taken once.  A table of at least 2 len(keys)
+    flags, indexed by a key's top bits, marks those of the repeated
+    values, so only the entries whose flag is set, the clashing ones and
+    a few more, are looked up among the repeated values.
+    """
+    s = np.sort(keys)
+    repeated = s[1:][s[1:] == s[:-1]]
+    del s
     clash = np.zeros(len(keys), dtype=bool)
-    clash[order[repeated]] = clash[order[repeated + 1]] = True
+    if len(repeated):
+        repeated = repeated[np.append(True, repeated[1:] != repeated[:-1])]
+        bits = (2 * len(keys)).bit_length()
+        shift = np.uint64(64 - bits)
+        table = np.zeros(1 << bits, dtype=bool)
+        table[repeated >> shift] = True
+        maybe = np.flatnonzero(table[keys >> shift])
+        k = keys[maybe]
+        clash[maybe] = repeated.take(np.searchsorted(repeated, k), mode="clip") == k
     return clash
 
 

@@ -189,7 +189,7 @@ def _first_collision(
     image occurred before, and the first index j with that image.  No
     returned pair depends on phi.
     """
-    keys = ball[0].group._tree_keys(len(ball), generator_matrices)
+    keys = ball[0].group._tree_keys(len(ball), generator_matrices)[0]
     seen = {}
     for k in np.flatnonzero(_clashing(keys)).tolist():
         j = seen.setdefault(image(ball[k]), k)

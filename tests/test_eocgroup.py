@@ -1,3 +1,4 @@
+import collections
 import functools
 import hashlib
 import itertools
@@ -309,12 +310,14 @@ class TestBallOrder:
     ids=["constant", "mod4"],
 )
 def clashing_key(request, monkeypatch):
-    """Patch the ball's key to one that clashes.
+    """Patch the ball's key to one that clashes, and switch the sphere-size certificate off.
 
     A constant key settles every candidate against the whole ball, and the
-    key mod 4 makes four runs that mix distinct elements.
+    key mod 4 makes four runs that mix distinct elements.  Without a
+    sphere size every layer is settled by keys, also on RAAG specs.
     """
     monkeypatch.setattr(eocgroup, "_key", request.param)
+    monkeypatch.setattr(EocGroup, "_sphere_size", lambda self, radius: None)
 
 
 class TestClashingKeys:
@@ -626,14 +629,17 @@ class TestBallOracle:
 
 
 def ball_state(group, radius):
-    """The ball's tree arrays, layer ends, normal forms and last layer's matrices."""
+    """The ball's tree arrays, layer ends, normal forms and last layer's phi keys."""
     group.ball(radius)
+    keys, _ = group._tree_keys(
+        group._ends[-1], [eocgroup._phi(group, syl) for syl in group._generator_syllables]
+    )
     return (
         list(group._tree_parents),
         list(group._tree_gens),
         list(group._ends),
         [group._form(k) for k in range(group._ends[-1])],
-        group._layer_matrices.tobytes(),
+        keys[([0] + group._ends)[-2] :].tobytes(),
     )
 
 
@@ -779,3 +785,135 @@ class TestBackEdges:
     @given(groups(), st.integers(1, 3))
     def test_random_groups(self, G, radius):
         assert_back_edges_exact(EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]), radius)
+
+
+@st.composite
+def raag_groups(draw):
+    """Free rank 2-3, 0-3 stages whose u's are distinct base letters, t-rank 1-2."""
+    alphabet = Alphabet(draw(st.integers(2, 3)))
+    letters = draw(st.lists(st.integers(1, alphabet.rank), max_size=3, unique=True))
+    stages = [
+        (Word(alphabet, [draw(st.sampled_from([x, -x]))]), draw(st.integers(1, 2))) for x in letters
+    ]
+    return EocGroup(alphabet, stages)
+
+
+def grown_tree(group, radius):
+    """The ball's tree arrays, layer ends and last resolution row at `radius`."""
+    group.ball(radius)
+    return list(group._tree_parents), list(group._tree_gens), list(group._ends), group._row.tolist()
+
+
+def uncertified(monkeypatch, group):
+    """Give the group no sphere sizes: every layer is settled by keys."""
+    monkeypatch.setattr(group, "_sphere_size", lambda radius: None)
+    return group
+
+
+def count_settles(monkeypatch):
+    """Record the radius of each layer that ``_settle`` keys, over every group."""
+    radii = []
+    settle = EocGroup._settle
+
+    def spy(self, *args):
+        radii.append(len(self._ends))
+        return settle(self, *args)
+
+    monkeypatch.setattr(EocGroup, "_settle", spy)
+    return radii
+
+
+class TestSphereCertificate:
+    """A layer whose live classes number its exact sphere size is kept without keys."""
+
+    @pytest.mark.parametrize(
+        "rank, stages, clique_poly",
+        [
+            (2, [], (1, 2)),
+            (3, [], (1, 3)),
+            (2, [("g1", 1)], (1, 3, 1)),
+            (2, [("g1", 2)], (1, 4, 3, 1)),
+            (2, [("G1", 3)], (1, 5, 6, 4, 1)),
+            (2, [("g1", 1), ("g2", 1)], (1, 4, 2)),
+            (2, [("g1", 2), ("G2", 2)], (1, 6, 6, 2)),
+            (3, [("g1", 1), ("g2", 2), ("g3", 1)], (1, 7, 5, 1)),
+        ],
+    )
+    def test_sphere_sizes_match_growth_series(self, rank, stages, clique_poly):
+        group = tokens_group(stages, rank)
+        assert [group._sphere_size(r) for r in range(12)] == [
+            raag_ball_size(clique_poly, r) - raag_ball_size(clique_poly, r - 1) for r in range(12)
+        ]
+
+    def test_multi_letter_u_has_no_sphere_size(self):
+        assert tokens_group([("g1 g2", 1)])._sphere_size(3) is None
+        assert tokens_group([("g1", 1), ("g1 g2", 1)])._sphere_size(3) is None
+
+    @FROZEN_BALLS
+    def test_frozen_specs(self, monkeypatch, stages, radius, size, digest):
+        settled = count_settles(monkeypatch)
+        group = EocGroup(A, stages)
+        tree = grown_tree(group, radius)
+        raag = all(len(u) == 1 for u, _ in stages)
+        # every layer of a RAAG ball is certified, and no other layer is
+        assert settled == ([] if raag else list(range(1, radius + 1)))
+        assert group._layer_matrices is None if raag else group._layer_matrices is not None
+        assert tree == grown_tree(uncertified(monkeypatch, EocGroup(A, stages)), radius)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(raag_groups(), st.integers(0, 4))
+    def test_random_raag_groups(self, G, radius):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            bare = uncertified(monkeypatch, EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]))
+            assert grown_tree(G, radius) == grown_tree(bare, radius)
+
+    @pytest.mark.parametrize("wrong", [3, 5])
+    def test_wrong_sphere_size_keys_the_layer(self, monkeypatch, wrong):
+        # the sphere size at radius `wrong` is off by one, so that layer is
+        # keyed from the previous layer's matrices, which ``_tree_keys``
+        # rebuilds as the certified layers before it kept none
+        sphere_size = EocGroup._sphere_size
+        monkeypatch.setattr(
+            EocGroup, "_sphere_size", lambda self, r: sphere_size(self, r) + (r == wrong)
+        )
+        settled = count_settles(monkeypatch)
+        group = EocGroup(A, [(a, 1)])
+        keyed = uncertified(monkeypatch, EocGroup(A, [(a, 1)]))
+        for r in range(7):
+            assert grown_tree(group, r) == grown_tree(keyed, r), r
+            if r == wrong:
+                assert np.array_equal(group._layer_matrices, keyed._layer_matrices)
+            elif r:
+                assert group._layer_matrices is None, r
+        # the keyed group settles every layer; the other only the wrong one
+        assert settled == [r for r in range(1, 7) for _ in range(1 + (r == wrong))]
+
+
+class TestClashingMask:
+    """``_clashing`` against a count of every key."""
+
+    @staticmethod
+    def brute(keys):
+        counts = collections.Counter(keys.tolist())
+        return [counts[k] > 1 for k in keys.tolist()]
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 1000, 50_000])
+    @pytest.mark.parametrize("repeats", ["none", "few", "all-equal"])
+    def test_matches_counter(self, size, repeats):
+        rng = np.random.default_rng(size)
+        keys = rng.integers(0, 2**64, size, dtype=np.uint64)
+        if repeats == "few" and size:
+            keys[rng.integers(0, size, 8)] = keys[rng.integers(0, size, 8)]
+        if repeats == "all-equal":
+            keys[:] = 2**64 - 1
+        assert eocgroup._clashing(keys).tolist() == self.brute(keys)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.integers(0, 2**64 - 1) | st.sampled_from([0, 1, 2**63, 2**64 - 1]), max_size=300
+        )
+    )
+    def test_random_keys(self, values):
+        keys = np.array(values, dtype=np.uint64)
+        assert eocgroup._clashing(keys).tolist() == self.brute(keys)
