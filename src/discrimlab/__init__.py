@@ -31,7 +31,6 @@ from .freewords import (
 from .retraction import (
     ChainResult,
     ComplexityRecord,
-    CurveResult,
     ThetaSpec,
     apply_chain,
     apply_theta,
@@ -63,7 +62,6 @@ __all__ = [
     "CertifyReport",
     "ChainResult",
     "ComplexityRecord",
-    "CurveResult",
     "DiscrimError",
     "EocElement",
     "EocGroup",

@@ -32,6 +32,7 @@ from .errors import AscentExhausted, CertificationError
 from .freewords import Word, coset_strip, join_letters, power_membership
 
 DEFAULT_SWEEP_CAP = 6
+DEFAULT_SAMPLES = 500
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ class CertifyReport:
     with a trivializing tuple above N, so every returned report passes.
     """
 
-    threshold: int
     trivializing: list[tuple[int, ...]] = field(default_factory=list)
     sampled_ok: int = 0
 
@@ -225,7 +225,7 @@ def _hits(
 def certify(
     spec: PaddedWordSpec,
     N: int,
-    samples: int = 1000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
 ) -> CertifyReport:
@@ -250,7 +250,7 @@ def certify(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if sweep_cap < 0:
         raise ValueError(f"sweep_cap must be >= 0, got {sweep_cap}")
-    report = CertifyReport(threshold=N)
+    report = CertifyReport()
     # build_padded gives W = fl w fr for the core word w, and a lemma word
     # fl^a w fr^b (a, b in {0, 1}) is trivial exactly when W = fl^(1-a) fr^(1-b);
     # an absent flank is 1, so at most four words W are forbidden

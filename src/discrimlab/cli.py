@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
-from .bigpowers import DEFAULT_SWEEP_CAP, PaddedWordSpec, certify, threshold
+from .bigpowers import DEFAULT_SAMPLES, DEFAULT_SWEEP_CAP, PaddedWordSpec, certify, threshold
 from .eocgroup import DEFAULT_BALL_CAP, EocGroup, load_group_spec
 from .errors import AscentExhausted, BudgetExceeded, CertificationError, DiscrimError
 from .freewords import Alphabet, join_letters, parse_word
@@ -167,10 +167,10 @@ def _cmd_curve(args) -> int:
     group = _load_group(args.spec)
     if not group.stages:
         raise DiscrimError("group spec has no extension stage; nothing to retract")
-    result = complexity_curve(group, range(args.rmin, args.rmax + 1), cap=args.cap)
+    curve = complexity_curve(group, range(args.rmin, args.rmax + 1), cap=args.cap)
     rows = []
     certificates = []
-    for rec in result.records:
+    for rec in curve:
         if not (rec.lower_bound <= rec.complexity):
             raise _Violation(
                 f"lower bound exceeds achieved complexity at R={rec.R}: "
@@ -197,8 +197,7 @@ def _cmd_curve(args) -> int:
                 f"{rec.wall_ms:.3f}",
             )
         )
-    slope = "" if result.loglog_slope is None else f"{result.loglog_slope:.4f}"
-    meta = _base_meta(args, loglog_slope=slope, p_min_certificates=certificates)
+    meta = _base_meta(args, p_min_certificates=certificates)
     if len(group.stages) > 1:
         chain = compose_chain(group, args.rmax, cap=args.cap)
         meta["composite_p"] = chain.p
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", action="append", required=True, help="interleaving word (repeatable)")
     p.add_argument("--flank-left")
     p.add_argument("--flank-right")
-    p.add_argument("--samples", type=_nonnegative, default=500)
+    p.add_argument("--samples", type=_nonnegative, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep-cap", type=_nonnegative, default=DEFAULT_SWEEP_CAP)
     common_out(p)

@@ -70,11 +70,11 @@ cache's tuple, which elements share, not as a new one per element.
 
 A group is immutable, so it keeps what it computes: strips, ball layers
 and, built lazily once, its subtower (the group with the top stage
-removed, see ``retraction.subtower``), the matrices of its fingerprint
-homomorphism (``_phi``) and the ball's index tables (``_inverse``,
-``_commute``), but no retractions, which are substitutions
-(``retraction._image``).  Retractions onto the subtower share one set of
-caches across words and p values.
+removed, see ``retraction.subtower``) and the matrices of its fingerprint
+homomorphism (``_phi``), but no retractions, which are substitutions
+(``retraction._image``).  The ball's index tables (``_inverse``,
+``_commute``) are built in ``__init__``.  Retractions onto the subtower
+share one set of caches across words and p values.
 
 The ball is its BFS tree, grown a layer at a time.  Two flat integer
 arrays record, per ball index, the parent's ball index and the
@@ -229,35 +229,12 @@ class EocElement:
         return f"EocElement({self.tokens()!r})"
 
 
-class _IndexTable:
-    """A ball index table of ``EocGroup``, built with the others on first read.
-
-    ``EocGroup._index_tables`` sets the tables as plain attributes, which
-    shadow this descriptor; ``functools.cached_property`` would write the
-    instance ``__dict__``, which slows every attribute read on CPython 3.11.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, group: Optional["EocGroup"], owner=None):
-        if group is None:
-            return self
-        group._index_tables()
-        return getattr(group, self.name)
-
-
 class EocGroup:
     """Handle for G' = F *_<u_1> (<u_1> x Z^(n_1)) *_<u_2> ... over F = F_rank.
 
     Immutable after construction; all operations are pure.  Ball layers
     and double-coset strips are memoized on the handle.
     """
-
-    # a group that only normalizes never grows a ball, so the ball's index
-    # tables are built on first read, not in __init__
-    _inverse = _IndexTable()
-    _commute = _IndexTable()
 
     def __init__(self, alphabet: Alphabet, stages: Sequence[tuple[Word, int]]):
         self.alphabet = alphabet
@@ -286,14 +263,32 @@ class EocGroup:
                     )
         self.stages: tuple[EocStage, ...] = tuple(validated)
         self._strip_cache: dict = {}
-        self._membership_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
         # the matrices of _phi, built on its first call
         self._phi: Optional[tuple] = None
         # doubled letters of u by stage, for _strip (None: no neighbour) and _u_power
         self._u_letters = {j: _base_syllable(stage.u) for j, stage in enumerate(self.stages)}
         self._u_letters[None] = None
-        self._generator_syllables = [self._token_syllable(tok) for tok in self.generator_tokens()]
+        tokens = self.generator_tokens()
+        self._generator_syllables = [self._token_syllable(tok) for tok in tokens]
+        # the ball's index tables, by generator index; row -1 is the
+        # identity's.  _inverse[g] undoes g (-1 for the identity, which no
+        # generator undoes).  _commute[h, g]: h and g commute by a defining
+        # relation, as two t's of one stage, or as a t of stage j and a
+        # letter that is u_j or its inverse; g = h and g = h^-1 are left out
+        inverse = [
+            tokens.index(-tok if isinstance(tok, int) else (*tok[:2], -tok[2])) for tok in tokens
+        ] + [-1]
+        self._inverse = np.array(inverse, dtype=np.intp)
+        single = {abs(s.u.letters[0]): j for j, s in enumerate(self.stages) if len(s.u) == 1}
+        centres = [tok[1] if isinstance(tok, tuple) else single.get(abs(tok)) for tok in tokens]
+        self._commute = np.array(
+            [
+                [c is not None and c == d and g not in (h, inverse[h]) for g, d in enumerate(centres)]
+                for h, c in enumerate(centres + [None])
+            ],
+            dtype=bool,
+        )
         # the ball's BFS tree, by ball index: element k is element
         # _tree_parents[k] times generator _tree_gens[k] (-1 for the
         # identity), and the elements of word length <= r are the first _ends[r]
@@ -311,29 +306,6 @@ class EocGroup:
         # the grown ball's phi keys (_tree_keys), for _find; rebuilt when a
         # layer is added
         self._keys = np.empty(0, dtype=np.uint64)
-
-    def _index_tables(self) -> None:
-        """Build the ball's index tables, by generator index; row -1 is the identity's.
-
-        ``_inverse[g]`` undoes g (-1 for the identity, which no generator
-        undoes).  ``_commute[h, g]``: h and g commute by a defining
-        relation, as two t's of one stage, or as a t of stage j and a letter
-        that is u_j or its inverse; g = h and g = h^-1 are left out.
-        """
-        tokens = self.generator_tokens()
-        inverse = [
-            tokens.index(-tok if isinstance(tok, int) else (*tok[:2], -tok[2])) for tok in tokens
-        ] + [-1]
-        self._inverse = np.array(inverse, dtype=np.intp)
-        single = {abs(s.u.letters[0]): j for j, s in enumerate(self.stages) if len(s.u) == 1}
-        centres = [tok[1] if isinstance(tok, tuple) else single.get(abs(tok)) for tok in tokens]
-        self._commute = np.array(
-            [
-                [c is not None and c == d and g not in (h, inverse[h]) for g, d in enumerate(centres)]
-                for h, c in enumerate(centres + [None])
-            ],
-            dtype=bool,
-        )
 
     # -- construction helpers -------------------------------------------------
 
@@ -411,14 +383,7 @@ class EocGroup:
     # tests/test_tracer_targets.py still need it.
     def _power_of(self, stage: int, g: tuple[int, ...]) -> Optional[int]:
         """k with u_stage^k == g for the base syllable g, or None."""
-        key = (stage, g)
-        try:
-            return self._membership_cache[key]
-        except KeyError:
-            k = self._membership_cache[key] = power_membership(
-                self.stages[stage].u, _syllable_word(self.alphabet, g)
-            )
-            return k
+        return power_membership(self.stages[stage].u, _syllable_word(self.alphabet, g))
 
     def _strip(
         self, g: tuple[int, ...], left_stage: Optional[int], right_stage: Optional[int]

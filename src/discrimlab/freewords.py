@@ -48,11 +48,6 @@ class Alphabet:
     def identity(self) -> "Word":
         return Word(self, ())
 
-    def generator(self, i: int) -> "Word":
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"generator index {i} out of range 1..{self.rank}")
-        return Word(self, (i,))
-
     def generators(self) -> list["Word"]:
         return [Word(self, (i,)) for i in range(1, self.rank + 1)]
 

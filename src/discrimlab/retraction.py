@@ -365,25 +365,10 @@ def complexity_record(
     )
 
 
-@dataclass
-class CurveResult:
-    """A complexity curve plus an unasserted empirical growth exponent."""
-
-    records: list[ComplexityRecord]
-    loglog_slope: Optional[float] = None
-
-
 def complexity_curve(
     group: EocGroup, radii: Sequence[int], cap: int = DEFAULT_BALL_CAP
-) -> CurveResult:
-    records = [complexity_record(group, R, cap=cap) for R in radii]
-    slope = None
-    positive = [(r.R, r.complexity) for r in records if r.R >= 1]
-    if len(positive) >= 2:
-        xs = np.log([float(R) for R, _ in positive])
-        ys = np.log([float(c) for _, c in positive])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return CurveResult(records=records, loglog_slope=slope)
+) -> list[ComplexityRecord]:
+    return [complexity_record(group, R, cap=cap) for R in radii]
 
 
 @dataclass
@@ -391,7 +376,6 @@ class ChainResult:
     """A uniform-p composite retraction down a multi-stage tower."""
 
     p: int
-    R: int
     complexity: int
     stage_complexities: list[int]
     # product of stage_complexities, which no composite image length exceeds
@@ -442,7 +426,6 @@ def compose_chain(
         composite_max = max(composite_max, len(img))
     return ChainResult(
         p=p,
-        R=R,
         complexity=composite_max,
         stage_complexities=stage_complexities,
         bound=math.prod(stage_complexities),

@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from discrimlab.bigpowers import (
+    DEFAULT_SAMPLES,
     DEFAULT_SWEEP_CAP,
     CertifyReport,
     PaddedWordSpec,
@@ -379,7 +380,7 @@ def product_padded(spec: PaddedWordSpec, r: Sequence[int], powers: dict[int, Wor
 def brute_certify(
     spec: PaddedWordSpec,
     N: int,
-    samples: int = 1000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
 ) -> CertifyReport:
@@ -390,7 +391,7 @@ def brute_certify(
     order, against the (at most four) forbidden words.  One table of
     running powers, |r| <= |N| + 10, serves the samples and the sweep.
     """
-    report = CertifyReport(threshold=N)
+    report = CertifyReport()
     rng = random.Random(seed)
     k = spec.k
     one = spec.u.alphabet.identity()

@@ -171,7 +171,7 @@ def test_6_retraction_curve():
     curves = {}
     for n in (1, 2):
         G = EocGroup(A, [(a, n)])
-        curve = complexity_curve(G, range(5)).records
+        curve = complexity_curve(G, range(5))
         curves[n] = curve
         ceiling = _p_ceiling(G, 4)
         if any(rec.p_min > ceiling for rec in curve):
@@ -219,18 +219,27 @@ def test_7_composition():
     )
 
 
-def test_8_asymptotics_reported_not_asserted():
+def test_8_exact_polynomial_curve():
+    """For u = g1 the curve is an exact polynomial of degree n in R.
+
+    p_min = 2R, and the retraction's complexity is 2R (2R+1)^(n-1), as a
+    rank-n extension's discriminating complexity is dominated by a
+    polynomial of degree n.
+    """
     t0 = time.perf_counter()
-    slopes = {}
+    details = []
     for n in (1, 2):
         G = EocGroup(A, [(a, n)])
-        slopes[n] = complexity_curve(G, range(1, 5)).loglog_slope
+        for rec in complexity_curve(G, range(1, 5)):
+            R = rec.R
+            expected = (2 * R, 2 * R * (2 * R + 1) ** (n - 1))
+            if (rec.p_min, rec.complexity) != expected:
+                details.append(f"n={n},R={R}: (p_min, complexity) = "
+                               f"{(rec.p_min, rec.complexity)}, expected {expected}")
     elapsed = time.perf_counter() - t0
-    # asymptotic classes are out of reach at these radii by design; the
-    # slopes are recorded as metadata only
     report(
-        "8 asymptotics (reported only)",
-        all(s is not None for s in slopes.values()),
+        "8 exact polynomial curve",
+        not details,
         elapsed,
-        f"log-log slopes: n=1: {slopes[1]:.3f}, n=2: {slopes[2]:.3f}",
+        "; ".join(details) or "p_min = 2R, complexity = 2R (2R+1)^(n-1) for n = 1, 2 and R = 1..4",
     )

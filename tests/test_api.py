@@ -11,7 +11,6 @@ PUBLIC_API = [
     "CertifyReport",
     "ChainResult",
     "ComplexityRecord",
-    "CurveResult",
     "DiscrimError",
     "EocElement",
     "EocGroup",

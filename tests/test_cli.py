@@ -79,7 +79,7 @@ def data_rows(out):
 
 # metadata keys that are not parsed options
 DERIVED_META = {
-    "tool", "version", "command", "k", "loglog_slope",
+    "tool", "version", "command", "k",
     "composite_p", "composite_complexity", "composite_bound", "p_min_certificates",
 }
 
@@ -507,6 +507,43 @@ class TestOutput:
     def test_meta_has_version_and_seed(self, capsys, g1_spec):
         _, out = run(capsys, "crosscheck", "--spec", g1_spec, "--r", "1")
         assert "# version=" in out and "# seed=0" in out
+
+    def test_only_exact_numbers_printed(self, capsys, tmp_path, g1_spec, tower_spec):
+        # every number but the wall clock is an exact integer: no float, and
+        # no string that reads as a non-integer number
+        def inexact(value):
+            if isinstance(value, dict):
+                return [x for k, v in value.items() if k != "wall_ms" for x in inexact(v)]
+            if isinstance(value, list):
+                return [x for v in value for x in inexact(v)]
+            if isinstance(value, float):
+                return [value]
+            if isinstance(value, str):
+                try:
+                    int(value)
+                except ValueError:
+                    try:
+                        float(value)
+                    except ValueError:
+                        return []
+                    return [value]
+            return []
+
+        g1g1g2 = tmp_path / "g1g1g2.json"
+        g1g1g2.write_text('{"free_rank": 2, "stages": [{"u": "g1 g1 g2", "rank": 1}]}')
+        commands = [
+            ["zn", "--n", "3", "--rmax", "3"],
+            ["bigpowers", "--u", "g1", "--g", "g2", "--g", "g1 g2", "--samples", "50"],
+            ["curve", "--spec", tower_spec, "--rmax", "3"],
+            ["curve", "--spec", str(g1g1g2), "--rmax", "4"],
+            ["ball", "--spec", g1_spec, "--rmax", "4"],
+            ["crosscheck", "--spec", tower_spec, "--r", "2", "--samples", "20"],
+        ]
+        for argv in commands:
+            code, out = run(capsys, *argv, "--format", "jsonl")
+            assert code == 0, argv
+            records = [json.loads(l) for l in out.splitlines()]
+            assert inexact(records) == [], argv
 
     def test_bad_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
