@@ -112,9 +112,13 @@ def _load_group(path: str) -> EocGroup:
 
 def _cmd_zn(args) -> int:
     rows = []
+    # the minimum never falls as R grows, so each search starts at the last one
+    exact = 1
     for R in range(args.rmin, args.rmax + 1):
         t0 = time.perf_counter()
-        exact, witness = minimal_complexity(args.n, BallSpec(args.shape, R), budget=args.budget)
+        exact, witness = minimal_complexity(
+            args.n, BallSpec(args.shape, R), budget=args.budget, start=exact
+        )
         upper = theta(args.n, R).complexity
         lb = lower_bound_value(args.n, R) if args.n >= 2 else Fraction(0, 1)
         wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -11,7 +11,7 @@ All arithmetic is exact (python ints and Fractions); numpy is used only
 to speed up exhaustive kernel searches over small integer boxes.  Those
 searches run over coefficient vectors in max-norm shells.  Each shell is
 built directly in numpy in lex order, so the cube [-m, m]^n is never
-walked.
+walked, and no shell is kept once its search step is done.
 
 The complexity search uses the symmetry of the ball: the l1 ball and the
 box are invariant under signed permutations of coordinates, so c
@@ -25,13 +25,18 @@ canonical rows.  The budget still counts whole shells.  Candidates are
 tested in blocks of SCAN_BLOCK_CELLS // |half ball| (at least one), so
 the image matrix never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64
 cells, whatever the shell size.
+
+The punctured ball of radius R - 1 lies inside the one of radius R, so
+the minimum never falls as R grows, and a sweep over R starts each
+search at the previous radius's minimum (``start``).  The l1 half ball
+is grown a coordinate at a time, so the box [-R, R]^n is built only for
+the box shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
@@ -125,36 +130,57 @@ def _shell_size(n: int, m: int) -> int:
     return ((2 * m + 1) ** n - (2 * m - 1) ** n) // 2
 
 
-@lru_cache(maxsize=64)
+# the name perfbench/tracer.py wraps to count shell candidates; nothing
+# caches the shells any more, so each call builds its shell afresh
 def _shell_vectors_cached(n: int, m: int) -> np.ndarray:
-    """Vectors with max-norm exactly m >= 1, lex order, first nonzero entry positive.
-
-    The array is read-only: it is shared by every caller through the cache.
-    """
+    """Vectors with max-norm exactly m >= 1, lex order, first nonzero entry positive, read-only."""
     shell = _build_shell(n, m)
     shell.flags.writeable = False
     return shell
 
 
 def _canonical_rows(n: int, m: int) -> np.ndarray:
-    """Shell m's rows 0 <= c_1 <= ... <= c_n = m, one per signed-permutation orbit, in lex order."""
+    """Shell m's rows 0 <= c_1 <= ... <= c_n = m, one per signed-permutation orbit, in lex order.
+
+    n >= 2.  A shell row's first nonzero entry is positive, so a
+    non-decreasing row has no negative entry.
+    """
     shell = _shell_vectors_cached(n, m)
-    # a shell row's first nonzero entry is positive, so a non-decreasing
-    # row has no negative entry
-    return shell[np.all(np.diff(shell, axis=1) >= 0, axis=1)]
+    keep = shell[:, 0] <= shell[:, 1]
+    for i in range(1, n - 1):
+        keep &= shell[:, i] <= shell[:, i + 1]
+    return shell[keep]
+
+
+def _l1_ball(n: int, R: int) -> np.ndarray:
+    """All points of Z^n with l1 norm <= R, as rows in lex order.
+
+    Grown a coordinate at a time: each row x is replaced, in place, by its
+    extensions (x, a) with |a| <= R - |x|_1, so lex order is kept and the
+    box [-R, R]^n is never built.
+    """
+    ball = np.zeros((1, 0), dtype=np.int64)
+    slack = np.full(1, R, dtype=np.int64)  # R - |x|_1 of each row
+    for _ in range(n):
+        counts = 2 * slack + 1
+        ball = np.repeat(ball, counts, axis=0)
+        offsets = np.repeat(np.cumsum(counts) - counts + slack, counts)
+        last = np.arange(len(ball)) - offsets
+        ball = np.column_stack([ball, last])
+        slack = np.repeat(slack, counts) - np.abs(last)
+    return ball
 
 
 def _half_ball(n: int, spec: BallSpec) -> np.ndarray:
     """The punctured ball's primitive points with positive first nonzero entry, as rows.
 
-    In the lex-ordered box the rows after the center are exactly the
-    points with positive first nonzero entry, and the rows before it are
-    their negatives.  A point is primitive when the gcd of its entries is 1.
+    The ball is symmetric under x -> -x, which reverses lex order, so in
+    the lex-ordered ball the rows after the center are exactly the points
+    with positive first nonzero entry, and the rows before it are their
+    negatives.  A point is primitive when the gcd of its entries is 1.
     """
-    box = _cube(n, spec.radius)
-    half = box[len(box) // 2 + 1 :]
-    if spec.shape == "l1":
-        half = half[np.abs(half).sum(axis=1) <= spec.radius]
+    ball = _l1_ball(n, spec.radius) if spec.shape == "l1" else _cube(n, spec.radius)
+    half = ball[len(ball) // 2 + 1 :]
     return half[np.gcd.reduce(np.abs(half), axis=1) == 1]
 
 
@@ -170,7 +196,7 @@ def _lex_first_member(c: IntVector) -> IntVector:
 
 
 def minimal_complexity(
-    n: int, spec: BallSpec, budget: int = DEFAULT_ENUM_BUDGET
+    n: int, spec: BallSpec, budget: int = DEFAULT_ENUM_BUDGET, *, start: int = 1
 ) -> tuple[int, ZnHom]:
     """Least complexity of a hom whose kernel misses the punctured ball, by exhaustive search.
 
@@ -193,15 +219,29 @@ def minimal_complexity(
     of its orbit (``_lex_first_member``), and the least of those is the
     lex-first discriminating vector of the whole shell.
 
+    ``start`` skips the shells below it, which is exact whenever ``start``
+    is at most the minimum.  The minimum m(R - 1) of radius R - 1 always
+    is: the punctured ball of radius R - 1 lies inside the one of radius
+    R, for either shape, so every vector that discriminates radius R also
+    discriminates radius R - 1, and m(R) >= m(R - 1).  Shell m(R) is still
+    tested in full, so the lex-first witness does not change.  A sweep
+    over R passes each radius the previous minimum.
+
     ``budget`` caps the candidates of the whole shells searched, counted
     as full shells (not canonical rows): a shell that would pass it raises
-    BudgetExceeded before it is built.  The theta complexity is a valid
+    BudgetExceeded before it is built.  The skipped shells 1..start-1 are
+    charged as if searched, ((2 start - 1)^n - 1) / 2 candidates, so a
+    search from any ``start`` up to the minimum raises BudgetExceeded
+    exactly when the search from 1 does.  No shell is kept between
+    searches.  The theta complexity is a valid
     search ceiling; if the search passes it anyway, AscentExhausted
     carries theta's coefficients and the lex-first half-ball point theta
     sends to 0, which is primitive, since x/gcd(x) precedes x.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if start < 1:
+        raise ValueError("start must be >= 1")
     if n == 1:
         return 1, ZnHom((1,))
     half = _half_ball(n, spec)
@@ -210,15 +250,15 @@ def minimal_complexity(
     block = max(1, SCAN_BLOCK_CELLS // len(half))
     th = theta(n, spec.radius)
     ceiling = th.complexity
-    searched = 0
-    for m in range(1, ceiling + 1):
+    searched = ((2 * start - 1) ** n - 1) // 2
+    for m in range(start, ceiling + 1):
         searched += _shell_size(n, m)
         if searched > budget:
             raise BudgetExceeded(f"coefficient search exceeded budget {budget}")
         canonical = _canonical_rows(n, m)
         found = []
-        for start in range(0, len(canonical), block):
-            candidates = canonical[start : start + block]
+        for first in range(0, len(canonical), block):
+            candidates = canonical[first : first + block]
             found += candidates[np.all(half @ candidates.T != 0, axis=0)].tolist()
         if found:
             return m, ZnHom(min(_lex_first_member(tuple(c)) for c in found))

@@ -96,6 +96,21 @@ def half_ball_points(n: int, spec: BallSpec) -> np.ndarray:
     return np.array(half, dtype=np.int64).reshape(-1, n)
 
 
+def box_filtered_half_ball(n: int, spec: BallSpec) -> np.ndarray:
+    """The punctured ball's primitive points with positive first nonzero entry, from the box.
+
+    Builds all of [-R, R]^n in lex order, keeps the rows after its center
+    (the points with positive first nonzero entry), then those in the
+    ball and those whose entries have gcd 1.
+    """
+    R = spec.radius
+    box = np.indices((2 * R + 1,) * n, dtype=np.int64).reshape(n, -1).T - R
+    half = box[len(box) // 2 + 1 :]
+    if spec.shape == "l1":
+        half = half[np.abs(half).sum(axis=1) <= R]
+    return half[np.gcd.reduce(np.abs(half), axis=1) == 1]
+
+
 def interval_half_width(n: int, R: int) -> int:
     """Half-width ((2R+1)^n - 1) / 2 of theta's image interval; always exact."""
     return ((2 * R + 1) ** n - 1) // 2

@@ -131,6 +131,32 @@ class TestZn:
         assert code == 0
         assert data_rows(out) == json.loads(ZN_REFERENCE.read_text())[label]
 
+    @pytest.mark.parametrize(
+        "n, shape, rmax, expect_code",
+        [
+            (2, "l1", 8, 0),
+            (3, "l1", 8, 0),
+            (3, "box", 4, 0),
+            (4, "l1", 4, 0),
+            (4, "box", 1, 0),
+            (4, "box", 2, 3),
+        ],
+    )
+    def test_rmin_rows_are_the_sweep_tail(self, capsys, n, shape, rmax, expect_code):
+        # each radius starts its search at the last radius's minimum, so a
+        # sweep from rmin > 0 must print what the sweep from 0 prints there;
+        # the n = 2 l1 minima repeat (3 at R = 3 and 4), so a start past the
+        # last minimum shows there
+        argv = ["zn", "--n", str(n), "--shape", shape, "--rmax", str(rmax)]
+        code, out = run(capsys, *argv)
+        assert code == expect_code
+        full = data_rows(out) if code == 0 else None
+        for k in range(1, rmax + 1):
+            code, out = run(capsys, *argv, "--rmin", str(k))
+            assert code == expect_code, k
+            if full is not None:
+                assert data_rows(out) == full[:1] + full[1 + k :], k
+
     def test_theta_ceiling_violation_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("discrimlab.zdiscrim.theta", lambda n, R: ZnHom((1,) * n))
         code = main(["zn", "--n", "2", "--rmin", "2", "--rmax", "2"])

@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from discrimlab.zdiscrim import (
 from discrimlab.errors import AscentExhausted, BudgetExceeded
 from oracles import (
     ball_points,
+    box_filtered_half_ball,
     brute_minimal_complexity,
     brute_shell_vectors,
     half_ball_points,
@@ -102,6 +104,15 @@ class TestShells:
         assert _shell_vectors_cached(3, 2)[0, 0] == 0
 
 
+class TestHalfBall:
+    @pytest.mark.parametrize("shape", ["l1", "box"])
+    def test_matches_box_filter(self, shape):
+        for n in range(1, 6):
+            for R in range(7):
+                spec = BallSpec(shape, R)
+                assert np.array_equal(_half_ball(n, spec), box_filtered_half_ball(n, spec)), (n, R)
+
+
 # (n, R, budget) per shape.  At n = 4 the box searches for R >= 2 run past
 # any budget near the default; 30,000 is one the brute force reaches cheaply.
 _ORACLE_CASES = (
@@ -151,6 +162,59 @@ class TestMinimalComplexity:
         built.clear()
         assert minimal_complexity(2, BallSpec("l1", 6), budget=40)[0] == 4
         assert built == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("shape", ["l1", "box"])
+    def test_start_at_previous_minimum_keeps_the_result(self, shape):
+        # the CLI's sweep: radius R starts at the minimum of radius R - 1
+        outcomes = []
+        for n, R, budget in _ORACLE_CASES:
+            if R == 0:
+                continue
+            previous = _outcome(minimal_complexity, n, BallSpec(shape, R - 1), budget)
+            if previous == "budget exceeded":
+                continue
+            spec = BallSpec(shape, R)
+            expect = _outcome(minimal_complexity, n, spec, budget)
+            got = _outcome(partial(minimal_complexity, start=previous[0]), n, spec, budget)
+            assert got == expect, (n, R)
+            outcomes.append(got)
+        # n = 4, box R = 2 passes the budget after R = 1 found 7
+        assert ("budget exceeded" in outcomes) == (shape == "box")
+
+    def test_no_shell_below_start_is_built(self, monkeypatch):
+        # n = 2 shells hold 4m candidates: 4, 12, 24, 40 cumulative
+        built = []
+
+        def spy(n, m):
+            built.append(m)
+            return _shell_vectors_cached(n, m)
+
+        monkeypatch.setattr(zdiscrim, "_shell_vectors_cached", spy)
+        assert minimal_complexity(2, BallSpec("l1", 6), budget=40, start=3)[0] == 4
+        assert built == [3, 4]
+        # the skipped shells still count against the budget
+        built.clear()
+        with pytest.raises(BudgetExceeded):
+            minimal_complexity(2, BallSpec("l1", 6), budget=23, start=3)
+        assert built == []
+        with pytest.raises(ValueError):
+            minimal_complexity(2, BallSpec("l1", 6), start=0)
+
+    def test_no_shell_outlives_the_search(self):
+        # numpy reports its buffers to tracemalloc, so a kept shell would
+        # show; the first search sets up numpy's own lazy state
+        minimal_complexity(4, BallSpec("l1", 2))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            minimal_complexity(4, BallSpec("l1", 4))
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert after - before < 64 * 1024
 
     def test_theta_ceiling_violation_is_typed(self, monkeypatch):
         monkeypatch.setattr(zdiscrim, "theta", lambda n, R: ZnHom((1,) * n))
