@@ -11,7 +11,7 @@ drives batch runs.
 
 __version__ = "0.1.0"
 
-from .bigpowers import CertifyReport, PaddedWordSpec, build_padded, certify, threshold
+from .bigpowers import PaddedWordSpec, build_padded, certify, threshold
 from .eocgroup import EocElement, EocGroup, load_group_spec
 from .errors import (
     AscentExhausted,
@@ -59,7 +59,6 @@ __all__ = [
     "BallSpec",
     "BudgetExceeded",
     "CertificationError",
-    "CertifyReport",
     "ChainResult",
     "ComplexityRecord",
     "DiscrimError",

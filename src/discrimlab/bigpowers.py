@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .errors import AscentExhausted, CertificationError
@@ -153,18 +153,6 @@ def threshold(spec: PaddedWordSpec) -> int:
     return max(m + abs(o) - 1 for o in offsets)
 
 
-@dataclass
-class CertifyReport:
-    """What ``certify`` checked of a threshold N: its samples and the box's trivializing tuples.
-
-    ``certify`` raises ``CertificationError`` before it returns a report
-    with a trivializing tuple above N, so every returned report passes.
-    """
-
-    trivializing: list[tuple[int, ...]] = field(default_factory=list)
-    sampled_ok: int = 0
-
-
 def _padded_words(
     spec: PaddedWordSpec,
     values: Sequence[int],
@@ -228,20 +216,21 @@ def certify(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
-) -> CertifyReport:
+) -> list[tuple[int, ...]]:
     """Probe the threshold: exhaustive sweeps of a box and of the sampling band.
 
-    The box |r_i| <= min(N + 2, sweep_cap) is swept by ``_hits``, and
-    ``report.trivializing`` lists its hits in ``itertools.product`` order.
-    The ``samples`` seeded random r above N all lie in the band
-    N + 1 <= |r_i| <= N + 10.  Where sweeping that band costs no more
-    than the draws (it grows as 20^((k+2)//2), so for small k or many
-    samples), ``_hits`` sweeps it: a band with no hit passes every draw,
-    so ``sampled_ok`` is ``samples`` and nothing is drawn; otherwise the
-    draws are replayed and the first one the band sweep hit raises, so
-    the witness is the one a per-sample check would report.  Elsewhere
-    each draw is built by ``build_padded`` and checked on its own.  The
-    box's hits above N are checked last.
+    The box |r_i| <= min(N + 2, sweep_cap) is swept by ``_hits``, and its
+    hits, the box's trivializing tuples, are returned in
+    ``itertools.product`` order.  The ``samples`` seeded random r above N
+    all lie in the band N + 1 <= |r_i| <= N + 10.  Where sweeping that
+    band costs no more than the draws (it grows as 20^((k+2)//2), so for
+    small k or many samples), ``_hits`` sweeps it: a band with no hit
+    passes every draw, so nothing is drawn; otherwise the draws are
+    replayed and the first one the band sweep hit raises, so the witness
+    is the one a per-sample check would report.  Elsewhere each draw is
+    built by ``build_padded`` and checked on its own.  The box's hits
+    above N are checked last, so every returned tuple lies at or below N
+    and all ``samples`` draws passed.
 
     Raises CertificationError on any counterexample above N (a threshold
     bug), and ValueError for a negative ``samples`` or ``sweep_cap``.
@@ -250,7 +239,6 @@ def certify(
         raise ValueError(f"samples must be >= 0, got {samples}")
     if sweep_cap < 0:
         raise ValueError(f"sweep_cap must be >= 0, got {sweep_cap}")
-    report = CertifyReport()
     # build_padded gives W = fl w fr for the core word w, and a lemma word
     # fl^a w fr^b (a, b in {0, 1}) is trivial exactly when W = fl^(1-a) fr^(1-b);
     # an absent flank is 1, so at most four words W are forbidden
@@ -259,20 +247,20 @@ def certify(
     forbidden = tuple({(x * y).letters for x in lefts for y in rights})
     bound = min(N + 2, sweep_cap)
     box = range(-bound, bound + 1)
-    band = sorted({s * e for e in range(N + 1, N + 11) for s in (1, -1)}) if samples else ()
+    band = sorted({s * e for e in range(N + 1, N + 11) for s in (1, -1)})
     powers = {e: (spec.u**e).letters for e in {*box, *band}}
-    report.trivializing = _hits(spec, box, powers, forbidden)
+    trivializing = _hits(spec, box, powers, forbidden)
     k, h = spec.k, (spec.k + 2) // 2
     # the band sweep builds |band|^h left halves and keys |band|^(k+1-h)
     # right halves under each forbidden word; it runs only where that costs
     # no more than the draws, which join samples * (k + 1) powers
     failed = None  # decides a draw, or None when no draw can fail
     n = len(band)
-    if samples and n**h + len(forbidden) * n ** (k + 1 - h) <= samples * (k + 1):
+    if n**h + len(forbidden) * n ** (k + 1 - h) <= samples * (k + 1):
         bad = set(_hits(spec, band, powers, forbidden))
         if bad:
             failed = bad.__contains__
-    elif samples:
+    else:
         failed = lambda r: build_padded(spec, r, powers).letters in forbidden
     if failed is not None:
         rng = random.Random(seed)
@@ -280,8 +268,7 @@ def certify(
             r = tuple(rng.choice((1, -1)) * rng.randint(N + 1, N + 10) for _ in range(k + 1))
             if failed(r):
                 raise CertificationError(N, r)
-    report.sampled_ok = samples
-    for r in report.trivializing:
+    for r in trivializing:
         if min(abs(x) for x in r) > N:
             raise CertificationError(N, r)
-    return report
+    return trivializing

@@ -144,25 +144,15 @@ def _cmd_bigpowers(args) -> int:
     gs = tuple(parse_word(alphabet, g) for g in args.g)
     flank_left = parse_word(alphabet, args.flank_left) if args.flank_left else None
     flank_right = parse_word(alphabet, args.flank_right) if args.flank_right else None
-    try:
-        spec = PaddedWordSpec(u, gs, flank_left, flank_right)
-    except ValueError as e:
-        raise DiscrimError(str(e)) from e
+    spec = PaddedWordSpec(u, gs, flank_left, flank_right)
     t0 = time.perf_counter()
     N = threshold(spec)
-    report = certify(spec, N, samples=args.samples, seed=args.seed, sweep_cap=args.sweep_cap)
+    trivializing = certify(spec, N, samples=args.samples, seed=args.seed, sweep_cap=args.sweep_cap)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     meta = _base_meta(args, k=len(gs))
-    rows = [
-        (
-            N,
-            report.sampled_ok,
-            len(report.trivializing),
-            # certify raises CertificationError rather than return a failing report
-            "pass",
-            f"{wall_ms:.3f}",
-        )
-    ]
+    # certify raises CertificationError rather than return after a failing
+    # draw or a box hit above N, so every sample passed
+    rows = [(N, args.samples, len(trivializing), "pass", f"{wall_ms:.3f}")]
     _emit(args, meta, ["threshold", "sampled_ok", "trivializing", "verdict", "wall_ms"], rows)
     return EXIT_OK
 
@@ -207,7 +197,7 @@ def _cmd_curve(args) -> int:
         meta["composite_p"] = chain.p
         meta["composite_complexity"] = chain.complexity
         meta["composite_bound"] = chain.bound
-        if any(l > chain.bound for _, l in chain.submultiplicative):
+        if chain.complexity > chain.bound:
             raise _Violation("composite image exceeds product of stage complexities")
     _emit(
         args,

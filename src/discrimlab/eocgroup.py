@@ -105,11 +105,11 @@ builds its elements that way.  A layer that exceeds the cap is not kept.
 ``_tree_keys``, the one tree evaluator, evaluates a homomorphism into
 SL(2, F_P) on the whole ball with one product per element:
 ``word_length`` uses it with phi, ``retraction._first_collision`` with
-phi after a retraction, and a keyed layer after a certified one to
-rebuild the matrices that layer did not keep.  The walk and the layer
-settle take their clashing keys from one ``_clashing``, which sorts one
-copy of the keys, and confirm each clash exactly: the layer by normal
-forms, the walk by the retraction's own map.
+phi after a retraction, and a keyed layer after the identity's or a
+certified one to rebuild the matrices that layer did not keep.  The walk
+and the layer settle take their clashing keys from one ``_clashing``,
+which sorts one copy of the keys, and confirm each clash exactly: the
+layer by normal forms, the walk by the retraction's own map.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -297,8 +297,8 @@ class EocGroup:
         self._ends: list[int] = [1]
         # the normal forms built so far, by ball index (_form)
         self._forms: dict[int, tuple] = {0: ()}
-        # the last layer's phi matrices as int32
-        self._layer_matrices = _root()[0]
+        # the last layer's phi matrices as int32, or None if it kept none
+        self._layer_matrices = None
         # the last layer's resolution row, read by the next layer's back
         # edges and squares: per candidate of the layer, the ball index of
         # its element if the layer has it, else -1 (empty for the identity)
@@ -679,7 +679,8 @@ class EocGroup:
         tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc, count=n)
         g = np.array(matrices, dtype=np.int64).reshape(-1, 2, 2)
         keys = np.empty(n, dtype=np.uint64)
-        prev, keys[:1] = _root()
+        root = np.array(_IDENTITY, dtype=np.int64).reshape(1, 2, 2)
+        prev, keys[:1] = root.astype(np.int32), _key(root)
         prev_lo = 0
         for lo, hi in zip(self._ends, self._ends[1:]):
             if lo == n:
@@ -836,12 +837,6 @@ def _phi(group: EocGroup, syl: tuple[int, ...]) -> tuple[int, ...]:
 def _key(m: np.ndarray) -> np.ndarray:
     """One key per matrix of `m`: its four entries dotted with ``_MIX``, mod 2^64."""
     return m.reshape(-1, 4).view(np.uint64) @ np.array(_MIX, dtype=np.uint64)
-
-
-def _root() -> tuple[np.ndarray, np.ndarray]:
-    """The identity's layer: its matrix as one int32 2x2 block, and its key."""
-    m = np.array(_IDENTITY, dtype=np.int64).reshape(1, 2, 2)
-    return m.astype(np.int32), _key(m)
 
 
 def _clashing(keys: np.ndarray) -> np.ndarray:

@@ -97,7 +97,7 @@ def subtower(group: EocGroup) -> EocGroup:
 
     Built on first use and kept by `group`, so every retraction of `group`
     (any word, any R and p) lands in the same subtower object and reuses
-    its strip, membership and ball caches.
+    its strip cache and its grown ball.
     """
     if not group.stages:
         raise ValueError("group has no stage to remove")

@@ -21,7 +21,7 @@ orbit, against the primitive points of one antipodal half of the
 punctured ball, since c.x != 0 exactly when c.(x/gcd(x)) != 0.  The
 result is still the lex-first discriminating vector of the first shell
 that has one: the least lex-first orbit member of its discriminating
-canonical rows.  The budget still counts whole shells.  Candidates are
+canonical rows.  The budget counts the rows of whole shells.  Candidates are
 tested in blocks of SCAN_BLOCK_CELLS // |half ball| (at least one), so
 the image matrix never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64
 cells, whatever the shell size.
@@ -125,11 +125,6 @@ def _build_shell(n: int, m: int) -> np.ndarray:
     return shell
 
 
-def _shell_size(n: int, m: int) -> int:
-    """Rows of the shell (n, m), m >= 1: ((2m+1)^n - (2m-1)^n) / 2."""
-    return ((2 * m + 1) ** n - (2 * m - 1) ** n) // 2
-
-
 # the name perfbench/tracer.py wraps to count shell candidates; nothing
 # caches the shells any more, so each call builds its shell afresh
 def _shell_vectors_cached(n: int, m: int) -> np.ndarray:
@@ -227,33 +222,32 @@ def minimal_complexity(
     tested in full, so the lex-first witness does not change.  A sweep
     over R passes each radius the previous minimum.
 
-    ``budget`` caps the candidates of the whole shells searched, counted
-    as full shells (not canonical rows): a shell that would pass it raises
-    BudgetExceeded before it is built.  The skipped shells 1..start-1 are
-    charged as if searched, ((2 start - 1)^n - 1) / 2 candidates, so a
-    search from any ``start`` up to the minimum raises BudgetExceeded
-    exactly when the search from 1 does.  No shell is kept between
-    searches.  The theta complexity is a valid
-    search ceiling; if the search passes it anyway, AscentExhausted
-    carries theta's coefficients and the lex-first half-ball point theta
-    sends to 0, which is primitive, since x/gcd(x) precedes x.
+    ``budget`` caps the candidates of shells 1..m, ((2m+1)^n - 1) / 2,
+    whatever ``start`` is: shell m raises BudgetExceeded before it is
+    built if that count passes the budget.  No shell is kept between
+    searches.  The theta complexity (2R+1)^(n-1) is a valid search
+    ceiling, and a ``start`` above it raises ValueError; if the search
+    passes the ceiling anyway, AscentExhausted carries theta's
+    coefficients and the lex-first half-ball point theta sends to 0,
+    which is primitive, since x/gcd(x) precedes x.
+
+    At R = 0 the punctured ball is empty and every vector discriminates,
+    so the answer is shell 1's first row (0, ..., 0, 1).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if start < 1:
-        raise ValueError("start must be >= 1")
+    th = theta(n, spec.radius)
+    ceiling = th.complexity
+    if not 1 <= start <= ceiling:
+        raise ValueError(f"start must lie in 1..{ceiling}, got {start}")
     if n == 1:
         return 1, ZnHom((1,))
     half = _half_ball(n, spec)
     if len(half) == 0:
-        return 1, ZnHom((1,) + (0,) * (n - 1))
+        return 1, ZnHom((0,) * (n - 1) + (1,))
     block = max(1, SCAN_BLOCK_CELLS // len(half))
-    th = theta(n, spec.radius)
-    ceiling = th.complexity
-    searched = ((2 * start - 1) ** n - 1) // 2
     for m in range(start, ceiling + 1):
-        searched += _shell_size(n, m)
-        if searched > budget:
+        if ((2 * m + 1) ** n - 1) // 2 > budget:
             raise BudgetExceeded(f"coefficient search exceeded budget {budget}")
         canonical = _canonical_rows(n, m)
         found = []

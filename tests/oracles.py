@@ -27,7 +27,6 @@ import numpy as np
 from discrimlab.bigpowers import (
     DEFAULT_SAMPLES,
     DEFAULT_SWEEP_CAP,
-    CertifyReport,
     PaddedWordSpec,
 )
 from discrimlab.eocgroup import EocElement, EocGroup
@@ -398,15 +397,16 @@ def brute_certify(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     sweep_cap: int = DEFAULT_SWEEP_CAP,
-) -> CertifyReport:
+) -> list[tuple[int, ...]]:
     """``bigpowers.certify`` with every padded word built by ``product_padded``.
 
     Draws the same seeded samples, then tests each tuple of the box
     |r_i| <= min(N + 2, sweep_cap) on its own, in ``itertools.product``
     order, against the (at most four) forbidden words.  One table of
     running powers, |r| <= |N| + 10, serves the samples and the sweep.
+    Returns the box's trivializing tuples.
     """
-    report = CertifyReport()
+    trivializing = []
     rng = random.Random(seed)
     k = spec.k
     one = spec.u.alphabet.identity()
@@ -419,14 +419,13 @@ def brute_certify(
         )
         if product_padded(spec, r, powers).letters in forbidden:
             raise CertificationError(N, r)
-        report.sampled_ok += 1
     bound = min(N + 2, sweep_cap)
     for r in itertools.product(range(-bound, bound + 1), repeat=k + 1):
         if product_padded(spec, r, powers).letters in forbidden:
-            report.trivializing.append(r)
+            trivializing.append(r)
             if min(abs(x) for x in r) > N:
                 raise CertificationError(N, r)
-    return report
+    return trivializing
 
 
 def per_syllable_apply_theta(spec: ThetaSpec, w: EocElement) -> EocElement:
@@ -675,7 +674,8 @@ def brute_minimal_complexity(
         return 1, ZnHom((1,))
     half = half_ball_points(n, spec)
     if len(half) == 0:
-        return 1, ZnHom((1,) + (0,) * (n - 1))
+        # every vector discriminates the empty punctured ball
+        return 1, ZnHom((0,) * (n - 1) + (1,))
     searched = 0
     for m in range(1, theta(n, spec.radius).complexity + 1):
         shell = brute_shell_vectors(n, m)

@@ -8,7 +8,6 @@ PUBLIC_API = [
     "BallSpec",
     "BudgetExceeded",
     "CertificationError",
-    "CertifyReport",
     "ChainResult",
     "ComplexityRecord",
     "DiscrimError",

@@ -262,8 +262,26 @@ class TestBigpowers:
         assert captured.out == ""
 
     def test_invalid_g_exits_2(self, capsys):
-        code, _ = run(capsys, "bigpowers", "--u", "g1", "--g", "g1 g1")
-        assert code == 2
+        # PaddedWordSpec's ValueError reaches main, which prints it and exits 2
+        for extra, err in [
+            (["--g", "g1 g1"], "error: g_1 lies in <u>\n"),
+            (["--g", "g2", "--flank-left", "g1"], "error: flank_left lies in <u>\n"),
+        ]:
+            code = main(["bigpowers", "--u", "g1", *extra])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", err), extra
+
+    @pytest.mark.parametrize(
+        "u, err",
+        [
+            ("g1 G1", "error: u must be nontrivial\n"),
+            ("g1 g1", "error: u must be nontrivial and not a proper power\n"),
+        ],
+    )
+    def test_invalid_u_exits_2(self, capsys, u, err):
+        code = main(["bigpowers", "--u", u, "--g", "g2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", err)
 
     @pytest.mark.parametrize("flag", ["--samples", "--sweep-cap"])
     def test_negative_count_exits_2(self, capsys, flag):
@@ -321,6 +339,20 @@ class TestCurve:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: p_min certificate at R=1 does not collide at p=1")
+
+    def test_composite_above_its_bound_exits_1(self, capsys, monkeypatch, tower_spec):
+        def over_bound(group, R, cap):
+            return retraction.ChainResult(
+                p=1, complexity=37, stage_complexities=[6, 6], bound=36,
+                submultiplicative=[("g1", 37)],
+            )
+
+        monkeypatch.setattr("discrimlab.cli.compose_chain", over_bound)
+        code = main(["curve", "--spec", tower_spec, "--rmax", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: composite image exceeds product of stage complexities\n"
+        assert captured.out == ""
 
     def test_tower_emits_composite(self, capsys, tower_spec):
         code, out = run(capsys, "curve", "--spec", tower_spec, "--rmax", "2")

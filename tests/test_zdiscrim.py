@@ -14,7 +14,6 @@ from discrimlab.zdiscrim import (
     _canonical_rows,
     _half_ball,
     _lex_first_member,
-    _shell_size,
     _shell_vectors_cached,
     lower_bound_value,
     minimal_complexity,
@@ -95,7 +94,7 @@ class TestShells:
         for m in _shell_ms(n):
             shell = _shell_vectors_cached(n, m)
             assert np.array_equal(shell, brute_shell_vectors(n, m)), m
-            assert len(shell) == _shell_size(n, m)
+            assert len(shell) == ((2 * m + 1) ** n - (2 * m - 1) ** n) // 2
 
     def test_cached_shell_is_read_only(self):
         shell = _shell_vectors_cached(3, 2)
@@ -192,13 +191,48 @@ class TestMinimalComplexity:
         monkeypatch.setattr(zdiscrim, "_shell_vectors_cached", spy)
         assert minimal_complexity(2, BallSpec("l1", 6), budget=40, start=3)[0] == 4
         assert built == [3, 4]
-        # the skipped shells still count against the budget
+        # the budget counts shells 1..m whatever the start
         built.clear()
         with pytest.raises(BudgetExceeded):
             minimal_complexity(2, BallSpec("l1", 6), budget=23, start=3)
         assert built == []
         with pytest.raises(ValueError):
             minimal_complexity(2, BallSpec("l1", 6), start=0)
+
+    @pytest.mark.parametrize("shape", ["l1", "box"])
+    def test_budget_edge_is_the_closed_form(self, shape):
+        # shells 1..m hold ((2m+1)^n - 1) / 2 candidates: that budget
+        # answers and one less raises, from shell 1 and from the previous
+        # radius's minimum; R = 0 searches no shell
+        for n, R, budget in _ORACLE_CASES:
+            answer = _oracle_outcome(n, shape, R, budget)
+            if R == 0 or answer == "budget exceeded":
+                continue
+            edge = ((2 * answer[0] + 1) ** n - 1) // 2
+            spec = BallSpec(shape, R)
+            for start in {1, _oracle_outcome(n, shape, R - 1, budget)[0]}:
+                assert minimal_complexity(n, spec, edge, start=start) == answer, (n, R, start)
+                with pytest.raises(BudgetExceeded):
+                    minimal_complexity(n, spec, edge - 1, start=start)
+
+    @pytest.mark.parametrize("shape", ["l1", "box"])
+    def test_radius_zero_witness_is_shell_one_first_row(self, shape):
+        # the punctured ball is empty, so every vector discriminates, and
+        # the lex-first one is shell 1's first row, whatever the budget
+        for n in range(2, 6):
+            spec = BallSpec(shape, 0)
+            expect = (1, ZnHom(tuple(int(c) for c in _shell_vectors_cached(n, 1)[0])))
+            assert expect[1].coefficients == (0,) * (n - 1) + (1,)
+            assert minimal_complexity(n, spec) == expect
+            assert minimal_complexity(n, spec, budget=0) == expect
+            assert brute_minimal_complexity(n, spec) == expect
+
+    def test_start_above_the_theta_ceiling_is_typed(self):
+        # theta(2, 2) has complexity 5, and theta(1, 2) complexity 1
+        assert minimal_complexity(2, BallSpec("l1", 2), start=5)[0] == 5
+        for n, start in [(2, 6), (2, 100), (1, 2)]:
+            with pytest.raises(ValueError, match=r"start must lie in 1\.\."):
+                minimal_complexity(n, BallSpec("l1", 2), start=start)
 
     def test_no_shell_outlives_the_search(self):
         # numpy reports its buffers to tracemalloc, so a kept shell would
