@@ -17,6 +17,9 @@ Subcommands:
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget
 exceeded.  Output is CSV (with ``#`` metadata comment lines) or JSON
 lines (metadata as the first record); files are written atomically.
+
+A call builds the parser of the command it runs; ``discrimlab --help`` lists
+them all.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from . import __version__
 from .bigpowers import DEFAULT_SAMPLES, DEFAULT_SWEEP_CAP, PaddedWordSpec, certify, threshold
@@ -44,13 +47,7 @@ from .retraction import (
     compose_chain,
     minimal_discriminating_p,
 )
-from .zdiscrim import (
-    DEFAULT_ENUM_BUDGET,
-    BallSpec,
-    lower_bound_value,
-    minimal_complexity,
-    theta,
-)
+from .zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, lower_bound_value, minimal_complexity, theta
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -76,17 +73,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(args, meta: dict, header: Sequence[str], rows: list[Sequence]) -> None:
-    lines = []
     if args.format == "csv":
-        for k, v in meta.items():
-            lines.append(f"# {k}={v}")
+        lines = [f"# {k}={v}" for k, v in meta.items()]
         lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(str(x) for x in row))
+        lines += [",".join(str(x) for x in row) for row in rows]
     else:
-        lines.append(json.dumps({"meta": meta}))
-        for row in rows:
-            lines.append(json.dumps(dict(zip(header, row))))
+        lines = [json.dumps({"meta": meta})]
+        lines += [json.dumps(dict(zip(header, row))) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         _atomic_write(args.out, text)
@@ -315,25 +308,15 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="discrimlab", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common_out(p):
-        p.add_argument("--out", help="output file (atomic write); stdout if omitted")
-        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-
-    p = sub.add_parser("zn", help="minimal discriminating complexity for Z^n")
+def _zn_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rmin", type=_nonnegative, default=0)
     p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--shape", choices=("l1", "box"), default="l1")
     p.add_argument("--budget", type=_nonnegative, default=DEFAULT_ENUM_BUDGET)
-    common_out(p)
-    p.set_defaults(func=_cmd_zn)
 
-    p = sub.add_parser("bigpowers", help="certified padded-word threshold")
+
+def _bigpowers_arguments(p) -> None:
     p.add_argument("--free-rank", type=int, default=2)
     p.add_argument("--u", required=True, help="amalgamating word, token format")
     p.add_argument("--g", action="append", required=True, help="interleaving word (repeatable)")
@@ -342,43 +325,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_nonnegative, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep-cap", type=_nonnegative, default=DEFAULT_SWEEP_CAP)
-    common_out(p)
-    p.set_defaults(func=_cmd_bigpowers)
 
-    p = sub.add_parser("curve", help="retraction complexity curve")
+
+def _curve_arguments(p) -> None:
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--rmin", type=_nonnegative, default=0)
     p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--cap", type=_nonnegative, default=DEFAULT_BALL_CAP)
-    common_out(p)
-    p.set_defaults(func=_cmd_curve)
 
-    p = sub.add_parser("ball", help="ball sizes of a group")
+
+def _ball_arguments(p) -> None:
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--rmax", type=_nonnegative, required=True)
     p.add_argument("--cap", type=_nonnegative, default=DEFAULT_BALL_CAP)
-    common_out(p)
-    p.set_defaults(func=_cmd_ball)
 
-    p = sub.add_parser("crosscheck", help="independent consistency checks")
+
+def _crosscheck_arguments(p) -> None:
     p.add_argument("--spec", required=True, help="group spec JSON file")
     p.add_argument("--r", type=_nonnegative, default=1)
     p.add_argument("--samples", type=_nonnegative, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap", type=_nonnegative, default=DEFAULT_BALL_CAP)
-    p.add_argument(
-        "--force-p",
-        type=int,
-        help="use this p for the agreement check instead of the composite's least injective p",
-    )
-    common_out(p)
-    p.set_defaults(func=_cmd_crosscheck)
+    force_p = "use this p for the agreement check instead of the composite's least injective p"
+    p.add_argument("--force-p", type=int, help=force_p)
 
+
+# name -> (help line, argument adder, handler), in the order --help lists them
+_COMMANDS = {
+    "zn": ("minimal discriminating complexity for Z^n", _zn_arguments, _cmd_zn),
+    "bigpowers": ("certified padded-word threshold", _bigpowers_arguments, _cmd_bigpowers),
+    "curve": ("retraction complexity curve", _curve_arguments, _cmd_curve),
+    "ball": ("ball sizes of a group", _ball_arguments, _cmd_ball),
+    "crosscheck": ("independent consistency checks", _crosscheck_arguments, _cmd_crosscheck),
+}
+
+
+def build_parser(names: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
+    """The parser of the commands in ``names``; all of them by default."""
+    parser = argparse.ArgumentParser(prog="discrimlab", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    # a parser of fewer commands still lists them all in its usage line; the
+    # full one keeps argparse's default, whose errors name the argument "command"
+    metavar = "{%s}" % ",".join(_COMMANDS) if len(names) < len(_COMMANDS) else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, add_arguments, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        add_arguments(p)
+        p.add_argument("--out", help="output file (atomic write); stdout if omitted")
+        p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command name first needs only its own parser; anything else, the full one
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if "rmin" in vars(args) and args.rmin > args.rmax:
@@ -390,15 +393,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_INPUT
     try:
         return args.func(args)
-    except (_Violation, CertificationError, AscentExhausted) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     except (DiscrimError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(e, (_Violation, CertificationError, AscentExhausted)):
+            return EXIT_VIOLATION
+        return EXIT_BUDGET if isinstance(e, BudgetExceeded) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
 import re
@@ -606,3 +609,93 @@ class TestOutput:
     def test_bad_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
 
+
+COMMANDS = ["zn", "bigpowers", "curve", "ball", "crosscheck"]
+# one argv per command that parses, with every required option
+VALID_ARGV = {
+    "zn": ["zn", "--n", "2", "--rmax", "1"],
+    "bigpowers": ["bigpowers", "--u", "g1", "--g", "g2"],
+    "curve": ["curve", "--spec", "g.json", "--rmax", "1"],
+    "ball": ["ball", "--spec", "g.json", "--rmax", "1"],
+    "crosscheck": ["crosscheck", "--spec", "g.json"],
+}
+MISSING_REQUIRED = {
+    "zn": ["zn", "--n", "2"],
+    "bigpowers": ["bigpowers", "--u", "g1"],
+    "curve": ["curve", "--rmax", "1"],
+    "ball": ["ball", "--spec", "g.json"],
+    "crosscheck": ["crosscheck", "--r", "2"],
+}
+REJECTED_ARGVS = (
+    [["--help"], ["--version"], [], ["nope"]]
+    + [[c, "--help"] for c in COMMANDS]
+    + list(MISSING_REQUIRED.values())
+    + [VALID_ARGV[c] + ["--bogus"] for c in COMMANDS]
+    + [VALID_ARGV[c] + ["extra"] for c in COMMANDS]
+)
+WORKLOAD_COMMANDS = [
+    (workload, label) for workload, w in WORKLOADS.WORKLOADS.items() for label, _ in w["commands"]
+]
+
+
+def full_parser_result(argv):
+    """Exit code, stdout and stderr of the five-command parser rejecting argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+    return raised.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParserSurface:
+    """main builds only the invoked command's parser, and no text shows it."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=" ".join)
+    def test_main_answers_as_the_full_parser(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == full_parser_result(argv)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unrecognized_argument_usage_lists_every_command(self, capsys, command):
+        assert main(VALID_ARGV[command] + ["--bogus"]) == 2
+        usage = capsys.readouterr().err.splitlines()[0]
+        assert "{zn,bigpowers,curve,ball,crosscheck}" in usage
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["nope"], "argument command: invalid choice"),
+        ],
+    )
+    def test_full_parser_errors_name_the_command(self, capsys, argv, message):
+        # the usage line's list of commands is no argument name
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workload, label", WORKLOAD_COMMANDS)
+    def test_workload_namespace_is_the_full_parsers(self, tmp_path, workload, label):
+        argv = dict(WORKLOADS.materialize(workload, 0, str(tmp_path)))[label]
+        trimmed = build_parser([argv[0]]).parse_args(argv)
+        assert trimmed == build_parser().parse_args(argv)
+        assert trimmed.command == argv[0]
+
+    def test_a_call_builds_only_the_parser_it_runs(self, capsys, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert main(["bigpowers", "--u", "g1", "--g", "g2", "--samples", "0"]) == 0
+        assert built == ["bigpowers"]
+        built.clear()
+        assert main(["--help"]) == 0
+        assert built == COMMANDS
