@@ -362,7 +362,10 @@ _COMMANDS = {
 
 def build_parser(names: Collection[str] = _COMMANDS) -> argparse.ArgumentParser:
     """The parser of the commands in ``names``; all of them by default."""
-    parser = argparse.ArgumentParser(prog="discrimlab", description=__doc__)
+    # the raw formatter keeps the docstring's subcommand table as written
+    parser = argparse.ArgumentParser(
+        prog="discrimlab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--version", action="version", version=__version__)
     # a parser of fewer commands still lists them all in its usage line; the
     # full one keeps argparse's default, whose errors name the argument "command"

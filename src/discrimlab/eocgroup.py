@@ -262,6 +262,10 @@ class EocGroup:
                         f"u commensurable with stage {i}'s u", stage=j
                     )
         self.stages: tuple[EocStage, ...] = tuple(validated)
+        # every stage's u is one base letter: a right-angled Artin group
+        # (``_sphere_size``), on which the split-pair floor is p_min
+        # (``retraction._least_injective_p``)
+        self._raag = all(len(stage.u) == 1 for stage in self.stages)
         self._strip_cache: dict = {}
         self._subtower: Optional[EocGroup] = None
         # the matrices of _phi, built on its first call
@@ -537,7 +541,7 @@ class EocGroup:
         validation keeps the stages' letters distinct.  The coefficient of
         x^m in y^k is (-1)^m 2^k C(m - 1, k - 1).  None for other groups.
         """
-        if any(len(stage.u) != 1 for stage in self.stages):
+        if not self._raag:
             return None
         ranks = [stage.rank for stage in self.stages]
         cliques = [self.alphabet.rank + sum(ranks)] + [

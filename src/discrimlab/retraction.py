@@ -17,11 +17,13 @@ One ascent on one ball serves both the top stage
 tower (``compose_chain``).  It starts at a proven floor: below it, a
 closed-form pair of ball elements collides (split u^p = b a; then
 t a^-1 and b have one image), so no ball walk is needed to rule those p
-out.  From the floor it tries p = floor, floor + 1, .. up to
-``_p_ceiling``, for the top k stages (k = 1, or all).  ``complexity_record``
-adds a certificate that p_min is least: a pair that the retraction at
-p_min - 1 merges, the split pair below the floor, else the walk's
-collision there.
+out.  When every stage's u is one base letter (a RAAG spec) the floor is
+p_min by the normal form theorem for free products, so the ascent
+returns it and walks nothing.  Otherwise it tries p = floor, floor + 1,
+.. up to ``_p_ceiling``, for the top k stages (k = 1, or all).
+``complexity_record`` adds a certificate that p_min is least: a pair
+that the retraction at p_min - 1 merges, the split pair below the floor,
+else the walk's collision there.
 
 Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
@@ -266,9 +268,11 @@ def _split_pair(group: EocGroup, s: int, R: int, p: int) -> tuple[EocElement, Eo
 def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
     """Least p up to ``_p_ceiling`` whose top `k` retractions are injective on the radius-R ball.
 
-    Past the ceiling, raises ``AscentExhausted`` with the walk's
-    collision at the ceiling as its witness.  The floor is at most
-    max(1, 2R), below the ceiling, so the ascent tries at least one p.
+    The ball is built first, so `cap` is enforced on every spec.  On a
+    RAAG spec the answer is the floor (proof below), and nothing is
+    walked.  Otherwise, past the ceiling, raises ``AscentExhausted`` with
+    the walk's collision at the ceiling as its witness.  The floor is at
+    most max(1, 2R), below the ceiling, so the ascent tries at least one p.
 
     The ascent starts at a floor below which every p fails.  Take a stage
     s among the top k, with u_s = z v z^-1 (v cyclically reduced) and
@@ -281,10 +285,44 @@ def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
     2|z| + p|v| <= 2R - 1 (``_split_pair``).  So every such p fails, and
     the first p tried is ``_floor``, one more than the largest of them
     over the top k stages.
+
+    On a RAAG spec (``EocGroup._raag``: stage j's u is one base letter
+    g_j or its inverse, and validation keeps the g_j distinct) the floor
+    is p_min, for k = 1 and for k = every stage (Lyndon and Schupp,
+    *Combinatorial Group Theory*, ch. IV; the invariant is the one of
+    Bou-Rabee, *Quantifying residual finiteness*):
+
+    1. Since (A * B) *_A C = C * B when A <= C, the group is the free
+       product Z^(n_1+1) * .. * Z^(n_s+1) * F: stage j's factor is
+       generated by g_j and its t's, and F is free on the letters no
+       stage uses.  By the normal form theorem, each element is a unique
+       alternating product of nontrivial pieces from distinct
+       consecutive factors, and its word length is the sum of its
+       pieces' lengths; a piece d of Z^(n+1) has length |d|_1.
+    2. A retracted stage's factor maps into <g_j> by d -> g_j^(c_p . d),
+       with c_p = (1, p, p(2R+1), .., p(2R+1)^(n-1)) (``_exponent``).
+       No remaining stage uses g_j, so <g_j> is a free factor of the
+       target, and the other pieces are fixed.  So an alternating
+       product maps to an alternating product, which is nontrivial,
+       whenever each retracted piece d has c_p . d != 0.
+    3. Distinct x, y in the ball give x^-1 y != 1 of length <= 2R, whose
+       pieces have |d|_1 <= 2R.  So the retractions are injective on the
+       ball when c_p kills no nonzero d with |d|_1 <= 2R.  Conversely
+       such a d splits as x - y with |x|_1, |y|_1 <= R, a collision in
+       the ball.
+    4. d = (p, -1, 0, ..) has norm p + 1, so p >= 2R is needed.  At
+       p >= 2R, c_p . d = 0 forces p to divide d_0, and |d_0| <= 2R <= p.
+       If |d_0| = p = 2R, the rest of d is zero and c_p . d = d_0 != 0.
+       So d_0 = 0, and the rest of d are balanced base-(2R+1) digits of
+       0, all zero.
+    5. So p_min = 2R for R >= 1, and 1 at R = 0 (the ball is {1}), which
+       is ``_floor``: 1 + max(0, 2R - 1), as |z| = 0 and |v| = 1.
     """
     if not group.stages:
         raise ValueError("group has no stages to retract")
     ball = group.ball(R, cap=cap)
+    if group._raag:
+        return _floor(group, R, k)
     ceiling = _p_ceiling(group, R)
     for p in range(_floor(group, R, k), ceiling + 1):
         witness = _images_injective(group, R, p, ball, k)
@@ -313,8 +351,9 @@ def _p_min_certificate(
     """A pair of distinct ball elements that the top-stage retraction at p_min - 1 merges.
 
     The split pair when p_min - 1 lies below the floor, else the walk's
-    collision at p_min - 1; None when p_min = 1.  The walk is kept because
-    no proof yet shows that the floor is injective.
+    collision at p_min - 1; None when p_min = 1.  That the floor is
+    injective is proven for RAAG specs (``_least_injective_p``), where
+    p_min - 1 lies below it; walked otherwise.
     """
     if p_min == 1:
         return None

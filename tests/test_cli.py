@@ -312,12 +312,15 @@ class TestCurve:
         complexities = [int(r.split(",")[2]) for r in rows]
         assert complexities == sorted(complexities)
 
-    def test_ascent_past_ceiling_exits_1(self, capsys, monkeypatch, g1_spec):
+    def test_ascent_past_ceiling_exits_1(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("discrimlab.retraction._p_ceiling", lambda group, R: 1)
         # that ceiling lies below the floor, which the real one never does,
-        # so the ascent starts at p = 1
+        # so the ascent starts at p = 1; a multi-letter u, as a RAAG spec
+        # returns its floor without an ascent
         monkeypatch.setattr("discrimlab.retraction._floor", lambda group, R, k: 1)
-        code = main(["curve", "--spec", g1_spec, "--rmax", "2"])
+        spec = tmp_path / "g1g2.json"
+        spec.write_text(G1G2_SPEC)
+        code = main(["curve", "--spec", str(spec), "--rmax", "2"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: no injective p up to the ceiling")

@@ -211,30 +211,34 @@ class TestSubtower:
 
 class TestAscentCeiling:
     # a ceiling of 1 lies below the floor, which the real ceiling never does
-    # (TestFloor.test_floor_below_ceiling), so the ascent here starts at p = 1
+    # (TestFloor.test_floor_below_ceiling), so the ascent here starts at p = 1;
+    # a RAAG spec returns its floor before any walk, so only multi-letter
+    # specs reach the raise
 
-    def test_minimal_p_reports_collision_at_ceiling(self, G1, monkeypatch):
+    def test_minimal_p_reports_collision_at_ceiling(self, monkeypatch):
         monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
         monkeypatch.setattr(retraction, "_floor", lambda group, R, k: 1)
+        group, _ = _walk_group("g1g2")
         with pytest.raises(AscentExhausted) as exc:
-            minimal_discriminating_p(G1, 2)
+            minimal_discriminating_p(group, 2)
         err = exc.value
         assert (err.ceiling, err.R) == (1, 2)
         w, w2 = err.witness
-        assert w != w2
-        spec = ThetaSpec(G1, 2, 1)
+        assert w != w2 and (w.tokens(), w2.tokens()) == ("t1.1", "g1 g2")
+        spec = ThetaSpec(group, 2, 1)
         assert apply_theta(spec, w) == apply_theta(spec, w2)
 
-    def test_compose_chain_reports_collision_at_ceiling(self, tower, monkeypatch):
+    def test_compose_chain_reports_collision_at_ceiling(self, monkeypatch):
         monkeypatch.setattr(retraction, "_p_ceiling", lambda group, R: 1)
         monkeypatch.setattr(retraction, "_floor", lambda group, R, k: 1)
+        group, _ = _walk_group("rank3")
         with pytest.raises(AscentExhausted) as exc:
-            compose_chain(tower, 2)
+            compose_chain(group, 2)
         err = exc.value
         assert (err.ceiling, err.R) == (1, 2)
         w, w2 = err.witness
-        assert w != w2
-        assert chain_of_retractions(tower, 2, 1, w) == chain_of_retractions(tower, 2, 1, w2)
+        assert w != w2 and (w.tokens(), w2.tokens()) == ("g2", "t2.1")
+        assert chain_of_retractions(group, 2, 1, w) == chain_of_retractions(group, 2, 1, w2)
 
 
 class TestComposeChain:
@@ -463,6 +467,68 @@ class TestFloor:
         group, rmax = _walk_group("g1g1g2", FLOOR_SPECS)
         p_min = [complexity_record(group, R).p_min for R in range(rmax + 1)]
         assert walks == list(enumerate(p_min))
+
+
+# (free rank, stages as (u, rank), largest R checked): every stage's u is one
+# base letter, so the group is a free product of free abelian factors and F
+RAAG_SPECS = {
+    "g1-rank1": (2, [("g1", 1)], 4),
+    "g1-rank2": (2, [("g1", 2)], 4),
+    "g2-rank3": (2, [("g2", 3)], 4),
+    "G2-F3": (3, [("G2", 1)], 4),
+    "tower": (2, [("g1", 1), ("g2", 1)], 4),
+    "tower-21": (2, [("g1", 2), ("g2", 1)], 4),
+    "tower-G1g2": (2, [("G1", 2), ("g2", 2)], 4),
+    "tower-F3": (3, [("g1", 1), ("g2", 2), ("g3", 1)], 3),
+}
+
+
+class TestRaagFloor:
+    """The floor is p_min on RAAG specs, with the walk as the oracle."""
+
+    @pytest.mark.parametrize("label", sorted(RAAG_SPECS))
+    def test_walk_injective_at_floor_and_split_pair_below(self, label):
+        group, rmax = _walk_group(label, RAAG_SPECS)
+        assert group._raag
+        top = len(group.stages)
+        for k in sorted({1, top}):
+            for R in range(1, rmax + 1):
+                ball = group.ball(R)
+                floor = retraction._floor(group, R, k)
+                assert floor == 2 * R
+                assert retraction._images_injective(group, R, floor, ball, k) is None, (k, R)
+                assert retraction._images_injective(group, R, floor - 1, ball, k) is not None, (k, R)
+                # every stage's u has one letter, so each retracted stage's
+                # split pair collides at floor - 1
+                for s in range(top - k, top):
+                    w, w2 = retraction._split_pair(group, s, R, floor - 1)
+                    assert w in ball and w2 in ball and w != w2, (k, R, s)
+                    if k == 1:
+                        spec = ThetaSpec(group, R, floor - 1)
+                        assert apply_theta(spec, w) == apply_theta(spec, w2), (R, s)
+                    else:
+                        assert chain_of_retractions(group, R, floor - 1, w) == chain_of_retractions(
+                            group, R, floor - 1, w2
+                        ), (R, s)
+
+    # p_min at R = 0..3 for k = 1 and k = every stage
+    @pytest.mark.parametrize(
+        "label, p_min, walked", [("tower", [1, 2, 4, 6], False), ("g1g2", [1, 1, 2, 3], True)]
+    )
+    def test_ascent_walks_only_multi_letter_specs(self, label, p_min, walked, monkeypatch):
+        calls = []
+        walk = retraction._images_injective
+
+        def counted(group, R, p, ball, k):
+            calls.append(p)
+            return walk(group, R, p, ball, k)
+
+        monkeypatch.setattr(retraction, "_images_injective", counted)
+        group, _ = _walk_group(label)
+        for R in range(4):
+            for k in sorted({1, len(group.stages)}):
+                assert retraction._least_injective_p(group, R, DEFAULT_BALL_CAP, k) == p_min[R]
+        assert bool(calls) == walked
 
 
 # the walk's own key, and two that clash: a constant key makes one run of the
