@@ -80,36 +80,27 @@ The ball is its BFS tree, grown a layer at a time.  Two flat integer
 arrays record, per ball index, the parent's ball index and the
 generator's index in ``generator_tokens()`` order; the ball of radius r
 is the first ``_ends[r]`` entries, and ``ball(r)`` is a read-only view
-of them.  Besides the tree, the ball keeps only the last layer's
-resolution row (``_row``), that layer's matrices if it was keyed, and the
-normal forms built so far.  A layer's candidates are the pairs (parent,
-generator) over the last layer, in ball order and then token order, every
-generator for every parent: with n generators, candidate c is
-(lo + c // n, c % n), lo the last layer's first ball index.  Every
-defining relation, [u_j, t] = 1 or [t, t'] = 1, has even length, so a
-candidate is old exactly when it lies two layers back, which the row's
-back edges show; a generator that undoes its parent's own gives one such
-candidate.  Commuting squares (the shuffles of Hermiller and Meier's
-graph-product rewriting, used here only as exact proofs of equality)
-link most equal candidates of a layer into classes.  When every u is
-one base letter the group is a right-angled Artin group, whose exact
-sphere sizes come from its growth series (``_sphere_size``), and a layer
-whose live classes number its sphere size is certified: each class is
-a distinct new element, and no key is built.  On other layers, keys by
-phi, a homomorphism into SL(2, F_P) (``_phi``, hashed to 64 bits by
-``_key``), of the live classes prove most of them distinct; only runs of
-equal keys are settled by normal forms (``_grow_layer``).  A normal
-form is built on demand along the tree path, the parent's times the
-generator (``_times``), and kept by ball index (``_form``); the view
-builds its elements that way.  A layer that exceeds the cap is not kept.
-``_tree_keys``, the one tree evaluator, evaluates a homomorphism into
-SL(2, F_P) on the whole ball with one product per element:
-``word_length`` uses it with phi, ``retraction._first_collision`` with
-phi after a retraction, and a keyed layer after the identity's or a
-certified one to rebuild the matrices that layer did not keep.  The walk
-and the layer settle take their clashing keys from one ``_clashing``,
-which sorts one copy of the keys, and confirm each clash exactly: the
-layer by normal forms, the walk by the retraction's own map.
+of them.  A layer's candidates are the pairs (parent, generator) over
+the last layer, in ball order and then token order, and each new
+element's tree entry is its least candidate (``_grow_layer``).  When
+every u is one base letter the group is a right-angled Artin group, and
+a finite automaton of its shortlex-least words keeps exactly the new
+elements' least candidates (``_grow_raag_layer``); the ball keeps only
+the last layer's automaton states.  On other specs, back edges from the
+last layer's resolution row (``_row``) find the old candidates, commuting
+squares of the defining relations link equal ones into classes, and
+keys by phi, a homomorphism into SL(2, F_P) (``_phi``, hashed to 64 bits
+by ``_key``), prove most live classes distinct; only runs of equal keys
+are settled by normal forms (``_settle``).  A layer that exceeds the cap
+is not kept.  A normal form is built on demand along the tree path, the
+parent's times the generator (``_times``), and kept by ball index
+(``_form``); the view builds its elements that way.  ``_tree_keys``,
+the one tree evaluator, evaluates a homomorphism into SL(2, F_P) on the
+whole ball with one product per element (``retraction._first_collision``
+uses it with phi after a retraction).  The walk and the layer settle
+take their clashing keys from one ``_clashing``, which sorts one copy of
+the keys, and confirm each clash exactly: the layer by normal forms, the
+walk by the retraction's own map.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -117,9 +108,7 @@ and ``T<stage>.<i>`` tokens, stages and indices 1-based.
 
 from __future__ import annotations
 
-import bisect
 import json
-import math
 import operator
 import random
 import re
@@ -262,8 +251,9 @@ class EocGroup:
                         f"u commensurable with stage {i}'s u", stage=j
                     )
         self.stages: tuple[EocStage, ...] = tuple(validated)
-        # every stage's u is one base letter: a right-angled Artin group
-        # (``_sphere_size``), on which the split-pair floor is p_min
+        # every stage's u is one base letter: a right-angled Artin group,
+        # whose ball grows by its shortlex automaton (``_grow_raag_layer``)
+        # and on which the split-pair floor is p_min
         # (``retraction._least_injective_p``)
         self._raag = all(len(stage.u) == 1 for stage in self.stages)
         self._strip_cache: dict = {}
@@ -301,15 +291,18 @@ class EocGroup:
         self._ends: list[int] = [1]
         # the normal forms built so far, by ball index (_form)
         self._forms: dict[int, tuple] = {0: ()}
-        # the last layer's phi matrices as int32, or None if it kept none
-        self._layer_matrices = None
-        # the last layer's resolution row, read by the next layer's back
-        # edges and squares: per candidate of the layer, the ball index of
-        # its element if the layer has it, else -1 (empty for the identity)
+        # a RAAG spec's shortlex automaton: state ids by letter set (a bitmask
+        # of generator indices) in order of id, the rows built so far
+        # (_transitions), and the state of each element of the last layer
+        self._state_ids = {0: 0}
+        self._trans = np.empty((0, len(tokens)), dtype=np.int32)
+        self._states = np.zeros(1, dtype=np.int32)
+        # other specs: the last layer's phi matrices as int32, and its
+        # resolution row, read by the next layer's back edges and squares:
+        # per candidate of the layer, the ball index of its element if the
+        # layer has it, else -1 (empty for the identity)
+        self._layer_matrices = np.array(_IDENTITY, dtype=np.int32).reshape(1, 2, 2)
         self._row = np.empty(0, dtype=np.int32)
-        # the grown ball's phi keys (_tree_keys), for _find; rebuilt when a
-        # layer is added
-        self._keys = np.empty(0, dtype=np.uint64)
 
     # -- construction helpers -------------------------------------------------
 
@@ -529,40 +522,13 @@ class EocGroup:
         live[labels[self._back_edges(lo)]] = False
         return np.flatnonzero(live), labels
 
-    def _sphere_size(self, radius: int) -> Optional[int]:
-        """The number of elements of word length `radius`, if every stage's u is one base letter.
-
-        Such a group is a right-angled Artin group, and its growth series
-        is 1 / C(y), y = -2x / (1 + x) (Chiswell, *The growth series of a
-        graph product*, 1994), with C(z) = sum_k c_k z^k counting the
-        k-cliques of its commutation graph: c_0 = 1, c_1 the number of
-        letters and t's, and c_k, k >= 2, the sum over stages of
-        C(rank + 1, k), as a stage's letter and t's commute pairwise and
-        validation keeps the stages' letters distinct.  The coefficient of
-        x^m in y^k is (-1)^m 2^k C(m - 1, k - 1).  None for other groups.
-        """
-        if not self._raag:
-            return None
-        ranks = [stage.rank for stage in self.stages]
-        cliques = [self.alphabet.rank + sum(ranks)] + [
-            sum(math.comb(r + 1, k) for r in ranks) for k in range(2, max(ranks, default=0) + 2)
-        ]
-        c = [1] + [
-            (-1) ** m * sum((ck << k) * math.comb(m - 1, k - 1) for k, ck in enumerate(cliques, 1))
-            for m in range(1, radius + 1)
-        ]
-        # the series w = 1 / c, term by term
-        w = [1]
-        for m in range(1, radius + 1):
-            w.append(-sum(c[i] * w[m - i] for i in range(1, m + 1)))
-        return w[radius]
-
     def _grow_layer(self, cap: int) -> None:
         """Add the next BFS layer; past `cap` elements, raise and keep none of it.
 
-        The candidates are the parents of the last layer in ball order,
-        each with every generator in token order: with n generators,
-        candidate c is (lo + c // n, c % n) on every layer.
+        With n generators, candidate c is (lo + c // n, c % n) on every
+        layer, and each new element's tree entry is its least candidate.  A
+        RAAG spec keeps the candidates that its shortlex automaton accepts
+        (``_grow_raag_layer``); other specs settle them as follows.
 
         Back edges find every old candidate.  Each defining relation has
         even length, so a candidate c = P g, with P of word length L, has
@@ -581,31 +547,16 @@ class EocGroup:
         equals it.  A class of linked candidates is one element, and it is
         live if no back edge reaches a member.
 
-        The sphere size certifies a layer.  Every element of the new
-        sphere S is some candidate, and that candidate's class is live, as
-        a class is one element and a back edge reaches only old ones.  So
-        the live classes map onto S, and #live >= |S|, with equality
-        exactly when the map is a bijection: every live class is a distinct
-        new element.  Where ``_sphere_size`` gives |S| and #live equals it,
-        the layer builds no keys and no matrices and keeps every live class.
-        Otherwise (``_settle``) a live class is new if its key occurs in no
-        other live class, as distinct keys mean distinct elements, and the
-        classes whose keys clash are settled by normal forms, one member
-        each, in candidate order.  Either way each new element's tree entry
-        is its least candidate, as if every candidate were settled by its
-        normal form.
+        The live classes are settled by keys, and by normal forms where
+        keys clash, in candidate order (``_settle``).
         """
+        if self._raag:
+            return self._grow_raag_layer(cap)
         prev_lo, lo, size = ([0, 0] + self._ends)[-3:]
         reps, labels = self._live_classes(prev_lo, lo)
-        if len(reps) == self._sphere_size(len(self._ends)):
-            kept, matrices, settled, merged = reps, None, {}, {}
-        else:
-            kept, matrices, settled, merged = self._settle(lo, reps)
+        kept, matrices, settled, merged = self._settle(lo, reps)
         count = len(kept)
-        if size + count > cap:
-            raise BudgetExceeded(
-                f"ball enumeration exceeded cap of {cap} elements at radius {len(self._ends)}"
-            )
+        self._check_cap(size + count, cap)
         self._layer_matrices = matrices
         del reps, matrices
         # the ball index of each class's element, by its least candidate
@@ -623,14 +574,91 @@ class EocGroup:
         )
         self._ends.append(size + count)
 
+    def _check_cap(self, size: int, cap: int) -> None:
+        """Raise if the next layer would take the ball to `size` elements, past `cap`."""
+        if size > cap:
+            raise BudgetExceeded(
+                f"ball enumeration exceeded cap of {cap} elements at radius {len(self._ends)}"
+            )
+
+    def _grow_raag_layer(self, cap: int) -> None:
+        """Add the next layer of a RAAG spec by its shortlex automaton (``_grow_layer``).
+
+        Candidate (P, g) is kept exactly when ``_trans[s, g] >= 0``, s the
+        state of P, and that entry is the new element's state; the layer is
+        counted from the states before anything is appended.  A state is a
+        set of letters, F(1) = {} and, with C(z) the letters that commute
+        with z (``_commute``) and < the token order,
+
+            F(w z) = (F(w) & C(z)) | {y in C(z) : y < z} | {z^-1}.
+
+        1. A tree path is its element's shortlex-least word: by induction on
+           the layer, as the tree edge is the least candidate (P, g), and
+           (ball index of P, g) orders the words (path of P) g lexically.
+        2. In a RAAG the reduced words are the geodesics, those of one
+           element are related by commutations, and a word is reduced
+           exactly when it has no factor x v x^-1 with every letter of v in
+           C(x) (Hermiller and Meier, *Algorithms and geometry for graph
+           products of groups*, 1995).
+        3. A word is the lex-least of its commutation class exactly when it
+           has no factor b v a with a < b, where a commutes with b and with
+           every letter of v (Anisimov and Knuth, *Inhomogeneous sorting*).
+        4. A prefix of a shortlex-least word is shortlex-least, so for a
+           shortlex-least w only the factors of 2 and 3 that end at g need
+           checking, and one exists exactly when g is in F(w): y is barred
+           after w z by z itself (y = z^-1, or y in C(z) and y < z), or by
+           an earlier letter, which needs z in C(y).
+        So the kept candidates are the new elements' shortlex-least words,
+        one per element, each its element's least candidate.
+        """
+        lo, size = ([0] + self._ends)[-2:]
+        trans, states = self._transitions(), self._states
+        count = int(np.bincount(states, minlength=len(trans)) @ (trans >= 0).sum(axis=1))
+        self._check_cap(size + count, cap)
+        new = np.empty(count, dtype=np.int32)
+        done = 0
+        for start in range(0, len(states), _BLOCK):
+            t = trans[states[start : start + _BLOCK]].ravel()
+            kept = np.flatnonzero(t >= 0)
+            new[done : done + len(kept)] = t[kept]
+            done += len(kept)
+            rows, gens = np.divmod(kept, trans.shape[1])
+            rows += lo + start
+            self._tree_parents.frombytes(rows.astype(np.intc).tobytes())
+            self._tree_gens.frombytes(gens.astype(np.intc).tobytes())
+        self._states = new
+        self._ends.append(size + count)
+
+    def _transitions(self) -> np.ndarray:
+        """The shortlex automaton's table (``_grow_raag_layer``), with a row for each state met.
+
+        A state is met as the state of a kept candidate, so the states with
+        no row yet are those of the last layer, or of the layer after it if
+        that one was counted past the cap and not kept.  A rank-r stage
+        reaches about 2^(r+1) states.
+        """
+        ids, built = self._state_ids, len(self._trans)
+        if built == len(ids):
+            return self._trans
+        n, inverse = len(self._generator_syllables), self._inverse.tolist()
+        commute = [sum(c << y for y, c in enumerate(row)) for row in self._commute[:n].tolist()]
+        rows = []
+        for f in list(ids)[built:]:
+            row = []
+            for z, c in enumerate(commute):
+                target = f & c | c & ((1 << z) - 1) | 1 << inverse[z]
+                row.append(-1 if f >> z & 1 else ids.setdefault(target, len(ids)))
+            rows.append(row)
+        self._trans = np.concatenate([self._trans, np.array(rows, dtype=np.int32).reshape(-1, n)])
+        return self._trans
+
     def _settle(self, lo: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict, dict]:
         """The new classes among the live classes of the next layer, by keys (``_grow_layer``).
 
         `reps` are the classes' least candidates, each keyed by phi from
-        the last layer's matrices, which ``_tree_keys`` rebuilds if that
-        layer kept none.  A class whose key no other class shares is new;
-        the others (``_clashing``, which the collision walk uses too) are
-        settled by normal forms, in candidate order.  Returns the new
+        the last layer's matrices.  A class whose key no other class shares
+        is new; the others (``_clashing``, which the collision walk uses
+        too) are settled by normal forms, in candidate order.  Returns the new
         classes' least candidates and matrices, the normal forms built for
         new classes and, for each class settled as equal to an earlier one,
         that class, by least candidate.
@@ -638,8 +666,6 @@ class EocGroup:
         gen_syllables = self._generator_syllables
         n = len(gen_syllables)
         g = np.array([_phi(self, syl) for syl in gen_syllables], dtype=np.int64).reshape(-1, 2, 2)
-        if self._layer_matrices is None:
-            self._layer_matrices = self._tree_keys(self._ends[-1], g)[1]
         rows, gens = np.divmod(reps, n)
         keys = np.empty(len(reps), dtype=np.uint64)
         matrices = np.empty((len(reps), 2, 2), dtype=np.int32)
@@ -702,24 +728,6 @@ class EocGroup:
             prev, prev_lo = layer, lo
         return keys, prev
 
-    def _find(self, syllables: tuple[tuple[int, ...], ...]) -> Optional[int]:
-        """The ball index of the element with these canonical syllables, if the ball has it yet.
-
-        Only the elements whose phi key (``_tree_keys``) is the element's
-        are compared by normal form.  The keys are kept until the ball
-        grows.
-        """
-        if len(self._keys) != self._ends[-1]:
-            self._keys = self._tree_keys(
-                self._ends[-1], [_phi(self, syl) for syl in self._generator_syllables]
-            )[0]
-        m = reduce(_mat_mul, [_phi(self, syl) for syl in syllables], _IDENTITY)
-        key = _key(np.array(m, dtype=np.int64).reshape(1, 2, 2))
-        for k in np.flatnonzero(self._keys == key).tolist():
-            if self._form(k) == syllables:
-                return k
-        return None
-
     def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> Sequence[EocElement]:
         """All elements of word length <= radius, BFS layer order, deduplicated.
 
@@ -731,14 +739,6 @@ class EocGroup:
         while len(self._ends) <= radius:
             self._grow_layer(cap)
         return _Ball(self, self._ends[radius])
-
-    def word_length(self, w: EocElement, cap: int = DEFAULT_BALL_CAP) -> int:
-        """Exact minimal token count over all representatives, via BFS from 1."""
-        if w.group is not self:
-            raise ValueError("element of a different group")
-        while (k := self._find(w.syllables)) is None:
-            self._grow_layer(cap)
-        return bisect.bisect_right(self._ends, k)
 
 
 class _Ball(Sequence):

@@ -29,7 +29,7 @@ from discrimlab.bigpowers import (
     DEFAULT_SWEEP_CAP,
     PaddedWordSpec,
 )
-from discrimlab.eocgroup import EocElement, EocGroup
+from discrimlab.eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup
 from discrimlab.errors import BudgetExceeded, CertificationError
 from discrimlab.freewords import Alphabet, Word, join_letters
 from discrimlab.retraction import ThetaSpec, apply_chain
@@ -608,6 +608,20 @@ def brute_first_collision(
             return seen[img], w
         seen[img] = w
     return None
+
+
+def word_length(group: EocGroup, w: EocElement, cap: int = DEFAULT_BALL_CAP) -> int:
+    """The least number of generators whose product is `w`: the first ball layer holding it.
+
+    Grows the ball a layer at a time (``EocGroup.ball``) and compares `w`
+    with every element of the new layer, whose ball indices run from the
+    last layer's end to its own (``EocGroup._ends``).  Raises
+    ``BudgetExceeded`` if the ball passes `cap` first.
+    """
+    radius = 0
+    while w not in group.ball(radius, cap)[([0] + group._ends)[radius] :]:
+        radius += 1
+    return radius
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import bisect
 import collections
 import functools
 import hashlib
@@ -17,7 +18,13 @@ from discrimlab.eocgroup import EocGroup, load_group_spec
 from discrimlab.errors import BudgetExceeded, GroupSpecError, WordFormatError
 from discrimlab.freewords import Alphabet, Word, conjugate, parse_word
 
-from oracles import ball_image_count, product_power, raag_ball_size, stack_normal_form
+from oracles import (
+    ball_image_count,
+    product_power,
+    raag_ball_size,
+    stack_normal_form,
+    word_length,
+)
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -155,11 +162,11 @@ class TestBall:
         assert len(set(B)) == len(B)
 
     def test_word_length(self, G):
-        assert G.word_length(G.identity()) == 0
-        assert G.word_length(G.element("t1.1")) == 1
+        assert word_length(G, G.identity()) == 0
+        assert word_length(G, G.element("t1.1")) == 1
         # a t a^-1 reduces to t (commutation), length 1
-        assert G.word_length(G.element("g1 t1.1 G1")) == 1
-        assert G.word_length(G.element("g2 t1.1 G2")) == 3
+        assert word_length(G, G.element("g1 t1.1 G1")) == 1
+        assert word_length(G, G.element("g2 t1.1 G2")) == 3
 
     def test_cap(self):
         g = EocGroup(A, [(a, 1)])
@@ -175,7 +182,7 @@ class TestBall:
         with pytest.raises(BudgetExceeded):
             g.ball(3, cap=10)
         assert len(g.ball(3)) == 143
-        assert g.word_length(g.element("g2 t1.1 G2")) == 3
+        assert word_length(g, g.element("g2 t1.1 G2")) == 3
 
 
 class TestTokens:
@@ -305,19 +312,36 @@ class TestBallOrder:
         assert ball_digest(group, 4) == ball_digest(EocGroup(A, stages), 4)
 
 
+def general(group):
+    """`group`, set to grow its ball by the rule of multi-letter specs, also on a RAAG spec.
+
+    That rule resolves candidates by back edges, commuting squares, keys
+    and normal forms (``EocGroup._grow_layer``).
+    """
+    group._raag = False
+    return group
+
+
 @pytest.fixture(
     params=[lambda m: np.zeros(len(m), dtype=np.int64), lambda m: KEY(m) & 3],
     ids=["constant", "mod4"],
 )
 def clashing_key(request, monkeypatch):
-    """Patch the ball's key to one that clashes, and switch the sphere-size certificate off.
+    """Patch the ball's key to one that clashes, and grow every group's ball by keys.
 
     A constant key settles every candidate against the whole ball, and the
-    key mod 4 makes four runs that mix distinct elements.  Without a
-    sphere size every layer is settled by keys, also on RAAG specs.
+    key mod 4 makes four runs that mix distinct elements.  Every group
+    built under the patch takes the general rule (``general``), so its
+    layers are settled by keys, also on RAAG specs.
     """
     monkeypatch.setattr(eocgroup, "_key", request.param)
-    monkeypatch.setattr(EocGroup, "_sphere_size", lambda self, radius: None)
+    init = EocGroup.__init__
+
+    def init_general(self, *args):
+        init(self, *args)
+        general(self)
+
+    monkeypatch.setattr(EocGroup, "__init__", init_general)
 
 
 class TestClashingKeys:
@@ -480,7 +504,7 @@ class TestGroupLaws:
         # every radius-4 ball here has at most 11,825 elements, so the cap
         # turns an element missing from the ball into a failure, not a long search
         cap = 12_000
-        assert G.word_length(w, cap) == G.word_length(w.inverse(), cap) <= len(x)
+        assert word_length(G, w, cap) == word_length(G, w.inverse(), cap) <= len(x)
 
 
 def assert_times_is_stack_normal_form(group, radius):
@@ -561,9 +585,12 @@ def assert_ball_tree(group, radius):
     gens = group.generators()
     assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
     assert (group._tree_parents[0], group._tree_gens[0]) == (-1, -1)
+    # no element repeats, so an element's layer is its word length
+    # (``oracles.word_length``), and each tree edge is a geodesic step
+    assert len(set(ball)) == len(ball)
     for k in range(1, len(ball)):
         parent = group._tree_parents[k]
-        assert group.word_length(ball[parent]) == group.word_length(ball[k]) - 1
+        assert bisect.bisect_right(group._ends, parent) == bisect.bisect_right(group._ends, k) - 1
         assert ball[k] == ball[parent] * gens[group._tree_gens[k]]
 
 
@@ -604,13 +631,15 @@ class TestBallOracle:
         group = tokens_group([("g1", 1), ("g2", 1), ("g1 g2", 1)])
         assert len(group.ball(3)) == ball_image_count(group, 3, 40) == 753
 
+    @pytest.mark.parametrize("grow", [lambda g: g, general], ids=["automaton", "general"])
     @pytest.mark.parametrize(
         "stages, radius", [([("g1", 1)], 6), ([("g1", 2)], 4), ([("g1", 1), ("g2", 1)], 4)]
     )
-    def test_layers_skip_the_generic_normalizer(self, monkeypatch, stages, radius):
-        # no product at all: commuting squares settle every duplicate, so no
-        # normal form is built, and _from_syllables is a fold of _times
-        group = tokens_group(stages)
+    def test_layers_skip_the_generic_normalizer(self, monkeypatch, grow, stages, radius):
+        # no product at all: the shortlex automaton makes no duplicate, and
+        # on the general rule commuting squares settle every duplicate, so
+        # no normal form is built, and _from_syllables is a fold of _times
+        group = grow(tokens_group(stages))
         calls = []
         times = EocGroup._times
 
@@ -629,7 +658,7 @@ class TestBallOracle:
 
 
 def ball_state(group, radius):
-    """The ball's tree arrays, layer ends, normal forms and last layer's phi keys."""
+    """The ball's tree arrays, layer ends, normal forms and phi keys."""
     group.ball(radius)
     keys, _ = group._tree_keys(
         group._ends[-1], [eocgroup._phi(group, syl) for syl in group._generator_syllables]
@@ -639,7 +668,7 @@ def ball_state(group, radius):
         list(group._tree_gens),
         list(group._ends),
         [group._form(k) for k in range(group._ends[-1])],
-        keys[([0] + group._ends)[-2] :].tobytes(),
+        keys.tobytes(),
     )
 
 
@@ -654,16 +683,17 @@ class TestSquares:
 
     @FROZEN_BALLS
     def test_frozen_specs(self, monkeypatch, stages, radius, size, digest):
-        assert ball_state(EocGroup(A, stages), radius) == ball_state(
-            without_squares(monkeypatch, EocGroup(A, stages)), radius
+        assert ball_state(general(EocGroup(A, stages)), radius) == ball_state(
+            without_squares(monkeypatch, general(EocGroup(A, stages))), radius
         )
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(groups(), st.integers(0, 3))
     def test_random_groups(self, G, radius):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            bare = without_squares(monkeypatch, EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]))
-            assert ball_state(G, radius) == ball_state(bare, radius)
+            bare = EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages])
+            bare = without_squares(monkeypatch, general(bare))
+            assert ball_state(general(G), radius) == ball_state(bare, radius)
 
     def test_commute_table(self, tower):
         # t1.1 commutes with g1 and G1, t2.1 with g2 and G2; no t's of one stage
@@ -688,7 +718,7 @@ class TestSquares:
         # the row entry of candidate (parent, g) is the ball index of
         # parent * g if the last layer has it, else -1; every g is a
         # candidate, the one that undoes the parent's own with entry -1
-        group = tokens_group(stages)
+        group = general(tokens_group(stages))
         n = len(group.generator_tokens())
         for r in range(1, radius + 1):
             group.ball(r)
@@ -709,7 +739,7 @@ class TestSquares:
     def test_cap_rolls_the_row_back(self):
         # ball sizes 1, 7, 33, 143, 609: each cap trips inside a layer
         stages = [(a, 1)]
-        group = EocGroup(A, stages)
+        group = general(EocGroup(A, stages))
         for cap in (5, 10, 100, 500):
             row = group._row
             with pytest.raises(BudgetExceeded):
@@ -717,7 +747,7 @@ class TestSquares:
             assert group._row is row
             assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
             group.ball(len(group._ends))
-        uninterrupted = EocGroup(A, stages)
+        uninterrupted = general(EocGroup(A, stages))
         assert ball_state(group, 5) == ball_state(uninterrupted, 5)
         assert np.array_equal(group._row, uninterrupted._row)
 
@@ -744,8 +774,10 @@ class TestSquares:
 def assert_back_edges_exact(group, radius):
     """Each layer's back edges are the candidates whose normal form is already in the ball.
 
-    Each such form lies in the layer two back.  `group` has grown no ball.
+    Each such form lies in the layer two back.  `group` has grown no ball,
+    and grows it by the general rule (``general``), also on a RAAG spec.
     """
+    general(group)
     n = len(group.generator_tokens())
     for r in range(1, radius + 1):
         group.ball(r - 1)
@@ -798,18 +830,6 @@ def raag_groups(draw):
     return EocGroup(alphabet, stages)
 
 
-def grown_tree(group, radius):
-    """The ball's tree arrays, layer ends and last resolution row at `radius`."""
-    group.ball(radius)
-    return list(group._tree_parents), list(group._tree_gens), list(group._ends), group._row.tolist()
-
-
-def uncertified(monkeypatch, group):
-    """Give the group no sphere sizes: every layer is settled by keys."""
-    monkeypatch.setattr(group, "_sphere_size", lambda radius: None)
-    return group
-
-
 def count_settles(monkeypatch):
     """Record the radius of each layer that ``_settle`` keys, over every group."""
     radii = []
@@ -823,70 +843,100 @@ def count_settles(monkeypatch):
     return radii
 
 
-class TestSphereCertificate:
-    """A layer whose live classes number its exact sphere size is kept without keys."""
+def assert_automaton_is_general(stages, radius, rank=2):
+    """The automaton grows the ball that the general rule grows, element by element."""
+    group = tokens_group(stages, rank)
+    assert group._raag
+    assert ball_state(group, radius) == ball_state(general(tokens_group(stages, rank)), radius)
+
+
+# the frozen balls whose every u is one letter
+RAAG_FROZEN_BALLS = pytest.mark.parametrize(
+    "stages, radius",
+    [(s, r) for s, r, *_ in FROZEN_BALLS.args[1] if all(len(u) == 1 for u, _ in s)],
+)
+
+
+class TestAutomaton:
+    """A RAAG ball grown by its shortlex automaton is the ball of the general rule."""
 
     @pytest.mark.parametrize(
-        "rank, stages, clique_poly",
+        "rank, stages, clique_poly, radius",
         [
-            (2, [], (1, 2)),
-            (3, [], (1, 3)),
-            (2, [("g1", 1)], (1, 3, 1)),
-            (2, [("g1", 2)], (1, 4, 3, 1)),
-            (2, [("G1", 3)], (1, 5, 6, 4, 1)),
-            (2, [("g1", 1), ("g2", 1)], (1, 4, 2)),
-            (2, [("g1", 2), ("G2", 2)], (1, 6, 6, 2)),
-            (3, [("g1", 1), ("g2", 2), ("g3", 1)], (1, 7, 5, 1)),
+            (2, [], (1, 2), 9),
+            (3, [], (1, 3), 6),
+            (2, [("g1", 1)], (1, 3, 1), 7),
+            (2, [("g1", 2)], (1, 4, 3, 1), 6),
+            (2, [("G1", 3)], (1, 5, 6, 4, 1), 5),
+            (2, [("g1", 1), ("g2", 1)], (1, 4, 2), 6),
+            (2, [("g1", 2), ("G2", 2)], (1, 6, 6, 2), 4),
+            (3, [("g1", 1), ("g2", 2), ("g3", 1)], (1, 7, 5, 1), 4),
+            (2, [("g1", 6)], (1, 8, 21, 35, 35, 21, 7, 1), 4),
         ],
     )
-    def test_sphere_sizes_match_growth_series(self, rank, stages, clique_poly):
+    def test_layer_sizes_match_growth_series(self, rank, stages, clique_poly, radius):
         group = tokens_group(stages, rank)
-        assert [group._sphere_size(r) for r in range(12)] == [
-            raag_ball_size(clique_poly, r) - raag_ball_size(clique_poly, r - 1) for r in range(12)
+        group.ball(radius)
+        assert [hi - lo for lo, hi in zip([0] + group._ends, group._ends)] == [
+            raag_ball_size(clique_poly, r) - raag_ball_size(clique_poly, r - 1)
+            for r in range(radius + 1)
         ]
 
-    def test_multi_letter_u_has_no_sphere_size(self):
-        assert tokens_group([("g1 g2", 1)])._sphere_size(3) is None
-        assert tokens_group([("g1", 1), ("g1 g2", 1)])._sphere_size(3) is None
+    def test_multi_letter_u_takes_the_general_rule(self):
+        for stages in ([("g1 g2", 1)], [("g1", 1), ("g1 g2", 1)]):
+            group = tokens_group(stages)
+            group.ball(3)
+            assert not group._raag
+            assert len(group._trans) == 0 and len(group._row)
 
-    @FROZEN_BALLS
-    def test_frozen_specs(self, monkeypatch, stages, radius, size, digest):
+    @RAAG_FROZEN_BALLS
+    def test_frozen_specs(self, monkeypatch, stages, radius):
         settled = count_settles(monkeypatch)
         group = EocGroup(A, stages)
-        tree = grown_tree(group, radius)
-        raag = all(len(u) == 1 for u, _ in stages)
-        # every layer of a RAAG ball is certified, and no other layer is
-        assert settled == ([] if raag else list(range(1, radius + 1)))
-        assert group._layer_matrices is None if raag else group._layer_matrices is not None
-        assert tree == grown_tree(uncertified(monkeypatch, EocGroup(A, stages)), radius)
+        group.ball(radius)
+        # the automaton settles no layer, and the general rule every one
+        assert settled == []
+        assert ball_state(group, radius) == ball_state(general(EocGroup(A, stages)), radius)
+        assert settled == list(range(1, radius + 1))
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(raag_groups(), st.integers(0, 4))
     def test_random_raag_groups(self, G, radius):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            bare = uncertified(monkeypatch, EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]))
-            assert grown_tree(G, radius) == grown_tree(bare, radius)
+        bare = general(EocGroup(G.alphabet, [(s.u, s.rank) for s in G.stages]))
+        assert ball_state(G, radius) == ball_state(bare, radius)
 
-    @pytest.mark.parametrize("wrong", [3, 5])
-    def test_wrong_sphere_size_keys_the_layer(self, monkeypatch, wrong):
-        # the sphere size at radius `wrong` is off by one, so that layer is
-        # keyed from the previous layer's matrices, which ``_tree_keys``
-        # rebuilds as the certified layers before it kept none
-        sphere_size = EocGroup._sphere_size
-        monkeypatch.setattr(
-            EocGroup, "_sphere_size", lambda self, r: sphere_size(self, r) + (r == wrong)
-        )
-        settled = count_settles(monkeypatch)
+    def test_rank_six(self):
+        assert_automaton_is_general([("g1", 6)], 3)
+
+    @pytest.mark.parametrize("rank, radius", [(2, 6), (3, 4)])
+    def test_free_group(self, rank, radius):
+        assert_automaton_is_general([], radius, rank)
+
+    def test_cap_leaves_the_ball_untouched(self):
+        # ball sizes 1, 7, 33, 143, 609: each cap trips inside a layer, which
+        # is counted before anything is appended
         group = EocGroup(A, [(a, 1)])
-        keyed = uncertified(monkeypatch, EocGroup(A, [(a, 1)]))
-        for r in range(7):
-            assert grown_tree(group, r) == grown_tree(keyed, r), r
-            if r == wrong:
-                assert np.array_equal(group._layer_matrices, keyed._layer_matrices)
-            elif r:
-                assert group._layer_matrices is None, r
-        # the keyed group settles every layer; the other only the wrong one
-        assert settled == [r for r in range(1, 7) for _ in range(1 + (r == wrong))]
+        for cap in (5, 10, 100, 500):
+            tree, states = (bytes(group._tree_parents), bytes(group._tree_gens)), group._states
+            ends = list(group._ends)
+            message = f"cap of {cap} elements at radius {len(ends)}$"
+            with pytest.raises(BudgetExceeded, match=message):
+                group.ball(4, cap=cap)
+            assert (bytes(group._tree_parents), bytes(group._tree_gens)) == tree
+            assert group._ends == ends and group._states is states
+            group.ball(len(group._ends))
+        assert ball_state(group, 5) == ball_state(EocGroup(A, [(a, 1)]), 5)
+
+    def test_construction_builds_no_row(self):
+        # a group that never grows a ball pays for no automaton
+        for stages in ([], [(a, 1)], [(a, 2), (b, 1)]):
+            group = EocGroup(A, stages)
+            assert group._trans.shape == (0, len(group.generator_tokens()))
+            group.ball(0)
+            assert len(group._trans) == 0
+            group.ball(1)
+            # only the identity's state has a row
+            assert len(group._trans) == 1
 
 
 class TestClashingMask:
