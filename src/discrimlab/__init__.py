@@ -46,7 +46,6 @@ from .zdiscrim import (
     ZnHom,
     lower_bound_value,
     minimal_complexity,
-    scaled_theta,
     siegel_bound,
     siegel_small_kernel,
     theta,
@@ -85,7 +84,6 @@ __all__ = [
     "minimal_discriminating_p",
     "parse_word",
     "power_membership",
-    "scaled_theta",
     "siegel_bound",
     "siegel_small_kernel",
     "subtower",

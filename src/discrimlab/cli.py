@@ -11,8 +11,9 @@ Subcommands:
               extension-of-centralizer group
   ball        ball sizes of an extension-of-centralizer group
   crosscheck  independent consistency checks: normalization is a
-              homomorphism and inverts, p_min and p_used (optionally
-              forced), and raw-word triviality agreement at p_used
+              homomorphism and inverts, p_min (walked on the ball where
+              the ascent proves it) and p_used (optionally forced), and
+              raw-word triviality agreement at p_used
 
 Exit codes: 0 success, 1 property violation, 2 input error, 3 budget
 exceeded.  Output is CSV (with ``#`` metadata comment lines) or JSON
@@ -41,6 +42,7 @@ from .errors import AscentExhausted, BudgetExceeded, CertificationError, Discrim
 from .freewords import Alphabet, join_letters, parse_word
 from .retraction import (
     ThetaSpec,
+    _images_injective,
     apply_chain,
     apply_theta,
     complexity_curve,
@@ -252,6 +254,19 @@ def _raw_word_agreement(group, r: int, p: int):
     return agreements, None
 
 
+def _walk_confirms_p_min(group, r: int, p_min: int, cap: int) -> bool:
+    """Whether the top-stage retraction is injective on the radius-r ball at p_min, not below.
+
+    The ball is grown and walked at p_min and p_min - 1.  On a RAAG spec
+    the ascent proves p_min with no walk, so this checks the proof
+    against the definition.
+    """
+    ball = group.ball(r, cap=cap)
+    if _images_injective(group, r, p_min, ball, 1) is not None:
+        return False
+    return p_min == 1 or _images_injective(group, r, p_min - 1, ball, 1) is not None
+
+
 def _cmd_crosscheck(args) -> int:
     group = _load_group(args.spec)
     rng = random.Random(args.seed)
@@ -278,6 +293,9 @@ def _cmd_crosscheck(args) -> int:
 
     if group.stages:
         p_min = minimal_discriminating_p(group, args.r, cap=args.cap)
+        # elsewhere the ascent itself walks the ball up to p_min
+        if group._raag and not _walk_confirms_p_min(group, args.r, p_min, args.cap):
+            raise _Violation(f"the ball walk disagrees with p_min={p_min}")
         checks.append(("p_min", p_min))
         p = args.force_p
         if p is None:

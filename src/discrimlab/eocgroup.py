@@ -86,21 +86,26 @@ element's tree entry is its least candidate (``_grow_layer``).  When
 every u is one base letter the group is a right-angled Artin group, and
 a finite automaton of its shortlex-least words keeps exactly the new
 elements' least candidates (``_grow_raag_layer``); the ball keeps only
-the last layer's automaton states.  On other specs, back edges from the
-last layer's resolution row (``_row``) find the old candidates, commuting
-squares of the defining relations link equal ones into classes, and
-keys by phi, a homomorphism into SL(2, F_P) (``_phi``, hashed to 64 bits
-by ``_key``), prove most live classes distinct; only runs of equal keys
-are settled by normal forms (``_settle``).  A layer that exceeds the cap
-is not kept.  A normal form is built on demand along the tree path, the
-parent's times the generator (``_times``), and kept by ball index
-(``_form``); the view builds its elements that way.  ``_tree_keys``,
-the one tree evaluator, evaluates a homomorphism into SL(2, F_P) on the
-whole ball with one product per element (``retraction._first_collision``
-uses it with phi after a retraction).  The walk and the layer settle
-take their clashing keys from one ``_clashing``, which sorts one copy of
-the keys, and confirm each clash exactly: the layer by normal forms, the
-walk by the retraction's own map.
+the last layer's automaton states.  Each element has exactly one
+accepted word, so the accepted words of length L count sphere L:
+``ball_size`` counts them from the number of words in each state, in
+exact integers and with no tree, and the tree takes each layer's size,
+and its cap check, from those counts.  On other specs, back edges from
+the last layer's resolution row (``_row``) find the old candidates,
+commuting squares of the defining relations link equal ones into
+classes, and keys by phi, a homomorphism into SL(2, F_P) (``_phi``,
+hashed to 64 bits by ``_key``), prove most live classes distinct; only
+runs of equal keys are settled by normal forms (``_settle``).  A layer
+that exceeds the cap is not kept.  A normal form is built on demand
+along the tree path, the parent's times the generator (``_times``), and
+kept by ball index (``_form``); the view builds its elements that way.
+``_tree_keys``, the one tree evaluator, evaluates a homomorphism into
+SL(2, F_P) on the whole ball with one product per element
+(``retraction._first_collision`` uses it with phi after a retraction).
+The walk and the layer settle take their clashing keys from one
+``_clashing``, which sorts one copy of the keys, and confirm each clash
+exactly: the layer by normal forms, the walk by the retraction's own
+map.
 
 Element serialization extends the base word format with ``t<stage>.<i>``
 and ``T<stage>.<i>`` tokens, stages and indices 1-based.
@@ -297,6 +302,10 @@ class EocGroup:
         self._state_ids = {0: 0}
         self._trans = np.empty((0, len(tokens)), dtype=np.int32)
         self._states = np.zeros(1, dtype=np.int32)
+        # its counts (ball_size): the ball's size by radius, counted so far,
+        # and the number of elements in each state on the last counted layer
+        self._sizes = [1]
+        self._counts = [1]
         # other specs: the last layer's phi matrices as int32, and its
         # resolution row, read by the next layer's back edges and squares:
         # per candidate of the layer, the ball index of its element if the
@@ -556,7 +565,7 @@ class EocGroup:
         reps, labels = self._live_classes(prev_lo, lo)
         kept, matrices, settled, merged = self._settle(lo, reps)
         count = len(kept)
-        self._check_cap(size + count, cap)
+        self._check_cap(size + count, cap, len(self._ends))
         self._layer_matrices = matrices
         del reps, matrices
         # the ball index of each class's element, by its least candidate
@@ -574,21 +583,22 @@ class EocGroup:
         )
         self._ends.append(size + count)
 
-    def _check_cap(self, size: int, cap: int) -> None:
-        """Raise if the next layer would take the ball to `size` elements, past `cap`."""
+    def _check_cap(self, size: int, cap: int, radius: int) -> None:
+        """Raise if the ball of `radius` has `size` elements, past `cap`."""
         if size > cap:
             raise BudgetExceeded(
-                f"ball enumeration exceeded cap of {cap} elements at radius {len(self._ends)}"
+                f"ball enumeration exceeded cap of {cap} elements at radius {radius}"
             )
 
     def _grow_raag_layer(self, cap: int) -> None:
         """Add the next layer of a RAAG spec by its shortlex automaton (``_grow_layer``).
 
         Candidate (P, g) is kept exactly when ``_trans[s, g] >= 0``, s the
-        state of P, and that entry is the new element's state; the layer is
-        counted from the states before anything is appended.  A state is a
-        set of letters, F(1) = {} and, with C(z) the letters that commute
-        with z (``_commute``) and < the token order,
+        state of P, and that entry is the new element's state; the layer's
+        size comes from ``ball_size``, and is checked against the cap,
+        before anything is appended.  A state is a set of letters, F(1) =
+        {} and, with C(z) the letters that commute with z (``_commute``)
+        and < the token order,
 
             F(w z) = (F(w) & C(z)) | {y in C(z) : y < z} | {z^-1}.
 
@@ -609,12 +619,17 @@ class EocGroup:
            after w z by z itself (y = z^-1, or y in C(z) and y < z), or by
            an earlier letter, which needs z in C(y).
         So the kept candidates are the new elements' shortlex-least words,
-        one per element, each its element's least candidate.
+        one per element, each its element's least candidate.  Hence the
+        words of length L that the automaton accepts are in one-to-one
+        correspondence with sphere L, which is how ``ball_size`` counts it.
         """
-        lo, size = ([0] + self._ends)[-2:]
-        trans, states = self._transitions(), self._states
-        count = int(np.bincount(states, minlength=len(trans)) @ (trans >= 0).sum(axis=1))
-        self._check_cap(size + count, cap)
+        radius, (lo, size) = len(self._ends), ([0] + self._ends)[-2:]
+        total = self.ball_size(radius, cap)
+        # the layer may have been counted before, under another cap
+        self._check_cap(total, cap, radius)
+        count = total - size
+        # counting the layer built the rows of the last layer's states
+        trans, states = self._trans, self._states
         new = np.empty(count, dtype=np.int32)
         done = 0
         for start in range(0, len(states), _BLOCK):
@@ -632,10 +647,9 @@ class EocGroup:
     def _transitions(self) -> np.ndarray:
         """The shortlex automaton's table (``_grow_raag_layer``), with a row for each state met.
 
-        A state is met as the state of a kept candidate, so the states with
-        no row yet are those of the last layer, or of the layer after it if
-        that one was counted past the cap and not kept.  A rank-r stage
-        reaches about 2^(r+1) states.
+        A state is met as a target of a row, when ``ball_size`` counts a
+        layer, so the states with no row yet are those of the last counted
+        layer.  A rank-r stage reaches about 2^(r+1) states.
         """
         ids, built = self._state_ids, len(self._trans)
         if built == len(ids):
@@ -727,6 +741,36 @@ class EocGroup:
                 )
             prev, prev_lo = layer, lo
         return keys, prev
+
+    def ball_size(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> int:
+        """The number of elements of word length <= radius, ``len(self.ball(radius, cap))``.
+
+        On a RAAG spec nothing is enumerated.  The shortlex automaton
+        accepts exactly one word per element (``_grow_raag_layer``), so
+        sphere L has sum(c_L) elements, where c_L[s] counts the accepted
+        words of length L that end in state s: c_0 is 1 at state 0, and
+        c_(L+1)[t] is the sum of c_L[s] over the entries
+        ``_trans[s, g] = t >= 0``, in exact integers.  The sizes are kept
+        by radius, and a radius is checked against `cap` when it is first
+        counted, as ``ball`` checks a layer when it is first grown.
+        """
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        if not self._raag:
+            return len(self.ball(radius, cap))
+        sizes = self._sizes
+        for r in range(1, radius + 1):
+            if r == len(sizes):
+                rows = self._transitions().tolist()
+                counts = [0] * len(self._state_ids)
+                for row, c in zip(rows, self._counts):
+                    for t in row:
+                        if t >= 0:
+                            counts[t] += c
+                self._counts = counts
+                sizes.append(sizes[-1] + sum(counts))
+                self._check_cap(sizes[r], cap, r)
+        return sizes[radius]
 
     def ball(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> Sequence[EocElement]:
         """All elements of word length <= radius, BFS layer order, deduplicated.

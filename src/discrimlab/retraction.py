@@ -19,11 +19,14 @@ closed-form pair of ball elements collides (split u^p = b a; then
 t a^-1 and b have one image), so no ball walk is needed to rule those p
 out.  When every stage's u is one base letter (a RAAG spec) the floor is
 p_min by the normal form theorem for free products, so the ascent
-returns it and walks nothing.  Otherwise it tries p = floor, floor + 1,
-.. up to ``_p_ceiling``, for the top k stages (k = 1, or all).
-``complexity_record`` adds a certificate that p_min is least: a pair
-that the retraction at p_min - 1 merges, the split pair below the floor,
-else the walk's collision there.
+returns it and walks nothing; it only counts the ball, for the cap
+(``EocGroup.ball_size``), and grows no tree.  Otherwise it tries p =
+floor, floor + 1, .. up to ``_p_ceiling``, for the top k stages (k = 1,
+or all).  ``complexity_record`` adds a certificate that p_min is least:
+a pair that the retraction at p_min - 1 merges, the split pair below the
+floor, else the walk's collision there; it takes the ball's size from
+``ball_size``.  So a RAAG ``curve`` or ``compose_chain`` builds no ball;
+``crosscheck`` grows one, to confirm the floor by walking it.
 
 Injectivity on the ball is checked along the ball's BFS tree, which the
 group keeps: every ball element was first built as parent * generator,
@@ -268,11 +271,13 @@ def _split_pair(group: EocGroup, s: int, R: int, p: int) -> tuple[EocElement, Eo
 def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
     """Least p up to ``_p_ceiling`` whose top `k` retractions are injective on the radius-R ball.
 
-    The ball is built first, so `cap` is enforced on every spec.  On a
-    RAAG spec the answer is the floor (proof below), and nothing is
-    walked.  Otherwise, past the ceiling, raises ``AscentExhausted`` with
-    the walk's collision at the ceiling as its witness.  The floor is at
-    most max(1, 2R), below the ceiling, so the ascent tries at least one p.
+    `cap` is enforced on every spec before any p is tried.  On a RAAG
+    spec the answer is the floor (proof below): the ball is only counted
+    (``EocGroup.ball_size``), so no tree is grown and nothing is walked.
+    Otherwise the ball is built first, and past the ceiling the ascent
+    raises ``AscentExhausted`` with the walk's collision at the ceiling
+    as its witness.  The floor is at most max(1, 2R), below the ceiling,
+    so the ascent tries at least one p.
 
     The ascent starts at a floor below which every p fails.  Take a stage
     s among the top k, with u_s = z v z^-1 (v cyclically reduced) and
@@ -320,9 +325,10 @@ def _least_injective_p(group: EocGroup, R: int, cap: int, k: int) -> int:
     """
     if not group.stages:
         raise ValueError("group has no stages to retract")
-    ball = group.ball(R, cap=cap)
     if group._raag:
+        group.ball_size(R, cap)
         return _floor(group, R, k)
+    ball = group.ball(R, cap=cap)
     ceiling = _p_ceiling(group, R)
     for p in range(_floor(group, R, k), ceiling + 1):
         witness = _images_injective(group, R, p, ball, k)
@@ -346,20 +352,21 @@ def minimal_discriminating_p(
 
 
 def _p_min_certificate(
-    group: EocGroup, R: int, p_min: int, ball: Sequence[EocElement]
+    group: EocGroup, R: int, p_min: int, cap: int
 ) -> Optional[tuple[EocElement, EocElement]]:
     """A pair of distinct ball elements that the top-stage retraction at p_min - 1 merges.
 
     The split pair when p_min - 1 lies below the floor, else the walk's
-    collision at p_min - 1; None when p_min = 1.  That the floor is
-    injective is proven for RAAG specs (``_least_injective_p``), where
-    p_min - 1 lies below it; walked otherwise.
+    collision at p_min - 1 over the radius-R ball; None when p_min = 1.
+    That the floor is injective is proven for RAAG specs
+    (``_least_injective_p``), where p_min - 1 lies below it, so only a
+    walk builds the ball.
     """
     if p_min == 1:
         return None
     if p_min - 1 < _floor(group, R, 1):
         return _split_pair(group, len(group.stages) - 1, R, p_min - 1)
-    return _images_injective(group, R, p_min - 1, ball, 1)
+    return _images_injective(group, R, p_min - 1, group.ball(R, cap=cap), 1)
 
 
 @dataclass(frozen=True)
@@ -384,21 +391,27 @@ class ComplexityRecord:
 def complexity_record(
     group: EocGroup, R: int, cap: int = DEFAULT_BALL_CAP
 ) -> ComplexityRecord:
+    """The curve point at radius R, with its p_min certificate, timed in ``wall_ms``.
+
+    ``ball_size`` is ``EocGroup.ball_size``, so on a RAAG spec, where the
+    ascent returns the floor and the certificate is the split pair, no
+    ball is built; elsewhere the ascent and the certificate's walk build it.
+    """
     start = time.perf_counter()
     p = minimal_discriminating_p(group, R, cap=cap)
     n = group.stages[-1].rank
     # the free abelian subgroup <u, t_1..t_n> has rank n+1, which drives
     # the polynomial lower bound for discriminating the ball
     lb = lower_bound_value(n + 1, R)
-    ball = group.ball(R, cap=cap)
-    certificate = _p_min_certificate(group, R, p, ball)
+    ball_size = group.ball_size(R, cap)
+    certificate = _p_min_certificate(group, R, p, cap)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ComplexityRecord(
         R=R,
         p_min=p,
         complexity=hom_complexity(ThetaSpec(group, R, p)),
         lower_bound=lb,
-        ball_size=len(ball),
+        ball_size=ball_size,
         wall_ms=wall_ms,
         certificate=certificate,
     )

@@ -99,10 +99,6 @@ def theta(n: int, R: int) -> ZnHom:
     return ZnHom(tuple(base**i for i in range(n)))
 
 
-def scaled_theta(n: int, R: int, p: int) -> ZnHom:
-    return ZnHom(tuple(p * c for c in theta(n, R).coefficients))
-
-
 def _cube(k: int, m: int) -> np.ndarray:
     """All of [-m, m]^k as rows, in lex order."""
     return np.indices((2 * m + 1,) * k, dtype=np.int64).reshape(k, -1).T - m

@@ -35,7 +35,6 @@ PUBLIC_API = [
     "minimal_discriminating_p",
     "parse_word",
     "power_membership",
-    "scaled_theta",
     "siegel_bound",
     "siegel_small_kernel",
     "subtower",

@@ -385,6 +385,15 @@ class TestCurve:
         got = (meta["composite_p"], meta["composite_complexity"], meta["composite_bound"])
         assert got == expected
 
+    def test_default_cap_stops_radius_9(self, capsys, g1_spec):
+        # u = g1: the radius-9 ball has F(30) - 1 = 832,039 elements, which
+        # the count finds past the cap before any tree is grown
+        code = main(["curve", "--spec", g1_spec, "--rmax", "9"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == "error: ball enumeration exceeded cap of 500000 elements at radius 9\n"
+        assert captured.out == ""
+
     def test_missing_spec_exits_2(self, capsys, tmp_path):
         code, _ = run(capsys, "curve", "--spec", str(tmp_path / "nope.json"), "--rmax", "1")
         assert code == 2
@@ -525,6 +534,46 @@ class TestCrosscheck:
         code, out = run(capsys, "crosscheck", "--spec", str(path), "--r", "3")
         assert code == 0 and "agreement,pass\n" in out
         assert len(calls) == ascents
+
+    @pytest.mark.parametrize(
+        "spec, raag", [(G1_SPEC, True), (TOWER_SPEC, True), (G1G2_SPEC, False)],
+        ids=["g1", "tower", "g1g2"],
+    )
+    def test_raag_p_min_is_walked(self, capsys, monkeypatch, tmp_path, spec, raag):
+        # a RAAG ascent proves p_min with no walk, so crosscheck walks the
+        # grown ball at p_min and p_min - 1; a multi-letter ascent walks
+        # its own way up to p_min, and crosscheck adds no walk
+        calls = []
+        walk = retraction._images_injective
+
+        def spy(group, R, p, ball, k):
+            calls.append(p)
+            assert len(ball) == group.ball_size(R)
+            return walk(group, R, p, ball, k)
+
+        monkeypatch.setattr(retraction, "_images_injective", spy)
+        monkeypatch.setattr("discrimlab.cli._images_injective", spy)
+        p_min = retraction.minimal_discriminating_p(load_group_spec(spec), 3)
+        ascent = calls[:]
+        calls.clear()
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code = main(["crosscheck", "--spec", str(path), "--r", "3", "--force-p", str(p_min)])
+        assert code == 0 and f"p_min,{p_min}\n" in capsys.readouterr().out
+        assert calls == ascent + ([p_min, p_min - 1] if raag else [])
+        assert (ascent == []) == raag
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_raag_p_min_against_the_walk(self, capsys, monkeypatch, g1_spec, shift):
+        proven = retraction.minimal_discriminating_p
+        monkeypatch.setattr(
+            "discrimlab.cli.minimal_discriminating_p",
+            lambda group, R, cap: proven(group, R, cap=cap) + shift,
+        )
+        code = main(["crosscheck", "--spec", g1_spec, "--r", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: the ball walk disagrees with p_min={6 + shift}\n"
 
     def test_meta_reproduces_row(self, capsys, g1_spec):
         argv = [

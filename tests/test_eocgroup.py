@@ -441,6 +441,20 @@ def tokens_group(stages, rank=2):
     return EocGroup(alphabet, [(parse_word(alphabet, u), n) for u, n in stages])
 
 
+# (free rank, stages as (u, rank), largest R checked): every stage's u is one
+# base letter, so the group is a free product of free abelian factors and F
+RAAG_SPECS = {
+    "g1-rank1": (2, [("g1", 1)], 4),
+    "g1-rank2": (2, [("g1", 2)], 4),
+    "g2-rank3": (2, [("g2", 3)], 4),
+    "G2-F3": (3, [("G2", 1)], 4),
+    "tower": (2, [("g1", 1), ("g2", 1)], 4),
+    "tower-21": (2, [("g1", 2), ("g2", 1)], 4),
+    "tower-G1g2": (2, [("G1", 2), ("g2", 2)], 4),
+    "tower-F3": (3, [("g1", 1), ("g2", 2), ("g3", 1)], 3),
+}
+
+
 # (free rank, [(u tokens, t-rank), ...])
 CANONICAL_SPECS = (
     (2, [("g1", 1)]),
@@ -937,6 +951,95 @@ class TestAutomaton:
             group.ball(1)
             # only the identity's state has a row
             assert len(group._trans) == 1
+
+
+def tree(group):
+    """The ball's tree arrays and layer ends."""
+    return bytes(group._tree_parents), bytes(group._tree_gens), list(group._ends)
+
+
+def budget_error(call):
+    """The message of the ``BudgetExceeded`` that `call` raises, else None."""
+    try:
+        call()
+    except BudgetExceeded as e:
+        return str(e)
+    return None
+
+
+class TestBallSize:
+    """``ball_size`` counts a RAAG ball from its automaton's states, with no tree."""
+
+    @pytest.mark.parametrize(
+        "rank, stages",
+        [(rank, stages) for rank, stages, _ in RAAG_SPECS.values()] + [(2, [("g1 g2", 1)])],
+    )
+    def test_equals_ball_length(self, rank, stages):
+        counted, grown = tokens_group(stages, rank), tokens_group(stages, rank)
+        assert [counted.ball_size(R) for R in range(6)] == [len(grown.ball(R)) for R in range(6)]
+        # a multi-letter spec is counted by its ball
+        assert (counted._ends == [1]) == counted._raag
+        with pytest.raises(ValueError):
+            counted.ball_size(-1)
+
+    @pytest.mark.parametrize(
+        "stages, clique_poly",
+        [([("g1", 1)], (1, 3, 1)), ([("g1", 2)], (1, 4, 3, 1)), ([("g1", 1), ("g2", 1)], (1, 4, 2))],
+    )
+    def test_matches_growth_series_to_radius_40(self, stages, clique_poly):
+        group = tokens_group(stages)
+        sizes = [group.ball_size(R, cap=10**40) for R in range(41)]
+        assert sizes == [raag_ball_size(clique_poly, R) for R in range(41)]
+        assert sizes[-1] > 2**63
+        assert group._ends == [1]
+
+    # u = g1: ball sizes 1, 7, 33, 143, 609, 2583; u = g1 rank 2: 1, 9, 53,
+    # 285, 1513, 8017; cap 0 never trips at radius 0
+    @pytest.mark.parametrize("cap", [0, 5, 8, 10, 100, 500, 2582, 2583, 8017])
+    @pytest.mark.parametrize("radius", [0, 3, 5])
+    @pytest.mark.parametrize("stages", [[(a, 1)], [(a, 2)]])
+    def test_cap_matches_ball(self, stages, radius, cap):
+        counted, grown = EocGroup(A, stages), EocGroup(A, stages)
+        message = budget_error(lambda: counted.ball_size(radius, cap))
+        assert message == budget_error(lambda: grown.ball(radius, cap))
+        if message is None:
+            assert counted.ball_size(radius, cap) == len(grown.ball(radius))
+
+    def test_cap_checks_radii_when_first_counted(self):
+        # as ball checks a layer when it first grows it: a cached count, like
+        # a cached layer, is returned under any cap
+        group = EocGroup(A, [(a, 1)])
+        assert group.ball_size(5, cap=10**6) == 2583
+        assert group.ball_size(5, cap=100) == 2583
+        message = "ball enumeration exceeded cap of 2583 elements at radius 6"
+        assert budget_error(lambda: group.ball_size(6, cap=2583)) == message
+        # a layer counted under a larger cap is still checked when it grows
+        message = "ball enumeration exceeded cap of 100 elements at radius 3"
+        assert budget_error(lambda: group.ball(5, cap=100)) == message
+        assert group._ends == [1, 7, 33]
+
+    def test_cap_on_a_grown_ball_matches_the_general_rule(self):
+        raag, general_rule = EocGroup(A, [(a, 1)]), general(EocGroup(A, [(a, 1)]))
+        for group in (raag, general_rule):
+            assert len(group.ball(3, cap=10**6)) == 143
+            assert len(group.ball(3, cap=100)) == 143
+        message = "ball enumeration exceeded cap of 100 elements at radius 4"
+        assert budget_error(lambda: raag.ball(4, cap=100)) == message
+        assert budget_error(lambda: general_rule.ball(4, cap=100)) == message
+
+    @pytest.mark.parametrize(
+        "rank, stages", [(2, [("g1", 1)]), (2, [("g1", 2)]), (3, [("g1", 1), ("g2", 2), ("g3", 1)])]
+    )
+    def test_counting_and_growing_commute(self, rank, stages):
+        fresh = tokens_group(stages, rank)
+        fresh.ball(4)
+        counted_first = tokens_group(stages, rank)
+        counted_first.ball_size(6, cap=10**9)
+        counted_first.ball(4)
+        grown_first = tokens_group(stages, rank)
+        grown_first.ball(4)
+        assert grown_first.ball_size(4) == counted_first.ball_size(4) == fresh._ends[-1]
+        assert tree(counted_first) == tree(fresh) == tree(grown_first)
 
 
 class TestClashingMask:

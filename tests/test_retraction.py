@@ -32,7 +32,7 @@ from oracles import (
     chain_of_retractions,
     per_syllable_apply_theta,
 )
-from test_eocgroup import group_and_elements, groups
+from test_eocgroup import RAAG_SPECS, group_and_elements, groups
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -469,20 +469,6 @@ class TestFloor:
         assert walks == list(enumerate(p_min))
 
 
-# (free rank, stages as (u, rank), largest R checked): every stage's u is one
-# base letter, so the group is a free product of free abelian factors and F
-RAAG_SPECS = {
-    "g1-rank1": (2, [("g1", 1)], 4),
-    "g1-rank2": (2, [("g1", 2)], 4),
-    "g2-rank3": (2, [("g2", 3)], 4),
-    "G2-F3": (3, [("G2", 1)], 4),
-    "tower": (2, [("g1", 1), ("g2", 1)], 4),
-    "tower-21": (2, [("g1", 2), ("g2", 1)], 4),
-    "tower-G1g2": (2, [("G1", 2), ("g2", 2)], 4),
-    "tower-F3": (3, [("g1", 1), ("g2", 2), ("g3", 1)], 3),
-}
-
-
 class TestRaagFloor:
     """The floor is p_min on RAAG specs, with the walk as the oracle."""
 
@@ -529,6 +515,18 @@ class TestRaagFloor:
             for k in sorted({1, len(group.stages)}):
                 assert retraction._least_injective_p(group, R, DEFAULT_BALL_CAP, k) == p_min[R]
         assert bool(calls) == walked
+
+    @pytest.mark.parametrize("label, walked", [("tower", False), ("g1-rank2", False), ("g1g2", True)])
+    def test_raag_commands_build_no_tree(self, label, walked):
+        # the ball is only counted (EocGroup.ball_size), so no layer is grown
+        for command in (
+            lambda group: complexity_curve(group, range(5)),
+            lambda group: compose_chain(group, 4),
+            lambda group: minimal_discriminating_p(group, 4),
+        ):
+            group, _ = _walk_group(label)
+            command(group)
+            assert (group._ends != [1]) == walked
 
 
 # the walk's own key, and two that clash: a constant key makes one run of the

@@ -17,7 +17,6 @@ from discrimlab.zdiscrim import (
     _shell_vectors_cached,
     lower_bound_value,
     minimal_complexity,
-    scaled_theta,
     siegel_bound,
     siegel_small_kernel,
     theta,
@@ -39,14 +38,13 @@ class TestTheta:
         assert theta(3, 2).coefficients == (1, 5, 25)
         assert theta(1, 7).coefficients == (1,)
         assert theta(4, 1).coefficients == (1, 3, 9, 27)
+        # the retraction at p stretches theta by p: t_i -> u^(p (2R+1)^(i-1))
+        assert tuple(7 * c for c in theta(2, 2).coefficients) == (7, 35)
 
     def test_n1_is_identity(self):
         h = theta(1, 5)
         for t in range(-5, 6):
             assert h((t,)) == t
-
-    def test_scaled(self):
-        assert scaled_theta(2, 2, 7).coefficients == (7, 35)
 
     def test_complexity(self):
         assert theta(3, 2).complexity == 25
