@@ -46,8 +46,6 @@ from .zdiscrim import (
     ZnHom,
     lower_bound_value,
     minimal_complexity,
-    siegel_bound,
-    siegel_small_kernel,
     theta,
 )
 
@@ -84,8 +82,6 @@ __all__ = [
     "minimal_discriminating_p",
     "parse_word",
     "power_membership",
-    "siegel_bound",
-    "siegel_small_kernel",
     "subtower",
     "theta",
     "threshold",

@@ -8,23 +8,23 @@ minimal discriminating complexity; a one-equation Siegel bound gives the
 matching polynomial lower bound (R-n)^(n-1) / n^n.
 
 All arithmetic is exact (python ints and Fractions); numpy is used only
-to speed up exhaustive kernel searches over small integer boxes.  Those
-searches run over coefficient vectors in max-norm shells.  Each shell is
-built directly in numpy in lex order, so the cube [-m, m]^n is never
-walked, and no shell is kept once its search step is done.
+to speed up the exhaustive complexity search, which runs over
+coefficient vectors in increasing max-norm shells.
 
-The complexity search uses the symmetry of the ball: the l1 ball and the
-box are invariant under signed permutations of coordinates, so c
-discriminates exactly when every signed permutation of c does.  A shell
-is tested only at its canonical rows 0 <= c_1 <= ... <= c_n = m, one per
-orbit, against the primitive points of one antipodal half of the
-punctured ball, since c.x != 0 exactly when c.(x/gcd(x)) != 0.  The
-result is still the lex-first discriminating vector of the first shell
-that has one: the least lex-first orbit member of its discriminating
-canonical rows.  The budget counts the rows of whole shells.  Candidates are
-tested in blocks of SCAN_BLOCK_CELLS // |half ball| (at least one), so
-the image matrix never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64
-cells, whatever the shell size.
+The search uses the symmetry of the ball: the l1 ball and the box are
+invariant under signed permutations of coordinates, so c discriminates
+exactly when every signed permutation of c does.  A shell is tested
+only at its canonical rows 0 <= c_1 <= ... <= c_n = m, one per orbit,
+against the primitive points of one antipodal half of the punctured
+ball, since c.x != 0 exactly when c.(x/gcd(x)) != 0.  Only those rows
+are built, C(m + n - 1, n - 1) of them in lex order; no whole shell is.
+The result is still the lex-first discriminating vector of the first
+shell that has one: the least lex-first orbit member of its
+discriminating canonical rows.  The budget counts the rows of whole
+shells, by its closed form.  Candidates are tested in blocks of
+SCAN_BLOCK_CELLS // |half ball| (at least one), so the image matrix
+never exceeds max(SCAN_BLOCK_CELLS, |half ball|) int64 cells, and the
+search holds the half ball, one shell's canonical rows and one block.
 
 The punctured ball of radius R - 1 lies inside the one of radius R, so
 the minimum never falls as R grows, and a sweep over R starts each
@@ -35,8 +35,10 @@ the box shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations_with_replacement
 from typing import Literal, Sequence
 
 import numpy as np
@@ -104,43 +106,24 @@ def _cube(k: int, m: int) -> np.ndarray:
     return np.indices((2 * m + 1,) * k, dtype=np.int64).reshape(k, -1).T - m
 
 
-def _build_shell(n: int, m: int) -> np.ndarray:
-    # lex order puts the rows with lead 0 (the (n-1)-shell) first, then
-    # leads a = 1..m; below lead a < m the tail must reach max-norm m,
-    # below lead m any row of the cube [-m, m]^(n-1) will do.  The
-    # (n-1)-shell is rebuilt, not cached: a search at n never asks for it.
-    if n == 1:
-        return np.array([[m]], dtype=np.int64)
-    cube = _cube(n - 1, m)
-    sphere = cube[np.abs(cube).max(axis=1) == m]
-    tails = [_build_shell(n - 1, m)] + [sphere] * (m - 1) + [cube]
-    sizes = [len(t) for t in tails]
-    shell = np.empty((sum(sizes), n), dtype=np.int64)
-    shell[:, 0] = np.repeat(np.arange(m + 1), sizes)
-    np.concatenate(tails, out=shell[:, 1:])
-    return shell
-
-
-# the name perfbench/tracer.py wraps to count shell candidates; nothing
-# caches the shells any more, so each call builds its shell afresh
-def _shell_vectors_cached(n: int, m: int) -> np.ndarray:
-    """Vectors with max-norm exactly m >= 1, lex order, first nonzero entry positive, read-only."""
-    shell = _build_shell(n, m)
-    shell.flags.writeable = False
-    return shell
-
-
 def _canonical_rows(n: int, m: int) -> np.ndarray:
     """Shell m's rows 0 <= c_1 <= ... <= c_n = m, one per signed-permutation orbit, in lex order.
 
-    n >= 2.  A shell row's first nonzero entry is positive, so a
-    non-decreasing row has no negative entry.
+    n >= 2.  The heads c_1 <= ... <= c_(n-1) are the multisets of size
+    n - 1 from 0..m, which ``combinations_with_replacement`` yields in lex
+    order, so the shell's C(m + n - 1, n - 1) canonical rows are built
+    and no other shell row is.
     """
-    shell = _shell_vectors_cached(n, m)
-    keep = shell[:, 0] <= shell[:, 1]
-    for i in range(1, n - 1):
-        keep &= shell[:, i] <= shell[:, i + 1]
-    return shell[keep]
+    count = math.comb(m + n - 1, n - 1)
+    heads = chain.from_iterable(combinations_with_replacement(range(m + 1), n - 1))
+    rows = np.empty((count, n), dtype=np.int64)
+    rows[:, :-1] = np.fromiter(heads, np.int64, count * (n - 1)).reshape(count, n - 1)
+    rows[:, -1] = m
+    return rows
+
+
+# the name perfbench/tracer.py wraps
+_shell_vectors_cached = _canonical_rows
 
 
 def _l1_ball(n: int, R: int) -> np.ndarray:
@@ -199,9 +182,9 @@ def minimal_complexity(
     The ball is invariant under signed permutations of coordinates, so
     discrimination is a property of a whole orbit, and each orbit meets
     the shell in exactly one canonical row 0 <= c_1 <= ... <= c_n = m.
-    Only the canonical rows of ``_shell_vectors_cached(n, m)`` are tested,
-    in blocks of SCAN_BLOCK_CELLS // |half ball| candidates (at least
-    one), so the image matrix never exceeds max(SCAN_BLOCK_CELLS,
+    Only the canonical rows (``_canonical_rows(n, m)``) are built and
+    tested, in blocks of SCAN_BLOCK_CELLS // |half ball| candidates (at
+    least one), so the image matrix never exceeds max(SCAN_BLOCK_CELLS,
     |half ball|) cells.  They are tested against the primitive points of
     one antipodal half of the punctured ball: c kills x exactly when it
     kills x/gcd(x), which lies in the same half ball.  At the first shell
@@ -220,12 +203,14 @@ def minimal_complexity(
 
     ``budget`` caps the candidates of shells 1..m, ((2m+1)^n - 1) / 2,
     whatever ``start`` is: shell m raises BudgetExceeded before it is
-    built if that count passes the budget.  No shell is kept between
-    searches.  The theta complexity (2R+1)^(n-1) is a valid search
-    ceiling, and a ``start`` above it raises ValueError; if the search
-    passes the ceiling anyway, AscentExhausted carries theta's
-    coefficients and the lex-first half-ball point theta sends to 0,
-    which is primitive, since x/gcd(x) precedes x.
+    built if that count passes the budget.  The search holds the
+    canonical rows of one shell and the image matrix of one block, and
+    keeps neither between shells or searches.  The theta complexity
+    (2R+1)^(n-1) is a valid search ceiling, and a ``start`` above it
+    raises ValueError; if the search passes the ceiling anyway,
+    AscentExhausted carries theta's coefficients and the lex-first
+    half-ball point theta sends to 0, which is primitive, since x/gcd(x)
+    precedes x.
 
     At R = 0 the punctured ball is empty and every vector discriminates,
     so the answer is shell 1's first row (0, ..., 0, 1).
@@ -262,57 +247,13 @@ def minimal_complexity(
     )
 
 
-def _integer_root_floor(x: int, k: int) -> int:
-    """floor(x ** (1/k)) for nonnegative x, exact."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 0
-    r = int(round(x ** (1.0 / k)))
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
-
-
-def siegel_bound(n: int, B: int) -> int:
-    """floor((nB)^(1/(n-1))): the one-equation small-kernel height bound."""
-    if n < 2:
-        raise ValueError("need at least two unknowns")
-    return _integer_root_floor(n * B, n - 1)
-
-
-def siegel_small_kernel(a: Sequence[int], B: int) -> IntVector:
-    """A nonzero integer kernel vector of the row a within the Siegel height bound.
-
-    Deterministic: increasing max-norm shells, lex order, positive
-    leading entry.  Existence within the bound is the lemma; the search
-    therefore never fails on valid input.
-    """
-    a = tuple(a)
-    n = len(a)
-    if n < 2:
-        raise ValueError("need at least two unknowns")
-    if not any(a):
-        raise ValueError("a must be nonzero")
-    if any(abs(c) > B for c in a):
-        raise ValueError(f"entries of a must be bounded by B={B}")
-    bound = siegel_bound(n, B)
-    a_arr = np.array(a, dtype=np.int64)
-    for m in range(1, bound + 1):
-        shell = _shell_vectors_cached(n, m)
-        dots = shell @ a_arr
-        idx = np.flatnonzero(dots == 0)
-        if idx.size:
-            return tuple(int(c) for c in shell[idx[0]])
-    raise AscentExhausted(
-        f"Siegel bound violated: no kernel vector of height <= {bound}", bound, None, a
-    )
-
-
 def lower_bound_value(n: int, R: int) -> Fraction:
-    """(R-n)^(n-1) / n^n, the Siegel lower bound; vacuous when <= 0."""
+    """(R-n)^(n-1) / n^n, the Siegel lower bound on the minimal complexity.
+
+    Every complexity is at least 1, so the bound says nothing until
+    (R - n)^(n-1) passes n^n.  Below R = n it is negative when n is even,
+    and positive but at most 1/n when n is odd; at R = n it is 0.
+    """
     if n < 2:
         raise ValueError("the Siegel argument needs n >= 2")
     return Fraction((R - n) ** (n - 1), n**n)

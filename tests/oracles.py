@@ -12,7 +12,9 @@ u-powers of every oracle are chains of products (``running_powers``,
 ``Word.__pow__``: the library builds every u-power with its kernel
 ``freewords._power``.
 The test inputs come from here as well: the free-word enumerator and its
-relabelings, and the Z^n box and ball points.
+relabelings, and the Z^n box and ball points.  The Siegel small-kernel
+search checks, on seeded rows, the lemma that ``zdiscrim.lower_bound_value``
+rests on; the library has no search of its own for it.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from discrimlab.bigpowers import (
     PaddedWordSpec,
 )
 from discrimlab.eocgroup import DEFAULT_BALL_CAP, EocElement, EocGroup
-from discrimlab.errors import BudgetExceeded, CertificationError
+from discrimlab.errors import AscentExhausted, BudgetExceeded, CertificationError
 from discrimlab.freewords import Alphabet, Word, join_letters
 from discrimlab.retraction import ThetaSpec, apply_chain
 from discrimlab.zdiscrim import DEFAULT_ENUM_BUDGET, BallSpec, ZnHom, theta
@@ -673,6 +675,55 @@ def brute_shell_vectors(n: int, m: int) -> np.ndarray:
                     if next((x for x in v if x != 0), 0) >= 0:
                         rows.append(v)
     return np.array(sorted(rows), dtype=np.int64).reshape(-1, n)
+
+
+def _integer_root_floor(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for nonnegative x, exact."""
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    if x == 0:
+        return 0
+    r = int(round(x ** (1.0 / k)))
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
+def siegel_bound(n: int, B: int) -> int:
+    """floor((nB)^(1/(n-1))): the one-equation small-kernel height bound."""
+    if n < 2:
+        raise ValueError("need at least two unknowns")
+    return _integer_root_floor(n * B, n - 1)
+
+
+def siegel_small_kernel(a: Sequence[int], B: int) -> IntVector:
+    """A nonzero integer kernel vector of the row a within the Siegel height bound.
+
+    The Siegel lemma behind ``zdiscrim.lower_bound_value``, checked by
+    search: the first kernel vector in increasing brute-force shells, in
+    lex order, with positive leading entry.  Existence within the bound is
+    the lemma, so the search never fails on valid input.
+    """
+    a = tuple(a)
+    n = len(a)
+    if n < 2:
+        raise ValueError("need at least two unknowns")
+    if not any(a):
+        raise ValueError("a must be nonzero")
+    if any(abs(c) > B for c in a):
+        raise ValueError(f"entries of a must be bounded by B={B}")
+    bound = siegel_bound(n, B)
+    a_arr = np.array(a, dtype=np.int64)
+    for m in range(1, bound + 1):
+        shell = brute_shell_vectors(n, m)
+        idx = np.flatnonzero(shell @ a_arr == 0)
+        if idx.size:
+            return tuple(int(c) for c in shell[idx[0]])
+    raise AscentExhausted(
+        f"Siegel bound violated: no kernel vector of height <= {bound}", bound, None, a
+    )
 
 
 def brute_minimal_complexity(

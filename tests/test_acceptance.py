@@ -22,16 +22,9 @@ from discrimlab.retraction import (
     compose_chain,
     minimal_discriminating_p,
 )
-from discrimlab.zdiscrim import (
-    BallSpec,
-    lower_bound_value,
-    minimal_complexity,
-    siegel_bound,
-    siegel_small_kernel,
-    theta,
-)
+from discrimlab.zdiscrim import BallSpec, lower_bound_value, minimal_complexity, theta
 
-from oracles import verify_bijection
+from oracles import siegel_bound, siegel_small_kernel, verify_bijection
 from test_bigpowers import CORPUS
 
 A = Alphabet(2)

@@ -35,8 +35,6 @@ PUBLIC_API = [
     "minimal_discriminating_p",
     "parse_word",
     "power_membership",
-    "siegel_bound",
-    "siegel_small_kernel",
     "subtower",
     "theta",
     "threshold",

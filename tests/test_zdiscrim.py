@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,14 +16,12 @@ from discrimlab.zdiscrim import (
     _canonical_rows,
     _half_ball,
     _lex_first_member,
-    _shell_vectors_cached,
     lower_bound_value,
     minimal_complexity,
-    siegel_bound,
-    siegel_small_kernel,
     theta,
 )
 from discrimlab.errors import AscentExhausted, BudgetExceeded
+import oracles
 from oracles import (
     ball_points,
     box_filtered_half_ball,
@@ -29,6 +29,8 @@ from oracles import (
     brute_shell_vectors,
     half_ball_points,
     interval_half_width,
+    siegel_bound,
+    siegel_small_kernel,
     verify_bijection,
 )
 
@@ -87,18 +89,20 @@ def _shell_ms(n):
 
 
 class TestShells:
+    """The oracles' brute-force shells, whose sizes the budget's closed form rests on."""
+
     @pytest.mark.parametrize("n", range(1, 5))
     def test_matches_brute_force_in_order(self, n):
+        # the shell filtered from the whole cube, lex order, first nonzero entry positive
         for m in _shell_ms(n):
-            shell = _shell_vectors_cached(n, m)
-            assert np.array_equal(shell, brute_shell_vectors(n, m)), m
+            cube = itertools.product(range(-m, m + 1), repeat=n)
+            expect = [
+                v for v in cube
+                if max(map(abs, v)) == m and next(x for x in v if x) > 0
+            ]
+            shell = brute_shell_vectors(n, m)
+            assert [tuple(v) for v in shell.tolist()] == expect, m
             assert len(shell) == ((2 * m + 1) ** n - (2 * m - 1) ** n) // 2
-
-    def test_cached_shell_is_read_only(self):
-        shell = _shell_vectors_cached(3, 2)
-        with pytest.raises(ValueError):
-            shell[0, 0] = 7
-        assert _shell_vectors_cached(3, 2)[0, 0] == 0
 
 
 class TestHalfBall:
@@ -148,9 +152,9 @@ class TestMinimalComplexity:
 
         def spy(n, m):
             built.append(m)
-            return _shell_vectors_cached(n, m)
+            return _canonical_rows(n, m)
 
-        monkeypatch.setattr(zdiscrim, "_shell_vectors_cached", spy)
+        monkeypatch.setattr(zdiscrim, "_canonical_rows", spy)
         for budget, expect in [(11, [1]), (23, [1, 2])]:
             built.clear()
             with pytest.raises(BudgetExceeded):
@@ -184,9 +188,9 @@ class TestMinimalComplexity:
 
         def spy(n, m):
             built.append(m)
-            return _shell_vectors_cached(n, m)
+            return _canonical_rows(n, m)
 
-        monkeypatch.setattr(zdiscrim, "_shell_vectors_cached", spy)
+        monkeypatch.setattr(zdiscrim, "_canonical_rows", spy)
         assert minimal_complexity(2, BallSpec("l1", 6), budget=40, start=3)[0] == 4
         assert built == [3, 4]
         # the budget counts shells 1..m whatever the start
@@ -219,7 +223,7 @@ class TestMinimalComplexity:
         # the lex-first one is shell 1's first row, whatever the budget
         for n in range(2, 6):
             spec = BallSpec(shape, 0)
-            expect = (1, ZnHom(tuple(int(c) for c in _shell_vectors_cached(n, 1)[0])))
+            expect = (1, ZnHom(tuple(int(c) for c in brute_shell_vectors(n, 1)[0])))
             assert expect[1].coefficients == (0,) * (n - 1) + (1,)
             assert minimal_complexity(n, spec) == expect
             assert minimal_complexity(n, spec, budget=0) == expect
@@ -262,6 +266,16 @@ class TestMinimalComplexity:
         m, h = minimal_complexity(2, BallSpec("l1", 2))
         assert m == 2
 
+    def test_frozen_values_past_the_default_budget(self):
+        # at n = 4, shells 1..22 hold 2,050,312 candidates and shells 1..28
+        # hold 5,278,120, both past the default budget
+        lifted = 10**12
+        assert minimal_complexity(4, BallSpec("box", 2), lifted) == (22, ZnHom((7, -22, -21, -19)))
+        assert minimal_complexity(4, BallSpec("l1", 6), lifted)[0] == 28
+
+    def test_shell_name_is_an_alias_of_the_canonical_rows(self):
+        assert zdiscrim._shell_vectors_cached is zdiscrim._canonical_rows
+
     def test_witness_discriminates(self):
         for R in range(1, 5):
             spec = BallSpec("l1", R)
@@ -303,7 +317,7 @@ class TestMinimalComplexity:
 class TestOrbitReduction:
     """The signed-permutation reduction of the complexity search against the brute-force shells."""
 
-    @pytest.mark.parametrize("n", range(2, 5))
+    @pytest.mark.parametrize("n", range(2, 7))
     def test_canonical_rows_and_lex_first_members(self, n):
         for m in _shell_ms(n):
             # the least shell row of each orbit, keyed by its sorted |v|
@@ -312,6 +326,7 @@ class TestOrbitReduction:
                 least.setdefault(tuple(sorted(map(abs, v))), v)
             canonical = [tuple(c) for c in _canonical_rows(n, m).tolist()]
             assert canonical == sorted(least), (n, m)
+            assert len(canonical) == math.comb(m + n - 1, n - 1), (n, m)
             for c in canonical:
                 assert _lex_first_member(c) == least[c], (n, m, c)
 
@@ -356,7 +371,7 @@ class TestSiegel:
 
     def test_bound_violation_is_typed(self, monkeypatch):
         # the kernel of (1, 3) is spanned by (3, -1), of height 3
-        monkeypatch.setattr(zdiscrim, "siegel_bound", lambda n, B: 1)
+        monkeypatch.setattr(oracles, "siegel_bound", lambda n, B: 1)
         with pytest.raises(AscentExhausted) as exc:
             siegel_small_kernel((1, 3), 3)
         err = exc.value
