@@ -19,6 +19,9 @@ the corner.  (The h_i may be fully consumed; the blocks may not.)
 Runaway block-against-block annihilation through a consumed h_i is
 impossible: it would force h_i into <u>, which the strip precondition
 excludes.
+
+``certify`` sweeps ascending exponents, meeting in the middle (``_hits``):
+one join per swept tuple, and right halves built inverted.
 """
 
 from __future__ import annotations
@@ -86,36 +89,42 @@ def _tails(spec: PaddedWordSpec) -> list[tuple[int, ...]]:
     return [g.letters for g in spec.gs] + [fr]
 
 
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-x for x in reversed(letters)])
+
+
 def _corner_holds(
-    u: Word, middles: Sequence[Word], exps: Sequence[int], min_length: int
+    blocks: Sequence[tuple[int, ...]], middles: Sequence[tuple[int, ...]], min_length: int
 ) -> bool:
-    """Whether u^e_0 h_1 u^e_1 ... h_k u^e_k, freely reduced, keeps a letter of
-    every u-block and has at least ``min_length`` letters."""
-    # (letter, index j of its block u^e_j; -1 for a letter of a middle)
-    tagged: list[tuple[int, int]] = []
-    for j, e in enumerate(exps):
-        tagged += [(x, j) for x in (u**e).letters]
-        if j < len(middles):
-            tagged += [(x, -1) for x in middles[j].letters]
-    stack: list[tuple[int, int]] = []
-    for x, tag in tagged:
-        if stack and stack[-1][0] == -x:
-            stack.pop()
-        else:
-            stack.append((x, tag))
-    kept = {tag for _, tag in stack}
-    return len(stack) >= min_length and all(j in kept for j in range(len(exps)))
+    """Whether b_0 h_1 b_1 ... h_k b_k (letter tuples), freely reduced, keeps a
+    letter of every block b_j and has at least ``min_length`` letters.
+
+    Each factor is reduced, so pushing it onto the stack cancels only at the
+    junction; beside each letter the stack keeps its block j (-1 in a middle).
+    """
+    letters: list[int] = []
+    tags: list[int] = []
+    for j, block in enumerate(blocks):
+        for factor, tag in ((block, j), (middles[j] if j < len(middles) else (), -1)):
+            n, c = len(letters), 0
+            while c < len(factor) and c < n and letters[n - 1 - c] == -factor[c]:
+                c += 1
+            del letters[n - c :], tags[n - c :]
+            letters += factor[c:]
+            tags += [tag] * (len(factor) - c)
+    return len(letters) >= min_length and set(tags).issuperset(range(len(blocks)))
 
 
 def _certified_block_magnitude(u: Word, middles: Sequence[Word], min_length: int) -> int:
     """Smallest m such that for every sign pattern, the corner assignment
-    (all block exponents of magnitude m) satisfies :func:`_corner_holds`."""
-    nblocks = len(middles) + 1
-    ceiling = 4 * (sum(len(h) for h in middles) + len(u) + min_length + 4)
+    (all block exponents of magnitude m) satisfies :func:`_corner_holds`;
+    the letters of u^m and u^-m are built once per m for all 2^(k+1) corners."""
+    hs = [h.letters for h in middles]
+    ceiling = 4 * (sum(len(h) for h in hs) + len(u) + min_length + 4)
     for m in range(1, ceiling + 1):
-        for signs in itertools.product((1, -1), repeat=nblocks):
-            exps = tuple(s * m for s in signs)
-            if not _corner_holds(u, middles, exps, min_length):
+        corner = (u**m).letters, (u**-m).letters
+        for blocks in itertools.product(corner, repeat=len(hs) + 1):
+            if not _corner_holds(blocks, hs, min_length):
                 break
         else:
             return m
@@ -123,7 +132,7 @@ def _certified_block_magnitude(u: Word, middles: Sequence[Word], min_length: int
         "certificate search did not stabilize: threshold analysis is wrong",
         ceiling,
         None,
-        exps,
+        tuple(m if b == corner[0] else -m for b in blocks),
     )
 
 
@@ -154,27 +163,14 @@ def threshold(spec: PaddedWordSpec) -> int:
 
 
 def _padded_words(
-    spec: PaddedWordSpec,
-    values: Sequence[int],
-    powers: Mapping[int, tuple[int, ...]],
+    start: tuple[int, ...], steps: Sequence[Mapping[int, tuple[int, ...]]]
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(r, letters of the padded word at r) for every r in values^(k+1), in
-    ``itertools.product`` order.
-
-    For k >= 1 the words up to g_k are the padded words of the spec with
-    g_k for its right flank, built once per prefix r_0 ... r_(k-1) by this
-    sweep, and u^rk fr is joined on for each last exponent; at k = 0 each
-    word is built by ``build_padded``.
-    """
-    if not spec.k:
-        return [((e,), build_padded(spec, (e,), powers).letters) for e in values]
-    head = PaddedWordSpec(spec.u, spec.gs[:-1], spec.flank_left, spec.gs[-1])
-    fr = spec.flank_right.letters if spec.flank_right is not None else ()
-    return [
-        (r + (e,), join_letters(join_letters(w, powers[e]), fr))
-        for r, w in _padded_words(head, values, powers)
-        for e in values
-    ]
+    """(e, letters of start x_0 x_1 ...) with x_j = steps[j][e_j], for every tuple e;
+    each word is its prefix's, built once, joined with one step."""
+    words = [((), start)]
+    for step in steps:
+        words = [(r + (e,), join_letters(w, x)) for r, w in words for e, x in step.items()]
+    return words
 
 
 def _hits(
@@ -184,30 +180,36 @@ def _hits(
     forbidden: Sequence[tuple[int, ...]],
 ) -> list[tuple[int, ...]]:
     """Every r in values^(k+1) whose padded word is one of the distinct ``forbidden``
-    words, in ``itertools.product`` order.
+    words, sorted; ``values`` ascend, so that is ``itertools.product`` order.
 
     Meets in the middle.  With h = (k + 2) // 2, the padded word is L R
     with L = fl u^r0 g_1 ... u^r(h-1) g_h and R = u^rh g_(h+1) ... u^rk fr
-    (for k = 0, L = fl u^r0 fr and R = 1); each half is the padded word
-    of a spec of its own, built by ``_padded_words`` from the u-powers of
-    ``powers``.  Reduced letter tuples are canonical, so L R equals a
-    forbidden word F exactly when L = F R^-1: each right half is indexed
-    under F R^-1 for every F, and each left half is then decided by one
-    lookup, so no tuple is skipped.
+    (for k = 0, L = fl u^r0 fr and R = 1).  Block j's step u^e t_j (t_j =
+    g_(j+1), fr for j = k) is joined once per e in ``values``, and each half
+    word is its prefix joined with one step: one join per tuple.  The right
+    halves are built inverted, R^-1 = fr^-1 u^-rk g_k^-1 ... u^-rh, from the
+    inverted tails and powers, so no word is reversed.  Free reduction is
+    associative, so the first tuple's L R is its padded word; that is checked
+    against ``build_padded``, since a half built wrong would match nothing
+    and pass every tuple.  Reduced letter tuples are canonical, so L R is a
+    forbidden F exactly when L = F R^-1: each right half is indexed under
+    F R^-1 for every F, and each left half is decided by one lookup.
     """
-    k, h = spec.k, (spec.k + 2) // 2
-    left, rights = spec, [((), ())]
-    if k:
-        left = PaddedWordSpec(spec.u, spec.gs[: h - 1], spec.flank_left, spec.gs[h - 1])
-        right = PaddedWordSpec(spec.u, spec.gs[h:], None, spec.flank_right)
-        rights = _padded_words(right, values, powers)
+    h = (spec.k + 2) // 2
+    tails = _tails(spec)
+    fl = spec.flank_left.letters if spec.flank_left is not None else ()
+    lefts = _padded_words(fl, [{e: join_letters(powers[e], t) for e in values} for t in tails[:h]])
+    inv = {e: _inverse(powers[e]) for e in values}
+    inverted = [_inverse(t) for t in reversed(tails[h:])]
+    rights = _padded_words((), [{e: join_letters(t, inv[e]) for e in values} for t in inverted])
+    for (r, w), (s, v) in zip(lefts[:1], rights[:1]):
+        if join_letters(w, _inverse(v)) != build_padded(spec, r + s[::-1], powers).letters:
+            raise AssertionError(f"the half words at r = {r + s[::-1]} miss the padded word")
     index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for r, w in rights:
-        w_inv = tuple(-x for x in reversed(w))
-        # one F per key for a given right tuple, so each list stays sorted
+    for s, w in rights:
         for f in forbidden:
-            index.setdefault(join_letters(f, w_inv), []).append(r)
-    return [r + s for r, w in _padded_words(left, values, powers) for s in index.get(w, ())]
+            index.setdefault(join_letters(f, w), []).append(s[::-1])
+    return sorted(r + s for r, w in lefts for s in index.get(w, ()))
 
 
 def certify(
@@ -219,18 +221,17 @@ def certify(
 ) -> list[tuple[int, ...]]:
     """Probe the threshold: exhaustive sweeps of a box and of the sampling band.
 
-    The box |r_i| <= min(N + 2, sweep_cap) is swept by ``_hits``, and its
-    hits, the box's trivializing tuples, are returned in
-    ``itertools.product`` order.  The ``samples`` seeded random r above N
-    all lie in the band N + 1 <= |r_i| <= N + 10.  Where sweeping that
-    band costs no more than the draws (it grows as 20^((k+2)//2), so for
-    small k or many samples), ``_hits`` sweeps it: a band with no hit
-    passes every draw, so nothing is drawn; otherwise the draws are
-    replayed and the first one the band sweep hit raises, so the witness
-    is the one a per-sample check would report.  Elsewhere each draw is
-    built by ``build_padded`` and checked on its own.  The box's hits
-    above N are checked last, so every returned tuple lies at or below N
-    and all ``samples`` draws passed.
+    The box |r_i| <= min(N + 2, sweep_cap) is swept by ``_hits`` (one join
+    per tuple, right halves built inverted); its hits, the box's trivializing
+    tuples, come in ``itertools.product`` order, as the box's values ascend.
+    The ``samples`` seeded random r above N lie in the band N + 1 <= |r_i|
+    <= N + 10.  Where sweeping that band costs no more than the draws
+    (20^((k+2)//2) left halves: small k or many samples), ``_hits`` sweeps
+    it: a band with no hit passes every draw, so nothing is drawn; else the
+    draws are replayed and the first one the sweep hit raises, the witness
+    a per-sample check would report.  Elsewhere each draw is built by
+    ``build_padded`` and checked on its own.  The box's hits above N are
+    checked last, so every returned tuple lies at or below N.
 
     Raises CertificationError on any counterexample above N (a threshold
     bug), and ValueError for a negative ``samples`` or ``sweep_cap``.
@@ -250,12 +251,11 @@ def certify(
     band = sorted({s * e for e in range(N + 1, N + 11) for s in (1, -1)})
     powers = {e: (spec.u**e).letters for e in {*box, *band}}
     trivializing = _hits(spec, box, powers, forbidden)
-    k, h = spec.k, (spec.k + 2) // 2
+    k, h, n = spec.k, (spec.k + 2) // 2, len(band)
     # the band sweep builds |band|^h left halves and keys |band|^(k+1-h)
     # right halves under each forbidden word; it runs only where that costs
     # no more than the draws, which join samples * (k + 1) powers
     failed = None  # decides a draw, or None when no draw can fail
-    n = len(band)
     if n**h + len(forbidden) * n ** (k + 1 - h) <= samples * (k + 1):
         bad = set(_hits(spec, band, powers, forbidden))
         if bad:

@@ -43,6 +43,7 @@ from .freewords import Alphabet, join_letters, parse_word
 from .retraction import (
     ThetaSpec,
     _images_injective,
+    _p_min_certificate,
     apply_chain,
     apply_theta,
     complexity_curve,
@@ -166,10 +167,8 @@ def _cmd_curve(args) -> int:
                 f"{rec.lower_bound} > {rec.complexity}"
             )
         if rec.certificate is not None:
-            # the pair must be distinct and merged at p_min - 1
             w, w2 = rec.certificate
-            spec = ThetaSpec(group, rec.R, rec.p_min - 1)
-            if w == w2 or apply_theta(spec, w) != apply_theta(spec, w2):
+            if not _collides(group, rec.R, rec.p_min - 1, rec.certificate):
                 raise _Violation(
                     f"p_min certificate at R={rec.R} does not collide at p={rec.p_min - 1}: "
                     f"{w.tokens()!r}, {w2.tokens()!r}"
@@ -254,17 +253,34 @@ def _raw_word_agreement(group, r: int, p: int):
     return agreements, None
 
 
+def _collides(group, R: int, p: int, pair) -> bool:
+    """Whether the pair is distinct and merged by the top-stage retraction at p."""
+    w, w2 = pair
+    spec = ThetaSpec(group, R, p)
+    return w != w2 and apply_theta(spec, w) == apply_theta(spec, w2)
+
+
 def _walk_confirms_p_min(group, r: int, p_min: int, cap: int) -> bool:
     """Whether the top-stage retraction is injective on the radius-r ball at p_min, not below.
 
-    The ball is grown and walked at p_min and p_min - 1.  On a RAAG spec
-    the ascent proves p_min with no walk, so this checks the proof
-    against the definition.
+    The ball is walked at p_min, and p_min - 1 fails by the
+    ``_p_min_certificate`` pair, checked as ``curve`` checks it.  On a
+    RAAG spec the ascent proves p_min with no walk and that pair is the
+    split pair, which the proof under test also puts in the ball; so the
+    pair must lie in the ball by its own words: each element's printed
+    word has at most r generators, or the ball holds it.
     """
     ball = group.ball(r, cap=cap)
     if _images_injective(group, r, p_min, ball, 1) is not None:
         return False
-    return p_min == 1 or _images_injective(group, r, p_min - 1, ball, 1) is not None
+    if p_min == 1:
+        return True
+    pair = _p_min_certificate(group, r, p_min, cap)
+    return (
+        pair is not None
+        and all(len(w.tokens().split()) <= r or w in ball for w in pair)
+        and _collides(group, r, p_min - 1, pair)
+    )
 
 
 def _cmd_crosscheck(args) -> int:

@@ -393,6 +393,49 @@ def product_padded(spec: PaddedWordSpec, r: Sequence[int], powers: dict[int, Wor
     return w
 
 
+def brute_corner_holds(
+    u: Word, middles: Sequence[Word], exps: Sequence[int], min_length: int
+) -> bool:
+    """Whether u^e_0 h_1 u^e_1 ... h_k u^e_k, freely reduced, keeps a letter of
+    every u-block and has at least ``min_length`` letters.
+
+    The word is written out as one list of letters tagged with their block
+    (-1 for a letter of a middle), each block a ``product_power``, and
+    reduced one letter at a time on a stack that keeps the tags.
+    """
+    tagged: list[tuple[int, int]] = []
+    for j, e in enumerate(exps):
+        tagged += [(x, j) for x in product_power(u, e).letters]
+        if j < len(middles):
+            tagged += [(x, -1) for x in middles[j].letters]
+    stack: list[tuple[int, int]] = []
+    for x, tag in tagged:
+        if stack and stack[-1][0] == -x:
+            stack.pop()
+        else:
+            stack.append((x, tag))
+    kept = {tag for _, tag in stack}
+    return len(stack) >= min_length and all(j in kept for j in range(len(exps)))
+
+
+def brute_certified_block_magnitude(u: Word, middles: Sequence[Word], min_length: int) -> int:
+    """``bigpowers._certified_block_magnitude`` by ``brute_corner_holds``: the
+    least m up to the same ceiling at which every sign pattern's corner holds.
+
+    Past the ceiling it raises ``AscentExhausted`` with the first failing
+    corner at the ceiling, in ``itertools.product`` order of the signs.
+    """
+    ceiling = 4 * (sum(len(h) for h in middles) + len(u) + min_length + 4)
+    for m in range(1, ceiling + 1):
+        for signs in itertools.product((1, -1), repeat=len(middles) + 1):
+            exps = tuple(s * m for s in signs)
+            if not brute_corner_holds(u, middles, exps, min_length):
+                break
+        else:
+            return m
+    raise AscentExhausted("certificate search did not stabilize", ceiling, None, exps)
+
+
 def brute_certify(
     spec: PaddedWordSpec,
     N: int,

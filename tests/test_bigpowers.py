@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from discrimlab import bigpowers
 from discrimlab.bigpowers import (
     DEFAULT_SWEEP_CAP,
     PaddedWordSpec,
@@ -16,8 +17,14 @@ from discrimlab.bigpowers import (
     threshold,
 )
 from discrimlab.errors import AscentExhausted, CertificationError
-from discrimlab.freewords import Alphabet, Word, parse_word, power_membership
-from oracles import brute_certify, free_words, product_padded, running_powers
+from discrimlab.freewords import Alphabet, Word, coset_strip, parse_word, power_membership
+from oracles import (
+    brute_certified_block_magnitude,
+    brute_certify,
+    free_words,
+    product_padded,
+    running_powers,
+)
 
 A = Alphabet(2)
 a, b = A.generators()
@@ -159,7 +166,7 @@ class TestThreshold:
         assert err.R is None
         m = err.ceiling
         assert err.witness in ((m, -m), (-m, m))
-        assert not _corner_holds(a, (a,), err.witness, 1)
+        assert not _corner_holds([(a**e).letters for e in err.witness], (a.letters,), 1)
 
     def test_length_growth_beyond_threshold(self):
         s = spec_of("g1 g2", "G2 g1")
@@ -167,6 +174,67 @@ class TestThreshold:
         lengths = [len(build_padded(s, (m, m))) for m in range(N + 1, N + 6)]
         deltas = {y - x for x, y in zip(lengths, lengths[1:])}
         assert len(deltas) == 1  # exactly linear growth
+
+
+def _magnitude_outcome(fn, u, middles, min_length):
+    """The certified block magnitude, or the ceiling and witness of its raise."""
+    try:
+        return fn(u, middles, min_length)
+    except AscentExhausted as e:
+        return e.ceiling, e.witness
+
+
+class TestCornerSearch:
+    """``_certified_block_magnitude`` against the per-corner search of tests/oracles.py."""
+
+    def test_matches_oracle_on_random_specs(self):
+        rng = random.Random(41)
+        seen = set()
+        compared = 0
+        while compared < 2000:
+            alphabet = Alphabet(rng.choice((2, 3)))
+            letters = [x for i in range(1, alphabet.rank + 1) for x in (i, -i)]
+
+            def word(n):
+                return Word(alphabet, [rng.choice(letters) for _ in range(n)])
+
+            u = word(rng.randint(1, 4))
+            if not u or u.is_proper_power():
+                continue
+            middles = []
+            for _ in range(rng.randint(0, 5)):
+                g = word(rng.randint(1, 4))
+                if power_membership(u, g) is None:
+                    # most middles are stripped, as threshold's are
+                    middles.append(coset_strip(u, g)[1] if rng.random() < 0.8 else g)
+            min_length = rng.randint(1, 4)
+            got = _magnitude_outcome(_certified_block_magnitude, u, middles, min_length)
+            want = _magnitude_outcome(brute_certified_block_magnitude, u, middles, min_length)
+            assert got == want, (u, middles, min_length)
+            seen.add((alphabet.rank, len(middles), min_length))
+            compared += 1
+        assert len(seen) == 2 * 6 * 4
+
+    def test_ceiling_raise_matches_oracle(self):
+        # a middle inside <u> breaks the strip precondition, so some corner
+        # fails at every m up to the ceiling
+        x, y, z = Alphabet(3).generators()
+        cases = [
+            (a, (a,), 1),
+            (a, (a**2, b), 2),
+            (b, (a, b**-3, a), 3),
+            (a * b, (b, (a * b) ** 2), 1),
+            (z, (z**-1, x * z), 4),
+            (x * y, (y, (x * y) ** -1, z), 2),
+        ]
+        for u, middles, min_length in cases:
+            got = _magnitude_outcome(_certified_block_magnitude, u, middles, min_length)
+            ceiling, witness = got
+            assert ceiling == 4 * (sum(len(h) for h in middles) + len(u) + min_length + 4)
+            assert {abs(e) for e in witness} == {ceiling}
+            assert got == _magnitude_outcome(
+                brute_certified_block_magnitude, u, middles, min_length
+            )
 
 
 class TestCertify:
@@ -309,22 +377,76 @@ class TestBandSweep:
     """The meet-in-the-middle ``_hits`` and the band sweep that passes the samples."""
 
     def test_hits_match_per_tuple_scan(self):
+        # values as certify passes them, a box range(-b, b + 1) or the band
+        # N + 1 <= |e| <= N + 10, and ascending random samples; a k = 3 band
+        # scans 160,000 tuples, so only the first k = 3 spec drawn for it
+        # takes it, and later ones a box
         rng = random.Random(28)
         seen = set()
-        for _ in range(120):
+        for i in range(120):
             s = _random_spec(rng)
-            values = sorted(rng.sample(range(-5, 6), rng.randint(1, 5)))
+            shape = ("sample", "box", "band")[i % 3]
+            if shape == "band" and s.k == 3 and ("band", 3) in {x[:2] for x in seen}:
+                shape = "box"
+            if shape == "box":
+                b = rng.randint(0, 3 if s.k == 3 else 5)
+                values = range(-b, b + 1)
+            elif shape == "band":
+                N = rng.randint(0, 8)
+                values = sorted({x * e for e in range(N + 1, N + 11) for x in (1, -1)})
+            else:
+                values = sorted(rng.sample(range(-5, 6), rng.randint(1, 5)))
             powers = {e: (s.u**e).letters for e in values}
             tuples = list(itertools.product(values, repeat=s.k + 1))
             # the identity, and one padded word of the scan, so every scan hits
             forbidden = tuple({(), build_padded(s, rng.choice(tuples)).letters})
-            expected = [r for r in tuples if build_padded(s, r).letters in forbidden]
+            expected = [r for r in tuples if build_padded(s, r, powers).letters in forbidden]
             assert _hits(s, values, powers, forbidden) == expected, (s, values)
-            seen.add((s.k, s.flank_left is not None, s.flank_right is not None))
-        assert {k for k, _, _ in seen} == {0, 1, 2, 3}
-        assert {(fl, fr) for _, fl, fr in seen} == {
+            seen.add((shape, s.k, s.flank_left is not None, s.flank_right is not None))
+        assert {(shape, k) for shape, k, _, _ in seen} == {
+            (shape, k) for shape in ("sample", "box", "band") for k in range(4)
+        }
+        assert {(fl, fr) for _, _, fl, fr in seen} == {
             (False, False), (True, False), (False, True), (True, True)
         }
+
+    def test_certify_builds_no_spec(self, monkeypatch):
+        # the sweeps build their half words from letter tuples; specs here
+        # take the band sweep, the draws (k = 4 at 500 samples) and flanks
+        specs = [spec_of(u_text, *g_texts) for u_text, g_texts in CORPUS + K3]
+        specs += [
+            spec_of("g1", "g2", "G2", "g2", "G2"),
+            spec_of("g1", "g2", flank_left="G2 G2 G1 G1", flank_right="G1 G1 g2"),
+            spec_of("g1", flank_left="G2", flank_right="G1 G1 g2"),
+        ]
+        thresholds = [threshold(s) for s in specs]
+
+        def no_spec(self):
+            raise AssertionError("certify built a PaddedWordSpec")
+
+        monkeypatch.setattr(PaddedWordSpec, "__post_init__", no_spec)
+        for s, N in zip(specs, thresholds):
+            certify(s, N, seed=1)
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+    def test_halves_are_checked_against_the_padded_word(self, monkeypatch, side):
+        # a half built wrong matches no forbidden word, so without the check
+        # every tuple would pass; one extra letter on one side's half words
+        # (its first _padded_words call is the left, its second the right)
+        # must raise at the first swept tuple
+        words = bigpowers._padded_words
+        calls = []
+
+        def skewed(start, steps):
+            calls.append(None)
+            built = words(start, steps)
+            return [(r, w + (2,)) for r, w in built] if len(calls) % 2 == 1 - side else built
+
+        monkeypatch.setattr(bigpowers, "_padded_words", skewed)
+        for s in (spec_of("g1"), spec_of("g1", "g2"), spec_of("g1 g2", "g2", "G1", flank_left="g2")):
+            calls.clear()
+            with pytest.raises(AssertionError, match="miss the padded word"):
+                certify(s, threshold(s))
 
     def test_clean_band_draws_nothing(self, monkeypatch):
         def no_draws(*args, **kwargs):

@@ -541,8 +541,9 @@ class TestCrosscheck:
     )
     def test_raag_p_min_is_walked(self, capsys, monkeypatch, tmp_path, spec, raag):
         # a RAAG ascent proves p_min with no walk, so crosscheck walks the
-        # grown ball at p_min and p_min - 1; a multi-letter ascent walks
-        # its own way up to p_min, and crosscheck adds no walk
+        # grown ball at p_min, and the split pair rules out p_min - 1 with
+        # no walk; a multi-letter ascent walks its own way up to p_min, and
+        # crosscheck adds no walk
         calls = []
         walk = retraction._images_injective
 
@@ -560,7 +561,7 @@ class TestCrosscheck:
         path.write_text(spec)
         code = main(["crosscheck", "--spec", str(path), "--r", "3", "--force-p", str(p_min)])
         assert code == 0 and f"p_min,{p_min}\n" in capsys.readouterr().out
-        assert calls == ascent + ([p_min, p_min - 1] if raag else [])
+        assert calls == ascent + ([p_min] if raag else [])
         assert (ascent == []) == raag
 
     @pytest.mark.parametrize("shift", [-1, 1])
@@ -574,6 +575,20 @@ class TestCrosscheck:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: the ball walk disagrees with p_min={6 + shift}\n"
+
+    @pytest.mark.parametrize("spec", [G1_SPEC, TOWER_SPEC], ids=["g1", "tower"])
+    def test_raised_floor_fails(self, capsys, monkeypatch, tmp_path, spec):
+        # a floor one too high is the RAAG p_min, and its split pair at
+        # floor - 1 still collides, but one element has r + 1 letters and
+        # lies outside the ball, which crosscheck must notice
+        floor = retraction._floor
+        monkeypatch.setattr(retraction, "_floor", lambda group, R, k: floor(group, R, k) + 1)
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code = main(["crosscheck", "--spec", str(path), "--r", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the ball walk disagrees with p_min=7\n"
 
     def test_meta_reproduces_row(self, capsys, g1_spec):
         argv = [
