@@ -193,23 +193,31 @@ def _hits(
     against ``build_padded``, since a half built wrong would match nothing
     and pass every tuple.  Reduced letter tuples are canonical, so L R is a
     forbidden F exactly when L = F R^-1: each right half is indexed under
-    F R^-1 for every F, and each left half is decided by one lookup.
+    F R^-1 for every F, and each left half is decided by one lookup, made
+    as its last step is joined; its exponent tuple is built only for a hit.
     """
     h = (spec.k + 2) // 2
     tails = _tails(spec)
     fl = spec.flank_left.letters if spec.flank_left is not None else ()
-    lefts = _padded_words(fl, [{e: join_letters(powers[e], t) for e in values} for t in tails[:h]])
+    *steps, last_step = [{e: join_letters(powers[e], t) for e in values} for t in tails[:h]]
+    lefts, last = _padded_words(fl, steps), list(last_step.items())
     inv = {e: _inverse(powers[e]) for e in values}
     inverted = [_inverse(t) for t in reversed(tails[h:])]
     rights = _padded_words((), [{e: join_letters(t, inv[e]) for e in values} for t in inverted])
-    for (r, w), (s, v) in zip(lefts[:1], rights[:1]):
-        if join_letters(w, _inverse(v)) != build_padded(spec, r + s[::-1], powers).letters:
-            raise AssertionError(f"the half words at r = {r + s[::-1]} miss the padded word")
+    for (r, w), (e, x), (s, v) in zip(lefts[:1], last[:1], rights[:1]):
+        r += (e,) + s[::-1]
+        if join_letters(join_letters(w, x), _inverse(v)) != build_padded(spec, r, powers).letters:
+            raise AssertionError(f"the half words at r = {r} miss the padded word")
     index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for s, w in rights:
         for f in forbidden:
             index.setdefault(join_letters(f, w), []).append(s[::-1])
-    return sorted(r + s for r, w in lefts for s in index.get(w, ()))
+    return sorted(
+        r + (e,) + s
+        for r, w in lefts
+        for e, x in last
+        for s in index.get(join_letters(w, x), ())
+    )
 
 
 def certify(

@@ -76,13 +76,13 @@ homomorphism (``_phi``), but no retractions, which are substitutions
 ``_commute``) are built in ``__init__``.  Retractions onto the subtower
 share one set of caches across words and p values.
 
-The ball is its BFS tree, grown a layer at a time.  Two flat integer
-arrays record, per ball index, the parent's ball index and the
-generator's index in ``generator_tokens()`` order; the ball of radius r
-is the first ``_ends[r]`` entries, and ``ball(r)`` is a read-only view
-of them.  A layer's candidates are the pairs (parent, generator) over
-the last layer, in ball order and then token order, and each new
-element's tree entry is its least candidate (``_grow_layer``).  When
+The ball is its BFS tree, grown a layer at a time.  A layer's candidates
+are the pairs (parent, generator) over the last layer, in ball order and
+then token order: with n generators, candidate c is the last layer's
+element c // n times generator c % n (``generator_tokens()`` order).  One
+flat int32 array records, per ball index, the element's least candidate
+(``_grow_layer``); the ball of radius r is the first ``_ends[r]`` entries,
+and ``ball(r)`` is a read-only view of them.  When
 every u is one base letter the group is a right-angled Artin group, and
 a finite automaton of its shortlex-least words keeps exactly the new
 elements' least candidates (``_grow_raag_layer``); the ball keeps only
@@ -113,6 +113,7 @@ and ``T<stage>.<i>`` tokens, stages and indices 1-based.
 
 from __future__ import annotations
 
+import bisect
 import json
 import operator
 import random
@@ -270,9 +271,9 @@ class EocGroup:
         self._u_letters[None] = None
         tokens = self.generator_tokens()
         self._generator_syllables = [self._token_syllable(tok) for tok in tokens]
-        # the ball's index tables, by generator index; row -1 is the
-        # identity's.  _inverse[g] undoes g (-1 for the identity, which no
-        # generator undoes).  _commute[h, g]: h and g commute by a defining
+        # the ball's index tables, by generator index.  _inverse[g] undoes g,
+        # and _inverse[-1] is -1, the identity's, which no generator undoes
+        # (``cli._raw_word_agreement``).  _commute[h, g]: h and g commute by a defining
         # relation, as two t's of one stage, or as a t of stage j and a
         # letter that is u_j or its inverse; g = h and g = h^-1 are left out
         inverse = [
@@ -284,15 +285,15 @@ class EocGroup:
         self._commute = np.array(
             [
                 [c is not None and c == d and g not in (h, inverse[h]) for g, d in enumerate(centres)]
-                for h, c in enumerate(centres + [None])
+                for h, c in enumerate(centres)
             ],
             dtype=bool,
         )
-        # the ball's BFS tree, by ball index: element k is element
-        # _tree_parents[k] times generator _tree_gens[k] (-1 for the
-        # identity), and the elements of word length <= r are the first _ends[r]
-        self._tree_parents = array("i", [-1])
-        self._tree_gens = array("i", [-1])
+        # the ball's BFS tree, by ball index: element k of layer L is its
+        # least candidate c = _tree[k], element c // n of layer L - 1 times
+        # generator c % n (-1 for the identity), and the elements of word
+        # length <= r are the first _ends[r]
+        self._tree = array("i", [-1])
         self._ends: list[int] = [1]
         # the normal forms built so far, by ball index (_form)
         self._forms: dict[int, tuple] = {0: ()}
@@ -474,14 +475,20 @@ class EocGroup:
 
     def _form(self, k: int) -> tuple[tuple[int, ...], ...]:
         """The canonical syllables of ball element k, built along its tree path and kept."""
-        forms, parents = self._forms, self._tree_parents
-        path = []
+        forms = self._forms
+        if k in forms:
+            return forms[k]
+        ends, tree, n = self._ends, self._tree, len(self._generator_syllables)
+        # the parent's layer starts at ends[i], or at 0 for i = -1
+        i, path = bisect.bisect_right(ends, k) - 2, []
         while k not in forms:
-            path.append(k)
-            k = parents[k]
-        head = forms[k]
-        for k in reversed(path):
-            head = forms[k] = self._times(head, self._generator_syllables[self._tree_gens[k]])
+            parent, g = divmod(tree[k], n)
+            path.append((k, g))
+            k = parent + ends[i] if i >= 0 else parent
+            i -= 1
+        head, gens = forms[k], self._generator_syllables
+        for k, g in reversed(path):
+            head = forms[k] = self._times(head, gens[g])
         return head
 
     def _back_edges(self, lo: int) -> np.ndarray:
@@ -491,39 +498,38 @@ class EocGroup:
         # candidate c is (Y, h), and it resolved to P, so (P, h^-1) is Y
         return (self._row[c] - lo) * n + self._inverse[c % n]
 
-    def _squares(
-        self, prev_lo: int, lo: int, c: np.ndarray, parents: np.ndarray, gens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The commuting squares of candidates `c`, with their parents and generators.
+    def _squares(self, lo: int, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The commuting squares of the next layer's candidates `c`, the last layer at `lo`.
 
         Returns the candidates linked to another of the layer, and those
         others (the square rule of ``_grow_layer``).
         """
         n = len(self._generator_syllables)
-        tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc)
-        h = np.frombuffer(self._tree_gens, dtype=np.intc)[parents]
-        at = np.flatnonzero(self._commute[h, gens])
-        c, g, h, q = c[at], gens[at], h[at], tree_parents[parents[at]]
-        # x: the ball index of q g if the last layer has it, else -1
-        x = self._row[(q - prev_lo) * n + g]
+        # numpy divides by a scalar far faster than it takes a remainder, so
+        # c % n is taken as c - (c // n) n, here and in _layer_keys
+        q = c // n
+        g = c - q * n
+        # the parents' tree entries; the identity's, -1, closes no square
+        p = np.frombuffer(self._tree, dtype=np.intc)[lo + q]
+        h = p - p // n * n
+        at = np.flatnonzero(self._commute[h, g] & (p >= 0))
+        c, g, h, p = c[at], g[at], h[at], p[at]
+        # x: the ball index of Q g, for the parent Q h, if the last layer has it, else -1
+        x = self._row[p - h + g]
         linked = x >= 0
         return c[linked], (x[linked] - lo) * n + h[linked]
 
-    def _live_classes(self, prev_lo: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    def _live_classes(self, lo: int) -> tuple[np.ndarray, np.ndarray]:
         """The next layer's live classes (``_grow_layer``), by their least candidates.
 
         Returns those and each candidate's class label.  The candidates are
-        linked by commuting squares, in blocks of whole parents, and a class
-        that a back edge reaches is old.
+        linked by commuting squares, a block at a time, and a class that a
+        back edge reaches is old.
         """
-        n = len(self._generator_syllables)
-        count = (self._ends[-1] - lo) * n
+        count = (self._ends[-1] - lo) * len(self._generator_syllables)
         src, dst = [], []
-        step = _BLOCK // n * n
-        for start in range(0, count, step):
-            c = np.arange(start, min(start + step, count))
-            rows, gens = np.divmod(c, n)
-            linked, other = self._squares(prev_lo, lo, c, rows + lo, gens)
+        for start in range(0, count, _BLOCK):
+            linked, other = self._squares(lo, np.arange(start, min(start + _BLOCK, count)))
             src.append(linked)
             dst.append(other)
         labels = _classes(count, np.concatenate(src), np.concatenate(dst))
@@ -535,7 +541,8 @@ class EocGroup:
         """Add the next BFS layer; past `cap` elements, raise and keep none of it.
 
         With n generators, candidate c is (lo + c // n, c % n) on every
-        layer, and each new element's tree entry is its least candidate.  A
+        layer, and each new element's tree entry is its least candidate, an
+        int32, so a layer of more than 2^31 candidates raises first.  A
         RAAG spec keeps the candidates that its shortlex automaton accepts
         (``_grow_raag_layer``); other specs settle them as follows.
 
@@ -559,10 +566,13 @@ class EocGroup:
         The live classes are settled by keys, and by normal forms where
         keys clash, in candidate order (``_settle``).
         """
+        lo, size = ([0] + self._ends)[-2:]
+        candidates = (size - lo) * len(self._generator_syllables)
+        if candidates > 2**31:
+            raise BudgetExceeded(f"{candidates} candidates at radius {len(self._ends)} pass int32")
         if self._raag:
             return self._grow_raag_layer(cap)
-        prev_lo, lo, size = ([0, 0] + self._ends)[-3:]
-        reps, labels = self._live_classes(prev_lo, lo)
+        reps, labels = self._live_classes(lo)
         kept, matrices, settled, merged = self._settle(lo, reps)
         count = len(kept)
         self._check_cap(size + count, cap, len(self._ends))
@@ -574,10 +584,7 @@ class EocGroup:
         index[list(merged)] = index[list(merged.values())]
         self._row = index[labels]
         del index, labels
-        rows, gens = np.divmod(kept, len(self._generator_syllables))
-        rows += lo
-        self._tree_parents.frombytes(rows.astype(np.intc).tobytes())
-        self._tree_gens.frombytes(gens.astype(np.intc).tobytes())
+        self._tree.frombytes(kept.astype(np.intc).tobytes())
         self._forms.update(
             zip((size + np.searchsorted(kept, list(settled))).tolist(), settled.values())
         )
@@ -623,7 +630,7 @@ class EocGroup:
         words of length L that the automaton accepts are in one-to-one
         correspondence with sphere L, which is how ``ball_size`` counts it.
         """
-        radius, (lo, size) = len(self._ends), ([0] + self._ends)[-2:]
+        radius, size = len(self._ends), self._ends[-1]
         total = self.ball_size(radius, cap)
         # the layer may have been counted before, under another cap
         self._check_cap(total, cap, radius)
@@ -637,10 +644,8 @@ class EocGroup:
             kept = np.flatnonzero(t >= 0)
             new[done : done + len(kept)] = t[kept]
             done += len(kept)
-            rows, gens = np.divmod(kept, trans.shape[1])
-            rows += lo + start
-            self._tree_parents.frombytes(rows.astype(np.intc).tobytes())
-            self._tree_gens.frombytes(gens.astype(np.intc).tobytes())
+            kept += start * trans.shape[1]
+            self._tree.frombytes(kept.astype(np.intc).tobytes())
         self._states = new
         self._ends.append(size + count)
 
@@ -655,7 +660,7 @@ class EocGroup:
         if built == len(ids):
             return self._trans
         n, inverse = len(self._generator_syllables), self._inverse.tolist()
-        commute = [sum(c << y for y, c in enumerate(row)) for row in self._commute[:n].tolist()]
+        commute = [sum(c << y for y, c in enumerate(row)) for row in self._commute.tolist()]
         rows = []
         for f in list(ids)[built:]:
             row = []
@@ -680,22 +685,18 @@ class EocGroup:
         gen_syllables = self._generator_syllables
         n = len(gen_syllables)
         g = np.array([_phi(self, syl) for syl in gen_syllables], dtype=np.int64).reshape(-1, 2, 2)
-        rows, gens = np.divmod(reps, n)
         keys = np.empty(len(reps), dtype=np.uint64)
         matrices = np.empty((len(reps), 2, 2), dtype=np.int32)
         for start in range(0, len(reps), _BLOCK):
             block = slice(start, start + _BLOCK)
-            keys[block] = _layer_keys(
-                self._layer_matrices, rows[block], g, gens[block], matrices[block]
-            )
+            keys[block] = _layer_keys(self._layer_matrices, reps[block], g, matrices[block])
         clash = _clashing(keys)
-        del keys, rows, gens
+        del keys
         times, form = self._times, self._form
         # seen maps a normal form to the first class with it
         seen, merged = {}, {}
         for i in reps[clash].tolist():
-            row, h = divmod(i, n)
-            syllables = times(form(lo + row), gen_syllables[h])
+            syllables = times(form(lo + i // n), gen_syllables[i % n])
             j = seen.setdefault(syllables, i)
             if j != i:
                 merged[i] = j
@@ -712,20 +713,19 @@ class EocGroup:
         The homomorphism, into SL(2, F_P), sends the i-th generator
         (``generator_tokens()`` order) to ``matrices[i]``, (a, b, c, d).  It is evaluated over the
         BFS tree one layer at a time: an element's matrix is its parent's
-        times its generator's, mod P, in blocks of ``_BLOCK`` elements
-        (``_layer_keys``, which keys the ball's candidates too).  Only the
-        previous and the current layer's matrices are kept, as int32, so
-        it holds 16 bytes per element of two layers and 8 per ball
+        times its generator's, mod P, both read from its tree entry, in
+        blocks of ``_BLOCK`` elements (``_layer_keys``, which keys the
+        ball's candidates too).  Only the previous and the current layer's
+        matrices are kept, as int32, so beside the tree's 4 bytes per ball
+        element it holds 16 per element of two layers and 8 per ball
         element, the 64-bit key of its four entries (``_key``).  Returns
         the keys and the int32 matrices of the layer that ends at `n`.
         """
-        tree_parents = np.frombuffer(self._tree_parents, dtype=np.intc, count=n)
-        tree_gens = np.frombuffer(self._tree_gens, dtype=np.intc, count=n)
+        tree = np.frombuffer(self._tree, dtype=np.intc, count=n)
         g = np.array(matrices, dtype=np.int64).reshape(-1, 2, 2)
         keys = np.empty(n, dtype=np.uint64)
         root = np.array(_IDENTITY, dtype=np.int64).reshape(1, 2, 2)
         prev, keys[:1] = root.astype(np.int32), _key(root)
-        prev_lo = 0
         for lo, hi in zip(self._ends, self._ends[1:]):
             if lo == n:
                 break
@@ -733,13 +733,9 @@ class EocGroup:
             for start in range(lo, hi, _BLOCK):
                 stop = min(start + _BLOCK, hi)
                 keys[start:stop] = _layer_keys(
-                    prev,
-                    tree_parents[start:stop] - prev_lo,
-                    g,
-                    tree_gens[start:stop],
-                    layer[start - lo : stop - lo],
+                    prev, tree[start:stop], g, layer[start - lo : stop - lo]
                 )
-            prev, prev_lo = layer, lo
+            prev = layer
         return keys, prev
 
     def ball_size(self, radius: int, cap: int = DEFAULT_BALL_CAP) -> int:
@@ -931,17 +927,19 @@ def _classes(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         labels = labels[labels]
 
 
-def _layer_keys(
-    prev: np.ndarray, parents: np.ndarray, g: np.ndarray, gens: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """The keys of prev[parents] * g[gens] mod P, one block of a layer.
+def _layer_keys(prev: np.ndarray, cands: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The keys of the candidates `cands` of one block of a layer, prev[c // n] * g[c % n] mod P.
 
-    `prev` holds a layer's matrices as int32, as every entry is below
-    2^31, and is widened to int64 for the product; the products go to
-    `out` as int32 and are keyed by ``_key``.
+    `prev` holds the last layer's matrices as int32, as every entry is
+    below 2^31, and is widened to int64 for the product; `g` holds the n
+    generators' matrices.  The products go to `out` as int32 and are keyed
+    by ``_key``.
     """
+    # c % n and m % P by scalar divisions, as in ``EocGroup._squares``
+    parents = cands // len(g)
+    gens = cands - parents * len(g)
     m = np.matmul(np.take(prev, parents, axis=0).astype(np.int64), np.take(g, gens, axis=0))
-    m %= _P
+    m -= m // _P * _P
     out[...] = m
     return _key(m)
 

@@ -267,13 +267,29 @@ class TestHashes:
             assert hash(G.element(x)) != hash(G.element(y))
 
 
+def tree_edges(group):
+    """The ball tree's (parent's ball index, generator index) per element, (-1, -1) at the identity.
+
+    Element k of layer L has the tree entry c, its candidate index: the
+    parent is element c // n of layer L - 1, and the generator c % n.
+    The tree has one entry per element of the grown layers.
+    """
+    assert len(group._tree) == group._ends[-1]
+    n, starts = len(group._generator_syllables), [0] + group._ends
+    edges = [(-1, -1)]
+    for layer, (lo, hi) in enumerate(zip(group._ends, group._ends[1:]), start=1):
+        edges += [(starts[layer - 1] + c // n, c % n) for c in group._tree[lo:hi]]
+    return edges
+
+
 def ball_digest(group, radius):
-    """sha256 of the ball's tokens in ball order and of its BFS tree arrays."""
+    """sha256 of the ball's tokens in ball order and of its BFS tree's parents and generators."""
     ball = group.ball(radius)
     h = hashlib.sha256()
     h.update("\n".join(e.tokens() for e in ball).encode())
-    h.update(b"\n" + ",".join(map(str, group._tree_parents)).encode())
-    h.update(b"\n" + ",".join(map(str, group._tree_gens)).encode())
+    parents, gens = zip(*tree_edges(group))
+    h.update(b"\n" + ",".join(map(str, parents)).encode())
+    h.update(b"\n" + ",".join(map(str, gens)).encode())
     return h.hexdigest()
 
 
@@ -308,7 +324,7 @@ class TestBallOrder:
         for cap in (5, 100, 500):
             with pytest.raises(BudgetExceeded):
                 group.ball(4, cap=cap)
-            assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
+            assert len(group._tree) == group._ends[-1]
         assert ball_digest(group, 4) == ball_digest(EocGroup(A, stages), 4)
 
 
@@ -597,15 +613,15 @@ def assert_ball_tree(group, radius):
     """Every ball element is its recorded BFS parent times its recorded generator."""
     ball = group.ball(radius)
     gens = group.generators()
-    assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
-    assert (group._tree_parents[0], group._tree_gens[0]) == (-1, -1)
+    edges = tree_edges(group)
+    assert edges[0] == (-1, -1)
     # no element repeats, so an element's layer is its word length
     # (``oracles.word_length``), and each tree edge is a geodesic step
     assert len(set(ball)) == len(ball)
     for k in range(1, len(ball)):
-        parent = group._tree_parents[k]
+        parent, g = edges[k]
         assert bisect.bisect_right(group._ends, parent) == bisect.bisect_right(group._ends, k) - 1
-        assert ball[k] == ball[parent] * gens[group._tree_gens[k]]
+        assert ball[k] == ball[parent] * gens[g]
 
 
 class TestBallTree:
@@ -621,9 +637,21 @@ class TestBallTree:
         g = EocGroup(A, [(a, 1)])
         with pytest.raises(BudgetExceeded):
             g.ball(3, cap=5)
-        assert len(g._tree_parents) == len(g._tree_gens) == g._ends[-1] == 1
+        assert len(g._tree) == g._ends[-1] == 1
         assert len(g.ball(3)) == 143
         assert_ball_tree(g, 3)
+
+    @pytest.mark.parametrize("grow", [lambda g: g, general], ids=["automaton", "general"])
+    def test_int32_candidates_raise_before_the_layer(self, grow):
+        # a faked last layer of 2^31 // 6 + 1 elements: with 6 generators its
+        # candidates pass 2^31, the candidate indices an int32 entry holds
+        group = grow(EocGroup(A, [(a, 1)]))
+        group.ball(2)
+        group._ends[-1] = group._ends[-2] + 2**31 // 6 + 1
+        before = bytes(group._tree), list(group._ends)
+        with pytest.raises(BudgetExceeded, match="2147483652 candidates at radius 3 pass int32"):
+            group.ball(3, cap=2**40)
+        assert (bytes(group._tree), group._ends) == before
 
 
 class TestBallOracle:
@@ -672,14 +700,13 @@ class TestBallOracle:
 
 
 def ball_state(group, radius):
-    """The ball's tree arrays, layer ends, normal forms and phi keys."""
+    """The ball's tree edges, layer ends, normal forms and phi keys."""
     group.ball(radius)
     keys, _ = group._tree_keys(
         group._ends[-1], [eocgroup._phi(group, syl) for syl in group._generator_syllables]
     )
     return (
-        list(group._tree_parents),
-        list(group._tree_gens),
+        tree_edges(group),
         list(group._ends),
         [group._form(k) for k in range(group._ends[-1])],
         keys.tobytes(),
@@ -744,8 +771,9 @@ class TestSquares:
                 for g in range(n)
             ]
             assert group._row.tolist() == expected, r
+            edges = tree_edges(group)
             undo = [
-                (p - prev_lo) * n + group._inverse[group._tree_gens[p]]
+                (p - prev_lo) * n + group._inverse[edges[p][1]]
                 for p in range(max(prev_lo, 1), lo)
             ]
             assert all(expected[c] == -1 for c in undo), r
@@ -759,7 +787,7 @@ class TestSquares:
             with pytest.raises(BudgetExceeded):
                 group.ball(4, cap=cap)
             assert group._row is row
-            assert len(group._tree_parents) == len(group._tree_gens) == group._ends[-1]
+            assert len(group._tree) == group._ends[-1]
             group.ball(len(group._ends))
         uninterrupted = general(EocGroup(A, stages))
         assert ball_state(group, 5) == ball_state(uninterrupted, 5)
@@ -806,9 +834,8 @@ def assert_back_edges_exact(group, radius):
         assert sorted(group._back_edges(lo).tolist()) == old, r
         assert all(two_back <= found[c] < lo for c in old), r
         # the candidate that undoes its parent's generator is old
-        undo = [
-            (p - lo) * n + group._inverse[group._tree_gens[p]] for p in range(max(lo, 1), size)
-        ]
+        edges = tree_edges(group)
+        undo = [(p - lo) * n + group._inverse[edges[p][1]] for p in range(max(lo, 1), size)]
         assert set(undo) <= set(old), r
 
 
@@ -931,13 +958,11 @@ class TestAutomaton:
         # is counted before anything is appended
         group = EocGroup(A, [(a, 1)])
         for cap in (5, 10, 100, 500):
-            tree, states = (bytes(group._tree_parents), bytes(group._tree_gens)), group._states
-            ends = list(group._ends)
-            message = f"cap of {cap} elements at radius {len(ends)}$"
+            before, states = tree(group), group._states
+            message = f"cap of {cap} elements at radius {len(group._ends)}$"
             with pytest.raises(BudgetExceeded, match=message):
                 group.ball(4, cap=cap)
-            assert (bytes(group._tree_parents), bytes(group._tree_gens)) == tree
-            assert group._ends == ends and group._states is states
+            assert tree(group) == before and group._states is states
             group.ball(len(group._ends))
         assert ball_state(group, 5) == ball_state(EocGroup(A, [(a, 1)]), 5)
 
@@ -954,8 +979,8 @@ class TestAutomaton:
 
 
 def tree(group):
-    """The ball's tree arrays and layer ends."""
-    return bytes(group._tree_parents), bytes(group._tree_gens), list(group._ends)
+    """The ball's tree edges and layer ends."""
+    return tree_edges(group), list(group._ends)
 
 
 def budget_error(call):
